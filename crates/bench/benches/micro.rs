@@ -395,6 +395,37 @@ fn bench_shard(c: &mut Criterion) {
     });
 }
 
+/// Host cost of one committed log entry: propose, price the RPCs, stage
+/// and deliver the commands, apply on every replica, collect the acks,
+/// commit. Same regime as `smr_log` in `BENCHMARK.json` (64 B entries,
+/// 92% live/heap, serial executor), one fifth the log.
+fn bench_smr(c: &mut Criterion) {
+    use simsmr::{RuntimeMode, SmrConfig};
+
+    const ENTRIES: u64 = 20_000;
+    let mut cfg = SmrConfig::new(3, RuntimeMode::Itask);
+    cfg.entries = ENTRIES;
+    cfg.payload = ByteSize(64);
+    cfg.shards = 1;
+    let cfg = cfg.with_pressure(92);
+    let mut g = c.benchmark_group("smr");
+    g.sample_size(10);
+    g.bench_function("commit_entry", |b| {
+        let start = std::time::Instant::now();
+        let mut committed = 0;
+        b.iter(|| {
+            let o = simsmr::run(&cfg);
+            assert_eq!(o.commits, ENTRIES, "{:?}", o.result);
+            committed += o.commits;
+        });
+        println!(
+            "      smr/commit_entry: {} ns per committed entry",
+            start.elapsed().as_nanos() / committed as u128
+        );
+    });
+    g.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end_wc_3gb");
     g.sample_size(10);
@@ -418,6 +449,7 @@ criterion_group!(
     bench_irs,
     bench_service,
     bench_shard,
+    bench_smr,
     bench_end_to_end
 );
 criterion_main!(benches);

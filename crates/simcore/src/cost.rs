@@ -9,7 +9,7 @@
 //! enhanced (10 GbE-class) networking.
 
 use crate::bytes::ByteSize;
-use crate::time::SimDuration;
+use crate::time::{round_to_u64, SimDuration};
 
 /// Virtual-time costs for CPU work, garbage collection, disk and network.
 #[derive(Clone, Copy, Debug)]
@@ -69,7 +69,7 @@ impl Default for CostModel {
 }
 
 fn ns_per_bytes(rate_ns_per_byte: f64, bytes: u64) -> SimDuration {
-    SimDuration::from_nanos((rate_ns_per_byte * bytes as f64).round() as u64)
+    SimDuration::from_nanos(round_to_u64(rate_ns_per_byte * bytes as f64))
 }
 
 fn bandwidth_time(bps: u64, bytes: u64) -> SimDuration {
@@ -125,6 +125,33 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The products the cost model actually rounds: every per-byte
+        /// rate and every bandwidth, against byte counts up to 2^40.
+        #[test]
+        fn rounding_matches_libm_on_every_rate(bytes in 0u64..=(1 << 40)) {
+            let c = CostModel::default();
+            for rate in [
+                c.cpu_ns_per_byte,
+                c.gc_minor_ns_per_survivor_byte,
+                c.gc_full_ns_per_live_byte,
+                c.gc_full_ns_per_used_byte,
+                c.serialize_ns_per_byte,
+                c.deserialize_ns_per_byte,
+            ] {
+                let x = rate * bytes as f64;
+                prop_assert_eq!(round_to_u64(x), x.round() as u64, "{} * {}", rate, bytes);
+            }
+            for bps in [c.disk_write_bps, c.disk_read_bps, c.net_bps] {
+                let x = bytes as f64 / bps as f64 * 1e9;
+                prop_assert_eq!(round_to_u64(x), x.round() as u64, "{} / {}", bytes, bps);
+            }
+        }
+    }
 
     #[test]
     fn tuple_cost_scales_with_payload() {

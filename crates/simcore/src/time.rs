@@ -9,6 +9,19 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64`, bit for bit, without the out-of-line libm call
+/// `f64::round` costs on baseline x86-64. Below 2^52 the truncation and
+/// the fraction are exact, and from there up every `f64` is an integer;
+/// NaN and negatives give 0 and overflow saturates, as the cast does.
+pub(crate) fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// A span of virtual time, in nanoseconds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
@@ -42,7 +55,7 @@ impl SimDuration {
     /// Negative or non-finite inputs clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
         if s.is_finite() && s > 0.0 {
-            SimDuration((s * 1e9).round() as u64)
+            SimDuration(round_to_u64(s * 1e9))
         } else {
             SimDuration(0)
         }
@@ -233,6 +246,57 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn round_to_u64_edges_match_libm() {
+        for x in [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            -1.5,
+            4503599627370495.5, // 2^52 - 0.5, the last half
+            4503599627370496.0,
+            9007199254740993.0,
+            18446744073709549568.0, // the last f64 below 2^64
+            18446744073709551616.0,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any `f64` at all: subnormals, NaN payloads, both signs.
+        #[test]
+        fn round_to_u64_matches_libm_on_raw_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(round_to_u64(x), x.round() as u64, "{:e}", x);
+        }
+
+        /// Around every rounding boundary: `k + 0.5`, its two
+        /// neighbours, and `k` plus the largest `f64` below one half.
+        #[test]
+        fn round_to_u64_matches_libm_at_halves(k in 0u64..(1 << 52)) {
+            let half = k as f64 + 0.5;
+            for x in [
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+                k as f64 + 0.49999999999999994,
+            ] {
+                prop_assert_eq!(round_to_u64(x), x.round() as u64, "{:e}", x);
+            }
+        }
+    }
 
     #[test]
     fn duration_constructors_agree() {

@@ -74,6 +74,11 @@ pub struct Fabric {
     nodes: usize,
     stats: NetStats,
     injector: Option<Box<FaultInjector>>,
+    /// The last two distinct sizes priced and their healthy wire times.
+    /// A quorum alternates between two RPC sizes (append-entries out,
+    /// acks and heartbeats back), so this turns the float division in
+    /// `CostModel::net_transfer` into two compares on that path.
+    priced: [(ByteSize, SimDuration); 2],
 }
 
 impl Fabric {
@@ -89,7 +94,19 @@ impl Fabric {
             nodes,
             stats: NetStats::default(),
             injector: None,
+            priced: [(ByteSize::ZERO, cost.net_transfer(ByteSize::ZERO)); 2],
         }
+    }
+
+    /// `self.cost.net_transfer(bytes)`, remembered for the last two
+    /// distinct sizes.
+    fn wire_time(&mut self, bytes: ByteSize) -> SimDuration {
+        if let Some(&(_, t)) = self.priced.iter().find(|(b, _)| *b == bytes) {
+            return t;
+        }
+        let t = self.cost.net_transfer(bytes);
+        self.priced = [(bytes, t), self.priced[0]];
+        t
     }
 
     /// Routes subsequent time-aware transfers through a fault injector.
@@ -132,7 +149,7 @@ impl Fabric {
             self.stats.bytes_local += bytes;
             return SimDuration::ZERO;
         }
-        let t = self.cost.net_transfer(bytes);
+        let t = self.wire_time(bytes);
         self.stats.bytes_remote += bytes;
         self.stats.remote_transfers += 1;
         self.stats.wire_time += t;
@@ -194,7 +211,7 @@ impl Fabric {
             inj.note_transfer(true, false);
             self.stats.degraded_transfers += 1;
         }
-        let wire = self.cost.net_transfer(bytes) * factor.max(1.0);
+        let wire = self.wire_time(bytes) * factor.max(1.0);
         self.stats.bytes_remote += bytes;
         self.stats.remote_transfers += 1;
         self.stats.wire_time += wire;
@@ -408,6 +425,20 @@ mod edge_tests {
         assert_eq!(times[0], times[1]);
         assert_eq!(times[2], SimDuration::ZERO); // self-send is local
         assert_eq!(f.stats().remote_transfers, 2);
+    }
+
+    #[test]
+    fn remembered_wire_times_match_the_cost_model() {
+        let cost = CostModel::default();
+        let mut f = Fabric::new(2, cost);
+        // Alternating sizes are answered from memory, a third size
+        // evicts the older of the two, and evicted sizes come back.
+        for bytes in [64, 128, 64, 128, 4096, 64, 0, 128, 4096, 4096].map(ByteSize) {
+            assert_eq!(
+                f.transfer(NodeId(0), NodeId(1), bytes),
+                cost.net_transfer(bytes)
+            );
+        }
     }
 
     #[test]

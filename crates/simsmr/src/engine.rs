@@ -29,7 +29,7 @@
 //! tail. Both a scheduled leader crash and a full-GC pause longer than
 //! the timeout take this same path.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ use simnet::rpc;
 use simserve::QuantileSketch;
 
 use crate::config::{RuntimeMode, SmrConfig};
-use crate::replica::{Ack, Cmd, Inbox, ReplicaWork};
+use crate::replica::{Ack, Cmd, ReplicaWork};
 
 /// What one SMR run produced.
 #[derive(Clone, Debug)]
@@ -119,14 +119,78 @@ struct Entry {
     propose_at: SimTime,
     propose_ev: EventId,
     leader_done: Option<SimTime>,
-    /// Follower → ack arrival time at the current leader.
-    acks: BTreeMap<u32, SimTime>,
-    /// Follower → replicate event (causal parent of its ack).
-    replicate_ev: BTreeMap<u32, EventId>,
+    /// One slot per node id; only followers of the current view fill
+    /// theirs.
+    followers: Vec<Follower>,
 }
 
-fn push_cmd(inbox: &Inbox, cmd: Cmd) {
-    inbox.lock().unwrap().push_back(cmd);
+/// What the current leader knows of one follower's copy of an entry.
+#[derive(Clone, Copy)]
+struct Follower {
+    /// The replicate event (causal parent of the follower's ack).
+    replicate_ev: EventId,
+    /// Arrival time of the follower's first ack at the leader.
+    ack_at: Option<SimTime>,
+}
+
+impl Follower {
+    const UNSENT: Follower = Follower {
+        replicate_ev: EventId::NONE,
+        ack_at: None,
+    };
+}
+
+/// The leader's proposal window. Uncommitted indices are contiguous —
+/// `committed + 1 .. next_propose`, at most `cfg.window` of them — so
+/// the entry for `index` sits at `index - (committed + 1)` and commits
+/// leave from the front. A committed entry's follower slots are kept
+/// for the next proposal, which makes proposing allocation-free once
+/// the window has filled.
+struct Window {
+    nodes: usize,
+    inflight: VecDeque<Entry>,
+    spare: Vec<Vec<Follower>>,
+}
+
+impl Window {
+    fn new(nodes: usize) -> Self {
+        Window {
+            nodes,
+            inflight: VecDeque::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// Opens the entry behind the last inflight one, as proposed at
+    /// `at`, with nothing sent and nothing acknowledged.
+    fn propose(&mut self, at: SimTime, ev: EventId) -> &mut Entry {
+        let mut followers = self.spare.pop().unwrap_or_default();
+        followers.resize(self.nodes, Follower::UNSENT);
+        self.inflight.push_back(Entry {
+            propose_at: at,
+            propose_ev: ev,
+            leader_done: None,
+            followers,
+        });
+        self.inflight.back_mut().expect("just pushed")
+    }
+
+    /// Retires the front entry once it has committed.
+    fn commit_front(&mut self) {
+        if let Some(mut entry) = self.inflight.pop_front() {
+            entry.followers.clear();
+            self.spare.push(entry.followers);
+        }
+    }
+}
+
+impl Entry {
+    /// Forgets every send and ack ahead of a new leader's
+    /// re-replication; the propose time and event stay.
+    fn reopen(&mut self) {
+        self.leader_done = None;
+        self.followers.fill(Follower::UNSENT);
+    }
 }
 
 fn global_now(cluster: &mut Cluster, live: &[NodeId]) -> SimTime {
@@ -163,9 +227,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     };
 
     let stop = Arc::new(AtomicBool::new(false));
-    let mut inboxes = Vec::with_capacity(cfg.nodes);
-    let mut outboxes = Vec::with_capacity(cfg.nodes);
-    let mut replica_stats = Vec::with_capacity(cfg.nodes);
+    let mut mailboxes = Vec::with_capacity(cfg.nodes);
     for n in 0..cfg.nodes {
         let id = NodeId(n as u32);
         let space = cluster
@@ -173,12 +235,15 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
             .node_mut()
             .heap
             .create_space(format!("smr.state{n}"));
-        let (work, inbox, outbox, stats) = ReplicaWork::new(id, space, cfg, stop.clone());
+        let (work, mailbox) = ReplicaWork::new(id, space, cfg, stop.clone());
         cluster.sim(id).spawn(Box::new(work));
-        inboxes.push(inbox);
-        outboxes.push(outbox);
-        replica_stats.push(stats);
+        mailboxes.push(mailbox);
     }
+    // Commands staged per node since the last round, delivered in one
+    // batch right before the next; and the buffer acks are taken into.
+    let mut staged: Vec<Vec<Cmd>> = vec![Vec::new(); cfg.nodes];
+    let mut acks: Vec<Ack> = Vec::new();
+    let mut arrivals: Vec<SimTime> = Vec::with_capacity(cfg.nodes);
 
     let majority = cfg.majority();
     let mut guards: Vec<StateGuard> = (0..cfg.nodes)
@@ -189,15 +254,18 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     let mut next_propose = 1u64;
     let mut committed = 0u64;
     let mut last_commit_at = SimTime::ZERO;
-    let mut inflight: BTreeMap<u64, Entry> = BTreeMap::new();
+    let mut window = Window::new(cfg.nodes);
     let mut last_hb = vec![SimTime::ZERO; cfg.nodes];
     let mut next_hb_due = SimTime::ZERO;
     let mut pause_marks = vec![SimDuration::ZERO; cfg.nodes];
     let mut gc_stall = SimDuration::ZERO;
     let mut latency = QuantileSketch::new(QuantileSketch::DEFAULT_K);
     let mut view_changes = 0u64;
-    let mut committed_digests: Vec<u64> = Vec::new();
-    let mut node_digests: Vec<Vec<u64>> = vec![Vec::new(); cfg.nodes];
+    let log_len = cfg.entries as usize;
+    let mut committed_digests: Vec<u64> = Vec::with_capacity(log_len);
+    let mut node_digests: Vec<Vec<u64>> = (0..cfg.nodes)
+        .map(|_| Vec::with_capacity(log_len))
+        .collect();
     let mut result: SimResult<()> = Ok(());
     // Metrics cadence gate for the lease-margin gauge (one point per
     // cell, not per round).
@@ -228,7 +296,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
 
         // 1. Leader fills its proposal window.
         if !cluster.sim(leader).is_crashed() {
-            while inflight.len() < cfg.window && next_propose <= cfg.entries {
+            while window.inflight.len() < cfg.window && next_propose <= cfg.entries {
                 let index = next_propose;
                 next_propose += 1;
                 let ev = tracer::emit(
@@ -238,20 +306,11 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                     SimDuration::ZERO,
                     TraceData::Propose { index, view },
                 );
-                let mut entry = Entry {
-                    propose_at: now,
-                    propose_ev: ev,
-                    leader_done: None,
-                    acks: BTreeMap::new(),
-                    replicate_ev: BTreeMap::new(),
-                };
-                push_cmd(
-                    &inboxes[leader.as_usize()],
-                    Cmd::Apply {
-                        index,
-                        ready_at: now,
-                    },
-                );
+                let entry = window.propose(now, ev);
+                staged[leader.as_usize()].push(Cmd::Apply {
+                    index,
+                    ready_at: now,
+                });
                 for &f in &live {
                     if f == leader {
                         continue;
@@ -279,20 +338,22 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                             cause: ev,
                         },
                     );
-                    entry.replicate_ev.insert(f.0, rev);
-                    push_cmd(
-                        &inboxes[f.as_usize()],
-                        Cmd::Apply {
-                            index,
-                            ready_at: now + wire,
-                        },
-                    );
+                    entry.followers[f.as_usize()].replicate_ev = rev;
+                    staged[f.as_usize()].push(Cmd::Apply {
+                        index,
+                        ready_at: now + wire,
+                    });
                 }
-                inflight.insert(index, entry);
             }
         }
 
-        // 2. One lockstep round over the live replicas.
+        // 2. One lockstep round over the live replicas, each first
+        //    handed everything staged for it since the last one.
+        for (mailbox, cmds) in mailboxes.iter().zip(&mut staged) {
+            if !cmds.is_empty() {
+                mailbox.deliver(cmds);
+            }
+        }
         let round = exec.run_round(&mut cluster, &live, true);
         if let Some((node, report)) = round.first_failure() {
             result = Err(report
@@ -321,7 +382,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
             };
             if let Some(ask) = ask {
                 if ask >= cfg.deflate_chunk {
-                    push_cmd(&inboxes[ni], Cmd::Deflate { target: ask });
+                    staged[ni].push(Cmd::Deflate { target: ask });
                 }
             }
             if cfg.mode == RuntimeMode::ItaskElect && n == leader {
@@ -333,7 +394,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                     let target = live_budget_for_pause(&node.heap, &node.cost, budget * 3 / 4);
                     let ask = node.heap.live().saturating_sub(target);
                     if !ask.is_zero() {
-                        push_cmd(&inboxes[ni], Cmd::Deflate { target: ask });
+                        staged[ni].push(Cmd::Deflate { target: ask });
                     }
                 }
             }
@@ -348,17 +409,22 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
 
         // 5. Drain acks in node order, pricing the ack RPC to the leader.
         for &n in &live {
+            let ni = n.as_usize();
+            mailboxes[ni].collect(&mut acks);
             if cluster.sim(n).is_crashed() {
-                outboxes[n.as_usize()].lock().unwrap().clear();
                 continue;
             }
-            let drained: Vec<Ack> = outboxes[n.as_usize()].lock().unwrap().drain(..).collect();
-            for ack in drained {
-                let ni = n.as_usize();
+            for ack in &acks {
                 if ack.index as usize == node_digests[ni].len() + 1 {
                     node_digests[ni].push(ack.digest);
                 }
-                let Some(entry) = inflight.get_mut(&ack.index) else {
+                // `committed` has not moved since the last commit loop:
+                // `committed + 1` is the index at the window's front.
+                let Some(entry) = ack
+                    .index
+                    .checked_sub(committed + 1)
+                    .and_then(|at| window.inflight.get_mut(at as usize))
+                else {
                     continue; // already committed (re-replication dupe)
                 };
                 if n == leader {
@@ -375,11 +441,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                                 break 'main;
                             }
                         };
-                    let cause = entry
-                        .replicate_ev
-                        .get(&n.0)
-                        .copied()
-                        .unwrap_or(EventId::NONE);
+                    let follower = &mut entry.followers[ni];
                     tracer::emit(
                         Some(n),
                         None,
@@ -387,10 +449,10 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                         wire,
                         TraceData::SmrAck {
                             index: ack.index,
-                            cause,
+                            cause: follower.replicate_ev,
                         },
                     );
-                    entry.acks.entry(n.0).or_insert(ack.done_at + wire);
+                    follower.ack_at.get_or_insert(ack.done_at + wire);
                 }
             }
         }
@@ -398,16 +460,17 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
         // 6. Commit in log order once the quorum is in.
         while committed < cfg.entries {
             let index = committed + 1;
-            let Some(entry) = inflight.get(&index) else {
+            let Some(entry) = window.inflight.front() else {
                 break;
             };
             let Some(leader_done) = entry.leader_done else {
                 break;
             };
-            if entry.acks.len() + 1 < majority {
+            arrivals.clear();
+            arrivals.extend(entry.followers.iter().filter_map(|f| f.ack_at));
+            if arrivals.len() + 1 < majority {
                 break;
             }
-            let mut arrivals: Vec<SimTime> = entry.acks.values().copied().collect();
             arrivals.sort_unstable();
             let quorum_at = arrivals[majority - 2];
             let commit_at = leader_done.max(quorum_at).max(last_commit_at);
@@ -438,7 +501,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                     .copied()
                     .unwrap_or(0),
             );
-            inflight.remove(&index);
+            window.commit_front();
             committed = index;
         }
 
@@ -493,7 +556,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                 }
             }
             metrics::counter_add(Some(leader), metrics::Metric::SmrViewChanges, now, 1);
-            let uncommitted = inflight.len() as u64;
+            let uncommitted = window.inflight.len() as u64;
             let vc_ev = tracer::emit(
                 Some(leader),
                 None,
@@ -524,17 +587,12 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
             // The new leader re-replicates every uncommitted entry;
             // replicas that already applied one re-ack without
             // re-executing. Original propose times are kept.
-            for (&index, entry) in inflight.iter_mut() {
-                entry.leader_done = None;
-                entry.acks.clear();
-                entry.replicate_ev.clear();
-                push_cmd(
-                    &inboxes[leader.as_usize()],
-                    Cmd::Apply {
-                        index,
-                        ready_at: done_at,
-                    },
-                );
+            for (index, entry) in (committed + 1..).zip(&mut window.inflight) {
+                entry.reopen();
+                staged[leader.as_usize()].push(Cmd::Apply {
+                    index,
+                    ready_at: done_at,
+                });
                 for &f in &live {
                     if f == leader || cluster.sim(f).is_crashed() {
                         continue;
@@ -562,14 +620,11 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                             cause: vc_ev,
                         },
                     );
-                    entry.replicate_ev.insert(f.0, rev);
-                    push_cmd(
-                        &inboxes[f.as_usize()],
-                        Cmd::Apply {
-                            index,
-                            ready_at: done_at + wire,
-                        },
-                    );
+                    entry.followers[f.as_usize()].replicate_ev = rev;
+                    staged[f.as_usize()].push(Cmd::Apply {
+                        index,
+                        ready_at: done_at + wire,
+                    });
                 }
             }
             cluster.advance_clocks_to(done_at);
@@ -609,11 +664,11 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
         }
         exec.run_round(&mut cluster, &live, false);
     }
-    for (n, outbox) in outboxes.iter().enumerate() {
-        let drained: Vec<Ack> = outbox.lock().unwrap().drain(..).collect();
-        for ack in drained {
-            if ack.index as usize == node_digests[n].len() + 1 {
-                node_digests[n].push(ack.digest);
+    for (mailbox, digests) in mailboxes.iter().zip(&mut node_digests) {
+        mailbox.collect(&mut acks);
+        for ack in &acks {
+            if ack.index as usize == digests.len() + 1 {
+                digests.push(ack.digest);
             }
         }
     }
@@ -634,8 +689,8 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     }
     let mut deflations = 0u64;
     let mut deflated = ByteSize::ZERO;
-    for stats in &replica_stats {
-        let s = *stats.lock().unwrap();
+    for mailbox in &mailboxes {
+        let s = mailbox.stats();
         deflations += s.deflations;
         deflated += s.deflated;
     }

@@ -45,4 +45,4 @@ pub mod replica;
 
 pub use config::{RuntimeMode, SmrConfig};
 pub use engine::{run, SmrOutcome};
-pub use replica::{payload_digest, Ack, Cmd, ReplicaWork};
+pub use replica::{payload_digest, Ack, Cmd, Mailbox, ReplicaWork};

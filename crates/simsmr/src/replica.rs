@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use itask_core::Deflatable;
 use simcluster::{StepOutcome, Work, WorkCx};
@@ -65,10 +65,51 @@ pub struct Ack {
     pub digest: u64,
 }
 
-/// Driver-side handle to a replica's command queue.
-pub type Inbox = Arc<Mutex<VecDeque<Cmd>>>;
-/// Driver-side handle to a replica's outgoing acks.
-pub type Outbox = Arc<Mutex<Vec<Ack>>>;
+/// The driver's end of one replica's mailbox.
+///
+/// The driver and the replica never run at the same time — the lockstep
+/// executor steps replicas inside a round and the driver works between
+/// rounds — so the mutexes are only what makes the replica `Send` for
+/// `--shards N`, and each side takes each of them once per turn: the
+/// driver hands over a round's commands with one [`Mailbox::deliver`]
+/// and takes a round's acks with one [`Mailbox::collect`]; the replica
+/// holds the inbox for one whole step and publishes its acks and
+/// counters when the step ends.
+pub struct Mailbox(Arc<Shared>);
+
+/// What the two ends of a mailbox share.
+#[derive(Default)]
+struct Shared {
+    inbox: Mutex<VecDeque<Cmd>>,
+    outbox: Mutex<Vec<Ack>>,
+    stats: Mutex<ReplicaStats>,
+}
+
+impl Mailbox {
+    /// Appends `staged` to the replica's command queue in order, leaving
+    /// `staged` empty (and its allocation with the caller).
+    pub fn deliver(&self, staged: &mut Vec<Cmd>) {
+        lock(&self.0.inbox).extend(staged.drain(..));
+    }
+
+    /// Replaces the contents of `acks` with everything the replica
+    /// acknowledged since the last call, in apply order. The two buffers
+    /// trade places, so neither side allocates in steady state.
+    pub fn collect(&self, acks: &mut Vec<Ack>) {
+        acks.clear();
+        std::mem::swap(&mut *lock(&self.0.outbox), acks);
+    }
+
+    /// The replica's counters as of its last completed step.
+    pub fn stats(&self) -> ReplicaStats {
+        *lock(&self.0.stats)
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("a replica step panicked holding its mailbox")
+}
 
 /// Engine-readable replica counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -104,55 +145,65 @@ impl Deflatable for AppliedState {
     }
 }
 
-/// One replica's simulated thread body.
-pub struct ReplicaWork {
+/// The state machine behind the mailbox: everything a step touches
+/// per command, none of it shared.
+struct Applier {
     node: NodeId,
-    inbox: Inbox,
-    outbox: Outbox,
-    stop: Arc<AtomicBool>,
-    stats: Arc<Mutex<ReplicaStats>>,
     state: AppliedState,
     payload: ByteSize,
     expansion: u64,
     churn: u64,
     seed: u64,
+    /// Counters so far; published to the mailbox when a step ends.
+    stats: ReplicaStats,
+    /// Acks of the step in progress; published when it ends.
+    acks: Vec<Ack>,
+}
+
+/// One replica's simulated thread body.
+pub struct ReplicaWork {
+    mailbox: Arc<Shared>,
+    stop: Arc<AtomicBool>,
+    sm: Applier,
 }
 
 impl ReplicaWork {
     /// Builds a replica for `node` applying into `space`, returning the
-    /// work plus the driver-side handles to its queues and counters.
+    /// work plus the driver's end of its mailbox.
     pub fn new(
         node: NodeId,
         space: SpaceId,
         cfg: &SmrConfig,
         stop: Arc<AtomicBool>,
-    ) -> (Self, Inbox, Outbox, Arc<Mutex<ReplicaStats>>) {
-        let inbox: Inbox = Arc::new(Mutex::new(VecDeque::new()));
-        let outbox: Outbox = Arc::new(Mutex::new(Vec::new()));
-        let stats = Arc::new(Mutex::new(ReplicaStats::default()));
+    ) -> (Self, Mailbox) {
+        let mailbox = Arc::<Shared>::default();
         let work = ReplicaWork {
-            node,
-            inbox: inbox.clone(),
-            outbox: outbox.clone(),
+            mailbox: mailbox.clone(),
             stop,
-            stats: stats.clone(),
-            state: AppliedState {
-                space,
-                live: ByteSize::ZERO,
-                last_applied: 0,
-                digests: Vec::new(),
+            sm: Applier {
+                node,
+                state: AppliedState {
+                    space,
+                    live: ByteSize::ZERO,
+                    last_applied: 0,
+                    digests: Vec::with_capacity(cfg.entries as usize),
+                },
+                payload: cfg.payload,
+                expansion: cfg.expansion,
+                churn: cfg.churn,
+                seed: cfg.seed,
+                stats: ReplicaStats::default(),
+                acks: Vec::new(),
             },
-            payload: cfg.payload,
-            expansion: cfg.expansion,
-            churn: cfg.churn,
-            seed: cfg.seed,
         };
-        (work, inbox, outbox, stats)
+        (work, Mailbox(mailbox))
     }
+}
 
+impl Applier {
     fn ack(&mut self, index: u64, done_at: SimTime) {
         let digest = self.state.digests[index as usize - 1];
-        self.outbox.lock().unwrap().push(Ack {
+        self.acks.push(Ack {
             index,
             done_at,
             digest,
@@ -165,7 +216,7 @@ impl ReplicaWork {
             // Re-replication after a view change: the entry is already
             // in the state; acknowledge without re-executing.
             cx.charge(cost.tuple_cost(ByteSize::ZERO));
-            self.stats.lock().unwrap().dupes += 1;
+            self.stats.dupes += 1;
             self.ack(index, cx.now());
             return Ok(());
         }
@@ -188,7 +239,7 @@ impl ReplicaWork {
         self.state
             .digests
             .push(stable_hash64(prev ^ payload_digest(self.seed, index)));
-        self.stats.lock().unwrap().applied += 1;
+        self.stats.applied += 1;
         self.ack(index, cx.now());
         Ok(())
     }
@@ -205,10 +256,8 @@ impl ReplicaWork {
         let serialized = freed.mul_ratio(1, self.expansion.max(1));
         let label = format!("smr.deflate.n{}", self.node.as_usize());
         let _ = cx.node().disk_write_async(label, serialized);
-        let mut stats = self.stats.lock().unwrap();
-        stats.deflations += 1;
-        stats.deflated += freed;
-        drop(stats);
+        self.stats.deflations += 1;
+        self.stats.deflated += freed;
         if metrics::is_enabled() {
             let node = Some(self.node);
             metrics::counter_add(node, metrics::Metric::IrsDeflations, cx.now(), 1);
@@ -220,6 +269,32 @@ impl ReplicaWork {
             );
         }
     }
+
+    /// Runs commands off the front of `inbox` until the quantum is
+    /// spent, the queue is empty, the head's RPC is still on the wire,
+    /// or an apply fails.
+    fn drain(&mut self, cx: &mut WorkCx<'_>, inbox: &mut VecDeque<Cmd>) -> StepOutcome {
+        let mut outcome = StepOutcome::Waiting;
+        while !cx.out_of_quantum() {
+            match inbox.front().copied() {
+                None => return outcome,
+                // Head-of-line: nothing overtakes an RPC on the wire.
+                Some(Cmd::Apply { ready_at, .. }) if cx.now() < ready_at => return outcome,
+                Some(Cmd::Apply { index, .. }) => {
+                    inbox.pop_front();
+                    if let Err(e) = self.apply(cx, index) {
+                        return StepOutcome::Failed(e);
+                    }
+                }
+                Some(Cmd::Deflate { target }) => {
+                    inbox.pop_front();
+                    self.run_deflate(cx, target);
+                }
+            }
+            outcome = StepOutcome::Ran;
+        }
+        StepOutcome::Ran
+    }
 }
 
 impl Work for ReplicaWork {
@@ -227,44 +302,17 @@ impl Work for ReplicaWork {
         if self.stop.load(Ordering::Relaxed) {
             return StepOutcome::Finished;
         }
-        let mut did = false;
-        loop {
-            if cx.out_of_quantum() {
-                return StepOutcome::Ran;
-            }
-            let next = self.inbox.lock().unwrap().front().copied();
-            let Some(cmd) = next else {
-                return if did {
-                    StepOutcome::Ran
-                } else {
-                    StepOutcome::Waiting
-                };
-            };
-            match cmd {
-                Cmd::Apply { index, ready_at } => {
-                    if cx.now() < ready_at {
-                        // The RPC is still on the wire.
-                        return if did {
-                            StepOutcome::Ran
-                        } else {
-                            StepOutcome::Waiting
-                        };
-                    }
-                    self.inbox.lock().unwrap().pop_front();
-                    if let Err(e) = self.apply(cx, index) {
-                        return StepOutcome::Failed(e);
-                    }
-                }
-                Cmd::Deflate { target } => {
-                    self.inbox.lock().unwrap().pop_front();
-                    self.run_deflate(cx, target);
-                }
-            }
-            did = true;
+        let outcome = self.sm.drain(cx, &mut lock(&self.mailbox.inbox));
+        // A step that failed publishes too: the acks it produced before
+        // the failing command are real.
+        if !matches!(outcome, StepOutcome::Waiting) {
+            lock(&self.mailbox.outbox).append(&mut self.sm.acks);
+            *lock(&self.mailbox.stats) = self.sm.stats;
         }
+        outcome
     }
 
     fn label(&self) -> String {
-        format!("smr[n{}]", self.node.as_usize())
+        format!("smr[n{}]", self.sm.node.as_usize())
     }
 }
