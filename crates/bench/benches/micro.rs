@@ -10,7 +10,7 @@ use apps::hyracks_apps::{wc, HyracksParams};
 use itask_core::queue::PartitionQueue;
 use itask_core::{offer_serialized, Irs, IrsConfig, Scale, Tag, TaskGraph, Tuple, VecPartition};
 use simcluster::{NodeSim, NodeState};
-use simcore::{ByteSize, EventLog, NodeId, PartitionId, SimTime, SpaceId, TaskId};
+use simcore::{ByteSize, NodeId, PartitionId, SimTime, SpaceId, TaskId};
 use simmem::{Heap, HeapConfig};
 use workloads::webmap::WebmapSize;
 
@@ -89,29 +89,6 @@ fn bench_queue(c: &mut Criterion) {
     });
 }
 
-fn bench_event_log(c: &mut Criterion) {
-    // A fig3-style trace: a handful of series, many appends each.
-    c.bench_function("log/record_8_series_4k_samples", |b| {
-        b.iter(|| {
-            let mut log = EventLog::new();
-            for i in 0..4096u64 {
-                let name = match i % 8 {
-                    0 => "heap.used",
-                    1 => "heap.live",
-                    2 => "gc.pause",
-                    3 => "queue.len",
-                    4 => "ser.bytes",
-                    5 => "deser.bytes",
-                    6 => "throughput",
-                    _ => "tasks.active",
-                };
-                log.record(name, SimTime::from_nanos(i * 1_000_000), i as f64);
-            }
-            black_box(log.all().len());
-        });
-    });
-}
-
 fn bench_generators(c: &mut Criterion) {
     c.bench_function("workloads/webmap_block_128k", |b| {
         let cfg = workloads::webmap::WebmapConfig::preset(WebmapSize::G3, 42);
@@ -185,9 +162,8 @@ fn bench_irs(c: &mut Criterion) {
 }
 
 fn bench_service(c: &mut Criterion) {
-    use simserve::{
-        AdmissionConfig, AdmissionController, Arrival, ClusterView, PolicyKind, QuantileSketch,
-    };
+    use simcore::sketch::QuantileSketch;
+    use simserve::{AdmissionConfig, AdmissionController, Arrival, ClusterView, PolicyKind};
     use std::collections::BTreeMap;
 
     // The admission controller's steady-state loop: enqueue a wave of
@@ -444,7 +420,6 @@ criterion_group!(
     benches,
     bench_heap,
     bench_queue,
-    bench_event_log,
     bench_generators,
     bench_irs,
     bench_service,

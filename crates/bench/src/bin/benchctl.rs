@@ -33,17 +33,24 @@ fn read(path: &str) -> String {
     })
 }
 
+/// Takes `--tolerance F` off the argument list (`None` when malformed).
+/// `F` must be finite and > 0: `inf` would pass every row, while `0`
+/// and `nan` fail them all.
+fn take_tolerance(args: &mut Vec<String>) -> Option<f64> {
+    let Some(i) = args.iter().position(|a| a == "--tolerance") else {
+        return Some(DEFAULT_TOLERANCE);
+    };
+    let v = args.get(i + 1)?.parse::<f64>().ok()?;
+    args.drain(i..i + 2);
+    (v.is_finite() && v > 0.0).then_some(v)
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = DEFAULT_TOLERANCE;
-    if let Some(i) = args.iter().position(|a| a == "--tolerance") {
-        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-            eprintln!("benchctl: --tolerance requires a number");
-            std::process::exit(2);
-        };
-        tolerance = v;
-        args.drain(i..i + 2);
-    }
+    let Some(tolerance) = take_tolerance(&mut args) else {
+        eprintln!("benchctl: --tolerance requires a finite number > 0");
+        std::process::exit(2);
+    };
     match args.first().map(String::as_str) {
         Some("record") if args.len() == 3 => {
             let entries = trajectory::parse_sweeps(&read(&args[1])).unwrap_or_else(|e| {
@@ -73,5 +80,28 @@ fn main() {
             }
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Option<f64> {
+        take_tolerance(&mut args.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn tolerance_must_be_finite_and_positive() {
+        assert_eq!(parse(&["gate", "a", "b"]), Some(DEFAULT_TOLERANCE));
+        assert_eq!(parse(&["gate", "--tolerance", "1.3", "a", "b"]), Some(1.3));
+        for bad in ["inf", "-inf", "nan", "NaN", "0", "-0.0", "-2", "fast"] {
+            assert_eq!(
+                parse(&["gate", "a", "b", "--tolerance", bad]),
+                None,
+                "{bad}"
+            );
+        }
+        assert_eq!(parse(&["gate", "a", "b", "--tolerance"]), None);
     }
 }

@@ -1,78 +1,71 @@
 //! Figure 3: memory footprint over time, with and without ITasks, on a
 //! workload that drives the regular execution into an OME. Prints the
-//! node-0 heap-occupancy series (downsampled) for both executions, the
-//! OME point of the regular run, and the ITask run's interrupt count.
+//! node-0 heap-occupancy curve of both executions on one shared time
+//! grid, the OME point of the regular run, and the ITask run's
+//! interrupt count.
+//!
+//! The curve is read off each run's trace stream (the binary arms the
+//! tracer itself): every collection contributes its peak and its
+//! trough, and the OME its final occupancy.
 //!
 //! Usage: `fig3 [--jobs N]`.
 
 use apps::hyracks_apps::{wc, HyracksParams};
-use itask_bench::{print_table, sweep};
-use simcore::{ByteSize, SCALE};
+use itask_bench::{print_table, sweep, Series};
+use simcore::tracer::{self, TraceData};
+use simcore::{NodeId, SimDuration, SimTime, SCALE};
 use workloads::webmap::WebmapSize;
 
-fn series(report: &simcluster::JobReport) -> Vec<(f64, f64)> {
-    report
-        .nodes
-        .first()
-        .and_then(|n| n.log.series("heap_used"))
-        .map(|s| {
-            s.downsample_max(40)
-                .into_iter()
-                .map(|p| {
-                    (
-                        p.at.as_secs_f64() * SCALE as f64,
-                        p.value / (1 << 20) as f64,
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default()
+/// Buckets on the shared time grid (table rows, sparkline glyphs).
+const BUCKETS: usize = 40;
+
+/// Node 0's heap sawtooth, in MiB: `used_before` at each pause's
+/// start, `used_after` at its end, and the occupancy at an OME.
+fn heap_series(trace: &[tracer::Event], capacity: u64) -> Series {
+    let mib = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+    let mut s = Series::default();
+    for e in trace.iter().filter(|e| e.node == Some(NodeId(0))) {
+        match e.data {
+            TraceData::Gc {
+                reclaimed,
+                free_after,
+                ..
+            } => {
+                let used_after = capacity - free_after;
+                s.push(e.at, mib(used_after + reclaimed));
+                s.push(e.at + e.dur, mib(used_after));
+            }
+            TraceData::Oom { free, .. } => s.push(e.at, mib(capacity - free)),
+            _ => {}
+        }
+    }
+    s
 }
 
-fn sparkline(points: &[(f64, f64)], cap_mib: f64) -> String {
+fn sparkline(mib: &[f64], cap_mib: f64) -> String {
     const RAMP: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    points
-        .iter()
-        .map(|&(_, v)| {
-            let i = ((v / cap_mib) * 7.0).round().clamp(0.0, 7.0) as usize;
-            RAMP[i]
-        })
+    mib.iter()
+        .map(|v| RAMP[((v / cap_mib) * 7.0).round().clamp(0.0, 7.0) as usize])
         .collect()
 }
 
-/// Everything a run contributes to the figure, extracted worker-side.
-struct Fig3Run {
-    ok: bool,
-    paper_secs: f64,
-    points: Vec<(f64, f64)>,
-    interrupts: f64,
-    serializations: f64,
-    lugcs: f64,
-}
-
-fn extract<T>(s: &apps::RunSummary<T>) -> Fig3Run {
-    Fig3Run {
-        ok: s.ok(),
-        paper_secs: s.paper_seconds(),
-        points: series(&s.report),
-        interrupts: s.report.counter("itask.interrupts")
-            + s.report.counter("itask.emergency_interrupts"),
-        serializations: s.report.counter("itask.serializations"),
-        lugcs: s.report.counter("monitor.lugcs"),
-    }
+fn paper_secs(d: SimDuration) -> f64 {
+    d.as_secs_f64() * SCALE as f64
 }
 
 fn main() {
     let h = sweep::harness();
     let jobs = h.jobs;
     let mut log = h.log("fig3");
+    tracer::enable();
 
     let size = WebmapSize::G27; // regular WC dies here; ITask survives
     let params = HyracksParams {
         threads: 8,
         ..HyracksParams::default()
     };
-    let cap_mib = params.heap_per_node.as_u64() as f64 / (1 << 20) as f64;
+    let capacity = params.heap_per_node.as_u64();
+    let cap_mib = capacity as f64 / (1 << 20) as f64;
 
     println!(
         "Figure 3: heap occupancy over time, WC on the {} dataset",
@@ -88,60 +81,75 @@ fn main() {
         jobs,
         vec![
             sweep::spec("fig3 wc regular", move || {
-                extract(&wc::run_regular(size, params_ref))
+                wc::run_regular(size, params_ref).report
             }),
             sweep::spec("fig3 wc itask", move || {
-                extract(&wc::run_itask(size, params_ref))
+                wc::run_itask(size, params_ref).report
             }),
         ],
     );
     log.absorb(&out);
-    let mut it = out.into_iter().map(|o| o.result);
-    let regular = it.next().expect("regular run");
-    let itask = it.next().expect("itask run");
+    let end = out
+        .iter()
+        .map(|o| o.result.elapsed)
+        .max()
+        .expect("two runs");
+    // One grid for both runs; a run's curve stops at the bucket its
+    // last instant falls in.
+    let mut it = out.into_iter().map(|o| {
+        let trace = o.trace.expect("fig3 arms the tracer");
+        let mut mib = heap_series(&trace, capacity).bucket_max(BUCKETS, SimTime::ZERO + end);
+        let live = (o.result.elapsed.as_nanos() as u128 * BUCKETS as u128)
+            .div_ceil(end.as_nanos() as u128);
+        mib.truncate(live as usize);
+        (o.result, mib)
+    });
+    let (regular, regular_mib) = it.next().expect("regular run");
+    let (itask, itask_mib) = it.next().expect("itask run");
 
     println!(
         "regular ({}): {}",
-        if regular.ok {
+        if regular.outcome.ok() {
             "completed".into()
         } else {
-            format!("OME at {:.1}s", regular.paper_secs)
+            format!("OME at {:.1}s", paper_secs(regular.elapsed))
         },
-        sparkline(&regular.points, cap_mib)
+        sparkline(&regular_mib, cap_mib)
     );
     println!(
         "ITask   ({}): {}",
-        if itask.ok {
-            format!("completed at {:.1}s", itask.paper_secs)
+        if itask.outcome.ok() {
+            format!("completed at {:.1}s", paper_secs(itask.elapsed))
         } else {
             "OME".into()
         },
-        sparkline(&itask.points, cap_mib)
+        sparkline(&itask_mib, cap_mib)
     );
     println!(
         "\nITask pressure handling: {} interrupts, {} serializations, {} LUGCs observed",
-        itask.interrupts, itask.serializations, itask.lugcs,
+        itask.counter("itask.interrupts") + itask.counter("itask.emergency_interrupts"),
+        itask.counter("itask.serializations"),
+        itask.counter("monitor.lugcs"),
     );
 
-    // Numeric tail for EXPERIMENTS.md.
+    // Numeric tail for EXPERIMENTS.md: each row is one bucket of the
+    // shared grid, labelled by its right edge.
     let header = vec![
         "t (paper s)".to_string(),
         "regular MiB".to_string(),
         "ITask MiB".to_string(),
     ];
-    let n = regular.points.len().max(itask.points.len());
-    let rows: Vec<Vec<String>> = (0..n)
+    let show = |mib: &[f64], i: usize| mib.get(i).map(|v| format!("{v:6.2}")).unwrap_or_default();
+    let rows: Vec<Vec<String>> = (0..BUCKETS)
         .map(|i| {
-            let r = regular.points.get(i);
-            let t = itask.points.get(i);
+            let edge = paper_secs(end) * (i + 1) as f64 / BUCKETS as f64;
             vec![
-                r.or(t).map(|p| format!("{:8.1}", p.0)).unwrap_or_default(),
-                r.map(|p| format!("{:6.2}", p.1)).unwrap_or_default(),
-                t.map(|p| format!("{:6.2}", p.1)).unwrap_or_default(),
+                format!("{edge:8.1}"),
+                show(&regular_mib, i),
+                show(&itask_mib, i),
             ]
         })
         .collect();
-    print_table("Figure 3 series (downsampled)", &header, &rows);
-    let _ = ByteSize::ZERO;
+    print_table("Figure 3 series (peak per time bucket)", &header, &rows);
     log.finish();
 }

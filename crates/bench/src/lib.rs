@@ -6,10 +6,12 @@
 //! heaps and OME markers.
 
 pub mod metricsfmt;
+pub mod series;
 pub mod sweep;
 pub mod tracefmt;
 pub mod trajectory;
 
+pub use series::Series;
 use simcore::{ByteSize, SimDuration, SCALE};
 
 /// One measured cell of a table/figure.

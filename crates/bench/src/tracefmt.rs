@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use simserve::sketch::{fmt_ms, QuantileSketch};
+use simcore::sketch::{fmt_ms, QuantileSketch};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -255,3 +255,27 @@ fn golden_table5_quick_wc() {
         "table5_quick_wc.txt",
     );
 }
+
+// The two timeline figures compute their stdout from the trace stream,
+// so the harvest's merge order is on the golden surface: the snapshot
+// must hold at the default, serially, and on the pooled executor.
+fn check_figure(bin: &str, golden_name: &str) {
+    // ~2-4s per run in release, 10-20s in debug.
+    if cfg!(debug_assertions) {
+        eprintln!("skipping {golden_name} golden in debug mode; run with --release to cover it");
+        return;
+    }
+    for args in [&[][..], &["--jobs", "1"], &["--shards", "2"]] {
+        check_golden(bin, args, golden_name);
+    }
+}
+
+#[test]
+fn golden_fig3() {
+    check_figure(env!("CARGO_BIN_EXE_fig3"), "fig3.txt");
+}
+
+#[test]
+fn golden_fig11() {
+    check_figure(env!("CARGO_BIN_EXE_fig11"), "fig11.txt");
+}

@@ -117,6 +117,18 @@ fn shards_invariant_table5_quick_wc() {
 }
 
 #[test]
+fn shards_invariant_fig3_and_fig11() {
+    // Both figures are computed from the harvested trace stream, so
+    // their stdout depends on the merge order this suite pins.
+    if cfg!(debug_assertions) {
+        eprintln!("skipping fig3/fig11 shard determinism in debug mode");
+        return;
+    }
+    assert_shards_invariant(env!("CARGO_BIN_EXE_fig3"), &[], true, "fig3");
+    assert_shards_invariant(env!("CARGO_BIN_EXE_fig11"), &[], true, "fig11");
+}
+
+#[test]
 fn shards_env_var_matches_flag() {
     // `ITASK_BENCH_SHARDS=2` must behave exactly like `--shards 2`.
     let scratch = std::env::temp_dir().join(format!("itask-shards-env-{}", std::process::id()));

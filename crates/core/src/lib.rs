@@ -43,7 +43,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod stats;
 pub mod task;
-pub mod trace;
 pub mod worker;
 
 pub use deflate::{
@@ -60,5 +59,4 @@ pub use runtime::{FinalOutput, InterruptMode, Irs, IrsConfig, IrsHandle};
 pub use scheduler::VictimPolicy;
 pub use stats::{IrsStats, ReclaimBreakdown};
 pub use task::{ITask, InstanceSpaces, Scale, TaskCx, TaskKind, TupleTask};
-pub use trace::{IrsEvent, IrsTrace, TracedEvent};
 pub use worker::ItaskWorker;

@@ -20,8 +20,10 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use simcluster::NodeSim;
-use simcore::tracer::EventId;
-use simcore::{ByteSize, PartitionId, SimResult, TaskId, ThreadId};
+use simcore::tracer::{self, EventId, TraceData};
+use simcore::{
+    metrics, ByteSize, NodeId, PartitionId, SimDuration, SimResult, SimTime, TaskId, ThreadId,
+};
 
 use crate::graph::TaskGraph;
 use crate::manager::{serialization_order, serialize_partition_mode, ManagerConfig, SerializeMode};
@@ -30,7 +32,6 @@ use crate::partition::PartitionBox;
 use crate::queue::PartitionQueue;
 use crate::scheduler::{pick_activation, pick_victim, Activation, RunningInstance, VictimPolicy};
 use crate::stats::IrsStats;
-use crate::trace::{IrsEvent, IrsTrace};
 use crate::worker::ItaskWorker;
 
 /// A result that has left the ITask runtime (component 4(a) of Figure 1).
@@ -119,8 +120,10 @@ pub(crate) struct IrsShared {
     pub(crate) serialize_free_pct: u8,
     /// Copy of the partition manager's serialization target.
     pub(crate) serialize_mode: SerializeMode,
-    /// Structured decision trace (disabled unless requested).
-    pub(crate) trace: IrsTrace,
+    /// The `(node, scope)` origin stamped onto emitted events (the IRS
+    /// refreshes it every tick, so decisions are attributed to the node
+    /// the runtime is driving).
+    pub(crate) origin: (Option<NodeId>, Option<u64>),
     /// Tracer id of the most recent REDUCE/GROW signal — the causal
     /// root victim-marks and pressure serializations link back to.
     pub(crate) last_signal: EventId,
@@ -147,7 +150,7 @@ impl IrsShared {
             pressure_hint: None,
             serialize_free_pct: 40,
             serialize_mode: SerializeMode::Disk,
-            trace: IrsTrace::new(),
+            origin: (None, None),
             last_signal: EventId::NONE,
             victim_marks: BTreeMap::new(),
             interrupt_origin: BTreeMap::new(),
@@ -206,20 +209,35 @@ impl IrsHandle {
         s.stats.reclaim.lazy_serialized += bytes;
     }
 
-    /// Appends to the decision trace (no-op unless tracing is enabled).
-    pub(crate) fn trace(&self, at: simcore::SimTime, event: IrsEvent) {
-        self.0.lock().unwrap().trace.record(at, event);
-    }
-
-    /// Appends to the decision trace with a causal link, returning the
-    /// unified-tracer event id (NONE when global tracing is off).
-    pub(crate) fn trace_linked(
-        &self,
-        at: simcore::SimTime,
-        event: IrsEvent,
-        cause: EventId,
-    ) -> EventId {
-        self.0.lock().unwrap().trace.record_linked(at, event, cause)
+    /// The one write path for IRS decisions: stamps the `(node, scope)`
+    /// origin and emits into the run's trace stream, returning the event
+    /// id for use as a cause downstream ([`EventId::NONE`] while the
+    /// tracer is off). The metrics plane watches the same funnel: signal
+    /// level as a gauge, interrupts/serializations as counters. Two
+    /// relaxed loads when neither is armed.
+    pub(crate) fn emit(&self, at: SimTime, data: TraceData) -> EventId {
+        if !tracer::is_enabled() && !metrics::is_enabled() {
+            return EventId::NONE;
+        }
+        let (node, scope) = self.0.lock().unwrap().origin;
+        if metrics::is_enabled() {
+            use metrics::Metric;
+            match data {
+                TraceData::Signal { reduce } => {
+                    let delta = if reduce { -1 } else { 1 };
+                    metrics::gauge_add(node, Metric::IrsSignal, at, delta);
+                }
+                TraceData::Interrupted { .. } => {
+                    metrics::counter_add(node, Metric::IrsInterrupts, at, 1);
+                }
+                TraceData::Serialized { freed, .. } => {
+                    metrics::counter_add(node, Metric::IrsSerialized, at, 1);
+                    metrics::counter_add(node, Metric::IrsSerializedBytes, at, freed);
+                }
+                _ => {}
+            }
+        }
+        tracer::emit(node, scope, at, SimDuration::ZERO, data)
     }
 
     /// Consumes the victim-mark event recorded for `instance`'s thread,
@@ -283,12 +301,19 @@ impl IrsHandle {
         }
     }
 
-    /// Retires an instance (finished, interrupted or failed).
-    pub(crate) fn retire(&self, instance: u64) {
+    /// Retires an instance (finished, interrupted or failed) — the
+    /// single funnel every instance leaves through, so the stream's
+    /// `Retired` events pair off with its `Activated` ones.
+    pub(crate) fn retire(&self, instance: u64, at: SimTime) {
         let mut s = self.0.lock().unwrap();
-        if let Some(thread) = s.instance_threads.remove(&instance) {
-            s.running.remove(&thread);
-            s.terminate.remove(&thread);
+        let Some(thread) = s.instance_threads.remove(&instance) else {
+            return;
+        };
+        s.terminate.remove(&thread);
+        let retired = s.running.remove(&thread);
+        drop(s);
+        if let Some(task) = retired.map(|r| r.task.as_u32()) {
+            self.emit(at, TraceData::Retired { task });
         }
     }
 
@@ -326,9 +351,6 @@ pub struct Irs {
     graph: Rc<TaskGraph>,
     monitor: Monitor,
     cfg: IrsConfig,
-    /// Pre-built per-task series names for the instance-count timeline
-    /// (Figure 11(c)'s Map/Reduce/Merge breakdown).
-    task_series: Vec<(TaskId, String)>,
 }
 
 impl Irs {
@@ -337,16 +359,11 @@ impl Irs {
         let mut shared = IrsShared::new(0);
         shared.serialize_free_pct = cfg.monitor.serialize_free_pct;
         shared.serialize_mode = cfg.manager.mode;
-        let task_series = graph
-            .task_ids()
-            .map(|t| (t, format!("active_{}", graph.desc(t).name)))
-            .collect();
         Irs {
             handle: IrsHandle(Arc::new(Mutex::new(shared))),
             graph: Rc::new(graph),
             monitor: Monitor::new(cfg.monitor),
             cfg,
-            task_series,
         }
     }
 
@@ -420,44 +437,30 @@ impl Irs {
         self.handle.0.lock().unwrap().queue.drain_all()
     }
 
-    /// Enables the structured decision trace.
-    pub fn enable_trace(&mut self) {
-        self.handle.0.lock().unwrap().trace.enable();
-    }
-
-    /// A snapshot of the decision trace recorded so far.
-    pub fn trace(&self) -> IrsTrace {
-        self.handle.0.lock().unwrap().trace.clone()
-    }
-
     /// The controller step: call between scheduling rounds.
     pub fn tick(&mut self, sim: &mut NodeSim) -> SimResult<()> {
-        // Stamp the (node, scope) origin onto everything this tick
-        // forwards into the unified tracer.
-        self.handle
-            .0
-            .lock()
-            .unwrap()
-            .trace
-            .set_origin(Some(sim.node().id), self.cfg.scope);
         let records = sim.node_mut().drain_gc_records();
         let mut signal = self.monitor.observe(&records, &sim.node().heap);
-        let hint = std::mem::take(&mut self.handle.0.lock().unwrap().pressure_hint);
+        let hint = {
+            let mut s = self.handle.0.lock().unwrap();
+            s.origin = (Some(sim.node().id), self.cfg.scope);
+            s.pressure_hint.take()
+        };
         if hint.is_some() {
             signal = MemSignal::Reduce;
         }
         match signal {
             MemSignal::Reduce => {
-                let id =
-                    self.handle
-                        .trace_linked(sim.node().now, IrsEvent::ReduceSignal, EventId::NONE);
+                let id = self
+                    .handle
+                    .emit(sim.node().now, TraceData::Signal { reduce: true });
                 self.handle.0.lock().unwrap().last_signal = id;
                 self.handle_reduce(sim, hint.unwrap_or(ByteSize::ZERO))?;
             }
             MemSignal::Grow => {
-                let id =
-                    self.handle
-                        .trace_linked(sim.node().now, IrsEvent::GrowSignal, EventId::NONE);
+                let id = self
+                    .handle
+                    .emit(sim.node().now, TraceData::Signal { reduce: false });
                 self.handle.0.lock().unwrap().last_signal = id;
                 self.handle_grow(sim)?;
             }
@@ -491,12 +494,6 @@ impl Irs {
             }
             let live = s.running.len() as u64;
             s.stats.peak_instances = s.stats.peak_instances.max(live);
-            // Per-task instance timeline (Figure 11(c)).
-            let now = sim.node().now;
-            for (task, name) in &self.task_series {
-                let n = s.running.values().filter(|r| r.task == *task).count();
-                sim.node_mut().log.record(name, now, n as f64);
-            }
         }
         Ok(())
     }
@@ -540,19 +537,8 @@ impl Irs {
                 serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
             };
             if !freed.is_zero() {
-                self.handle.stats_mut(|st| {
-                    st.serializations += 1;
-                    st.reclaim.lazy_serialized += freed;
-                });
-                let sig = self.handle.0.lock().unwrap().last_signal;
-                self.handle.trace_linked(
-                    sim.node().now,
-                    IrsEvent::Serialized {
-                        partition: pid,
-                        freed,
-                    },
-                    sig,
-                );
+                let cause = self.handle.0.lock().unwrap().last_signal;
+                self.note_lazy_serialized(sim, pid, freed, cause);
             }
         }
         // Stage 2: if still under the emergency line (`M%`, or the
@@ -562,26 +548,53 @@ impl Irs {
             .reduce_target(&sim.node().heap)
             .max(needed.mul_ratio(5, 2));
         if sim.node().heap.effective_free() < victim_line {
-            let mut s = self.handle.0.lock().unwrap();
-            let candidates: BTreeMap<ThreadId, RunningInstance> = s
-                .running
-                .iter()
-                .filter(|(t, _)| !s.terminate.contains(t))
-                .map(|(t, r)| (*t, r.clone()))
-                .collect();
-            if let Some(victim) = pick_victim(&candidates, &self.graph, self.cfg.victim_policy) {
-                let task = candidates[&victim].task;
-                s.terminate.insert(victim);
-                let sig = s.last_signal;
-                let mark =
-                    s.trace
-                        .record_linked(sim.node().now, IrsEvent::VictimMarked { task }, sig);
+            let marked = {
+                let mut s = self.handle.0.lock().unwrap();
+                let candidates: BTreeMap<ThreadId, RunningInstance> = s
+                    .running
+                    .iter()
+                    .filter(|(t, _)| !s.terminate.contains(t))
+                    .map(|(t, r)| (*t, r.clone()))
+                    .collect();
+                pick_victim(&candidates, &self.graph, self.cfg.victim_policy).map(|victim| {
+                    s.terminate.insert(victim);
+                    (victim, candidates[&victim].task.as_u32(), s.last_signal)
+                })
+            };
+            if let Some((victim, task, cause)) = marked {
+                let mark = self
+                    .handle
+                    .emit(sim.node().now, TraceData::VictimMarked { task, cause });
                 if mark.is_some() {
+                    let mut s = self.handle.0.lock().unwrap();
                     s.victim_marks.insert(victim, mark);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Accounts and traces one lazy serialization of a queued partition
+    /// (`cause`: the REDUCE signal that drove it, none in steady state).
+    fn note_lazy_serialized(
+        &self,
+        sim: &NodeSim,
+        pid: PartitionId,
+        freed: ByteSize,
+        cause: EventId,
+    ) {
+        self.handle.stats_mut(|st| {
+            st.serializations += 1;
+            st.reclaim.lazy_serialized += freed;
+        });
+        self.handle.emit(
+            sim.node().now,
+            TraceData::Serialized {
+                partition: pid.as_u32(),
+                freed: freed.as_u64(),
+                cause,
+            },
+        );
     }
 
     /// Steady-state unjamming: when growth is blocked only because
@@ -626,17 +639,7 @@ impl Irs {
                 serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
             };
             if !freed.is_zero() {
-                self.handle.stats_mut(|st| {
-                    st.serializations += 1;
-                    st.reclaim.lazy_serialized += freed;
-                });
-                self.handle.trace(
-                    sim.node().now,
-                    IrsEvent::Serialized {
-                        partition: pid,
-                        freed,
-                    },
-                );
+                self.note_lazy_serialized(sim, pid, freed, EventId::NONE);
             }
         }
         if sim.node().heap.effective_free() >= grow_gate {
@@ -717,15 +720,15 @@ impl Irs {
         let instance = worker.instance_id();
         let kind = desc.kind;
         let thread = sim.spawn_scoped(Box::new(worker), self.cfg.scope);
-        let mut s = self.handle.0.lock().unwrap();
-        s.trace.record_linked(
+        self.handle.emit(
             now,
-            IrsEvent::Activated {
-                task: task_id,
-                partitions: n_parts,
+            TraceData::Activated {
+                task: task_id.as_u32(),
+                partitions: n_parts as u32,
+                cause,
             },
-            cause,
         );
+        let mut s = self.handle.0.lock().unwrap();
         s.instance_threads.insert(instance, thread);
         s.running.insert(
             thread,
@@ -752,14 +755,8 @@ impl Irs {
                 return Ok(());
             }
             let round = simcluster::ShardExecutor::run_solo_round(sim, &mut stream_seq);
-            if let Some((thread, err)) = round.failed.into_iter().next() {
-                // Identify and retire the failed instance.
-                let mut s = self.handle.0.lock().unwrap();
-                if let Some(r) = s.running.remove(&thread) {
-                    let _ = r;
-                }
-                s.instance_threads.retain(|_, t| *t != thread);
-                s.terminate.remove(&thread);
+            // A failing instance has already left through `retire`.
+            if let Some((_, err)) = round.failed.into_iter().next() {
                 return Err(err);
             }
         }

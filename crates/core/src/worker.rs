@@ -4,6 +4,7 @@
 use std::collections::VecDeque;
 
 use simcluster::{StepOutcome, Work, WorkCx};
+use simcore::tracer::TraceData;
 use simcore::{SimError, TaskId};
 
 use crate::manager::deserialize_partition_recovering;
@@ -111,7 +112,7 @@ impl ItaskWorker {
             let spaces = self.spaces.as_mut().expect("initialized implies spaces");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, tag, spaces, true);
             if let Err(e) = self.task.interrupt(&mut tcx) {
-                self.handle.retire(self.instance);
+                self.handle.retire(self.instance, cx.now());
                 return StepOutcome::Failed(e);
             }
         }
@@ -129,13 +130,13 @@ impl ItaskWorker {
         // interrupt links to its victim-mark; emergencies are self-
         // inflicted and have none.
         let mark = self.handle.take_victim_mark(self.instance);
-        let interrupt = self.handle.trace_linked(
+        let interrupt = self.handle.emit(
             cx.now(),
-            crate::trace::IrsEvent::Interrupted {
-                task: self.task_id,
+            TraceData::Interrupted {
+                task: self.task_id.as_u32(),
                 emergency,
+                cause: mark,
             },
-            mark,
         );
         // Unprocessed inputs go back to the queue for resumption.
         while let Some(part) = self.inputs.pop_front() {
@@ -149,7 +150,7 @@ impl ItaskWorker {
                 st.interrupts += 1;
             }
         });
-        self.handle.retire(self.instance);
+        self.handle.retire(self.instance, cx.now());
         StepOutcome::Finished
     }
 
@@ -169,7 +170,7 @@ impl ItaskWorker {
                 st.interrupts += 1;
             }
         });
-        self.handle.retire(self.instance);
+        self.handle.retire(self.instance, cx.now());
         StepOutcome::Finished
     }
 
@@ -203,11 +204,13 @@ impl ItaskWorker {
             self.handle.push_partition(part);
         }
         self.handle.stats_mut(|st| st.crash_salvaged_instances += 1);
-        self.handle.trace(
+        self.handle.emit(
             cx.now(),
-            crate::trace::IrsEvent::CrashSalvaged { task: self.task_id },
+            TraceData::CrashSalvaged {
+                task: self.task_id.as_u32(),
+            },
         );
-        self.handle.retire(self.instance);
+        self.handle.retire(self.instance, cx.now());
         Ok(())
     }
 
@@ -229,13 +232,13 @@ impl ItaskWorker {
             .unwrap_or(false);
         self.release_spaces(cx);
         if give_up {
-            self.handle.retire(self.instance);
+            self.handle.retire(self.instance, cx.now());
             return StepOutcome::Failed(err);
         }
         while let Some(part) = self.inputs.pop_front() {
             self.handle.push_partition(part);
         }
-        self.handle.retire(self.instance);
+        self.handle.retire(self.instance, cx.now());
         StepOutcome::Finished
     }
 }
@@ -262,9 +265,11 @@ impl Work for ItaskWorker {
                             });
                         }
                         if rec.corruption_rebuilds > 0 {
-                            self.handle.trace(
+                            self.handle.emit(
                                 cx.now(),
-                                crate::trace::IrsEvent::CorruptionRecovered { partition: pid },
+                                TraceData::CorruptionRecovered {
+                                    partition: pid.as_u32(),
+                                },
                             );
                         }
                     }
@@ -280,7 +285,7 @@ impl Work for ItaskWorker {
                         };
                     }
                     Err(e) => {
-                        self.handle.retire(self.instance);
+                        self.handle.retire(self.instance, cx.now());
                         return StepOutcome::Failed(e);
                     }
                 }
@@ -293,7 +298,7 @@ impl Work for ItaskWorker {
             let spaces = self.spaces.as_mut().expect("just ensured");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, tag, spaces, false);
             if let Err(e) = self.task.initialize(&mut tcx) {
-                self.handle.retire(self.instance);
+                self.handle.retire(self.instance, cx.now());
                 return StepOutcome::Failed(e);
             }
             self.initialized = true;
@@ -320,14 +325,14 @@ impl Work for ItaskWorker {
                         })
                         .unwrap_or(false);
                     if give_up {
-                        self.handle.retire(self.instance);
+                        self.handle.retire(self.instance, cx.now());
                         return StepOutcome::Failed(e);
                     }
                     self.handle.hint_pressure(simcore::ByteSize::ZERO);
                     return self.do_interrupt(cx, true);
                 }
                 Err(e) => {
-                    self.handle.retire(self.instance);
+                    self.handle.retire(self.instance, cx.now());
                     return StepOutcome::Failed(e);
                 }
             }
@@ -344,11 +349,11 @@ impl Work for ItaskWorker {
             let spaces = self.spaces.as_mut().expect("initialized implies spaces");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, self.tag, spaces, false);
             if let Err(e) = self.task.cleanup(&mut tcx) {
-                self.handle.retire(self.instance);
+                self.handle.retire(self.instance, cx.now());
                 return StepOutcome::Failed(e);
             }
             self.release_spaces(cx);
-            self.handle.retire(self.instance);
+            self.handle.retire(self.instance, cx.now());
             StepOutcome::Finished
         } else {
             StepOutcome::Ran

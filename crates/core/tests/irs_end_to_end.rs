@@ -346,29 +346,39 @@ fn serialized_offers_cost_no_heap() {
 
 #[test]
 fn decision_trace_records_the_pressure_story() {
+    use simcore::tracer::{self, TraceData};
     let input = words(50_000, 5_000, 2);
-    let mut graph = TaskGraph::new();
-    let count = graph.add_task("count", || Box::new(Scale(CountWords::new(Dest::Final))));
-    let mut irs = Irs::new(graph, IrsConfig::default());
-    irs.enable_trace();
-    let mut sim = node(448);
-    let handle = irs.handle();
-    for ch in input.chunks(2_000) {
-        let items: Vec<WordT> = ch.iter().map(|&w| WordT(w)).collect();
-        offer_serialized(&handle, sim.node_mut(), count, Tag(0), items).unwrap();
+    let drive = || {
+        tracer::begin_run();
+        run_count_only(448, &input, 2_000);
+        tracer::take_run()
+    };
+    // Tracing is opt-in: an unarmed run harvests nothing.
+    assert!(drive().is_none());
+    tracer::enable();
+    let run = drive().expect("an armed run harvests its stream");
+    tracer::disable();
+    let count = |kind: &str| run.iter().filter(|e| e.data.kind() == kind).count();
+    // Activations cover every partition at least once, the pressure
+    // story is visible, and everything is attributed to the node.
+    assert!(count("activate") >= 25 && count("interrupt") > 0);
+    assert!(run.iter().all(|e| e.node == Some(NodeId(0))));
+    // Every instance that started also ended, never the other way round.
+    let mut live = 0i64;
+    for e in &run {
+        match e.data {
+            TraceData::Activated { .. } => live += 1,
+            TraceData::Retired { .. } => live -= 1,
+            _ => {}
+        }
+        assert!(live >= 0, "retire before its activate at {}", e.at);
     }
-    irs.run_to_idle(&mut sim).expect("must survive");
-    let trace = irs.trace();
-    use itask_core::IrsEvent;
-    // Activations cover every partition at least once.
-    let activations = trace.count_where(|e| matches!(e, IrsEvent::Activated { .. }));
-    assert!(activations >= 25, "activations: {activations}");
-    // The pressure story is visible: interrupts were traced with their
-    // kind, and timestamps never go backwards.
-    let interrupts = trace.count_where(|e| matches!(e, IrsEvent::Interrupted { .. }));
-    assert!(interrupts > 0);
-    assert!(trace.events().windows(2).all(|w| w[0].at <= w[1].at));
-    // Tracing is opt-in: an untraced run records nothing.
-    let (_, irs2, _) = run_count_only(448, &input, 2_000);
-    assert!(irs2.trace().events().is_empty());
+    assert_eq!(live, 0);
+    // Within each stream (driver ticks, node rounds) emission order
+    // never goes back in time.
+    let mut by_id: Vec<_> = run.iter().map(|e| (e.id.0, e.at)).collect();
+    by_id.sort();
+    assert!(by_id
+        .windows(2)
+        .all(|w| w[0].0 >> 32 != w[1].0 >> 32 || w[0].1 <= w[1].1));
 }

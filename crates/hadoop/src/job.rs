@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use itask_core::Tuple;
 use simcluster::{JobOutcome, JobReport, NodeReport};
-use simcore::{ByteSize, CostModel, EventLog, NodeId, SimDuration, SimError};
+use simcore::{ByteSize, CostModel, NodeId, SimDuration, SimError};
 
 use crate::attempt::{
     run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
@@ -140,7 +140,6 @@ fn synthesize_report(
             minor_gcs: 0,
             full_gcs: 0,
             useless_gcs: 0,
-            log: EventLog::new(),
         })
         .collect();
     JobReport {

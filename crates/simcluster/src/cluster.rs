@@ -364,7 +364,6 @@ impl Cluster {
                     minor_gcs: n.heap.stats().minor_count,
                     full_gcs: n.heap.stats().full_count,
                     useless_gcs: n.heap.stats().useless_count,
-                    log: n.log.clone(),
                 }
             })
             .collect();

@@ -1,8 +1,8 @@
 //! Per-node state and the context handed to simulated threads.
 
 use simcore::{
-    metrics, tracer, ByteSize, CostModel, EventLog, FaultInjector, LogMark, NodeId, SimDuration,
-    SimError, SimResult, SimTime, SpaceId,
+    metrics, tracer, ByteSize, CostModel, FaultInjector, NodeId, SimDuration, SimError, SimResult,
+    SimTime, SpaceId,
 };
 use simmem::{GcRecord, Heap, HeapConfig, HeapCounters};
 use simstore::{Disk, FileId};
@@ -32,8 +32,6 @@ pub struct NodeState {
     pub compute_time: SimDuration,
     /// Total wall-clock time threads spent stalled on blocking disk reads.
     pub io_stall_time: SimDuration,
-    /// Time series (heap occupancy, thread counts) for the figures.
-    pub log: EventLog,
     /// GC records not yet drained by a controller (the ITask monitor).
     gc_pending: Vec<GcRecord>,
     /// When the (async-write) disk becomes free again.
@@ -59,7 +57,6 @@ impl NodeState {
             gc_time: SimDuration::ZERO,
             compute_time: SimDuration::ZERO,
             io_stall_time: SimDuration::ZERO,
-            log: EventLog::new(),
             gc_pending: Vec::new(),
             disk_free_at: SimTime::ZERO,
         }
@@ -110,10 +107,6 @@ impl NodeState {
         for rec in pauses {
             self.now += rec.pause;
             self.gc_time += rec.pause;
-            self.log
-                .record("heap_used", self.now, rec.used_before.as_u64() as f64);
-            self.log
-                .record("heap_used", self.now, rec.used_after.as_u64() as f64);
             self.gc_pending.push(rec.clone());
         }
     }
@@ -247,12 +240,6 @@ impl NodeState {
         self.disk.install_injector(injector);
     }
 
-    /// Records the current heap occupancy into the `heap_used` series.
-    pub fn sample_heap(&mut self) {
-        self.log
-            .record("heap_used", self.now, self.heap.used().as_u64() as f64);
-    }
-
     /// Snapshots every report-visible counter on this node. Taken by the
     /// sharded executor before each speculative round so an overshot
     /// round (a shard racing past another shard's failure) can be
@@ -267,7 +254,6 @@ impl NodeState {
             disk_free_at: self.disk_free_at,
             gc_pending: self.gc_pending.len(),
             heap: self.heap.counters_mark(),
-            log: self.log.mark(),
             injector: self.disk.injector().cloned(),
         }
     }
@@ -285,7 +271,6 @@ impl NodeState {
         self.disk_free_at = cp.disk_free_at;
         self.gc_pending.truncate(cp.gc_pending);
         self.heap.counters_rewind(&cp.heap);
-        self.log.rewind(&cp.log);
         self.disk.restore_injector(cp.injector.clone());
     }
 }
@@ -301,7 +286,6 @@ pub struct NodeCheckpoint {
     disk_free_at: SimTime,
     gc_pending: usize,
     heap: HeapCounters,
-    log: LogMark,
     injector: Option<FaultInjector>,
 }
 

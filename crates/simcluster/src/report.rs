@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{ByteSize, EventLog, NodeId, SimDuration, SimError};
+use simcore::{ByteSize, NodeId, SimDuration, SimError};
 
 /// How a job ended.
 #[derive(Clone, Debug)]
@@ -46,8 +46,6 @@ pub struct NodeReport {
     pub full_gcs: u64,
     /// Collections flagged useless (LUGCs).
     pub useless_gcs: u64,
-    /// The node's recorded time series.
-    pub log: EventLog,
 }
 
 /// The result of one job execution.
@@ -116,7 +114,6 @@ impl JobReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimTime;
 
     fn node_report(id: u32, elapsed_s: u64, gc_s: u64, peak_mib: u64) -> NodeReport {
         NodeReport {
@@ -129,7 +126,6 @@ mod tests {
             minor_gcs: 2,
             full_gcs: 1,
             useless_gcs: if gc_s > 5 { 3 } else { 0 },
-            log: EventLog::new(),
         }
     }
 
@@ -174,6 +170,5 @@ mod tests {
         r.bump_counter("x", 3.0);
         assert_eq!(r.counter("x"), 5.0);
         assert_eq!(r.gc_fraction(), 0.0);
-        let _ = SimTime::ZERO; // keep import used
     }
 }

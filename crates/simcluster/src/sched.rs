@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{metrics, tracer, ByteSize, SimDuration, SimError, ThreadId};
+use simcore::{metrics, tracer, SimDuration, SimError, ThreadId};
 
 use crate::node::{NodeCheckpoint, NodeState, WorkCx};
 use crate::work::{StepOutcome, Work};
@@ -21,8 +21,8 @@ use crate::work::{StepOutcome, Work};
 /// `Work` bodies are deliberately *not* snapshotted: rewind is only used
 /// on fail-fast paths, where the first failure permanently aborts the
 /// run, so a rewound thread body is never stepped again. Everything that
-/// is *observable afterwards* — clocks, counters, heap statistics, log
-/// samples, fault-injector cursors, slot states — is restored exactly.
+/// is *observable afterwards* — clocks, counters, heap statistics,
+/// fault-injector cursors, slot states — is restored exactly.
 #[derive(Debug)]
 pub struct NodeSimCheckpoint {
     node: NodeCheckpoint,
@@ -379,14 +379,21 @@ impl NodeSim {
         self.node.now += wall;
         self.node.compute_time += max_used.max(shared);
         report.wall = wall;
+        self.observe_round(report.stepped);
+        report
+    }
+
+    /// The round's instrumentation: the runnable-thread curve and the
+    /// per-cell heap gauges. Two relaxed loads when nothing is armed.
+    fn observe_round(&mut self, stepped: usize) {
+        if !tracer::is_enabled() && !metrics::is_enabled() {
+            return;
+        }
         let running = self
             .threads
             .iter()
             .filter(|t| t.state == ThreadState::Runnable)
             .count();
-        self.node
-            .log
-            .record("active_threads", self.node.now, running as f64);
         // Trace the thread-count curve on *change* only, so quiescent
         // rounds contribute no events (Figure-11-style traces stay
         // readable and the dump stays small).
@@ -413,7 +420,7 @@ impl NodeSim {
             // Quanta and heap occupancy batch per cadence cell —
             // per-round emission would swamp the buffers on long runs.
             // A run's final partial cell is deliberately unflushed.
-            self.pending_quanta += report.stepped as u64;
+            self.pending_quanta += stepped as u64;
             let cell = metrics::cell_of(self.node.now);
             if Some(cell) != self.last_metric_cell {
                 self.last_metric_cell = Some(cell);
@@ -437,13 +444,6 @@ impl NodeSim {
                 metrics::gauge_set(node, Metric::MemLiveBytes, self.node.now, used as i64);
             }
         }
-        self.node.sample_heap();
-        report
-    }
-
-    /// Live bytes the heap currently holds (convenience for tests).
-    pub fn heap_used(&self) -> ByteSize {
-        self.node.heap.used()
     }
 
     /// Snapshots everything a speculative round can mutate that remains
@@ -709,12 +709,27 @@ mod tests {
 
     #[test]
     fn thread_timeline_is_recorded() {
-        let mut s = sim(8, 64);
-        s.spawn(crunch(50_000, 8));
-        s.spawn(crunch(50_000, 8));
-        run_to_completion(&mut s);
-        let series = s.node().log.series("active_threads").unwrap();
-        assert!(series.max_value() >= 2.0);
-        assert_eq!(series.samples.last().unwrap().value, 0.0);
+        let drive = || {
+            tracer::begin_run();
+            let mut s = sim(8, 64);
+            s.spawn(crunch(50_000, 8));
+            s.spawn(crunch(50_000, 8));
+            run_to_completion(&mut s);
+            tracer::take_run()
+        };
+        assert!(drive().is_none(), "an unarmed run harvests nothing");
+        tracer::enable();
+        let run = drive().expect("an armed run harvests its stream");
+        tracer::disable();
+        let curve: Vec<u32> = run
+            .iter()
+            .filter_map(|e| match e.data {
+                tracer::TraceData::ThreadQuantum { running } => Some(running),
+                _ => None,
+            })
+            .collect();
+        // Change-driven: reaches both threads, ends at 0, never repeats.
+        assert!(curve.iter().max() >= Some(&2) && curve.last() == Some(&0));
+        assert!(curve.windows(2).all(|w| w[0] != w[1]));
     }
 }

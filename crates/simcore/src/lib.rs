@@ -7,8 +7,10 @@
 //! simulation, never by wall-clock measurement. This crate provides the
 //! time axis ([`SimTime`], [`SimDuration`]), the cost-model constants
 //! ([`CostModel`]), deterministic randomness ([`rng`]), byte-size helpers,
-//! identifier types, the shared error type and a sampled event log used to
-//! regenerate the paper's timeline figures.
+//! identifier types, the shared error type and the three instruments
+//! ([`tracer`], [`metrics`], [`prof`]). The tracer's per-run stream is the
+//! only record of what a run did; the paper's timeline figures are
+//! rebuilt from it.
 
 pub mod bytes;
 pub mod cost;
@@ -16,7 +18,6 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod jbloat;
-pub mod log;
 pub mod metrics;
 pub mod prof;
 pub mod rng;
@@ -33,7 +34,6 @@ pub use fault::{
 };
 pub use ids::{JobId, NodeId, PartitionId, SpaceId, TaskId, ThreadId};
 pub use jbloat::HeapSized;
-pub use log::{EventLog, LogMark, Sample, Series};
 pub use rng::DetRng;
 pub use sketch::{QuantileSketch, SketchSnapshot};
 pub use time::{SimDuration, SimTime};

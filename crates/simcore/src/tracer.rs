@@ -115,6 +115,12 @@ pub enum TraceData {
         /// The interrupt that requeued its input (re-activations only).
         cause: EventId,
     },
+    /// A task instance ended (finished, interrupted, failed, salvaged):
+    /// one per `Activated`, so a +1/−1 replay gives live instances.
+    Retired {
+        /// The instance's logical task.
+        task: u32,
+    },
     /// A corrupt spill was rebuilt from lineage and re-read.
     CorruptionRecovered {
         /// The partition whose byte form was rebuilt.
@@ -287,6 +293,7 @@ impl TraceData {
             TraceData::Interrupted { .. } => "interrupt",
             TraceData::Serialized { .. } => "serialize",
             TraceData::Activated { .. } => "activate",
+            TraceData::Retired { .. } => "retire",
             TraceData::CorruptionRecovered { .. } => "corruption",
             TraceData::CrashSalvaged { .. } => "salvage",
             TraceData::ThreadQuantum { .. } => "quantum",
@@ -393,7 +400,9 @@ impl TraceData {
             TraceData::CorruptionRecovered { partition } => {
                 format!("\"partition\":{partition}")
             }
-            TraceData::CrashSalvaged { task } => format!("\"task\":{task}"),
+            TraceData::Retired { task } | TraceData::CrashSalvaged { task } => {
+                format!("\"task\":{task}")
+            }
             TraceData::ThreadQuantum { running } => format!("\"running\":{running}"),
             TraceData::NodeCrash => String::new(),
             TraceData::Rehome { partition, from } => {

@@ -18,11 +18,11 @@
 //! Pops are O(log n) in the number of queued tenants. Three ordered
 //! indexes shadow the per-tenant queues: a FIFO index over each queue's
 //! front stamp, a weighted-fair index over exact cross-multiplied
-//! virtual time ([`FairKey`]), and a deadline index over every queued
+//! virtual time (`FairKey`), and a deadline index over every queued
 //! deadline-carrying job. The indexed pops preserve the original linear
 //! scans' semantics bit-for-bit (exact rational comparison, lowest
 //! tenant id on virtual-time ties, global stamp order for FIFO); the
-//! [`reference`] module retains the naive O(n) implementation as the
+//! [`mod@reference`] module retains the naive O(n) implementation as the
 //! oracle for the equivalence property tests.
 
 use std::cmp::Ordering;

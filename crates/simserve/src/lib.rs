@@ -19,8 +19,8 @@
 //!   each other, and can be torn down surgically.
 //! - [`service`] — the scheduling loop tying it together, with
 //!   per-tenant SLO accounting (latency and queue-wait quantiles via
-//!   the deterministic [`sketch`], OME/retry/failure counts) and an
-//!   event log of service gauges.
+//!   the deterministic [`simcore::sketch`], OME/retry/failure counts);
+//!   service gauges go to the [`simcore::metrics`] plane.
 //! - [`overload`] — survival controls for sustained OME storms:
 //!   deadline-aware shedding, per-tenant retry token budgets with
 //!   seeded exponential backoff, a per-node storm circuit breaker
@@ -36,7 +36,6 @@ pub mod admission;
 pub mod job;
 pub mod overload;
 pub mod service;
-pub mod sketch;
 pub mod workload;
 
 pub use admission::{AdmissionConfig, AdmissionController, ClusterView, PolicyKind, QueuedJob};
@@ -47,7 +46,6 @@ pub use overload::{
     TokenBucket,
 };
 pub use service::{ScaleSpec, Service, ServiceConfig, ServiceReport, TenantSlo};
-pub use sketch::QuantileSketch;
 pub use workload::{
     generate_arrivals, Arrival, ArrivalGen, ArrivalSource, JobKind, LoadShape, TenantModel,
     TenantSpec, WeightRule,

@@ -15,9 +15,9 @@ use std::collections::BTreeMap;
 
 use itask_core::MemSignal;
 use simcluster::{run_parts, Cluster, ClusterConfig, ShardExecutor};
+use simcore::sketch::QuantileSketch;
 use simcore::{
-    metrics, tracer, tracer::EventId, ByteSize, EventLog, FaultPlan, NodeId, SimDuration, SimError,
-    SimTime,
+    metrics, tracer, tracer::EventId, ByteSize, FaultPlan, NodeId, SimDuration, SimError, SimTime,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, ClusterView, QueuedJob};
@@ -26,7 +26,6 @@ use crate::overload::{
     classify, Breaker, BreakerTransition, BrownoutState, OverloadConfig, RetryPolicy, ShedReason,
     TokenBucket,
 };
-use crate::sketch::QuantileSketch;
 use crate::workload::{
     dataset_blocks, generate_arrivals, ArrivalGen, ArrivalSource, JobKind, TenantModel, TenantSpec,
 };
@@ -170,8 +169,6 @@ pub struct ServiceReport {
     /// Scale mode only: queue-wait samples, sharded and merged like
     /// `scale_latency`.
     pub scale_queue_wait: Option<QuantileSketch>,
-    /// Time series of service-level gauges.
-    pub log: EventLog,
 }
 
 impl ServiceReport {
@@ -267,7 +264,6 @@ pub struct Service {
     scale_lat: Vec<QuantileSketch>,
     scale_wait: Vec<QuantileSketch>,
     peak_queued: u64,
-    log: EventLog,
     next_scope: u64,
     total_outputs: u64,
     rounds: u64,
@@ -370,7 +366,6 @@ impl Service {
             scale_lat,
             scale_wait,
             peak_queued: 0,
-            log: EventLog::new(),
             next_scope: 1,
             total_outputs: 0,
             rounds: 0,
@@ -395,7 +390,7 @@ impl Service {
             let now = SimTime::ZERO + self.cluster.elapsed();
             self.enqueue_due(now);
             self.admit(now);
-            self.drain_sheds(now);
+            self.drain_sheds();
             self.pump();
             self.step_data_plane();
             self.handle_crashes();
@@ -471,7 +466,6 @@ impl Service {
             peak_queued: self.peak_queued,
             scale_latency,
             scale_queue_wait,
-            log: self.log,
         }
     }
 
@@ -511,7 +505,6 @@ impl Service {
         }
         let queued = self.queued_total();
         self.peak_queued = self.peak_queued.max(queued);
-        self.log.record("svc.queued", now, queued as f64);
         // Per-shard queue depths, keyed by shard index in the node
         // label (the admission plane has no node of its own).
         if metrics::is_enabled() {
@@ -532,7 +525,7 @@ impl Service {
 
     /// Accounts and traces every shed decision the controller recorded
     /// (at enqueue or at pop) since the last drain.
-    fn drain_sheds(&mut self, now: SimTime) {
+    fn drain_sheds(&mut self) {
         let sheds: Vec<_> = self
             .controllers
             .iter_mut()
@@ -565,7 +558,6 @@ impl Service {
                 };
                 metrics::counter_add(None, m, s.at, 1);
             }
-            self.log.record("svc.shed", now, 1.0);
         }
     }
 
@@ -644,7 +636,6 @@ impl Service {
                 failure,
                 shard: 0,
             });
-            self.log.record("svc.active", now, self.active.len() as f64);
         }
     }
 
@@ -744,7 +735,6 @@ impl Service {
                     failure,
                     shard: s,
                 });
-                self.log.record("svc.active", now, self.active.len() as f64);
             }
         }
     }
@@ -857,13 +847,9 @@ impl Service {
                 continue;
             }
             if !salvaged.is_empty() {
-                if let Err(e) = salvage_crashed_workers(&mut self.cluster, node, salvaged) {
-                    // Salvage is best-effort; jobs that lost state will
-                    // fail on their own and retry.
-                    let at = SimTime::ZERO + self.cluster.elapsed();
-                    self.log.record("svc.salvage_error", at, 1.0);
-                    let _ = e;
-                }
+                // Salvage is best-effort; jobs that lost state will
+                // fail on their own and retry.
+                let _ = salvage_crashed_workers(&mut self.cluster, node, salvaged);
             }
             for job in &mut self.active {
                 if job.failure.is_some() {
@@ -966,38 +952,28 @@ impl Service {
                     };
                     metrics::gauge_set(Some(node), metrics::Metric::ServeBreakerState, now, level);
                 }
-                match transition {
-                    BreakerTransition::Opened => {
-                        self.quarantines += 1;
-                        self.log.record("svc.quarantine", now, 1.0);
-                        // Drain: evacuate the node's queued partitions
-                        // onto healthy peers through the same re-homing
-                        // path a crash would use — but the node stays
-                        // alive, so it pushes its own bytes.
-                        let targets: Vec<NodeId> = self
-                            .cluster
-                            .live_nodes()
-                            .into_iter()
-                            .filter(|&m| m != node && !self.breakers[m.as_usize()].quarantined())
-                            .collect();
-                        if !targets.is_empty() {
-                            for job in &mut self.active {
-                                if job.failure.is_some() {
-                                    continue;
-                                }
-                                if let Err(e) =
-                                    job.driver.drain_node(&mut self.cluster, node, &targets)
-                                {
-                                    job.failure = Some(e);
-                                }
+                if transition == BreakerTransition::Opened {
+                    self.quarantines += 1;
+                    // Drain: evacuate the node's queued partitions
+                    // onto healthy peers through the same re-homing
+                    // path a crash would use — but the node stays
+                    // alive, so it pushes its own bytes.
+                    let targets: Vec<NodeId> = self
+                        .cluster
+                        .live_nodes()
+                        .into_iter()
+                        .filter(|&m| m != node && !self.breakers[m.as_usize()].quarantined())
+                        .collect();
+                    if !targets.is_empty() {
+                        for job in &mut self.active {
+                            if job.failure.is_some() {
+                                continue;
+                            }
+                            if let Err(e) = job.driver.drain_node(&mut self.cluster, node, &targets)
+                            {
+                                job.failure = Some(e);
                             }
                         }
-                    }
-                    BreakerTransition::HalfOpened => {
-                        self.log.record("svc.quarantine", now, 0.5);
-                    }
-                    BreakerTransition::Closed => {
-                        self.log.record("svc.quarantine", now, 0.0);
                     }
                 }
             }
@@ -1006,7 +982,6 @@ impl Service {
             let ratio = self.cluster.min_free_heap_ratio();
             let (entered, exited) = self.brownout.observe(&bcfg, ratio, now);
             if entered {
-                self.log.record("svc.brownout", now, 1.0);
                 metrics::gauge_set(None, metrics::Metric::ServeBrownout, now, 1);
             }
             if self.brownout.active() {
@@ -1025,7 +1000,6 @@ impl Service {
                 }
             }
             if let Some((since, rounds)) = exited {
-                self.log.record("svc.brownout", now, 0.0);
                 metrics::gauge_set(None, metrics::Metric::ServeBrownout, now, 0);
                 if tracer::is_enabled() {
                     tracer::emit(
@@ -1094,13 +1068,11 @@ impl Service {
                 metrics::counter_add(None, metrics::Metric::ServeCompleted, now, 1);
                 metrics::observe(None, metrics::Metric::ServeLatencyNs, now, latency);
                 self.total_outputs += job.driver.output_count().unwrap_or(0);
-                self.log.record("svc.completed", now, 1.0);
             } else {
                 let err = job.failure.expect("failed checked");
                 let oom = err.is_oom();
                 if oom {
                     slo.omes += 1;
-                    self.log.record("svc.ome", now, 1.0);
                 }
                 // Classification picks the attempt ceiling (transient
                 // substrate faults earn more attempts than deterministic
@@ -1145,11 +1117,9 @@ impl Service {
                 } else {
                     slo.failed += 1;
                     metrics::counter_add(None, metrics::Metric::ServeFailed, now, 1);
-                    self.log.record("svc.failed", now, 1.0);
                     if budget_denied {
                         slo.shed_retry += 1;
                         metrics::counter_add(None, metrics::Metric::ServeShedRetryBudget, now, 1);
-                        self.log.record("svc.shed", now, 1.0);
                         if tracer::is_enabled() {
                             tracer::emit(
                                 None,

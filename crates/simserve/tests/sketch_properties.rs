@@ -8,7 +8,7 @@
 //! path the per-tenant aggregation uses.
 
 use proptest::prelude::*;
-use simserve::sketch::QuantileSketch;
+use simcore::sketch::QuantileSketch;
 
 /// Exact order statistic matching `QuantileSketch::quantile`'s rank
 /// convention: rank `ceil(q*n)` clamped to `[1, n]`, 1-indexed.

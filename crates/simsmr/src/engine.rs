@@ -35,10 +35,10 @@ use std::sync::Arc;
 
 use itask_core::{live_budget_for_pause, predicted_full_pause, StateGuard};
 use simcluster::{Cluster, ClusterConfig, ShardExecutor};
+use simcore::sketch::QuantileSketch;
 use simcore::tracer::{self, EventId, TraceData};
 use simcore::{metrics, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
 use simnet::rpc;
-use simserve::QuantileSketch;
 
 use crate::config::{RuntimeMode, SmrConfig};
 use crate::replica::{Ack, Cmd, ReplicaWork};

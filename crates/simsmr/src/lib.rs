@@ -37,7 +37,7 @@
 //! pause produces a *deterministic* view change. Per-commit causal
 //! chains (propose → replicate → ack → commit) emit through the
 //! `simcore` tracer, and commit latencies accumulate in the existing
-//! [`simserve::QuantileSketch`] for p50/p99/p99.9 reporting.
+//! [`simcore::sketch::QuantileSketch`] for p50/p99/p99.9 reporting.
 
 pub mod config;
 pub mod engine;
