@@ -826,6 +826,18 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The tracer and metrics arming flags are process-global and the
+    /// test harness runs tests on parallel threads: every test that
+    /// flips one holds this lock for its whole body. The guarded value
+    /// is `()`, so a lock poisoned by a failed test is still good.
+    static ARMING: Mutex<()> = Mutex::new(());
+
+    fn arming_lock() -> std::sync::MutexGuard<'static, ()> {
+        ARMING
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn outcomes_keep_spec_order() {
         let specs: Vec<RunSpec<'_, usize>> = (0..16usize)
@@ -888,6 +900,7 @@ mod tests {
     fn trace_flag_parsing() {
         // Note: a hit arms the global tracer; disarm before leaving so
         // other tests in this binary see the default-off state.
+        let _arming = arming_lock();
         let mut args = vec!["--quick".to_string(), "--trace".into(), "out.json".into()];
         assert_eq!(take_trace_flag(&mut args).as_deref(), Some("out.json"));
         assert_eq!(args, vec!["--quick".to_string()]);
@@ -903,6 +916,7 @@ mod tests {
     #[test]
     fn traced_sweep_writes_chrome_and_jsonl() {
         use simcore::{SimDuration, SimTime};
+        let _arming = arming_lock();
         let dir = std::env::temp_dir().join(format!("itask_sweeptrace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         tracer::enable();
@@ -953,6 +967,7 @@ mod tests {
     fn metrics_flag_parsing() {
         // Note: a hit arms the global registry; disarm before leaving
         // so other tests in this binary see the default-off state.
+        let _arming = arming_lock();
         let mut args = vec![
             "--quick".to_string(),
             "--metrics".into(),
@@ -998,6 +1013,7 @@ mod tests {
         use simcore::{NodeId, SimDuration, SimTime};
         // Arms both global planes: serialize against the other arming
         // tests in this binary.
+        let _arming = arming_lock();
         let dir = std::env::temp_dir().join(format!("itask_sweepboth_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         tracer::enable();

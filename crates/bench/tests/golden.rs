@@ -99,30 +99,56 @@ fn golden_faults_wc() {
     );
 }
 
-#[test]
-fn golden_tracectl_faults_wc() {
-    // Two stages: a traced faults sweep, then `tracectl report` over
-    // the dump. The report is pure virtual-time aggregation, so its
-    // stdout is as byte-stable as the table itself.
-    let scratch = std::env::temp_dir().join(format!("itask-golden-trace-{}", std::process::id()));
+/// Two stages: a traced sweep of `bin`, then `tracectl report` over the
+/// dump. The report is pure virtual-time aggregation, so its stdout is
+/// as byte-stable as the table itself.
+fn check_tracectl(bin: &str, args: &[&str], golden_name: &str) {
+    let scratch = std::env::temp_dir().join(format!(
+        "itask-golden-trace-{}-{golden_name}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let trace = scratch.join("faults_wc.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_faults"))
-        .args(["--wc-only", "--trace"])
+    let trace = scratch.join("trace.json");
+    let out = Command::new(bin)
+        .args(args)
+        .arg("--trace")
         .arg(&trace)
         .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
-        .expect("spawn faults");
+        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
         out.status.success(),
-        "faults --wc-only --trace exited with {}:\n{}",
+        "{bin} {args:?} --trace exited with {}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
     check_golden(
         env!("CARGO_BIN_EXE_tracectl"),
         &["report", trace.to_str().expect("utf-8 scratch path")],
+        golden_name,
+    );
+}
+
+#[test]
+fn golden_tracectl_faults_wc() {
+    check_tracectl(
+        env!("CARGO_BIN_EXE_faults"),
+        &["--wc-only"],
         "tracectl_faults_wc.txt",
+    );
+}
+
+/// Service runs carry the engine's `shuffle` span and `frame` event —
+/// they ride the same pipeline as the batch tables — and the dump is
+/// the same at any shard count.
+#[test]
+fn golden_tracectl_service_quick() {
+    let service = env!("CARGO_BIN_EXE_service");
+    check_tracectl(service, &["--quick"], "tracectl_service_quick.txt");
+    check_tracectl(
+        service,
+        &["--quick", "--shards", "2"],
+        "tracectl_service_quick.txt",
     );
 }
 

@@ -1,16 +1,16 @@
-//! Two-phase job execution: partition-local phase → hash shuffle →
-//! bucket-exclusive aggregation phase, in both regular and ITask form.
+//! Job specs, frame chunking, and the batch driver: one
+//! [`TwoPhaseJob`] run to completion on a cluster it owns — start,
+//! drive, shuffle, drive, collect — with a cluster barrier closing each
+//! phase. The pipeline itself lives in [`crate::job`].
 
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use itask_core::{
-    offer_serialized, ITask, Irs, IrsConfig, ItaskWorker, PartitionState, Tag, TaskGraph, Tuple,
-};
-use simcluster::{Cluster, JobOutcome, JobReport, ShardExecutor, WorkCx, DEFAULT_IO_RETRIES};
-use simcore::{metrics, prof, tracer, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
+use itask_core::{ITask, IrsConfig, Tuple};
+use simcluster::{Cluster, JobOutcome, JobReport, ShardExecutor};
+use simcore::{prof, ByteSize, NodeId, SimDuration, SimResult};
 
-use crate::operator::{BucketArena, Operator, OperatorWorker, OutputSink};
+use crate::job::{salvage_crashed_workers, ShuffleClocks, TwoPhaseJob};
+use crate::operator::Operator;
 use crate::pool::BatchPool;
 
 /// Parameters of a regular two-phase job.
@@ -147,198 +147,102 @@ fn run_window(
     Ok(())
 }
 
-/// Drives every node until all threads retire; the first failure aborts.
+/// Advances the cluster until `job`'s running phase has retired on
+/// every surviving node, then closes the phase with a cluster barrier.
+/// The first thread failure aborts.
 ///
 /// With a fault plan armed on the cluster, scheduled node crashes fire
-/// as node clocks reach their instants. A regular job has no way to
-/// recover the lost state, so a crash fails it with `NodeLost` (the
-/// paper's baselines die; ITask jobs recover in [`drive_irs`] instead).
+/// as node clocks reach their instants. The crashed node's live
+/// instances are salvaged and the job reacts: an ITask job re-homes the
+/// node's work onto the survivors and keeps going (it fails only when
+/// *no* node survives), a regular job dies with `NodeLost` like the
+/// paper's baselines.
 ///
-/// Crash plans no longer force the whole run serial: walking nodes in
-/// order, stretches of nodes with no pending crash batch into lockstep
-/// shard-executor rounds (a `poll_crash` on them would be a no-op), and
-/// only a node that still has an unfired crash runs round-then-poll
-/// serially — the exact interleaving of the old fully-serial loop, so
-/// output bytes are unchanged, with everything between the crash
-/// windows back on the parallel path.
-fn drive_phase(cluster: &mut Cluster) -> SimResult<()> {
+/// Walking nodes in order, stretches of nodes with no pending crash
+/// batch into lockstep shard-executor rounds (a `poll_crash` on them
+/// would be a no-op). Their controller ticks stay on the driver thread —
+/// `tick_node(n)` reads only node n, and no other node's round touches
+/// node n, so deferring a batched node's round to the window flush
+/// preserves per-node semantics exactly. Only a node that still has an
+/// unfired crash runs tick → round → poll serially, so recovery can
+/// re-home work before later nodes tick.
+fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
+    cluster: &mut Cluster,
+    job: &mut TwoPhaseJob<'_, In, Mid, Out>,
+) -> SimResult<()> {
     let mut exec = ShardExecutor::new();
     let mut batch: Vec<NodeId> = Vec::with_capacity(cluster.node_count());
     loop {
-        let mut any_live = false;
+        let mut any = false;
         for n in 0..cluster.node_count() {
             let node = NodeId(n as u32);
-            let sim = cluster.sim(node);
-            if sim.is_crashed() || sim.live_count() == 0 {
+            if cluster.sim(node).is_crashed() || !job.node_busy(cluster, node) {
                 continue;
             }
-            any_live = true;
-            if !cluster.crash_pending(node) {
+            any = true;
+            let crash_pending = cluster.crash_pending(node);
+            if crash_pending {
+                run_window(&mut exec, cluster, &mut batch)?;
+            }
+            job.tick_node(cluster, node)?;
+            if !job.node_busy(cluster, node) {
+                continue;
+            }
+            if !crash_pending {
                 batch.push(node);
                 continue;
             }
-            run_window(&mut exec, cluster, &mut batch)?;
             let failed = ShardExecutor::run_node_round(cluster, node).failed;
-            let _ = cluster.poll_crash(node);
+            let salvaged = cluster.poll_crash(node);
             if cluster.sim(node).is_crashed() {
-                return Err(SimError::NodeLost { node });
+                // The node died this round: its thread errors die with
+                // it; recover its work onto the survivors.
+                salvage_crashed_workers(cluster, node, salvaged)?;
+                job.on_node_crash(cluster, node)?;
+                continue;
             }
             if let Some((_, e)) = failed.into_iter().next() {
                 return Err(e);
             }
         }
-        if !any_live {
-            return Ok(());
+        if !any {
+            break;
         }
         run_window(&mut exec, cluster, &mut batch)?;
     }
+    cluster.sync_clocks(SimDuration::ZERO);
+    Ok(())
 }
 
-/// Per-source bucketed output entering the shuffle: each node's
-/// [`BucketArena`] of flush-ordered batches over dense per-bucket
-/// tuple arenas.
-type BucketedOutputs<T> = Vec<(NodeId, BucketArena<T>)>;
-
-/// Per-destination-node bucket → tuples leaving the shuffle: a dense
-/// vector indexed by bucket id (empty slot = no tuples routed there).
-/// The bucket space is small (nodes × threads × a small constant), so
-/// direct indexing replaces the per-batch `BTreeMap` probe the old
-/// representation paid millions of times per run; in-order iteration
-/// filtered to non-empty slots yields exactly the ascending-bucket walk
-/// a BTreeMap gave.
-type ShuffledInputs<T> = Vec<Vec<Vec<T>>>;
-
-/// Iterates a node's shuffled buckets in ascending order, skipping the
-/// empty slots of the dense representation.
-fn nonempty_buckets<T>(buckets: Vec<Vec<T>>) -> impl Iterator<Item = (u32, Vec<T>)> {
-    buckets
-        .into_iter()
-        .enumerate()
-        .filter(|(_, tuples)| !tuples.is_empty())
-        .map(|(b, tuples)| (b as u32, tuples))
-}
-
-/// Routes bucketed outputs to their destination nodes, charging the
-/// fabric, and returns per-node bucket → tuples maps plus the barrier
-/// duration.
+/// The batch driver: runs `job` to completion on a cluster it owns.
 ///
-/// Buckets only land on live nodes (on a healthy cluster that is every
-/// node, and the routing is identical to the classic `bucket % nodes`).
-/// Finals produced by a node that crashed afterwards were streamed out
-/// before the crash, so a surviving node re-sends them on its behalf.
-/// Transfers consult the armed fault plan: slowdown windows dilate the
-/// wire time, finite partitions stall the sender, and a permanent
-/// partition fails the shuffle with `NetPartition`.
-fn shuffle<T: Tuple>(
+/// Returns the job report (always, even on failure — the paper's CTime
+/// is the time *until* the crash) and the final outputs or the error.
+fn run_to_completion<In: Tuple, Mid: Tuple, Out: 'static>(
     cluster: &mut Cluster,
-    outputs: BucketedOutputs<T>,
-    pool: &mut BatchPool<T>,
-) -> SimResult<(ShuffledInputs<T>, SimDuration)> {
-    let _wall = prof::wall_timer(prof::Stage::Shuffle);
-    let nodes = cluster.node_count();
-    let live = cluster.live_nodes();
-    let now = SimTime::ZERO + cluster.elapsed();
-    let mut per_node: ShuffledInputs<T> = (0..nodes).map(|_| Vec::new()).collect();
-    let mut max_wire = SimDuration::ZERO;
-    let (mut batch_count, mut byte_count) = (0u64, 0u64);
-    let mut wire_total = SimDuration::ZERO;
-    let mut cursors: Vec<usize> = Vec::new();
-    for (src, arena) in outputs {
-        let src = if live.contains(&src) {
-            src
-        } else {
-            *live.first().ok_or(SimError::NodeLost { node: src })?
-        };
-        let (arenas, batches) = arena.into_parts();
-        // Charge the fabric per flushed batch, in flush order — the
-        // exact transfer sequence (and therefore every wire time) the
-        // per-batch-vector representation produced. A cursor per bucket
-        // walks each arena so a batch's bytes are summed over its own
-        // slice.
-        cursors.clear();
-        cursors.resize(arenas.len(), 0);
-        for (bucket, len) in batches {
-            let bi = bucket as usize;
-            let dst = live[bi % live.len()];
-            let start = cursors[bi];
-            cursors[bi] = start + len as usize;
-            let bytes = ByteSize(
-                arenas[bi][start..cursors[bi]]
-                    .iter()
-                    .map(Tuple::ser_bytes)
-                    .sum(),
-            );
-            let wire = cluster.fabric().transfer_at(src, dst, bytes, now)?;
-            max_wire = max_wire.max(wire);
-            batch_count += 1;
-            byte_count += bytes.as_u64();
-            wire_total += wire;
-        }
-        // Every batch of bucket `b` from this source lands on the same
-        // destination, so the whole per-bucket arena moves in one step:
-        // adopted outright by the first source to fill the slot, bulk-
-        // appended after that. Retired buffers park in the pool for
-        // phase-2 framing.
-        for (bi, mut tuples) in arenas.into_iter().enumerate() {
-            if tuples.is_empty() {
-                pool.put(tuples);
-                continue;
-            }
-            let dst = live[bi % live.len()];
-            let slots = &mut per_node[dst.as_usize()];
-            if slots.len() <= bi {
-                slots.resize_with(bi + 1, Vec::new);
-            }
-            if slots[bi].is_empty() {
-                pool.put(std::mem::replace(&mut slots[bi], tuples));
-            } else {
-                slots[bi].append(&mut tuples);
-                pool.put(tuples);
-            }
-        }
-    }
-    prof::count(prof::Stage::Shuffle, batch_count, byte_count);
-    prof::vtime(prof::Stage::Shuffle, wire_total);
-    // One aggregate span per shuffle call (per-batch events would be
-    // millions per run): the span covers the shuffle barrier itself.
-    if tracer::is_enabled() {
-        tracer::emit(
-            None,
-            None,
-            now,
-            max_wire,
-            tracer::TraceData::Shuffle {
-                batches: batch_count,
-                bytes: byte_count,
-                wire_ns: wire_total.as_nanos(),
-            },
-        );
-    }
-    if metrics::is_enabled() && byte_count > 0 {
-        metrics::counter_add(None, metrics::Metric::ShuffleBytes, now, byte_count);
-    }
-    Ok((per_node, max_wire))
-}
-
-/// Traces one node's phase-2 framing as a single aggregate event (the
-/// per-frame `prof` counters already capture volume; the trace only
-/// needs the when/where).
-fn trace_frame_chunk(cluster: &Cluster, node: NodeId, tuples: u64) {
-    if tracer::is_enabled() && tuples > 0 {
-        tracer::emit(
-            Some(node),
-            None,
-            SimTime::ZERO + cluster.elapsed(),
-            SimDuration::ZERO,
-            tracer::TraceData::FrameChunk { tuples },
-        );
-    }
+    mut job: TwoPhaseJob<'_, In, Mid, Out>,
+) -> (JobReport, SimResult<Vec<Out>>) {
+    let mut run = || {
+        job.start(cluster)?;
+        drive(cluster, &mut job)?;
+        job.enter_reduce(cluster)?;
+        drive(cluster, &mut job)?;
+        Ok(job.finish())
+    };
+    let result: SimResult<Vec<Out>> = run();
+    let outcome = match &result {
+        Ok(_) => JobOutcome::Completed,
+        Err(e) => JobOutcome::Failed(e.clone()),
+    };
+    let mut report = cluster.report(outcome);
+    job.absorb_stats(&mut report);
+    (report, result)
 }
 
 /// Runs a regular (non-interruptible) two-phase job.
 ///
-/// Returns the job report (always, even on failure — the paper's CTime
-/// is the time *until* the crash) and the final outputs or the error.
+/// Returns the job report (always, even on failure) and the final
+/// outputs or the error.
 pub fn run_regular<M, R>(
     cluster: &mut Cluster,
     inputs: Vec<Vec<Vec<M::In>>>,
@@ -350,102 +254,15 @@ where
     M: Operator + 'static,
     R: Operator<In = M::Out> + 'static,
 {
-    assert_eq!(
-        inputs.len(),
-        cluster.node_count(),
-        "one input list per node"
+    let job = TwoPhaseJob::regular(
+        spec,
+        None,
+        ShuffleClocks::Barrier,
+        inputs,
+        map_factory,
+        reduce_factory,
     );
-    assert!(spec.threads > 0, "at least one thread");
-
-    // ---- Phase 1: partition-local operators over input frames.
-    let mut map_sinks: Vec<OutputSink<M::Out>> = Vec::new();
-    for (n, frames) in inputs.into_iter().enumerate() {
-        let sink: OutputSink<M::Out> = OutputSink::default();
-        map_sinks.push(sink.clone());
-        // Deal frames round-robin to the fixed thread pool.
-        let mut per_thread: Vec<VecDeque<Vec<M::In>>> =
-            (0..spec.threads).map(|_| VecDeque::new()).collect();
-        for (i, f) in frames.into_iter().enumerate() {
-            per_thread[i % spec.threads].push_back(f);
-        }
-        let sim = cluster.sim(NodeId(n as u32));
-        for (t, frames) in per_thread.into_iter().enumerate() {
-            if frames.is_empty() {
-                continue;
-            }
-            sim.spawn(Box::new(OperatorWorker::new(
-                map_factory(),
-                frames,
-                sink.clone(),
-                true,
-                format!("{}.map{t}", spec.name),
-            )));
-        }
-    }
-    if let Err(e) = drive_phase(cluster) {
-        return (cluster.report(JobOutcome::Failed(e.clone())), Err(e));
-    }
-    cluster.sync_clocks(SimDuration::ZERO);
-
-    // ---- Shuffle.
-    // Retired workers still hold sink handles; drain in place.
-    let outputs: BucketedOutputs<M::Out> = map_sinks
-        .into_iter()
-        .enumerate()
-        .map(|(n, s)| (NodeId(n as u32), std::mem::take(&mut *s.lock().unwrap())))
-        .collect();
-    // Spent batch buffers park here and come back out as phase-2 frames.
-    let mut pool: BatchPool<M::Out> = BatchPool::new();
-    let (per_node, wire) = match shuffle(cluster, outputs, &mut pool) {
-        Ok(x) => x,
-        Err(e) => return (cluster.report(JobOutcome::Failed(e.clone())), Err(e)),
-    };
-    cluster.sync_clocks(wire);
-
-    // ---- Phase 2: bucket-exclusive aggregation.
-    let mut reduce_sinks: Vec<OutputSink<R::Out>> = Vec::new();
-    for (n, buckets) in per_node.into_iter().enumerate() {
-        let sink: OutputSink<R::Out> = OutputSink::default();
-        reduce_sinks.push(sink.clone());
-        // Whole buckets per thread (hash semantics).
-        let mut per_thread: Vec<VecDeque<Vec<M::Out>>> =
-            (0..spec.threads).map(|_| VecDeque::new()).collect();
-        let mut framed_tuples = 0u64;
-        for (bucket, tuples) in nonempty_buckets(buckets) {
-            framed_tuples += tuples.len() as u64;
-            let t = (bucket as usize / cluster.node_count()) % spec.threads;
-            for frame in chunk_into_frames_pooled(tuples, spec.granularity, &mut pool) {
-                per_thread[t].push_back(frame);
-            }
-        }
-        trace_frame_chunk(cluster, NodeId(n as u32), framed_tuples);
-        let sim = cluster.sim(NodeId(n as u32));
-        for (t, frames) in per_thread.into_iter().enumerate() {
-            if frames.is_empty() {
-                continue;
-            }
-            sim.spawn(Box::new(OperatorWorker::new(
-                reduce_factory(),
-                frames,
-                sink.clone(),
-                false,
-                format!("{}.red{t}", spec.name),
-            )));
-        }
-    }
-    if let Err(e) = drive_phase(cluster) {
-        return (cluster.report(JobOutcome::Failed(e.clone())), Err(e));
-    }
-    cluster.sync_clocks(SimDuration::ZERO);
-
-    // ---- Collect (bucket order for determinism).
-    let mut all: Vec<(u32, Vec<R::Out>)> = Vec::new();
-    for s in reduce_sinks {
-        all.extend(s.lock().unwrap().drain_groups());
-    }
-    all.sort_by_key(|(b, _)| *b);
-    let outs = all.into_iter().flat_map(|(_, v)| v).collect();
-    (cluster.report(JobOutcome::Completed), Ok(outs))
+    run_to_completion(cluster, job)
 }
 
 /// Per-node ITask factories for one two-phase job.
@@ -468,199 +285,8 @@ impl Clone for ItaskFactories {
     }
 }
 
-/// Drives a set of per-node IRS controllers to completion.
-///
-/// With a fault plan armed, scheduled node crashes fire as node clocks
-/// reach their instants; the crashed node's work is recovered onto the
-/// survivors by [`recover_crashed_node`] and the job keeps going —
-/// recovery fails the job only when *no* node survives.
-fn drive_irs(cluster: &mut Cluster, irss: &mut [Irs]) -> SimResult<()> {
-    // Controller ticks stay on the driver thread — tick(n) reads only
-    // node n, and no other node's round touches node n, so deferring a
-    // batched node's round to the window flush preserves per-node
-    // semantics exactly. Nodes with a pending (unfired) crash run the
-    // serial tick-round-poll interleaving so recovery can re-home work
-    // before later nodes tick — the old fully-serial loop's order —
-    // while every crash-free stretch rides the shard executor.
-    let mut exec = ShardExecutor::new();
-    let mut batch: Vec<NodeId> = Vec::with_capacity(irss.len());
-    loop {
-        let mut any = false;
-        for n in 0..irss.len() {
-            let node = NodeId(n as u32);
-            if cluster.sim(node).is_crashed() || irss[n].is_idle() {
-                continue;
-            }
-            any = true;
-            if !cluster.crash_pending(node) {
-                irss[n].tick(cluster.sim(node))?;
-                if !irss[n].is_idle() {
-                    batch.push(node);
-                }
-                continue;
-            }
-            run_window(&mut exec, cluster, &mut batch)?;
-            irss[n].tick(cluster.sim(node))?;
-            if irss[n].is_idle() {
-                continue;
-            }
-            let failed = ShardExecutor::run_node_round(cluster, node).failed;
-            let salvaged = cluster.poll_crash(node);
-            if cluster.sim(node).is_crashed() {
-                // The node died this round: its thread errors die
-                // with it; recover its work onto the survivors.
-                recover_crashed_node(cluster, irss, node, salvaged)?;
-                continue;
-            }
-            if let Some((_, e)) = failed.into_iter().next() {
-                return Err(e);
-            }
-        }
-        if !any {
-            return Ok(());
-        }
-        run_window(&mut exec, cluster, &mut batch)?;
-    }
-}
-
-/// Crash recovery (DESIGN.md "Fault model"): a node crash is modeled as
-/// an interrupt at the last safe point. The node's live instances are
-/// salvaged post-mortem through the cooperative interrupt path — their
-/// processed prefixes' results already left the node, the cursors mark
-/// where processing stopped — and then every partition the node still
-/// owned is re-homed onto the survivors round-robin by partition id,
-/// paying a re-replication transfer plus a destination disk write.
-/// Exactly-once falls out of the cursor semantics: emitted outputs are
-/// never re-emitted, the unprocessed remainder is processed once more
-/// elsewhere, so results stay bit-identical to a fault-free run.
-fn recover_crashed_node(
-    cluster: &mut Cluster,
-    irss: &mut [Irs],
-    crashed: NodeId,
-    salvaged: Vec<Box<dyn simcluster::Work>>,
-) -> SimResult<()> {
-    // 1. Post-mortem interrupts: flush accumulated task state, release
-    //    processed prefixes, requeue unprocessed remainders.
-    {
-        let sim = cluster.sim(crashed);
-        let mut cx = WorkCx::detached(sim.node_mut(), SimDuration::ZERO);
-        for mut work in salvaged {
-            if let Some(any) = work.as_any_mut() {
-                if let Some(worker) = any.downcast_mut::<ItaskWorker>() {
-                    worker.crash_salvage(&mut cx)?;
-                }
-            }
-        }
-    }
-    // 2. Re-home the dead node's queue onto the survivors.
-    let mut parts = irss[crashed.as_usize()].drain_queue();
-    parts.sort_by_key(|p| p.meta().id);
-    let live = cluster.live_nodes();
-    if live.is_empty() {
-        return Err(SimError::NodeLost { node: crashed });
-    }
-    let now = SimTime::ZERO + cluster.elapsed();
-    for mut part in parts {
-        // Whatever heap form was accounted on the dead node dies there.
-        if let Some(space) = part.meta().space() {
-            cluster.sim(crashed).node_mut().heap.release_space(space);
-        }
-        let (pid, ser) = (part.meta().id, part.meta().ser_bytes);
-        // Keep a whole tag group on ONE survivor. An MITask aggregates
-        // its tag group in a single instance, and upstream tasks emit
-        // partials *locally* — so a reduce partition tagged B and the
-        // dead node's merge partials tagged B must land on the same
-        // node, or two merge instances would each emit finals for the
-        // same keys (duplicated results). Routing by tag alone (not
-        // partition id or consumer task) guarantees that.
-        let dst = live[(part.meta().tag.0 % live.len() as u64) as usize];
-        // Re-replication source: any survivor other than the target.
-        let donor = live.iter().copied().find(|&n| n != dst).unwrap_or(dst);
-        let wire = cluster.fabric().transfer_at(donor, dst, ser, now)?;
-        let dst_sim = cluster.sim(dst);
-        dst_sim.node_mut().now += wire;
-        let (file, _retries) = dst_sim.node_mut().disk_write_retried(
-            &format!("{pid}.rehome"),
-            ser,
-            DEFAULT_IO_RETRIES,
-        )?;
-        let meta = part.meta_mut();
-        meta.state = PartitionState::Serialized(file);
-        meta.last_serialized = Some(dst_sim.node().now);
-        if tracer::is_enabled() {
-            tracer::emit(
-                Some(dst),
-                None,
-                dst_sim.node().now,
-                SimDuration::ZERO,
-                tracer::TraceData::Rehome {
-                    partition: pid.as_u32(),
-                    from: crashed.as_u32(),
-                },
-            );
-        }
-        let handle = irss[dst.as_usize()].handle();
-        handle.push_partition(part);
-        handle.note_crash_requeued(1);
-    }
-    Ok(())
-}
-
-/// Accumulates one phase's IRS statistics into the report counters.
-fn absorb_irs_stats(report: &mut JobReport, irss: &[Irs]) {
-    for irs in irss {
-        let st = irs.stats();
-        report.bump_counter("itask.interrupts", st.interrupts as f64);
-        report.bump_counter("itask.emergency_interrupts", st.emergency_interrupts as f64);
-        report.bump_counter("itask.grows", st.grows as f64);
-        report.bump_counter("itask.serializations", st.serializations as f64);
-        report.bump_counter("itask.deserializations", st.deserializations as f64);
-        report.bump_counter("itask.peak_instances", st.peak_instances as f64);
-        report.bump_counter("itask.transient_io_retries", st.transient_io_retries as f64);
-        report.bump_counter(
-            "itask.corruption_recoveries",
-            st.corruption_recoveries as f64,
-        );
-        report.bump_counter(
-            "itask.crash_salvaged_instances",
-            st.crash_salvaged_instances as f64,
-        );
-        report.bump_counter(
-            "itask.crash_requeued_partitions",
-            st.crash_requeued_partitions as f64,
-        );
-        report.bump_counter(
-            "reclaim.local_structs",
-            st.reclaim.local_structs.as_u64() as f64,
-        );
-        report.bump_counter(
-            "reclaim.processed_input",
-            st.reclaim.processed_input.as_u64() as f64,
-        );
-        report.bump_counter(
-            "reclaim.final_results",
-            st.reclaim.final_results.as_u64() as f64,
-        );
-        report.bump_counter(
-            "reclaim.intermediate_results",
-            st.reclaim.intermediate_results.as_u64() as f64,
-        );
-        report.bump_counter(
-            "reclaim.lazy_serialized",
-            st.reclaim.lazy_serialized.as_u64() as f64,
-        );
-        report.bump_counter("monitor.lugcs", irs.monitor_stats().lugcs_seen as f64);
-    }
-}
-
-/// Runs the ITask version of a two-phase job.
-///
-/// Conventions (the shape of the paper's Figures 6–7):
-/// * the map task's `interrupt`/`cleanup` emit `Box<ShuffleBatch<Mid>>`
-///   final outputs;
-/// * the reduce task's `interrupt`/`cleanup` queue partials to the merge
-///   task, tagged with the input partition's bucket tag;
-/// * the merge MITask's `cleanup` emits `Box<Vec<Out>>` final outputs.
+/// Runs the ITask version of a two-phase job (task conventions:
+/// [`TwoPhaseJob::itask`]).
 pub fn run_itask<MIn, Mid, Out>(
     cluster: &mut Cluster,
     inputs: Vec<Vec<Vec<MIn>>>,
@@ -672,112 +298,8 @@ where
     Mid: Tuple,
     Out: 'static,
 {
-    assert_eq!(
-        inputs.len(),
-        cluster.node_count(),
-        "one input list per node"
-    );
-
-    // ---- Phase 1: map ITasks fed by serialized input partitions.
-    let mut irss: Vec<Irs> = Vec::new();
-    for (n, frames) in inputs.into_iter().enumerate() {
-        let mut graph = TaskGraph::new();
-        let map_f = factories.map.clone();
-        let map = graph.add_task("map", move || map_f());
-        let irs = Irs::new(graph, spec.irs);
-        let handle = irs.handle();
-        let sim = cluster.sim(NodeId(n as u32));
-        for frame in frames {
-            if let Err(e) = offer_serialized(&handle, sim.node_mut(), map, Tag(0), frame) {
-                return (cluster.report(JobOutcome::Failed(e.clone())), Err(e));
-            }
-        }
-        irss.push(irs);
-    }
-    if let Err(e) = drive_irs(cluster, &mut irss) {
-        let mut report = cluster.report(JobOutcome::Failed(e.clone()));
-        absorb_irs_stats(&mut report, &irss);
-        return (report, Err(e));
-    }
-    cluster.sync_clocks(SimDuration::ZERO);
-
-    // ---- Collect map finals and shuffle.
-    let mut outputs: BucketedOutputs<Mid> = Vec::new();
-    for (n, irs) in irss.iter_mut().enumerate() {
-        let mut arena = BucketArena::default();
-        for out in irs.take_final_outputs() {
-            let batch = out
-                .data
-                .downcast::<ShuffleBatch<Mid>>()
-                .expect("map tasks emit ShuffleBatch finals");
-            for (bucket, tuples) in batch.buckets {
-                arena.push_batch(bucket, tuples);
-            }
-        }
-        outputs.push((NodeId(n as u32), arena));
-    }
-    // Spent batch buffers park here and come back out as phase-2 frames.
-    let mut pool: BatchPool<Mid> = BatchPool::new();
-    let (per_node, wire) = match shuffle(cluster, outputs, &mut pool) {
-        Ok(x) => x,
-        Err(e) => {
-            let mut report = cluster.report(JobOutcome::Failed(e.clone()));
-            absorb_irs_stats(&mut report, &irss);
-            return (report, Err(e));
-        }
-    };
-    cluster.sync_clocks(wire);
-
-    // ---- Phase 2: reduce + merge ITasks.
-    let mut irss2: Vec<Irs> = Vec::new();
-    for (n, buckets) in per_node.into_iter().enumerate() {
-        let mut graph = TaskGraph::new();
-        let red_f = factories.reduce.clone();
-        let mer_f = factories.merge.clone();
-        let reduce = graph.add_task("reduce", move || red_f());
-        let merge = graph.add_mitask("merge", move || mer_f());
-        graph.connect(reduce, merge);
-        graph.connect(merge, merge);
-        let irs = Irs::new(graph, spec.irs);
-        let handle = irs.handle();
-        let sim = cluster.sim(NodeId(n as u32));
-        let mut framed_tuples = 0u64;
-        for (bucket, tuples) in nonempty_buckets(buckets) {
-            framed_tuples += tuples.len() as u64;
-            for frame in chunk_into_frames_pooled(tuples, spec.granularity, &mut pool) {
-                if let Err(e) =
-                    offer_serialized(&handle, sim.node_mut(), reduce, Tag(bucket as u64), frame)
-                {
-                    return (cluster.report(JobOutcome::Failed(e.clone())), Err(e));
-                }
-            }
-        }
-        trace_frame_chunk(cluster, NodeId(n as u32), framed_tuples);
-        irss2.push(irs);
-    }
-    if let Err(e) = drive_irs(cluster, &mut irss2) {
-        let mut report = cluster.report(JobOutcome::Failed(e.clone()));
-        absorb_irs_stats(&mut report, &irss);
-        absorb_irs_stats(&mut report, &irss2);
-        return (report, Err(e));
-    }
-    cluster.sync_clocks(SimDuration::ZERO);
-
-    // ---- Collect merge finals.
-    let mut outs: Vec<Out> = Vec::new();
-    for irs in &mut irss2 {
-        for out in irs.take_final_outputs() {
-            let v = out
-                .data
-                .downcast::<Vec<Out>>()
-                .expect("merge tasks emit Vec<Out> finals");
-            outs.extend(*v);
-        }
-    }
-    let mut report = cluster.report(JobOutcome::Completed);
-    absorb_irs_stats(&mut report, &irss);
-    absorb_irs_stats(&mut report, &irss2);
-    (report, Ok(outs))
+    let job = TwoPhaseJob::<MIn, Mid, Out>::itask(spec, ShuffleClocks::Barrier, inputs, factories);
+    run_to_completion(cluster, job)
 }
 
 /// Convenience: distributes generator blocks across nodes round-robin

@@ -5,8 +5,9 @@
 //! Hyracks jobs are operator DAGs connected by hash connectors; the five
 //! evaluation programs (WC, HS, II, HJ, GR) all compile to the same
 //! two-phase shape — a partition-local operator, an all-to-all hash
-//! shuffle, and a bucket-exclusive aggregation operator — which is what
-//! [`engine`] executes:
+//! shuffle, and a bucket-exclusive aggregation operator. [`job`] holds
+//! that pipeline once, as a resumable machine any driver can sequence;
+//! [`engine`] is the batch driver, running one job to completion:
 //!
 //! * [`engine::run_regular`] — the baseline: a fixed pool of worker
 //!   threads per node (the paper's 1–8 thread sweep), frames of a
@@ -20,6 +21,7 @@
 //!   instances to memory availability.
 
 pub mod engine;
+pub mod job;
 pub mod operator;
 pub mod pool;
 
@@ -27,5 +29,6 @@ pub use engine::{
     chunk_into_frames, chunk_into_frames_pooled, distribute_blocks, run_itask, run_regular,
     ItaskFactories, ItaskJobSpec, JobSpec, ShuffleBatch,
 };
+pub use job::{salvage_crashed_workers, Phase, ShuffleClocks, TwoPhaseJob};
 pub use operator::{BucketArena, OpCx, Operator, OperatorWorker, OutputSink};
 pub use pool::BatchPool;

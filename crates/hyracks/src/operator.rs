@@ -117,11 +117,6 @@ impl<T> BucketArena<T> {
         self.batches.is_empty()
     }
 
-    /// Total tuples held across all buckets.
-    pub fn total_len(&self) -> u64 {
-        self.arenas.iter().map(|a| a.len() as u64).sum()
-    }
-
     /// Appends one tuple to `bucket`'s arena, growing the bucket table
     /// on first touch. The tuple stays unsealed (not yet part of any
     /// batch) until the next [`Self::seal_batches`].
@@ -195,23 +190,6 @@ impl<T> BucketArena<T> {
             .enumerate()
             .filter(|(_, a)| !a.is_empty())
             .map(|(b, a)| (b as u32, std::mem::take(a)))
-            .collect()
-    }
-
-    /// Reconstructs the flush-ordered `(bucket, tuples)` batch list —
-    /// for consumers (the multi-tenant service's shuffle) that still
-    /// charge and route per batch from owned vectors.
-    pub fn into_batches(self) -> Vec<(u32, Vec<T>)> {
-        let BucketArena {
-            arenas, batches, ..
-        } = self;
-        let mut its: Vec<std::vec::IntoIter<T>> = arenas.into_iter().map(Vec::into_iter).collect();
-        batches
-            .into_iter()
-            .map(|(b, len)| {
-                let tuples = its[b as usize].by_ref().take(len as usize).collect();
-                (b, tuples)
-            })
             .collect()
     }
 }

@@ -320,8 +320,10 @@ impl ShardExecutor {
     }
 
     /// One node round on the driver thread, under the node's stream
-    /// overlay. Also the building block for legacy serial loops (crash
-    /// plans force these) so their event ids match the executor paths.
+    /// overlay, so its event ids match the executor paths. The batch
+    /// drive uses it for the one case that must interleave with the
+    /// driver: a node whose scheduled crash has not fired yet runs
+    /// round-then-poll; every other node rides [`Self::run_round`].
     pub fn run_node_round(cluster: &mut Cluster, node: NodeId) -> RoundReport {
         let seq = cluster.stream_seq(node);
         tracer::stream_begin(stream_of(node), seq);

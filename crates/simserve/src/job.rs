@@ -1,16 +1,16 @@
-//! The per-job execution driver: an incremental, multi-job-safe
-//! re-expression of the hyracks two-phase engine.
+//! The per-job execution driver: what the service asks of one tenant
+//! job, answered by the hyracks two-phase machine.
 //!
-//! The engine's `run_regular`/`run_itask` own the whole cluster and
-//! drive it to completion with cluster-wide barriers between phases —
-//! fine for one job, useless for a service where co-located jobs must
-//! interleave on the *same* node clocks and heaps. [`TwoPhaseJob`]
-//! breaks the same phase structure (partition-local map → hash shuffle
-//! → bucket-exclusive reduce) into a resumable state machine: the
-//! service pumps every active job once per scheduling round, and the
-//! shared [`simcluster::NodeSim::run_round`] steps all jobs' threads
-//! together, so co-located jobs genuinely contend for memory and
-//! trigger interrupts in each other.
+//! The batch engine's `run_regular`/`run_itask` own the whole cluster
+//! and drive one [`TwoPhaseJob`] to completion with cluster-wide
+//! barriers between phases — fine for one job, useless for a service
+//! where co-located jobs must interleave on the *same* node clocks and
+//! heaps. Here the service pumps the *same machine* once per scheduling
+//! round for every active job, and the shared
+//! [`simcluster::NodeSim::run_round`] steps all jobs' threads together,
+//! so co-located jobs genuinely contend for memory and trigger
+//! interrupts in each other. Nothing of the pipeline (placement,
+//! shuffle, framing, salvage, re-homing) is written in this crate.
 //!
 //! Isolation comes from allocation scopes: every thread a job spawns —
 //! regular operator workers and IRS task instances alike — carries the
@@ -18,15 +18,11 @@
 //! attributed to it, and teardown is `kill_scope` + `release_scope` per
 //! node, whatever state the job died in.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use apps::agg::{itask_factories, AggMapOp, AggReduceOp, AggSpec};
-use hyracks::{chunk_into_frames, OperatorWorker, OutputSink, ShuffleBatch};
-use itask_core::{
-    offer_serialized, Irs, IrsConfig, ItaskWorker, MemSignal, PartitionState, Tag, TaskGraph, Tuple,
-};
-use simcluster::{Cluster, NodeSim, WorkCx, DEFAULT_IO_RETRIES};
-use simcore::{tracer, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
+use hyracks::{ItaskJobSpec, JobSpec, Phase, ShuffleClocks, TwoPhaseJob};
+use itask_core::{IrsConfig, MemSignal};
+use simcluster::Cluster;
+use simcore::{ByteSize, NodeId, SimResult};
 
 /// Which engine executes a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,17 +42,6 @@ impl EngineKind {
             EngineKind::Itask => "itask",
         }
     }
-}
-
-/// Execution phase of a two-phase job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Phase 1 running.
-    Map,
-    /// Phase 2 running.
-    Reduce,
-    /// Completed; `outputs` holds the result count.
-    Done,
 }
 
 /// Object-safe handle the service holds on an executing job.
@@ -81,18 +66,16 @@ pub trait JobDriver {
     /// moved. Engines without a partition queue have nothing to drain.
     fn drain_node(
         &mut self,
-        _cluster: &mut Cluster,
-        _node: NodeId,
-        _targets: &[NodeId],
-    ) -> SimResult<usize> {
-        Ok(0)
-    }
+        cluster: &mut Cluster,
+        node: NodeId,
+        targets: &[NodeId],
+    ) -> SimResult<usize>;
 
     /// Asks the job to proactively shrink its footprint (brownout):
     /// ITask jobs force a `REDUCE` on every controller's next tick,
-    /// deflating ahead of the full-GC cliff. Default no-op for engines
+    /// deflating ahead of the full-GC cliff. A no-op for engines
     /// without an interrupt plane.
-    fn deflate(&mut self) {}
+    fn deflate(&mut self);
 
     /// Kills the job's remaining threads and releases every heap space
     /// attributed to it, on every node. Idempotent.
@@ -122,25 +105,18 @@ pub struct JobParams {
     pub buckets: u32,
 }
 
-/// A two-phase aggregation job executing incrementally on a shared
-/// cluster. Generic over the [`AggSpec`] so planner queries, Hyracks
-/// app specs, and Hadoop-style specs all run through the same driver.
-pub struct TwoPhaseJob<S: AggSpec> {
-    spec: S,
-    engine: EngineKind,
+/// One tenant job on the shared cluster: the hyracks [`TwoPhaseJob`]
+/// pumped once per service round. Generic over the [`AggSpec`] so
+/// planner queries, Hyracks app specs, and Hadoop-style specs all run
+/// through the same driver. Everything about the pipeline is the
+/// machine's; this adapter adds only what the service asks of a job.
+pub struct ServiceJob<S: AggSpec> {
+    job: TwoPhaseJob<'static, S::In, S::Mid, S::Out>,
     scope: u64,
-    params: JobParams,
-    inputs: Option<Vec<Vec<Vec<S::In>>>>,
-    phase: Phase,
-    /// Regular engine: per-node sinks for the running phase.
-    map_sinks: Vec<OutputSink<S::Mid>>,
-    reduce_sinks: Vec<OutputSink<S::Out>>,
-    /// ITask engine: per-node controllers for the running phase.
-    irss: Vec<Irs>,
     outputs: Option<u64>,
 }
 
-impl<S: AggSpec> TwoPhaseJob<S> {
+impl<S: AggSpec> ServiceJob<S> {
     /// Builds a job over per-node input frames. `scope` must be unique
     /// among live jobs (the service allocates them monotonically).
     pub fn new(
@@ -150,320 +126,69 @@ impl<S: AggSpec> TwoPhaseJob<S> {
         params: JobParams,
         inputs: Vec<Vec<Vec<S::In>>>,
     ) -> Self {
-        TwoPhaseJob {
-            spec,
-            engine,
+        let name = format!("svc{scope}");
+        let (granularity, buckets) = (params.granularity, params.buckets);
+        // The shuffle delays only the receiving nodes: a cluster barrier
+        // would stall every co-located job's clocks.
+        let clocks = ShuffleClocks::Receivers;
+        let job = match engine {
+            EngineKind::Regular => {
+                let job_spec = JobSpec {
+                    name,
+                    threads: params.threads.max(1),
+                    granularity,
+                    buckets,
+                };
+                let (map_spec, reduce_spec) = (spec.clone(), spec);
+                TwoPhaseJob::regular(
+                    &job_spec,
+                    Some(scope),
+                    clocks,
+                    inputs,
+                    move || AggMapOp::new(map_spec.clone(), buckets),
+                    move || AggReduceOp::new(reduce_spec.clone(), buckets),
+                )
+            }
+            EngineKind::Itask => {
+                let job_spec = ItaskJobSpec {
+                    name,
+                    irs: IrsConfig {
+                        max_parallelism: params.max_parallelism,
+                        scope: Some(scope),
+                        ..IrsConfig::default()
+                    },
+                    granularity,
+                    buckets,
+                };
+                TwoPhaseJob::itask(&job_spec, clocks, inputs, &itask_factories(spec, buckets))
+            }
+        };
+        ServiceJob {
+            job,
             scope,
-            params,
-            inputs: Some(inputs),
-            phase: Phase::Map,
-            map_sinks: Vec::new(),
-            reduce_sinks: Vec::new(),
-            irss: Vec::new(),
             outputs: None,
         }
     }
-
-    /// Whether every thread and controller of the current phase has
-    /// retired on every live node.
-    fn phase_quiesced(&mut self, cluster: &mut Cluster) -> bool {
-        for n in 0..cluster.node_count() {
-            let sim = cluster.sim(NodeId(n as u32));
-            if sim.is_crashed() {
-                continue;
-            }
-            if sim.live_count_in_scope(self.scope) > 0 {
-                return false;
-            }
-            if let Some(irs) = self.irss.get(n) {
-                if !irs.is_idle() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Spawns regular operator workers for one phase on one node.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_regular_map(&mut self, sim: &mut NodeSim, frames: Vec<Vec<S::In>>, node: usize) {
-        let sink: OutputSink<S::Mid> = OutputSink::default();
-        self.map_sinks.push(sink.clone());
-        let threads = self.params.threads.max(1);
-        let mut per_thread: Vec<VecDeque<Vec<S::In>>> =
-            (0..threads).map(|_| VecDeque::new()).collect();
-        for (i, f) in frames.into_iter().enumerate() {
-            per_thread[i % threads].push_back(f);
-        }
-        for (t, frames) in per_thread.into_iter().enumerate() {
-            if frames.is_empty() {
-                continue;
-            }
-            let worker = OperatorWorker::new(
-                AggMapOp::new(self.spec.clone(), self.params.buckets),
-                frames,
-                sink.clone(),
-                true,
-                format!("svc{}.n{node}.map{t}", self.scope),
-            );
-            sim.spawn_scoped(Box::new(worker), Some(self.scope));
-        }
-    }
-
-    fn start_regular(&mut self, cluster: &mut Cluster) {
-        let inputs = self.inputs.take().expect("started once");
-        for (n, frames) in inputs.into_iter().enumerate() {
-            let sim = cluster.sim(NodeId(n as u32));
-            self.spawn_regular_map(sim, frames, n);
-        }
-    }
-
-    fn start_itask(&mut self, cluster: &mut Cluster) -> SimResult<()> {
-        let inputs = self.inputs.take().expect("started once");
-        let factories = itask_factories(self.spec.clone(), self.params.buckets);
-        for (n, frames) in inputs.into_iter().enumerate() {
-            let mut graph = TaskGraph::new();
-            let map_f = factories.map.clone();
-            let map = graph.add_task("map", move || map_f());
-            let irs = Irs::new(graph, self.irs_config());
-            let handle = irs.handle();
-            let sim = cluster.sim(NodeId(n as u32));
-            for frame in frames {
-                offer_serialized(&handle, sim.node_mut(), map, Tag(0), frame)?;
-            }
-            self.irss.push(irs);
-        }
-        Ok(())
-    }
-
-    fn irs_config(&self) -> IrsConfig {
-        IrsConfig {
-            max_parallelism: self.params.max_parallelism,
-            scope: Some(self.scope),
-            ..IrsConfig::default()
-        }
-    }
-
-    /// Transitions map → reduce: collects phase-1 outputs, shuffles
-    /// them (advancing only destination clocks — no cluster barrier),
-    /// and launches phase 2.
-    fn enter_reduce(&mut self, cluster: &mut Cluster) -> SimResult<()> {
-        let outputs: Vec<(NodeId, BucketedFrames<S::Mid>)> = match self.engine {
-            EngineKind::Regular => std::mem::take(&mut self.map_sinks)
-                .into_iter()
-                .enumerate()
-                .map(|(n, s)| {
-                    let arena = std::mem::take(&mut *s.lock().unwrap());
-                    (NodeId(n as u32), arena.into_batches())
-                })
-                .collect(),
-            EngineKind::Itask => {
-                let mut out = Vec::new();
-                for (n, irs) in self.irss.iter_mut().enumerate() {
-                    let mut batches = Vec::new();
-                    for f in irs.take_final_outputs() {
-                        let batch = f
-                            .data
-                            .downcast::<ShuffleBatch<S::Mid>>()
-                            .expect("map tasks emit ShuffleBatch finals");
-                        batches.extend(batch.buckets);
-                    }
-                    out.push((NodeId(n as u32), batches));
-                }
-                out
-            }
-        };
-        let per_node = service_shuffle(cluster, outputs)?;
-        self.irss.clear();
-        self.phase = Phase::Reduce;
-
-        match self.engine {
-            EngineKind::Regular => {
-                let threads = self.params.threads.max(1);
-                let node_count = cluster.node_count();
-                for (n, buckets) in per_node.into_iter().enumerate() {
-                    let sink: OutputSink<S::Out> = OutputSink::default();
-                    self.reduce_sinks.push(sink.clone());
-                    let mut per_thread: Vec<VecDeque<Vec<S::Mid>>> =
-                        (0..threads).map(|_| VecDeque::new()).collect();
-                    for (bucket, tuples) in buckets {
-                        let t = (bucket as usize / node_count) % threads;
-                        for frame in chunk_into_frames(tuples, self.params.granularity) {
-                            per_thread[t].push_back(frame);
-                        }
-                    }
-                    let sim = cluster.sim(NodeId(n as u32));
-                    for (t, frames) in per_thread.into_iter().enumerate() {
-                        if frames.is_empty() {
-                            continue;
-                        }
-                        let worker = OperatorWorker::new(
-                            AggReduceOp::new(self.spec.clone(), self.params.buckets),
-                            frames,
-                            sink.clone(),
-                            false,
-                            format!("svc{}.n{n}.red{t}", self.scope),
-                        );
-                        sim.spawn_scoped(Box::new(worker), Some(self.scope));
-                    }
-                }
-            }
-            EngineKind::Itask => {
-                let factories = itask_factories(self.spec.clone(), self.params.buckets);
-                for (n, buckets) in per_node.into_iter().enumerate() {
-                    let mut graph = TaskGraph::new();
-                    let red_f = factories.reduce.clone();
-                    let mer_f = factories.merge.clone();
-                    let reduce = graph.add_task("reduce", move || red_f());
-                    let merge = graph.add_mitask("merge", move || mer_f());
-                    graph.connect(reduce, merge);
-                    graph.connect(merge, merge);
-                    let irs = Irs::new(graph, self.irs_config());
-                    let handle = irs.handle();
-                    let sim = cluster.sim(NodeId(n as u32));
-                    for (bucket, tuples) in buckets {
-                        for frame in chunk_into_frames(tuples, self.params.granularity) {
-                            offer_serialized(
-                                &handle,
-                                sim.node_mut(),
-                                reduce,
-                                Tag(bucket as u64),
-                                frame,
-                            )?;
-                        }
-                    }
-                    self.irss.push(irs);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Moves every queued partition of `src`'s IRS onto `targets`,
-    /// keeping whole tag groups on one node (split groups would
-    /// duplicate finals). Shared by the crash path (`src` is dead: a
-    /// surviving donor re-sends the bytes) and the quarantine drain
-    /// (`src` is alive and pushes its own partitions out).
-    fn rehome_queue(
-        &mut self,
-        cluster: &mut Cluster,
-        src: NodeId,
-        targets: &[NodeId],
-        src_alive: bool,
-    ) -> SimResult<usize> {
-        if self.irss.is_empty() {
-            return Ok(0);
-        }
-        let mut parts = self.irss[src.as_usize()].drain_queue();
-        parts.sort_by_key(|p| p.meta().id);
-        if parts.is_empty() {
-            return Ok(0);
-        }
-        if targets.is_empty() {
-            return Err(SimError::NodeLost { node: src });
-        }
-        let now = SimTime::ZERO + cluster.elapsed();
-        let moved = parts.len();
-        for mut part in parts {
-            if let Some(space) = part.meta().space() {
-                cluster.sim(src).node_mut().heap.release_space(space);
-            }
-            let (pid, ser) = (part.meta().id, part.meta().ser_bytes);
-            let dst = targets[(part.meta().tag.0 % targets.len() as u64) as usize];
-            let tx = if src_alive {
-                src
-            } else {
-                targets.iter().copied().find(|&n| n != dst).unwrap_or(dst)
-            };
-            let wire = cluster.fabric().transfer_at(tx, dst, ser, now)?;
-            let dst_sim = cluster.sim(dst);
-            dst_sim.node_mut().now += wire;
-            let (file, _retries) = dst_sim.node_mut().disk_write_retried(
-                &format!("{pid}.rehome"),
-                ser,
-                DEFAULT_IO_RETRIES,
-            )?;
-            let meta = part.meta_mut();
-            meta.state = PartitionState::Serialized(file);
-            meta.last_serialized = Some(dst_sim.node().now);
-            if tracer::is_enabled() {
-                tracer::emit(
-                    Some(dst),
-                    Some(self.scope),
-                    dst_sim.node().now,
-                    SimDuration::ZERO,
-                    tracer::TraceData::Rehome {
-                        partition: pid.as_u32(),
-                        from: src.as_u32(),
-                    },
-                );
-            }
-            let handle = self.irss[dst.as_usize()].handle();
-            handle.push_partition(part);
-            handle.note_crash_requeued(1);
-        }
-        Ok(moved)
-    }
-
-    /// Completes the job: counts reduce outputs.
-    fn finish(&mut self) {
-        let count: u64 = match self.engine {
-            EngineKind::Regular => std::mem::take(&mut self.reduce_sinks)
-                .into_iter()
-                .map(|s| s.lock().unwrap().total_len())
-                .sum(),
-            EngineKind::Itask => {
-                let mut total = 0u64;
-                for irs in &mut self.irss {
-                    for f in irs.take_final_outputs() {
-                        let v = f
-                            .data
-                            .downcast::<Vec<S::Out>>()
-                            .expect("merge tasks emit Vec<Out> finals");
-                        total += v.len() as u64;
-                    }
-                }
-                total
-            }
-        };
-        self.irss.clear();
-        self.outputs = Some(count);
-        self.phase = Phase::Done;
-    }
 }
 
-impl<S: AggSpec> JobDriver for TwoPhaseJob<S> {
+impl<S: AggSpec> JobDriver for ServiceJob<S> {
     fn start(&mut self, cluster: &mut Cluster) -> SimResult<()> {
-        match self.engine {
-            EngineKind::Regular => {
-                self.start_regular(cluster);
-                Ok(())
-            }
-            EngineKind::Itask => self.start_itask(cluster),
-        }
+        self.job.start(cluster)
     }
 
     fn pump(&mut self, cluster: &mut Cluster) -> SimResult<bool> {
-        // Tick this job's controllers (activation, interrupts, growth).
-        for n in 0..self.irss.len() {
-            let node = NodeId(n as u32);
-            if cluster.sim(node).is_crashed() || self.irss[n].is_idle() {
-                continue;
-            }
-            let sim = cluster.sim(node);
-            self.irss[n].tick(sim)?;
-        }
-        if !self.phase_quiesced(cluster) {
+        self.job.tick(cluster)?;
+        if !self.job.quiesced(cluster) {
             return Ok(false);
         }
-        match self.phase {
+        match self.job.phase() {
             Phase::Map => {
-                self.enter_reduce(cluster)?;
+                self.job.enter_reduce(cluster)?;
                 // A degenerate job may shuffle nothing; settle next pump.
                 Ok(false)
             }
             Phase::Reduce => {
-                self.finish();
+                self.outputs = Some(self.job.finish().len() as u64);
                 Ok(true)
             }
             Phase::Done => Ok(true),
@@ -471,21 +196,7 @@ impl<S: AggSpec> JobDriver for TwoPhaseJob<S> {
     }
 
     fn on_node_crash(&mut self, cluster: &mut Cluster, node: NodeId) -> SimResult<()> {
-        if self.phase == Phase::Done {
-            return Ok(());
-        }
-        if self.engine == EngineKind::Regular {
-            // No recovery plane: the phase's operator state died with
-            // the node (exactly like the single-job engine).
-            return Err(SimError::NodeLost { node });
-        }
-        if self.irss.is_empty() {
-            return Ok(());
-        }
-        // Re-home the dead node's queued partitions onto the survivors.
-        let live = cluster.live_nodes();
-        self.rehome_queue(cluster, node, &live, false)?;
-        Ok(())
+        self.job.on_node_crash(cluster, node)
     }
 
     fn drain_node(
@@ -494,16 +205,11 @@ impl<S: AggSpec> JobDriver for TwoPhaseJob<S> {
         node: NodeId,
         targets: &[NodeId],
     ) -> SimResult<usize> {
-        if self.phase == Phase::Done || self.engine == EngineKind::Regular {
-            // Regular jobs pin phase state to threads already running on
-            // the node; there is no queue to evacuate.
-            return Ok(0);
-        }
-        self.rehome_queue(cluster, node, targets, true)
+        self.job.drain_node(cluster, node, targets)
     }
 
     fn deflate(&mut self) {
-        for irs in &self.irss {
+        for irs in self.job.controllers() {
             irs.request_reduce(ByteSize::ZERO);
         }
     }
@@ -514,19 +220,17 @@ impl<S: AggSpec> JobDriver for TwoPhaseJob<S> {
             sim.kill_scope(self.scope);
             sim.node_mut().heap.release_scope(self.scope);
         }
-        self.irss.clear();
-        self.map_sinks.clear();
-        self.reduce_sinks.clear();
     }
 
     fn memory_signal(&self) -> MemSignal {
-        if self.irss.is_empty() {
+        let irss = self.job.controllers();
+        if irss.is_empty() {
             // Regular jobs (and phase transitions) have no monitor: the
             // trait contract is Steady, not "room to grow".
             return MemSignal::Steady;
         }
         let mut worst = MemSignal::Grow;
-        for irs in &self.irss {
+        for irs in irss {
             match irs.memory_signal() {
                 MemSignal::Reduce => return MemSignal::Reduce,
                 MemSignal::Steady => worst = MemSignal::Steady,
@@ -543,68 +247,6 @@ impl<S: AggSpec> JobDriver for TwoPhaseJob<S> {
     fn scope(&self) -> u64 {
         self.scope
     }
-}
-
-/// Runs every salvaged worker body of a crashed node through the
-/// post-mortem interrupt path (flush state, requeue remainders into the
-/// worker's own IRS queue). Job-agnostic: each [`ItaskWorker`] holds a
-/// handle to its owning controller, so salvage works before the service
-/// even knows which jobs were hit.
-pub fn salvage_crashed_workers(
-    cluster: &mut Cluster,
-    node: NodeId,
-    salvaged: Vec<Box<dyn simcluster::Work>>,
-) -> SimResult<()> {
-    let sim = cluster.sim(node);
-    let mut cx = WorkCx::detached(sim.node_mut(), SimDuration::ZERO);
-    for mut work in salvaged {
-        if let Some(any) = work.as_any_mut() {
-            if let Some(worker) = any.downcast_mut::<ItaskWorker>() {
-                worker.crash_salvage(&mut cx)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One node's phase-1 output: `(bucket, tuples)` batches.
-type BucketedFrames<T> = Vec<(u32, Vec<T>)>;
-
-/// Routes one job's bucketed phase-1 outputs to their destination
-/// nodes. Identical routing to the engine's shuffle, but instead of a
-/// cluster-wide barrier the wire time delays only the receiving nodes —
-/// other jobs' clocks are untouched.
-fn service_shuffle<T: Tuple>(
-    cluster: &mut Cluster,
-    outputs: Vec<(NodeId, BucketedFrames<T>)>,
-) -> SimResult<Vec<BTreeMap<u32, Vec<T>>>> {
-    let nodes = cluster.node_count();
-    let live = cluster.live_nodes();
-    let now = SimTime::ZERO + cluster.elapsed();
-    let mut per_node: Vec<BTreeMap<u32, Vec<T>>> = (0..nodes).map(|_| BTreeMap::new()).collect();
-    let mut dst_wire: BTreeMap<NodeId, SimDuration> = BTreeMap::new();
-    for (src, batches) in outputs {
-        let src = if live.contains(&src) {
-            src
-        } else {
-            *live.first().ok_or(SimError::NodeLost { node: src })?
-        };
-        for (bucket, tuples) in batches {
-            let dst = live[bucket as usize % live.len()];
-            let bytes = ByteSize(tuples.iter().map(Tuple::ser_bytes).sum());
-            let wire = cluster.fabric().transfer_at(src, dst, bytes, now)?;
-            let slot = dst_wire.entry(dst).or_insert(SimDuration::ZERO);
-            *slot = (*slot).max(wire);
-            per_node[dst.as_usize()]
-                .entry(bucket)
-                .or_default()
-                .extend(tuples);
-        }
-    }
-    for (dst, wire) in dst_wire {
-        cluster.sim(dst).node_mut().now += wire;
-    }
-    Ok(per_node)
 }
 
 #[cfg(test)]
@@ -638,7 +280,7 @@ mod tests {
             granularity: ByteSize::kib(8),
             buckets: 16,
         };
-        let mut job = TwoPhaseJob::new(
+        let mut job = ServiceJob::new(
             JobKind::degree_count_query(),
             EngineKind::Itask,
             1,
@@ -648,7 +290,7 @@ mod tests {
         job.start(&mut cluster).unwrap();
 
         let dead = NodeId(1);
-        let queued_before = job.irss[dead.as_usize()].queued();
+        let queued_before = job.job.controllers()[dead.as_usize()].queued();
         assert!(
             queued_before > 0,
             "offers must be queued on the doomed node"
@@ -659,9 +301,14 @@ mod tests {
         assert!(salvaged.is_empty(), "queued-only node salvages nothing");
         job.on_node_crash(&mut cluster, dead).unwrap();
 
-        assert_eq!(job.irss[dead.as_usize()].queued(), 0, "dead queue drained");
+        assert_eq!(
+            job.job.controllers()[dead.as_usize()].queued(),
+            0,
+            "dead queue drained"
+        );
         let rehomed: u64 = job
-            .irss
+            .job
+            .controllers()
             .iter()
             .map(|irs| irs.stats().crash_requeued_partitions)
             .sum();
@@ -693,7 +340,7 @@ mod tests {
             granularity: ByteSize::kib(8),
             buckets: 16,
         };
-        let mut job = TwoPhaseJob::new(
+        let mut job = ServiceJob::new(
             JobKind::degree_count_query(),
             EngineKind::Itask,
             1,
@@ -703,7 +350,7 @@ mod tests {
         job.start(&mut cluster).unwrap();
 
         let drained = NodeId(2);
-        let queued_before = job.irss[drained.as_usize()].queued();
+        let queued_before = job.job.controllers()[drained.as_usize()].queued();
         assert!(queued_before > 0, "offers must be queued on the node");
         let targets: Vec<NodeId> = cluster
             .live_nodes()
@@ -712,7 +359,7 @@ mod tests {
             .collect();
         let moved = job.drain_node(&mut cluster, drained, &targets).unwrap();
         assert_eq!(moved, queued_before, "whole queue evacuated");
-        assert_eq!(job.irss[drained.as_usize()].queued(), 0);
+        assert_eq!(job.job.controllers()[drained.as_usize()].queued(), 0);
         assert!(
             !cluster.sim(drained).is_crashed(),
             "drain must not kill the node"

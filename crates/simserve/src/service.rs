@@ -21,7 +21,7 @@ use simcore::{
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, ClusterView, QueuedJob};
-use crate::job::{salvage_crashed_workers, EngineKind, JobDriver, JobParams, TwoPhaseJob};
+use crate::job::{EngineKind, JobDriver, JobParams, ServiceJob};
 use crate::overload::{
     classify, Breaker, BreakerTransition, BrownoutState, OverloadConfig, RetryPolicy, ShedReason,
     TokenBucket,
@@ -849,7 +849,7 @@ impl Service {
             if !salvaged.is_empty() {
                 // Salvage is best-effort; jobs that lost state will
                 // fail on their own and retry.
-                let _ = salvage_crashed_workers(&mut self.cluster, node, salvaged);
+                let _ = hyracks::salvage_crashed_workers(&mut self.cluster, node, salvaged);
             }
             for job in &mut self.active {
                 if job.failure.is_some() {
@@ -1177,21 +1177,21 @@ fn build_driver(
         }
     }
     match kind {
-        JobKind::DegreeCount => Box::new(TwoPhaseJob::new(
+        JobKind::DegreeCount => Box::new(ServiceJob::new(
             JobKind::degree_count_query(),
             engine,
             scope,
             params,
             inputs,
         )),
-        JobKind::WordCount => Box::new(TwoPhaseJob::new(
+        JobKind::WordCount => Box::new(ServiceJob::new(
             apps::hyracks_apps::wc::WcSpec,
             engine,
             scope,
             params,
             inputs,
         )),
-        JobKind::LinkCollect => Box::new(TwoPhaseJob::new(
+        JobKind::LinkCollect => Box::new(ServiceJob::new(
             JobKind::link_collect_query(),
             engine,
             scope,
