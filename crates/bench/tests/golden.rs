@@ -99,41 +99,39 @@ fn golden_faults_wc() {
     );
 }
 
-/// Two stages: a traced sweep of `bin`, then `tracectl report` over the
-/// dump. The report is pure virtual-time aggregation, so its stdout is
-/// as byte-stable as the table itself.
-fn check_tracectl(bin: &str, args: &[&str], golden_name: &str) {
-    let scratch = std::env::temp_dir().join(format!(
-        "itask-golden-trace-{}-{golden_name}",
-        std::process::id()
-    ));
+/// Two stages: a sweep of `bin` dumping through `flag` (`--trace` or
+/// `--metrics`), then `ctl report` over the dump. The report is pure
+/// virtual-time aggregation, so its stdout is as byte-stable as the
+/// table itself.
+fn check_report(bin: &str, args: &[&str], flag: &str, ctl: &str, golden_name: &str) {
+    let scratch =
+        std::env::temp_dir().join(format!("itask-golden-{}-{golden_name}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let trace = scratch.join("trace.json");
+    let dump = scratch.join("dump.json");
     let out = Command::new(bin)
         .args(args)
-        .arg("--trace")
-        .arg(&trace)
+        .arg(flag)
+        .arg(&dump)
         .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
         out.status.success(),
-        "{bin} {args:?} --trace exited with {}:\n{}",
+        "{bin} {args:?} {flag} exited with {}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    check_golden(
-        env!("CARGO_BIN_EXE_tracectl"),
-        &["report", trace.to_str().expect("utf-8 scratch path")],
-        golden_name,
-    );
+    let dump = dump.to_str().expect("utf-8 scratch path");
+    check_golden(ctl, &["report", dump], golden_name);
 }
 
 #[test]
 fn golden_tracectl_faults_wc() {
-    check_tracectl(
+    check_report(
         env!("CARGO_BIN_EXE_faults"),
         &["--wc-only"],
+        "--trace",
+        env!("CARGO_BIN_EXE_tracectl"),
         "tracectl_faults_wc.txt",
     );
 }
@@ -143,38 +141,24 @@ fn golden_tracectl_faults_wc() {
 /// the same at any shard count.
 #[test]
 fn golden_tracectl_service_quick() {
-    let service = env!("CARGO_BIN_EXE_service");
-    check_tracectl(service, &["--quick"], "tracectl_service_quick.txt");
-    check_tracectl(
-        service,
-        &["--quick", "--shards", "2"],
-        "tracectl_service_quick.txt",
-    );
+    for args in [&["--quick"][..], &["--quick", "--shards", "2"]] {
+        check_report(
+            env!("CARGO_BIN_EXE_service"),
+            args,
+            "--trace",
+            env!("CARGO_BIN_EXE_tracectl"),
+            "tracectl_service_quick.txt",
+        );
+    }
 }
 
 #[test]
 fn golden_metricsctl_faults_wc() {
-    // Two stages: a metered faults sweep, then `metricsctl report` over
-    // the dump. The report is pure virtual-time aggregation, so its
-    // stdout is as byte-stable as the table itself.
-    let scratch = std::env::temp_dir().join(format!("itask-golden-metrics-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-    let metrics = scratch.join("faults_wc_metrics.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_faults"))
-        .args(["--wc-only", "--metrics"])
-        .arg(&metrics)
-        .env("ITASK_BENCH_RESULTS", &scratch)
-        .output()
-        .expect("spawn faults");
-    assert!(
-        out.status.success(),
-        "faults --wc-only --metrics exited with {}:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    check_golden(
+    check_report(
+        env!("CARGO_BIN_EXE_faults"),
+        &["--wc-only"],
+        "--metrics",
         env!("CARGO_BIN_EXE_metricsctl"),
-        &["report", metrics.to_str().expect("utf-8 scratch path")],
         "metricsctl_faults_wc.txt",
     );
 }

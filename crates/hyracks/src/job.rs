@@ -99,15 +99,6 @@ struct ItaskPlane {
     retired: Vec<Irs>,
 }
 
-impl ItaskPlane {
-    /// A fresh controller over `graph`, with its handle.
-    fn controller(&self, graph: TaskGraph) -> (Irs, itask_core::IrsHandle) {
-        let irs = Irs::new(graph, self.cfg);
-        let handle = irs.handle();
-        (irs, handle)
-    }
-}
-
 /// A two-phase job as a resumable machine. A driver calls
 /// [`start`](Self::start), advances the cluster until the job is
 /// [`quiesced`](Self::quiesced) ([`tick`](Self::tick)ing its controllers
@@ -235,7 +226,8 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
                     let mut graph = TaskGraph::new();
                     let map_f = p.factories.map.clone();
                     let map = graph.add_task("map", move || map_f());
-                    let (irs, handle) = p.controller(graph);
+                    let irs = Irs::new(graph, p.cfg);
+                    let handle = irs.handle();
                     for frame in frames {
                         offer_serialized(&handle, sim.node_mut(), map, Tag(0), frame)?;
                     }
@@ -344,7 +336,8 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
                     let merge = graph.add_mitask("merge", move || mer_f());
                     graph.connect(reduce, merge);
                     graph.connect(merge, merge);
-                    let (irs, handle) = p.controller(graph);
+                    let irs = Irs::new(graph, p.cfg);
+                    let handle = irs.handle();
                     for (bucket, frames) in framed {
                         for frame in frames {
                             let tag = Tag(bucket as u64);
