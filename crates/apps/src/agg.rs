@@ -31,7 +31,7 @@ pub trait MergeableTuple: Tuple + Clone {
 }
 
 /// One application's aggregation semantics.
-pub trait AggSpec: Clone + Send + 'static {
+pub trait AggSpec: Clone + 'static {
     /// Input record type.
     type In: Tuple + Clone;
     /// Shuffled/accumulated tuple type.

@@ -271,110 +271,10 @@ fn bench_service(c: &mut Criterion) {
     });
 }
 
-/// A fixed-cost compute body for round-loop benchmarks.
-struct Spin {
-    rounds: u64,
-}
-
-impl simcluster::Work for Spin {
-    fn step(&mut self, cx: &mut simcluster::WorkCx<'_>) -> simcluster::StepOutcome {
-        if self.rounds == 0 {
-            return simcluster::StepOutcome::Finished;
-        }
-        self.rounds -= 1;
-        let left = cx.remaining();
-        cx.charge(left);
-        simcluster::StepOutcome::Ran
-    }
-
-    fn label(&self) -> String {
-        "spin".into()
-    }
-}
-
-fn spin_cluster(nodes: usize, threads: usize, rounds: u64) -> simcluster::Cluster {
-    let mut cluster = simcluster::Cluster::new(simcluster::ClusterConfig {
-        nodes,
-        cores: 4,
-        heap_per_node: ByteSize::mib(64),
-        ..simcluster::ClusterConfig::default()
-    });
-    for n in 0..nodes {
-        let sim = cluster.sim(NodeId(n as u32));
-        for _ in 0..threads {
-            sim.spawn(Box::new(Spin { rounds }));
-        }
-    }
-    cluster
-}
-
-fn bench_shard(c: &mut Criterion) {
-    use simcluster::ShardExecutor;
-
-    // The serial (inline) round loop: the pre-shard hot path that the
-    // `--shards 1` default must not regress.
-    c.bench_function("shard/serial_round_loop_8n", |b| {
-        b.iter(|| {
-            let mut cluster = spin_cluster(8, 4, 50);
-            let mut exec = ShardExecutor::with_shards(1);
-            let nodes: Vec<NodeId> = (0..8).map(|n| NodeId(n as u32)).collect();
-            loop {
-                let live: Vec<NodeId> = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| cluster.sim(n).live_count() > 0)
-                    .collect();
-                if live.is_empty() {
-                    break;
-                }
-                black_box(exec.run_round(&mut cluster, &live, true).aborted);
-            }
-            black_box(cluster.elapsed());
-        });
-    });
-
-    // The pooled path: per-round cost of shipping nodes to the worker
-    // pool, the barrier, and the deterministic merge-back. On a 1-core
-    // host this measures pure overhead versus the serial loop above.
-    for shards in [2usize, 4] {
-        c.bench_function(&format!("shard/pooled_round_loop_8n_{shards}s"), |b| {
-            b.iter(|| {
-                let mut cluster = spin_cluster(8, 4, 50);
-                let mut exec = ShardExecutor::with_shards(shards);
-                let nodes: Vec<NodeId> = (0..8).map(|n| NodeId(n as u32)).collect();
-                loop {
-                    let live: Vec<NodeId> = nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| cluster.sim(n).live_count() > 0)
-                        .collect();
-                    if live.is_empty() {
-                        break;
-                    }
-                    black_box(exec.run_round(&mut cluster, &live, true).aborted);
-                }
-                black_box(cluster.elapsed());
-            });
-        });
-    }
-
-    // Barrier + merge in isolation: single-round dispatches over nodes
-    // whose threads never finish, so every iteration pays exactly one
-    // ship/run/merge cycle per node.
-    c.bench_function("shard/barrier_merge_2s_8n", |b| {
-        let mut cluster = spin_cluster(8, 1, u64::MAX);
-        let mut exec = ShardExecutor::with_shards(2);
-        let nodes: Vec<NodeId> = (0..8).map(|n| NodeId(n as u32)).collect();
-        b.iter(|| {
-            black_box(exec.run_round(&mut cluster, &nodes, false).reports.len());
-        });
-    });
-}
-
 /// Host cost of one committed log entry: propose, price the RPCs, stage
 /// and deliver the commands, apply on every replica, collect the acks,
 /// commit. Same regime as `smr_log` in `BENCHMARK.json` (64 B entries,
-/// 92% live/heap, serial executor), one fifth the log.
+/// 92% live/heap), one fifth the log.
 fn bench_smr(c: &mut Criterion) {
     use simsmr::{RuntimeMode, SmrConfig};
 
@@ -382,7 +282,6 @@ fn bench_smr(c: &mut Criterion) {
     let mut cfg = SmrConfig::new(3, RuntimeMode::Itask);
     cfg.entries = ENTRIES;
     cfg.payload = ByteSize(64);
-    cfg.shards = 1;
     let cfg = cfg.with_pressure(92);
     let mut g = c.benchmark_group("smr");
     g.sample_size(10);
@@ -423,7 +322,6 @@ criterion_group!(
     bench_generators,
     bench_irs,
     bench_service,
-    bench_shard,
     bench_smr,
     bench_end_to_end
 );

@@ -106,32 +106,13 @@ fn render(
 }
 
 fn main() {
-    let h = sweep::harness();
+    let mut h = sweep::harness();
     let jobs = h.jobs;
-    let args = h.args.clone();
-    let csv: Option<String> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned());
+    // `--csv <dir>`: also write one machine-readable file per program.
+    let csv = h.value("--csv");
     let csv = csv.as_deref();
-    let want = |p: &str| {
-        let mut skip_next = false;
-        let progs: Vec<&String> = args
-            .iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if a.as_str() == "--csv" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect();
-        progs.is_empty() || progs.iter().any(|a| a.as_str() == p)
-    };
+    let args = h.args.clone();
+    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
     let webmap: Vec<WebmapSize> = {
         let mut v = WebmapSize::ALL.to_vec();
         v.reverse();

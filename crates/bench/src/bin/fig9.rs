@@ -74,32 +74,11 @@ fn main() {
     let mut h = sweep::harness();
     let jobs = h.jobs;
     let quick = h.flag("--quick");
-    let args = h.args.clone();
     // `--csv <dir>`: also write one machine-readable file per program.
-    let csv: Option<String> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1).cloned());
+    let csv = h.value("--csv");
     let csv = csv.as_deref();
-    let want = |p: &str| {
-        let progs: Vec<&String> = {
-            let mut skip_next = false;
-            args.iter()
-                .filter(|a| {
-                    if skip_next {
-                        skip_next = false;
-                        return false;
-                    }
-                    if a.as_str() == "--csv" {
-                        skip_next = true;
-                        return false;
-                    }
-                    !a.starts_with("--")
-                })
-                .collect()
-        };
-        progs.is_empty() || progs.iter().any(|a| a.as_str() == p)
-    };
+    let args = h.args.clone();
+    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
     // Smallest-first so partial output is useful.
     let webmap: Vec<WebmapSize> = {
         let mut v = WebmapSize::ALL.to_vec();

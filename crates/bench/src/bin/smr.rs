@@ -13,9 +13,8 @@
 //! the election-aware variant additionally prices the leader's next
 //! full collection against the election timeout every round.
 //!
-//! Usage: `smr [--jobs N] [--shards N] [--quick] [--trace PATH]`.
-//! Output is deterministic and byte-identical at any `--jobs` or
-//! `--shards` value.
+//! Usage: `smr [--jobs N] [--quick] [--trace PATH]`.
+//! Output is deterministic and byte-identical at any `--jobs` value.
 
 use itask_bench::sweep::{self, SweepLog};
 use itask_bench::{cols, print_table};

@@ -95,10 +95,7 @@ fn main() {
     let jobs = h.jobs;
     let quick = h.flag("--quick");
     let args = h.args.clone();
-    let want = |p: &str| {
-        let progs: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-        progs.is_empty() || progs.iter().any(|a| a.as_str() == p)
-    };
+    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
     let grans: Vec<u64> = if quick {
         vec![16, 32]
     } else {

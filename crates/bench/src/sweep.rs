@@ -87,105 +87,48 @@ pub fn env_jobs_default(val: Option<&str>) -> usize {
     }
 }
 
+/// Extracts every `<name> V` / `<name>=V` from an argument list
+/// (mutating it), returning the last value given. Exits with an error
+/// message when the flag is the final argument and has no value.
+pub fn take_value(args: &mut Vec<String>, name: &str) -> Option<String> {
+    let mut value = None;
+    let mut i = 0;
+    while i < args.len() {
+        if args[i] == name {
+            if i + 1 >= args.len() {
+                eprintln!("{name} requires a value");
+                std::process::exit(2);
+            }
+            value = Some(args.remove(i + 1));
+            args.remove(i);
+        } else if let Some(v) = args[i]
+            .strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix('='))
+        {
+            value = Some(v.to_string());
+            args.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    value
+}
+
 /// Extracts `--jobs N` / `--jobs=N` from an argument list (mutating
 /// it), returning the requested worker count (`0` = auto). With no flag
 /// present, falls back to the `ITASK_BENCH_JOBS` environment variable.
 /// Exits with an error message on a malformed flag value.
 pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
-    let mut jobs = env_jobs_default(std::env::var("ITASK_BENCH_JOBS").ok().as_deref());
-    let mut i = 0;
-    while i < args.len() {
-        let (hit, value) = if args[i] == "--jobs" {
-            if i + 1 >= args.len() {
-                eprintln!("--jobs requires a value");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            (true, v)
-        } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            let v = v.to_string();
-            args.remove(i);
-            (true, v)
-        } else {
-            (false, String::new())
-        };
-        if hit {
-            match value.parse::<usize>() {
-                Ok(n) if n > 0 => jobs = n,
-                _ => {
-                    eprintln!("invalid --jobs value: {value}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            i += 1;
+    let Some(value) = take_value(args, "--jobs") else {
+        return env_jobs_default(std::env::var("ITASK_BENCH_JOBS").ok().as_deref());
+    };
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("invalid --jobs value: {value}");
+            std::process::exit(2);
         }
     }
-    jobs
-}
-
-/// Default shard count from an `ITASK_BENCH_SHARDS` environment value
-/// (1 = serial). `None`, empty, zero, or unparsable values fall back to
-/// `1` — with a stderr warning when a value was present but bad.
-pub fn env_shards_default(val: Option<&str>) -> usize {
-    match val {
-        None => 1,
-        Some(v) if v.trim().is_empty() => 1,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("ignoring invalid ITASK_BENCH_SHARDS value: {v}");
-                1
-            }
-        },
-    }
-}
-
-/// Extracts `--shards N` / `--shards=N` from an argument list (mutating
-/// it) and installs the count as the process-wide default via
-/// [`simcluster::set_shards`]. With no flag present, falls back to the
-/// `ITASK_BENCH_SHARDS` environment variable (default 1 = serial).
-/// Exits with an error message on a malformed flag value.
-///
-/// Shards split the *cluster engine* — node simulators advance in
-/// lockstep rounds across a fixed worker pool — and are orthogonal to
-/// `--jobs` (which parallelizes whole sweep configurations). Stdout,
-/// traces, and profiler counters are byte-identical at any shard
-/// count.
-pub fn take_shards_flag(args: &mut Vec<String>) -> usize {
-    let mut shards = env_shards_default(std::env::var("ITASK_BENCH_SHARDS").ok().as_deref());
-    let mut i = 0;
-    while i < args.len() {
-        let (hit, value) = if args[i] == "--shards" {
-            if i + 1 >= args.len() {
-                eprintln!("--shards requires a value");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            (true, v)
-        } else if let Some(v) = args[i].strip_prefix("--shards=") {
-            let v = v.to_string();
-            args.remove(i);
-            (true, v)
-        } else {
-            (false, String::new())
-        };
-        if hit {
-            match value.parse::<usize>() {
-                Ok(n) if n > 0 => shards = n,
-                _ => {
-                    eprintln!("invalid --shards value: {value}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-    simcluster::set_shards(shards);
-    shards
 }
 
 /// Extracts `--profile` from an argument list (mutating it). When the
@@ -224,25 +167,7 @@ pub fn take_profile_flag(args: &mut Vec<String>) -> bool {
 /// with and without `--trace`, and the trace files themselves are
 /// byte-identical at any `--jobs`.
 pub fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
-    let mut path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--trace" {
-            if i + 1 >= args.len() {
-                eprintln!("--trace requires a path");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            path = Some(v);
-        } else if let Some(v) = args[i].strip_prefix("--trace=") {
-            let v = v.to_string();
-            args.remove(i);
-            path = Some(v);
-        } else {
-            i += 1;
-        }
-    }
+    let path = take_value(args, "--trace");
     if path.is_some() {
         tracer::enable();
     }
@@ -259,50 +184,17 @@ pub fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
 ///
 /// Stdout is untouched: the deterministic tables stay byte-identical
 /// with and without `--metrics`, and the dumps themselves are
-/// byte-identical at any `--jobs` or `--shards`.
+/// byte-identical at any `--jobs`.
 pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
-    let mut path: Option<String> = None;
-    let mut cadence_ms: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--metrics" {
-            if i + 1 >= args.len() {
-                eprintln!("--metrics requires a path");
+    let path = take_value(args, "--metrics");
+    let cadence_ms =
+        take_value(args, "--metrics-cadence-ms").map(|value| match value.parse::<u64>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("invalid --metrics-cadence-ms value: {value}");
                 std::process::exit(2);
             }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            path = Some(v);
-        } else if let Some(v) = args[i].strip_prefix("--metrics=") {
-            let v = v.to_string();
-            args.remove(i);
-            path = Some(v);
-        } else if args[i] == "--metrics-cadence-ms" || args[i].starts_with("--metrics-cadence-ms=")
-        {
-            let value = if args[i] == "--metrics-cadence-ms" {
-                if i + 1 >= args.len() {
-                    eprintln!("--metrics-cadence-ms requires a value");
-                    std::process::exit(2);
-                }
-                let v = args.remove(i + 1);
-                args.remove(i);
-                v
-            } else {
-                let v = args[i]["--metrics-cadence-ms=".len()..].to_string();
-                args.remove(i);
-                v
-            };
-            match value.parse::<u64>() {
-                Ok(n) if n > 0 => cadence_ms = Some(n),
-                _ => {
-                    eprintln!("invalid --metrics-cadence-ms value: {value}");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
+        });
     if path.is_some() {
         if let Some(ms) = cadence_ms {
             metrics::set_cadence_ns(ms.saturating_mul(1_000_000));
@@ -314,13 +206,14 @@ pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
 
 /// The shared flag surface of every bench binary, parsed in one call.
 ///
-/// [`harness`] consumes the common flags — `--jobs`, `--shards`,
-/// `--profile`, `--trace`, `--metrics`, `--metrics-cadence-ms` — with
-/// identical semantics everywhere (arming the profiler, tracer, and
-/// metrics registry as a side effect, exactly like the individual
-/// `take_*_flag` helpers). Binary-specific boolean flags come off with
-/// [`Harness::flag`]; whatever remains is positional. [`Harness::log`]
-/// then builds a [`SweepLog`] with the trace and metrics sinks already
+/// [`harness`] consumes the common flags — `--jobs`, `--profile`,
+/// `--trace`, `--metrics`, `--metrics-cadence-ms` — with identical
+/// semantics everywhere (arming the profiler, tracer, and metrics
+/// registry as a side effect, exactly like the individual
+/// `take_*_flag` helpers). Binary-specific flags come off with
+/// [`Harness::flag`] and [`Harness::value`]; whatever remains is
+/// positional. [`Harness::log`] then rejects any flag nobody consumed
+/// and builds a [`SweepLog`] with the trace and metrics sinks already
 /// attached, so `--trace`, `--profile`, and `--metrics` compose on
 /// every binary without per-binary plumbing.
 pub struct Harness {
@@ -328,14 +221,15 @@ pub struct Harness {
     pub args: Vec<String>,
     /// Resolved `--jobs` (0 = auto).
     pub jobs: usize,
-    /// Resolved `--shards` (already installed process-wide).
-    pub shards: usize,
     /// Whether `--profile` armed the profiler.
     pub profile: bool,
     /// The `--trace` path, if any (tracer already armed).
     pub trace: Option<String>,
     /// The `--metrics` path, if any (registry already armed).
     pub metrics: Option<String>,
+    /// Binary-specific flags asked for so far, as the usage line shows
+    /// them.
+    known: Vec<String>,
 }
 
 /// Parses the process arguments into a [`Harness`].
@@ -347,17 +241,16 @@ pub fn harness() -> Harness {
 /// Flag-parsing core of [`harness`], testable on a plain argument list.
 pub fn parse_harness(args: &mut Vec<String>) -> Harness {
     let jobs = take_jobs_flag(args);
-    let shards = take_shards_flag(args);
     let profile = take_profile_flag(args);
     let trace = take_trace_flag(args);
     let metrics = take_metrics_flag(args);
     Harness {
         args: std::mem::take(args),
         jobs,
-        shards,
         profile,
         trace,
         metrics,
+        known: Vec::new(),
     }
 }
 
@@ -365,15 +258,52 @@ impl Harness {
     /// Consumes a binary-specific boolean flag (e.g. `--quick`),
     /// returning whether it was present.
     pub fn flag(&mut self, name: &str) -> bool {
+        self.known.push(name.to_string());
         let before = self.args.len();
         self.args.retain(|a| a != name);
         self.args.len() != before
     }
 
+    /// Consumes a binary-specific value flag (`--csv DIR` / `--csv=DIR`).
+    pub fn value(&mut self, name: &str) -> Option<String> {
+        self.known.push(format!("{name} V"));
+        take_value(&mut self.args, name)
+    }
+
+    /// The first `--…` argument no [`flag`](Self::flag) or
+    /// [`value`](Self::value) call consumed.
+    fn leftover_flag(&self) -> Option<&str> {
+        let mut rest = self.args.iter().map(String::as_str);
+        rest.find(|a| a.starts_with("--"))
+    }
+
+    /// One-line usage: the common flags, then this binary's own.
+    fn usage(&self, bin: &str) -> String {
+        let mut line = format!(
+            "usage: {bin} [--jobs N] [--profile] [--trace PATH] [--metrics PATH] \
+             [--metrics-cadence-ms N]"
+        );
+        for flag in &self.known {
+            line.push_str(&format!(" [{flag}]"));
+        }
+        line.push_str(" [ARGS...]");
+        line
+    }
+
     /// Builds the binary's [`SweepLog`] with the trace and metrics
-    /// sinks attached. Call after any flags that pick the log name
-    /// (e.g. `service` vs `service-scale`).
+    /// sinks attached. Call after every [`flag`](Self::flag) and
+    /// [`value`](Self::value): a `--…` argument still present is
+    /// unknown and exits 2 with the usage line (`--help` prints it and
+    /// exits 0), so a typo never launches a sweep.
     pub fn log(&self, bin: &str) -> SweepLog {
+        if let Some(flag) = self.leftover_flag() {
+            if flag == "--help" {
+                println!("{}", self.usage(bin));
+                std::process::exit(0);
+            }
+            eprintln!("{bin}: unknown flag {flag}\n{}", self.usage(bin));
+            std::process::exit(2);
+        }
         let mut log = SweepLog::new(bin, self.jobs);
         log.set_trace(self.trace.clone());
         log.set_metrics(self.metrics.clone());
@@ -440,11 +370,11 @@ pub fn run_all<'a, R: Send>(jobs: usize, specs: Vec<RunSpec<'a, R>>) -> Vec<RunO
 }
 
 /// Splits one run's harvested event stream into its trace and metrics
-/// views. Metric ops ride the tracer's buffers (that is what makes them
-/// deterministic under sharding and speculation), so with both planes
-/// armed the harvest interleaves them; each consumer only sees its own
-/// events. The fold runs here — on the sweep worker — so `--jobs`
-/// parallelism covers it.
+/// views. Metric ops ride the tracer's buffers (that is what gives them
+/// deterministic ids and merge order), so with both planes armed the
+/// harvest interleaves them; each consumer only sees its own events.
+/// The fold runs here — on the sweep worker — so `--jobs` parallelism
+/// covers it.
 fn split_harvest(
     harvest: Option<tracer::RunTrace>,
 ) -> (Option<tracer::RunTrace>, Option<metrics::RunMetrics>) {
@@ -991,21 +921,35 @@ mod tests {
 
     #[test]
     fn harness_takes_common_and_custom_flags() {
-        let mut args = vec![
-            "--jobs=2".to_string(),
-            "--quick".into(),
-            "wc".into(),
-            "--shards=1".into(),
-        ];
+        let mut args = vec!["--jobs=2".to_string(), "--quick".into(), "wc".into()];
         let mut h = parse_harness(&mut args);
         assert_eq!(h.jobs, 2);
-        assert_eq!(h.shards, 1);
         assert!(!h.profile);
         assert_eq!(h.trace, None);
         assert_eq!(h.metrics, None);
         assert!(h.flag("--quick"));
         assert!(!h.flag("--quick"), "flag consumed on first take");
         assert_eq!(h.args, vec!["wc".to_string()]);
+        assert_eq!(h.leftover_flag(), None);
+    }
+
+    #[test]
+    fn harness_reports_flags_nobody_consumed() {
+        // A stale `--shards 2` must not decay into a positional `2`.
+        for stale in [&["--shards", "2"][..], &["--no-such-flag"], &["--help"]] {
+            let mut args = vec!["--quick".to_string(), "wc".into(), "--csv=out".into()];
+            args.extend(stale.iter().map(|a| a.to_string()));
+            let mut h = parse_harness(&mut args);
+            assert!(h.flag("--quick"));
+            assert_eq!(h.value("--csv").as_deref(), Some("out"));
+            assert_eq!(h.leftover_flag(), Some(stale[0]));
+        }
+        let mut h = parse_harness(&mut vec!["wc".to_string()]);
+        assert!(!h.flag("--quick") && h.value("--csv").is_none());
+        assert_eq!(h.leftover_flag(), None);
+        let usage = h.usage("fig9");
+        assert!(usage.starts_with("usage: fig9 [--jobs N]"), "{usage}");
+        assert!(usage.ends_with("[--quick] [--csv V] [ARGS...]"), "{usage}");
     }
 
     #[test]

@@ -846,7 +846,7 @@ fn esc(s: &str) -> String {
 ///
 /// Output is deterministic: events are walked in the trace's canonical
 /// merged order and timestamps are virtual nanoseconds, so the bytes
-/// are identical across hosts, `--jobs`, and `--shards`.
+/// are identical across hosts and `--jobs`.
 pub fn perfetto(runs: &[TraceRun]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;

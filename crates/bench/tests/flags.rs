@@ -1,0 +1,57 @@
+//! Every harness binary rejects a flag nobody consumes — exit 2, the
+//! flag named on stderr, nothing on stdout — before it runs anything.
+//! `--shards` was a flag once: a stale `--shards 2` must fail the same
+//! way, not turn into a positional `2` that selects no program.
+
+use std::process::Command;
+
+const HARNESS_BINS: [(&str, &str); 16] = [
+    ("ablation", env!("CARGO_BIN_EXE_ablation")),
+    ("faults", env!("CARGO_BIN_EXE_faults")),
+    ("fig3", env!("CARGO_BIN_EXE_fig3")),
+    ("fig9", env!("CARGO_BIN_EXE_fig9")),
+    ("fig10", env!("CARGO_BIN_EXE_fig10")),
+    ("fig11", env!("CARGO_BIN_EXE_fig11")),
+    ("overload", env!("CARGO_BIN_EXE_overload")),
+    ("service", env!("CARGO_BIN_EXE_service")),
+    ("smr", env!("CARGO_BIN_EXE_smr")),
+    ("survival13", env!("CARGO_BIN_EXE_survival13")),
+    ("table1", env!("CARGO_BIN_EXE_table1")),
+    ("table2", env!("CARGO_BIN_EXE_table2")),
+    ("table3", env!("CARGO_BIN_EXE_table3")),
+    ("table4", env!("CARGO_BIN_EXE_table4")),
+    ("table5", env!("CARGO_BIN_EXE_table5")),
+    ("table6", env!("CARGO_BIN_EXE_table6")),
+];
+
+#[test]
+fn unknown_flags_exit_2_on_every_harness_binary() {
+    let scratch = std::env::temp_dir().join(format!("itask-flags-{}", std::process::id()));
+    for (name, bin) in HARNESS_BINS {
+        for args in [&["--no-such-flag"][..], &["--shards", "2"]] {
+            let out = Command::new(bin)
+                .args(args)
+                .env("ITASK_BENCH_RESULTS", &scratch)
+                .output()
+                .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?} printed a table");
+            let want = format!("{name}: unknown flag {}", args[0]);
+            assert!(stderr.starts_with(&want), "{name} {args:?}: {stderr}");
+            assert!(stderr.contains(&format!("usage: {name} [--jobs N]")));
+        }
+    }
+}
+
+#[test]
+fn help_prints_usage_and_exits_0() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table5"))
+        .arg("--help")
+        .output()
+        .expect("spawn table5");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("usage: table5 [--jobs N]"), "{stdout}");
+    assert!(stdout.contains("[--quick]"), "{stdout}");
+}

@@ -137,19 +137,16 @@ fn golden_tracectl_faults_wc() {
 }
 
 /// Service runs carry the engine's `shuffle` span and `frame` event —
-/// they ride the same pipeline as the batch tables — and the dump is
-/// the same at any shard count.
+/// they ride the same pipeline as the batch tables.
 #[test]
 fn golden_tracectl_service_quick() {
-    for args in [&["--quick"][..], &["--quick", "--shards", "2"]] {
-        check_report(
-            env!("CARGO_BIN_EXE_service"),
-            args,
-            "--trace",
-            env!("CARGO_BIN_EXE_tracectl"),
-            "tracectl_service_quick.txt",
-        );
-    }
+    check_report(
+        env!("CARGO_BIN_EXE_service"),
+        &["--quick"],
+        "--trace",
+        env!("CARGO_BIN_EXE_tracectl"),
+        "tracectl_service_quick.txt",
+    );
 }
 
 #[test]
@@ -186,69 +183,8 @@ fn golden_service_scale_quick() {
 }
 
 #[test]
-fn golden_service_scale_quick_shards2() {
-    check_golden(
-        env!("CARGO_BIN_EXE_service"),
-        &["--scale", "--quick", "--shards", "2"],
-        "service_scale_quick.txt",
-    );
-}
-
-#[test]
 fn golden_smr_quick() {
     check_golden(env!("CARGO_BIN_EXE_smr"), &["--quick"], "smr_quick.txt");
-}
-
-// The same snapshots re-checked on the pooled two-shard executor: the
-// shard count must be unobservable in every golden surface.
-
-#[test]
-fn golden_service_quick_shards2() {
-    check_golden(
-        env!("CARGO_BIN_EXE_service"),
-        &["--quick", "--shards", "2"],
-        "service_quick.txt",
-    );
-}
-
-#[test]
-fn golden_faults_wc_shards2() {
-    check_golden(
-        env!("CARGO_BIN_EXE_faults"),
-        &["--wc-only", "--shards", "2"],
-        "faults_wc.txt",
-    );
-}
-
-#[test]
-fn golden_overload_quick_shards2() {
-    check_golden(
-        env!("CARGO_BIN_EXE_overload"),
-        &["--quick", "--shards", "2"],
-        "overload_quick.txt",
-    );
-}
-
-#[test]
-fn golden_smr_quick_shards2() {
-    check_golden(
-        env!("CARGO_BIN_EXE_smr"),
-        &["--quick", "--shards", "2"],
-        "smr_quick.txt",
-    );
-}
-
-#[test]
-fn golden_table5_quick_wc_shards2() {
-    if cfg!(debug_assertions) {
-        eprintln!("skipping table5 golden in debug mode; run with --release to cover it");
-        return;
-    }
-    check_golden(
-        env!("CARGO_BIN_EXE_table5"),
-        &["--quick", "wc", "--shards", "2"],
-        "table5_quick_wc.txt",
-    );
 }
 
 #[test]
@@ -268,14 +204,14 @@ fn golden_table5_quick_wc() {
 
 // The two timeline figures compute their stdout from the trace stream,
 // so the harvest's merge order is on the golden surface: the snapshot
-// must hold at the default, serially, and on the pooled executor.
+// must hold at the default and serially.
 fn check_figure(bin: &str, golden_name: &str) {
     // ~2-4s per run in release, 10-20s in debug.
     if cfg!(debug_assertions) {
         eprintln!("skipping {golden_name} golden in debug mode; run with --release to cover it");
         return;
     }
-    for args in [&[][..], &["--jobs", "1"], &["--shards", "2"]] {
+    for args in [&[][..], &["--jobs", "1"]] {
         check_golden(bin, args, golden_name);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The `--metrics` dump rides the tracer's merged event stream, so it
 //! is part of the deterministic surface: JSONL and OpenMetrics bytes
-//! must be identical whatever `--jobs` or `--shards` is, and the GC
+//! must be identical whatever `--jobs` is, and the GC
 //! pause accounting must agree exactly with the profiler's GC vtime
 //! and the tracer's GC span durations — three instruments, one number.
 
@@ -21,19 +21,18 @@ struct Artifacts {
 }
 
 /// Runs `bin args --metrics <scratch>/metrics.jsonl` (plus `--jobs`,
-/// `--shards`, `--trace`, `--profile` as requested) and collects every
-/// artifact it wrote.
+/// `--trace`, `--profile` as requested) and collects every artifact it
+/// wrote.
 fn metered_run(
     bin: &str,
     args: &[&str],
     jobs: usize,
-    shards: usize,
     trace: bool,
     profile: bool,
     tag: &str,
 ) -> Artifacts {
     let scratch = std::env::temp_dir().join(format!(
-        "itask-metrics-{}-{tag}-j{jobs}-s{shards}",
+        "itask-metrics-{}-{tag}-j{jobs}",
         std::process::id()
     ));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
@@ -43,8 +42,6 @@ fn metered_run(
     cmd.args(args)
         .arg("--jobs")
         .arg(jobs.to_string())
-        .arg("--shards")
-        .arg(shards.to_string())
         .arg("--metrics")
         .arg(&metrics)
         .env("ITASK_BENCH_RESULTS", &scratch);
@@ -59,7 +56,7 @@ fn metered_run(
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
         out.status.success(),
-        "{bin} {args:?} --jobs {jobs} --shards {shards} exited with {}:\n{}",
+        "{bin} {args:?} --jobs {jobs} exited with {}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -75,12 +72,11 @@ fn metered_run(
     }
 }
 
-/// The dump must be byte-identical at `--jobs 1` vs `--jobs 4` and at
-/// `--shards 1` vs `--shards 4`.
+/// The dump must be byte-identical at `--jobs 1` vs `--jobs 4`.
 fn assert_metrics_invariant(bin: &str, args: &[&str], tag: &str) {
-    let base = metered_run(bin, args, 1, 1, false, false, tag);
+    let base = metered_run(bin, args, 1, false, false, tag);
     assert!(!base.jsonl.is_empty(), "{tag}: metrics dump is empty");
-    let jobs4 = metered_run(bin, args, 4, 1, false, false, tag);
+    let jobs4 = metered_run(bin, args, 4, false, false, tag);
     assert!(
         base.jsonl == jobs4.jsonl,
         "{tag}: metrics jsonl differs between --jobs 1 and --jobs 4"
@@ -88,15 +84,6 @@ fn assert_metrics_invariant(bin: &str, args: &[&str], tag: &str) {
     assert!(
         base.om == jobs4.om,
         "{tag}: openmetrics snapshot differs between --jobs 1 and --jobs 4"
-    );
-    let shards4 = metered_run(bin, args, 1, 4, false, false, tag);
-    assert!(
-        base.jsonl == shards4.jsonl,
-        "{tag}: metrics jsonl differs between --shards 1 and --shards 4"
-    );
-    assert!(
-        base.om == shards4.om,
-        "{tag}: openmetrics snapshot differs between --shards 1 and --shards 4"
     );
 }
 
@@ -133,7 +120,6 @@ fn metrics_dump_schema_and_coverage() {
         env!("CARGO_BIN_EXE_service"),
         &["--quick"],
         2,
-        1,
         false,
         false,
         "schema",
@@ -179,7 +165,6 @@ fn gc_pause_metric_matches_profiler_and_trace() {
         env!("CARGO_BIN_EXE_faults"),
         &["--wc-only"],
         2,
-        1,
         true,
         true,
         "crosscheck",
@@ -242,7 +227,6 @@ fn metrics_compose_with_trace_and_profile() {
         env!("CARGO_BIN_EXE_service"),
         &["--quick"],
         2,
-        1,
         false,
         false,
         "solo",
@@ -251,7 +235,6 @@ fn metrics_compose_with_trace_and_profile() {
         env!("CARGO_BIN_EXE_service"),
         &["--quick"],
         2,
-        1,
         true,
         true,
         "composed",

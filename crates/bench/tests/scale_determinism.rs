@@ -1,32 +1,25 @@
 //! Scale-mode determinism: `--scale` output is byte-identical at any
 //! host parallelism.
 //!
-//! The million-tenant admission plane adds two new parallel paths on
-//! top of the PR 7 shard executor: per-shard admission decisions fan
-//! out across `run_parts`, and per-shard quantile sketches merge in
-//! shard order. Neither may be observable — `service --scale --quick`
-//! must emit the same bytes under `--jobs 1` vs `--jobs 4` (sweep-level
-//! parallelism) and `--shards 1` vs `--shards 4` (node-round and
-//! admission-fan-out parallelism).
+//! `service --scale --quick` must emit the same bytes under `--jobs 1`
+//! vs `--jobs 4`: its runs share nothing but the process-global arming
+//! flags, and per-shard quantile sketches merge in shard order.
 
 use std::process::Command;
 
-/// Runs `service --scale --quick` with the given flag pair and returns
-/// stdout.
-fn run_scale(flag: &str, value: usize, tag: &str) -> Vec<u8> {
-    let scratch = std::env::temp_dir().join(format!(
-        "itask-scale-det-{}-{tag}-{value}",
-        std::process::id()
-    ));
+/// Runs `service --scale --quick --jobs <jobs>` and returns stdout.
+fn run_scale(jobs: usize) -> Vec<u8> {
+    let scratch =
+        std::env::temp_dir().join(format!("itask-scale-det-{}-{jobs}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_service"))
-        .args(["--scale", "--quick", flag, &value.to_string()])
+        .args(["--scale", "--quick", "--jobs", &jobs.to_string()])
         .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .expect("spawn service --scale");
     assert!(
         out.status.success(),
-        "service --scale --quick {flag} {value} exited with {}:\n{}",
+        "service --scale --quick --jobs {jobs} exited with {}:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -35,20 +28,10 @@ fn run_scale(flag: &str, value: usize, tag: &str) -> Vec<u8> {
 
 #[test]
 fn scale_stdout_is_jobs_invariant() {
-    let j1 = run_scale("--jobs", 1, "jobs");
-    let j4 = run_scale("--jobs", 4, "jobs");
+    let j1 = run_scale(1);
+    let j4 = run_scale(4);
     assert!(
         j1 == j4,
         "service --scale stdout differs between --jobs 1 and --jobs 4"
-    );
-}
-
-#[test]
-fn scale_stdout_is_shards_invariant() {
-    let s1 = run_scale("--shards", 1, "shards");
-    let s4 = run_scale("--shards", 4, "shards");
-    assert!(
-        s1 == s4,
-        "service --scale stdout differs between --shards 1 and --shards 4"
     );
 }

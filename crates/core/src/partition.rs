@@ -92,7 +92,7 @@ impl PartitionMeta {
 /// Concrete payload access happens in the typed task layer via
 /// [`Partition::as_any_mut`] downcasts; the runtime itself only reads and
 /// updates [`PartitionMeta`].
-pub trait Partition: Any + Send {
+pub trait Partition: Any {
     /// Shared metadata.
     fn meta(&self) -> &PartitionMeta;
     /// Mutable metadata (the runtime advances cursors, flips states).
@@ -115,7 +115,7 @@ pub type PartitionBox = Box<dyn Partition>;
 ///
 /// Blanket-implemented for every [`simcore::HeapSized`] type (workload
 /// records); implement it directly only for ad-hoc tuple types.
-pub trait Tuple: Send + 'static {
+pub trait Tuple: 'static {
     /// Bytes this tuple occupies as a Java-style object graph.
     fn heap_bytes(&self) -> u64;
 
@@ -126,7 +126,7 @@ pub trait Tuple: Send + 'static {
     }
 }
 
-impl<T: simcore::HeapSized + Send + 'static> Tuple for T {
+impl<T: simcore::HeapSized + 'static> Tuple for T {
     fn heap_bytes(&self) -> u64 {
         simcore::HeapSized::heap_bytes(self)
     }

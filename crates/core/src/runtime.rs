@@ -15,9 +15,9 @@
 //!   node's core count.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use simcluster::NodeSim;
 use simcore::tracer::{self, EventId, TraceData};
@@ -40,7 +40,7 @@ pub struct FinalOutput {
     /// The task that produced it.
     pub from: TaskId,
     /// The payload (framework-interpreted).
-    pub data: Box<dyn Any + Send>,
+    pub data: Box<dyn Any>,
     /// Heap bytes it occupied on the producing node (already released).
     pub mem_bytes: ByteSize,
     /// Serialized size (what shuffling it costs).
@@ -160,18 +160,16 @@ impl IrsShared {
     }
 }
 
-/// Cloneable handle to the shared IRS state. The controller (driver
-/// thread, between rounds) and the node's worker threads (possibly on a
-/// shard thread, during rounds) alias it at disjoint times, so an
-/// uncontended `Arc<Mutex>` replaces the old `Rc<RefCell>` — same
-/// discipline, `Send`able.
+/// Cloneable handle to the shared IRS state. The controller (between
+/// rounds) and the node's workers (during rounds) alias it at disjoint
+/// times, never holding a borrow across a call into the other side.
 #[derive(Clone)]
-pub struct IrsHandle(pub(crate) Arc<Mutex<IrsShared>>);
+pub struct IrsHandle(pub(crate) Rc<RefCell<IrsShared>>);
 
 impl IrsHandle {
     /// Allocates a fresh partition id.
     pub fn next_partition_id(&self) -> PartitionId {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         let id = PartitionId(s.next_partition);
         s.next_partition += 1;
         id
@@ -179,32 +177,32 @@ impl IrsHandle {
 
     /// Enqueues a partition into the global partition queue.
     pub fn push_partition(&self, part: PartitionBox) {
-        self.0.lock().unwrap().queue.push(part);
+        self.0.borrow_mut().queue.push(part);
     }
 
     /// Publishes a final output.
     pub fn push_final(&self, out: FinalOutput) {
-        self.0.lock().unwrap().final_outputs.push(out);
+        self.0.borrow_mut().final_outputs.push(out);
     }
 
     /// Records intermediate-result bytes for the Table 2 breakdown.
     pub fn note_intermediate(&self, bytes: ByteSize) {
-        self.0.lock().unwrap().stats.reclaim.intermediate_results += bytes;
+        self.0.borrow_mut().stats.reclaim.intermediate_results += bytes;
     }
 
     /// The monitor's hover threshold (for write-behind decisions).
     pub(crate) fn serialize_free_pct(&self) -> u8 {
-        self.0.lock().unwrap().serialize_free_pct
+        self.0.borrow().serialize_free_pct
     }
 
     /// The partition manager's serialization target.
     pub(crate) fn serialize_mode(&self) -> SerializeMode {
-        self.0.lock().unwrap().serialize_mode
+        self.0.borrow().serialize_mode
     }
 
     /// Records a write-behind serialization.
     pub(crate) fn note_serialized_at_birth(&self, bytes: ByteSize) {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         s.stats.serializations += 1;
         s.stats.reclaim.lazy_serialized += bytes;
     }
@@ -219,7 +217,7 @@ impl IrsHandle {
         if !tracer::is_enabled() && !metrics::is_enabled() {
             return EventId::NONE;
         }
-        let (node, scope) = self.0.lock().unwrap().origin;
+        let (node, scope) = self.0.borrow().origin;
         if metrics::is_enabled() {
             use metrics::Metric;
             match data {
@@ -243,7 +241,7 @@ impl IrsHandle {
     /// Consumes the victim-mark event recorded for `instance`'s thread,
     /// if any (an interrupt links back to the mark that requested it).
     pub(crate) fn take_victim_mark(&self, instance: u64) -> EventId {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         let Some(thread) = s.instance_threads.get(&instance).copied() else {
             return EventId::NONE;
         };
@@ -255,8 +253,7 @@ impl IrsHandle {
     pub(crate) fn note_interrupt_origin(&self, partition: PartitionId, interrupt: EventId) {
         if interrupt.is_some() {
             self.0
-                .lock()
-                .unwrap()
+                .borrow_mut()
                 .interrupt_origin
                 .insert(partition, interrupt);
         }
@@ -264,19 +261,19 @@ impl IrsHandle {
 
     /// Records final-result bytes for the Table 2 breakdown.
     pub fn note_final(&self, bytes: ByteSize) {
-        self.0.lock().unwrap().stats.reclaim.final_results += bytes;
+        self.0.borrow_mut().stats.reclaim.final_results += bytes;
     }
 
     pub(crate) fn note_local(&self, bytes: ByteSize) {
-        self.0.lock().unwrap().stats.reclaim.local_structs += bytes;
+        self.0.borrow_mut().stats.reclaim.local_structs += bytes;
     }
 
     pub(crate) fn note_processed_input(&self, bytes: ByteSize) {
-        self.0.lock().unwrap().stats.reclaim.processed_input += bytes;
+        self.0.borrow_mut().stats.reclaim.processed_input += bytes;
     }
 
     pub(crate) fn next_instance_id(&self) -> u64 {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         let id = s.next_instance;
         s.next_instance += 1;
         id
@@ -284,7 +281,7 @@ impl IrsHandle {
 
     /// Whether the scheduler asked this instance to interrupt itself.
     pub(crate) fn should_terminate(&self, instance: u64) -> bool {
-        let s = self.0.lock().unwrap();
+        let s = self.0.borrow();
         s.instance_threads
             .get(&instance)
             .map(|t| s.terminate.contains(t))
@@ -293,7 +290,7 @@ impl IrsHandle {
 
     /// Adds scale-loop progress to an instance (speed rule input).
     pub(crate) fn note_progress(&self, instance: u64, units: u64) {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         if let Some(&thread) = s.instance_threads.get(&instance) {
             if let Some(r) = s.running.get_mut(&thread) {
                 r.recent_progress += units;
@@ -305,7 +302,7 @@ impl IrsHandle {
     /// single funnel every instance leaves through, so the stream's
     /// `Retired` events pair off with its `Activated` ones.
     pub(crate) fn retire(&self, instance: u64, at: SimTime) {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         let Some(thread) = s.instance_threads.remove(&instance) else {
             return;
         };
@@ -319,7 +316,7 @@ impl IrsHandle {
 
     /// Bumps and returns the failed-activation count of a partition.
     pub(crate) fn bump_activation_failure(&self, id: PartitionId) -> u32 {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         s.stats.failed_activations += 1;
         let c = s.activation_failures.entry(id).or_insert(0);
         *c += 1;
@@ -327,13 +324,13 @@ impl IrsHandle {
     }
 
     pub(crate) fn stats_mut<R>(&self, f: impl FnOnce(&mut IrsStats) -> R) -> R {
-        f(&mut self.0.lock().unwrap().stats)
+        f(&mut self.0.borrow_mut().stats)
     }
 
     /// A worker hit an allocation failure: force a REDUCE next tick,
     /// aiming to free at least `needed` bytes (zero = default target).
     pub(crate) fn hint_pressure(&self, needed: ByteSize) {
-        let mut s = self.0.lock().unwrap();
+        let mut s = self.0.borrow_mut();
         let cur = s.pressure_hint.unwrap_or(ByteSize::ZERO);
         s.pressure_hint = Some(cur.max(needed));
     }
@@ -341,7 +338,7 @@ impl IrsHandle {
     /// Records partitions re-homed onto this node after a peer crash
     /// (fault-injection runs; called by the engine's recovery path).
     pub fn note_crash_requeued(&self, n: u64) {
-        self.0.lock().unwrap().stats.crash_requeued_partitions += n;
+        self.0.borrow_mut().stats.crash_requeued_partitions += n;
     }
 }
 
@@ -360,7 +357,7 @@ impl Irs {
         shared.serialize_free_pct = cfg.monitor.serialize_free_pct;
         shared.serialize_mode = cfg.manager.mode;
         Irs {
-            handle: IrsHandle(Arc::new(Mutex::new(shared))),
+            handle: IrsHandle(Rc::new(RefCell::new(shared))),
             graph: Rc::new(graph),
             monitor: Monitor::new(cfg.monitor),
             cfg,
@@ -379,7 +376,7 @@ impl Irs {
 
     /// Runtime statistics so far.
     pub fn stats(&self) -> IrsStats {
-        self.handle.0.lock().unwrap().stats
+        self.handle.0.borrow().stats
     }
 
     /// Monitor statistics so far.
@@ -396,24 +393,24 @@ impl Irs {
 
     /// Queued partition count.
     pub fn queued(&self) -> usize {
-        self.handle.0.lock().unwrap().queue.len()
+        self.handle.0.borrow().queue.len()
     }
 
     /// Running instance count.
     pub fn running(&self) -> usize {
-        self.handle.0.lock().unwrap().running.len()
+        self.handle.0.borrow().running.len()
     }
 
     /// Whether the runtime has no queued partitions and no running
     /// instances (the engine decides if more input is coming).
     pub fn is_idle(&self) -> bool {
-        let s = self.handle.0.lock().unwrap();
+        let s = self.handle.0.borrow();
         s.queue.is_empty() && s.running.is_empty()
     }
 
     /// Takes the final outputs published since the last call.
     pub fn take_final_outputs(&mut self) -> Vec<FinalOutput> {
-        std::mem::take(&mut self.handle.0.lock().unwrap().final_outputs)
+        std::mem::take(&mut self.handle.0.borrow_mut().final_outputs)
     }
 
     /// Requests an early REDUCE on the next tick, aiming to free at
@@ -434,7 +431,7 @@ impl Irs {
     /// died and its live instances were salvaged, the engine re-homes
     /// the whole queue onto surviving nodes).
     pub fn drain_queue(&mut self) -> Vec<PartitionBox> {
-        self.handle.0.lock().unwrap().queue.drain_all()
+        self.handle.0.borrow_mut().queue.drain_all()
     }
 
     /// The controller step: call between scheduling rounds.
@@ -442,7 +439,7 @@ impl Irs {
         let records = sim.node_mut().drain_gc_records();
         let mut signal = self.monitor.observe(&records, &sim.node().heap);
         let hint = {
-            let mut s = self.handle.0.lock().unwrap();
+            let mut s = self.handle.0.borrow_mut();
             s.origin = (Some(sim.node().id), self.cfg.scope);
             s.pressure_hint.take()
         };
@@ -454,14 +451,14 @@ impl Irs {
                 let id = self
                     .handle
                     .emit(sim.node().now, TraceData::Signal { reduce: true });
-                self.handle.0.lock().unwrap().last_signal = id;
+                self.handle.0.borrow_mut().last_signal = id;
                 self.handle_reduce(sim, hint.unwrap_or(ByteSize::ZERO))?;
             }
             MemSignal::Grow => {
                 let id = self
                     .handle
                     .emit(sim.node().now, TraceData::Signal { reduce: false });
-                self.handle.0.lock().unwrap().last_signal = id;
+                self.handle.0.borrow_mut().last_signal = id;
                 self.handle_grow(sim)?;
             }
             MemSignal::Steady => self.assist_growth(sim)?,
@@ -472,12 +469,12 @@ impl Irs {
         // activation the best chance to fit.
         if signal != MemSignal::Grow {
             let starved = {
-                let s = self.handle.0.lock().unwrap();
+                let s = self.handle.0.borrow();
                 s.running.is_empty() && !s.queue.is_empty()
             };
             if starved {
                 let choice = {
-                    let s = self.handle.0.lock().unwrap();
+                    let s = self.handle.0.borrow();
                     pick_activation(&s.queue, &self.graph, &s.running)
                 };
                 if let Some(act) = choice {
@@ -488,7 +485,7 @@ impl Irs {
         }
         // The speed rule measures progress between monitor checks: reset.
         {
-            let mut s = self.handle.0.lock().unwrap();
+            let mut s = self.handle.0.borrow_mut();
             for r in s.running.values_mut() {
                 r.recent_progress = 0;
             }
@@ -511,7 +508,7 @@ impl Irs {
             .max(needed.mul_ratio(5, 2));
         // Stage 1: lazy serialization of queued partitions.
         let order = {
-            let s = self.handle.0.lock().unwrap();
+            let s = self.handle.0.borrow();
             let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
             serialization_order(
                 &s.queue,
@@ -530,14 +527,14 @@ impl Irs {
                 break;
             }
             let freed = {
-                let mut s = self.handle.0.lock().unwrap();
+                let mut s = self.handle.0.borrow_mut();
                 let Some(part) = s.queue.get_mut(pid) else {
                     continue;
                 };
                 serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
             };
             if !freed.is_zero() {
-                let cause = self.handle.0.lock().unwrap().last_signal;
+                let cause = self.handle.0.borrow().last_signal;
                 self.note_lazy_serialized(sim, pid, freed, cause);
             }
         }
@@ -549,7 +546,7 @@ impl Irs {
             .max(needed.mul_ratio(5, 2));
         if sim.node().heap.effective_free() < victim_line {
             let marked = {
-                let mut s = self.handle.0.lock().unwrap();
+                let mut s = self.handle.0.borrow_mut();
                 let candidates: BTreeMap<ThreadId, RunningInstance> = s
                     .running
                     .iter()
@@ -566,7 +563,7 @@ impl Irs {
                     .handle
                     .emit(sim.node().now, TraceData::VictimMarked { task, cause });
                 if mark.is_some() {
-                    let mut s = self.handle.0.lock().unwrap();
+                    let mut s = self.handle.0.borrow_mut();
                     s.victim_marks.insert(victim, mark);
                 }
             }
@@ -606,7 +603,7 @@ impl Irs {
         let threshold = self.monitor.serialize_target(&sim.node().heap);
         let grow_gate = self.monitor.grow_threshold(&sim.node().heap);
         {
-            let s = self.handle.0.lock().unwrap();
+            let s = self.handle.0.borrow();
             if s.queue.is_empty() {
                 return Ok(());
             }
@@ -617,7 +614,7 @@ impl Irs {
             }
         }
         let order = {
-            let s = self.handle.0.lock().unwrap();
+            let s = self.handle.0.borrow();
             let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
             serialization_order(
                 &s.queue,
@@ -632,7 +629,7 @@ impl Irs {
                 break;
             }
             let freed = {
-                let mut s = self.handle.0.lock().unwrap();
+                let mut s = self.handle.0.borrow_mut();
                 let Some(part) = s.queue.get_mut(pid) else {
                     continue;
                 };
@@ -661,13 +658,13 @@ impl Irs {
         };
         for _ in 0..burst {
             {
-                let s = self.handle.0.lock().unwrap();
+                let s = self.handle.0.borrow();
                 if s.running.len() >= self.cfg.max_parallelism {
                     return Ok(());
                 }
             }
             let choice = {
-                let s = self.handle.0.lock().unwrap();
+                let s = self.handle.0.borrow();
                 pick_activation(&s.queue, &self.graph, &s.running)
             };
             let Some(act) = choice else { return Ok(()) };
@@ -679,7 +676,7 @@ impl Irs {
 
     fn activate(&mut self, sim: &mut NodeSim, act: Activation) {
         let (task_id, parts, tag, cause) = {
-            let mut s = self.handle.0.lock().unwrap();
+            let mut s = self.handle.0.borrow_mut();
             match act {
                 Activation::Single(task, pid) => {
                     let part = s.queue.take(pid).expect("activation raced with queue");
@@ -728,7 +725,7 @@ impl Irs {
                 cause,
             },
         );
-        let mut s = self.handle.0.lock().unwrap();
+        let mut s = self.handle.0.borrow_mut();
         s.instance_threads.insert(instance, thread);
         s.running.insert(
             thread,
@@ -754,7 +751,7 @@ impl Irs {
             if self.is_idle() {
                 return Ok(());
             }
-            let round = simcluster::ShardExecutor::run_solo_round(sim, &mut stream_seq);
+            let round = simcluster::run_solo_round(sim, &mut stream_seq);
             // A failing instance has already left through `retire`.
             if let Some((_, err)) = round.failed.into_iter().next() {
                 return Err(err);

@@ -197,7 +197,7 @@ impl<'a, 'b> TaskCx<'a, 'b> {
     /// interrupt pushing its buffer straight to the shuffle). The heap
     /// bytes are released locally; the framework decides where the data
     /// goes next.
-    pub fn emit_final(&mut self, data: Box<dyn Any + Send>, ser_bytes: ByteSize) -> SimResult<()> {
+    pub fn emit_final(&mut self, data: Box<dyn Any>, ser_bytes: ByteSize) -> SimResult<()> {
         let old_out = self.rotate_out_space();
         let mem_bytes = self.work.node().heap.space_live(old_out);
         self.work.node().heap.release_space(old_out);
@@ -224,10 +224,7 @@ impl<'a, 'b> TaskCx<'a, 'b> {
 }
 
 /// The object-safe task interface the runtime drives.
-///
-/// `Send` because instances live inside node simulators that the shard
-/// executor ships across worker threads between rounds.
-pub trait ITask: Send {
+pub trait ITask {
     /// Loads inputs / creates local structures (paper: `initialize`).
     fn initialize(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()>;
 
@@ -251,7 +248,7 @@ pub trait ITask: Send {
 }
 
 /// The typed, paper-shaped task layer: per-tuple `process`.
-pub trait TupleTask: Send {
+pub trait TupleTask {
     /// Input tuple type.
     type In: Tuple;
 

@@ -106,10 +106,10 @@ fn disk_full_mid_run_propagates() {
     ));
     let mut graph = TaskGraph::new();
     // Count feeds an MITask so intermediates hit the queue + disk.
-    let merge_holder = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let merge_holder = std::rc::Rc::new(std::cell::Cell::new(0u32));
     struct ToMerge {
         counts: BTreeMap<u32, u64>,
-        merge: std::sync::Arc<std::sync::atomic::AtomicU32>,
+        merge: std::rc::Rc<std::cell::Cell<u32>>,
     }
     impl TupleTask for ToMerge {
         type In = W;
@@ -138,11 +138,7 @@ fn disk_full_mid_run_propagates() {
                 return Ok(());
             }
             let items: Vec<W> = d.keys().map(|&k| W(k)).collect();
-            cx.emit_to_task(
-                simcore::TaskId(self.merge.load(std::sync::atomic::Ordering::Relaxed)),
-                Tag(0),
-                items,
-            )
+            cx.emit_to_task(simcore::TaskId(self.merge.get()), Tag(0), items)
         }
     }
     let h = merge_holder.clone();
@@ -153,7 +149,7 @@ fn disk_full_mid_run_propagates() {
         }))
     });
     let merge = graph.add_mitask("merge", || Box::new(Scale(Count::default())));
-    merge_holder.store(merge.as_u32(), std::sync::atomic::Ordering::Relaxed);
+    merge_holder.set(merge.as_u32());
     graph.connect(count, merge);
     graph.connect(merge, merge);
 
@@ -222,9 +218,9 @@ fn disk_full_during_shuffle_spill_propagates() {
         ByteSize::kib(256),
     ));
     let mut graph = TaskGraph::new();
-    let merge_holder = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let merge_holder = std::rc::Rc::new(std::cell::Cell::new(0u32));
     struct Exploder {
-        merge: std::sync::Arc<std::sync::atomic::AtomicU32>,
+        merge: std::rc::Rc<std::cell::Cell<u32>>,
     }
     impl TupleTask for Exploder {
         type In = W;
@@ -235,7 +231,7 @@ fn disk_full_during_shuffle_spill_propagates() {
             // Shuffle fan-out: every record emits a batch downstream.
             let items: Vec<W> = (0..8).map(|i| W(t.0.wrapping_mul(8) + i)).collect();
             cx.emit_to_task(
-                simcore::TaskId(self.merge.load(std::sync::atomic::Ordering::Relaxed)),
+                simcore::TaskId(self.merge.get()),
                 Tag((t.0 % 4) as u64),
                 items,
             )
@@ -252,7 +248,7 @@ fn disk_full_during_shuffle_spill_propagates() {
         Box::new(Scale(Exploder { merge: h.clone() }))
     });
     let merge = graph.add_mitask("merge", || Box::new(Scale(Count::default())));
-    merge_holder.store(merge.as_u32(), std::sync::atomic::Ordering::Relaxed);
+    merge_holder.set(merge.as_u32());
     graph.connect(map, merge);
 
     let mut irs = Irs::new(graph, IrsConfig::default());

@@ -1,7 +1,9 @@
 //! Task attempts: one attempt = one simulated task JVM (its own heap),
 //! run to completion or to its OME.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use itask_core::Tuple;
 use simcluster::{NodeSim, NodeState, StepOutcome, Work, WorkCx};
@@ -65,15 +67,15 @@ fn fresh_jvm(heap: ByteSize, cfg: &HadoopConfig, salt: u64) -> NodeSim {
 }
 
 fn drive(sim: &mut NodeSim) -> AttemptResult {
-    // Attempt JVMs are single-node worlds: rounds run inline through the
-    // shard executor's solo entry so trace events carry the same
-    // stream-namespaced ids as cluster runs at any --shards setting.
+    // Attempt JVMs are single-node worlds: rounds go through the round
+    // runner's solo entry so trace events carry the same
+    // stream-namespaced ids as cluster runs.
     let mut stream_seq = 0u64;
     loop {
         if sim.live_count() == 0 {
             return AttemptResult::Completed;
         }
-        let round = simcluster::ShardExecutor::run_solo_round(sim, &mut stream_seq);
+        let round = simcluster::run_solo_round(sim, &mut stream_seq);
         if let Some((_, e)) = round.failed.into_iter().next() {
             if e.is_oom() {
                 // Death throes: a JVM at the GC-overhead limit performs a
@@ -267,20 +269,19 @@ fn run_map_attempt_salted<M: Mapper + 'static>(
         out: BTreeMap::new(),
         closed: false,
     };
-    let out_cell = std::sync::Arc::new(std::sync::Mutex::new(BTreeMap::new()));
-    let spills_cell = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
+    let out_cell = Rc::new(RefCell::new(BTreeMap::new()));
+    let spills_cell = Rc::new(Cell::new(0));
     struct Shim<M: Mapper> {
         inner: MapWork<M>,
-        out: std::sync::Arc<std::sync::Mutex<BTreeMap<u32, Vec<M::Out>>>>,
-        spills: std::sync::Arc<std::sync::atomic::AtomicU32>,
+        out: Rc<RefCell<BTreeMap<u32, Vec<M::Out>>>>,
+        spills: Rc<Cell<u32>>,
     }
     impl<M: Mapper> Work for Shim<M> {
         fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome {
             let outcome = self.inner.step(cx);
             if matches!(outcome, StepOutcome::Finished) {
-                *self.out.lock().unwrap() = std::mem::take(&mut self.inner.out);
-                self.spills
-                    .store(self.inner.spills, std::sync::atomic::Ordering::Relaxed);
+                self.out.replace(std::mem::take(&mut self.inner.out));
+                self.spills.set(self.inner.spills);
             }
             outcome
         }
@@ -300,10 +301,10 @@ fn run_map_attempt_salted<M: Mapper + 'static>(
         duration: node.now.since(simcore::SimTime::ZERO),
         gc_time: node.gc_time,
         peak_heap: node.heap.peak_used(),
-        spills: spills_cell.load(std::sync::atomic::Ordering::Relaxed),
+        spills: spills_cell.get(),
         extra_attempts: 0,
     };
-    let out = std::mem::take(&mut *out_cell.lock().unwrap());
+    let out = out_cell.take();
     (outcome, out)
 }
 
@@ -459,16 +460,16 @@ fn run_reduce_attempt_salted<R: Reducer + 'static>(
     salt: u64,
 ) -> (AttemptOutcome, Vec<R::Out>) {
     let mut sim = fresh_jvm(cfg.reduce_heap, cfg, salt);
-    let out_cell = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let out_cell = Rc::new(RefCell::new(Vec::new()));
     struct Shim<R: Reducer> {
         inner: ReduceWork<R>,
-        out: std::sync::Arc<std::sync::Mutex<Vec<R::Out>>>,
+        out: Rc<RefCell<Vec<R::Out>>>,
     }
     impl<R: Reducer> Work for Shim<R> {
         fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome {
             let outcome = self.inner.step(cx);
             if matches!(outcome, StepOutcome::Finished) {
-                *self.out.lock().unwrap() = std::mem::take(&mut self.inner.out);
+                self.out.replace(std::mem::take(&mut self.inner.out));
             }
             outcome
         }
@@ -499,7 +500,7 @@ fn run_reduce_attempt_salted<R: Reducer + 'static>(
         spills: 0,
         extra_attempts: 0,
     };
-    let out = std::mem::take(&mut *out_cell.lock().unwrap());
+    let out = out_cell.take();
     (outcome, out)
 }
 

@@ -136,7 +136,7 @@ impl<Out: Tuple> ReduceCx<'_, '_, Out> {
 }
 
 /// A Hadoop map task (user code).
-pub trait Mapper: Send {
+pub trait Mapper {
     /// Input record type.
     type In: Tuple;
     /// Emitted key-value type (bucketed by reduce task).
@@ -152,7 +152,7 @@ pub trait Mapper: Send {
 /// A Hadoop reduce task (user code). Tuples arrive grouped by bucket and
 /// sorted by the shuffle; grouping into key-runs is the reducer's
 /// concern (apps typically aggregate into a map keyed by `In`'s key).
-pub trait Reducer: Send {
+pub trait Reducer {
     /// Shuffled input type.
     type In: Tuple;
     /// Final output record type.

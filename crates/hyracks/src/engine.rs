@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use itask_core::{ITask, IrsConfig, Tuple};
-use simcluster::{Cluster, JobOutcome, JobReport, ShardExecutor};
+use simcluster::{run_node_round, run_round, Cluster, JobOutcome, JobReport};
 use simcore::{prof, ByteSize, NodeId, SimDuration, SimResult};
 
 use crate::job::{salvage_crashed_workers, ShuffleClocks, TwoPhaseJob};
@@ -126,18 +126,14 @@ pub fn chunk_into_frames_pooled<T: Tuple>(
     frames
 }
 
-/// Flushes one accumulated crash-free window: runs a lockstep round
+/// Flushes one accumulated crash-free window: runs a fail-fast round
 /// over `batch` (drained) and surfaces its first failure. A no-op for
 /// an empty batch.
-fn run_window(
-    exec: &mut ShardExecutor,
-    cluster: &mut Cluster,
-    batch: &mut Vec<NodeId>,
-) -> SimResult<()> {
+fn run_window(cluster: &mut Cluster, batch: &mut Vec<NodeId>) -> SimResult<()> {
     if batch.is_empty() {
         return Ok(());
     }
-    let run = exec.run_round(cluster, batch, true);
+    let run = run_round(cluster, batch, true);
     batch.clear();
     if let Some((_, report)) = run.first_failure() {
         if let Some((_, e)) = report.failed.first() {
@@ -159,18 +155,17 @@ fn run_window(
 /// paper's baselines.
 ///
 /// Walking nodes in order, stretches of nodes with no pending crash
-/// batch into lockstep shard-executor rounds (a `poll_crash` on them
-/// would be a no-op). Their controller ticks stay on the driver thread —
-/// `tick_node(n)` reads only node n, and no other node's round touches
-/// node n, so deferring a batched node's round to the window flush
-/// preserves per-node semantics exactly. Only a node that still has an
-/// unfired crash runs tick → round → poll serially, so recovery can
-/// re-home work before later nodes tick.
+/// batch into one window (a `poll_crash` on them would be a no-op):
+/// their controllers tick in node order, then their rounds run in node
+/// order — `tick_node(n)` reads only node n, and no other node's round
+/// touches node n, so deferring a batched node's round to the window
+/// flush preserves per-node semantics exactly. Only a node that still
+/// has an unfired crash runs tick → round → poll on the spot, so
+/// recovery can re-home work before later nodes tick.
 fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
     cluster: &mut Cluster,
     job: &mut TwoPhaseJob<'_, In, Mid, Out>,
 ) -> SimResult<()> {
-    let mut exec = ShardExecutor::new();
     let mut batch: Vec<NodeId> = Vec::with_capacity(cluster.node_count());
     loop {
         let mut any = false;
@@ -182,7 +177,7 @@ fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
             any = true;
             let crash_pending = cluster.crash_pending(node);
             if crash_pending {
-                run_window(&mut exec, cluster, &mut batch)?;
+                run_window(cluster, &mut batch)?;
             }
             job.tick_node(cluster, node)?;
             if !job.node_busy(cluster, node) {
@@ -192,7 +187,7 @@ fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
                 batch.push(node);
                 continue;
             }
-            let failed = ShardExecutor::run_node_round(cluster, node).failed;
+            let failed = run_node_round(cluster, node).failed;
             let salvaged = cluster.poll_crash(node);
             if cluster.sim(node).is_crashed() {
                 // The node died this round: its thread errors die with
@@ -208,7 +203,7 @@ fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
         if !any {
             break;
         }
-        run_window(&mut exec, cluster, &mut batch)?;
+        run_window(cluster, &mut batch)?;
     }
     cluster.sync_clocks(SimDuration::ZERO);
     Ok(())

@@ -284,7 +284,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
             // Retired workers still hold sink handles; drain in place.
             Plane::Regular(p) => std::mem::take(&mut p.map_sinks)
                 .into_iter()
-                .map(|s| std::mem::take(&mut *s.lock().expect("sink lock")))
+                .map(|s| s.take())
                 .collect(),
             Plane::Itask(p) => {
                 let outputs = p.irss.iter_mut().map(|irs| {
@@ -359,7 +359,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
             Plane::Regular(p) => {
                 let mut all: Vec<(u32, Vec<Out>)> = Vec::new();
                 for s in std::mem::take(&mut p.reduce_sinks) {
-                    all.extend(s.lock().expect("sink lock").drain_groups());
+                    all.extend(s.borrow_mut().drain_groups());
                 }
                 all.sort_by_key(|(b, _)| *b);
                 all.into_iter().flat_map(|(_, v)| v).collect()

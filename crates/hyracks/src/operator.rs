@@ -1,8 +1,9 @@
 //! The regular (non-interruptible) operator model: Hyracks'
 //! `nextFrame`-style push operators, executed by a fixed thread pool.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use itask_core::Tuple;
 use simcluster::{StepOutcome, Work, WorkCx};
@@ -65,8 +66,7 @@ impl<'a, 'b, Out> OpCx<'a, 'b, Out> {
 
 /// A regular dataflow operator: one instance per worker thread, state
 /// kept for the whole phase, streaming emission via [`OpCx::emit`].
-/// `Send` because workers ride node simulators across shard threads.
-pub trait Operator: Send {
+pub trait Operator {
     /// Input tuple type.
     type In: Tuple;
     /// Output tuple type (keyed by shuffle bucket).
@@ -196,10 +196,8 @@ impl<T> BucketArena<T> {
 
 /// Where a worker's outputs are collected (per node, shared by its
 /// threads). Workers and the driver touch it at disjoint times — worker
-/// quanta during rounds, shuffle drains at barriers — so the mutex is
-/// never contended; `Arc<Mutex>` exists to make workers `Send`able for
-/// the shard executor.
-pub type OutputSink<T> = Arc<Mutex<BucketArena<T>>>;
+/// quanta during rounds, shuffle drains at barriers.
+pub type OutputSink<T> = Rc<RefCell<BucketArena<T>>>;
 
 /// A fixed-pool worker executing one [`Operator`] instance over a queue
 /// of frames.
@@ -259,7 +257,7 @@ impl<O: Operator> OperatorWorker<O> {
         // shared arena and are sealed into batches before returning
         // (single-threaded simulation — nothing else reads it mid-run).
         let sink_rc = self.sink.clone();
-        let mut sink = sink_rc.lock().unwrap();
+        let mut sink = sink_rc.borrow_mut();
         if !self.opened {
             let mut ocx = OpCx {
                 work: cx,
@@ -438,7 +436,7 @@ mod tests {
             let r = s.run_round();
             assert!(r.failed.is_empty(), "{:?}", r.failed);
         }
-        let groups = sink.lock().unwrap().drain_groups();
+        let groups = sink.borrow_mut().drain_groups();
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].1[0].0, 400);
         // Everything was released at close.
@@ -471,6 +469,6 @@ mod tests {
             }
         }
         assert!(failed.expect("must fail").is_oom());
-        assert!(sink.lock().unwrap().is_empty());
+        assert!(sink.borrow().is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //! // q.run_itask(&params, inputs) / q.run_regular(&params, inputs)
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use apps::agg::AggSpec;
 use apps::hyracks_apps::{run_itask_spec, run_regular_spec, HyracksParams};
@@ -36,10 +36,10 @@ use apps::{CountMid, ListMid, OutKv, RunSummary};
 use itask_core::Tuple;
 
 /// Emits `(key, value)` contributions for one input record.
-pub type FlatMapFn<In> = Arc<dyn Fn(&In, &mut Vec<(u64, u64)>) + Send + Sync>;
+pub type FlatMapFn<In> = Rc<dyn Fn(&In, &mut Vec<(u64, u64)>)>;
 
 /// Reduces a group's collected values to one output value.
-pub type FinishFn = Arc<dyn Fn(&[u64]) -> u64 + Send + Sync>;
+pub type FinishFn = Rc<dyn Fn(&[u64]) -> u64>;
 
 /// A named logical query over records of type `In`.
 pub struct Query<In> {
@@ -58,13 +58,10 @@ impl<In: Tuple> Query<In> {
 
     /// Adds the keying stage: `f` turns each record into zero or more
     /// `(key, value)` contributions.
-    pub fn flat_map(
-        self,
-        f: impl Fn(&In, &mut Vec<(u64, u64)>) + Send + Sync + 'static,
-    ) -> KeyedQuery<In> {
+    pub fn flat_map(self, f: impl Fn(&In, &mut Vec<(u64, u64)>) + 'static) -> KeyedQuery<In> {
         KeyedQuery {
             name: self.name,
-            flat_map: Arc::new(f),
+            flat_map: Rc::new(f),
         }
     }
 }
@@ -99,14 +96,11 @@ impl<In: Tuple> KeyedQuery<In> {
     /// Collects each key's values and reduces them with `finish` at the
     /// very end (the collect-then-aggregate pattern — the memory-hungry
     /// shape of §2's "large intermediate results").
-    pub fn collect(
-        self,
-        finish: impl Fn(&[u64]) -> u64 + Send + Sync + 'static,
-    ) -> CollectQuery<In> {
+    pub fn collect(self, finish: impl Fn(&[u64]) -> u64 + 'static) -> CollectQuery<In> {
         CollectQuery {
             name: self.name,
             flat_map: self.flat_map,
-            finish: Arc::new(finish),
+            finish: Rc::new(finish),
             entry_bytes: COLLECT_ENTRY,
             item_bytes: COLLECT_ITEM,
         }

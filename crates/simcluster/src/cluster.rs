@@ -6,8 +6,7 @@
 //! cluster keeps a driver-side one for crash scheduling. All are built
 //! from the same [`FaultPlan`], and because verdicts are keyed purely
 //! on `(seed, node, op, count)` the split draws exactly the schedule a
-//! single shared injector would — but without any `Rc<RefCell>` shared
-//! state, so node simulators can move across shard threads.
+//! single shared injector would, with no state shared between nodes.
 
 use simcore::{
     ByteSize, CostModel, FaultInjector, FaultPlan, FaultStats, NodeId, SimDuration, SimTime,
@@ -68,10 +67,10 @@ pub struct Cluster {
     store: BlockStore,
     injector: Option<FaultInjector>,
     /// Next per-node trace-stream sequence numbers (tracer stream `n+1`
-    /// belongs to node `n`; stream 0 is the driver). The shard executor
-    /// reads and advances these so event ids stay identical at every
-    /// shard count — ids encode *which node emitted, at which point in
-    /// its own logical progress*, not global arrival order.
+    /// belongs to node `n`; stream 0 is the driver). The round runner
+    /// ([`crate::shard`]) reads and advances these so event ids encode
+    /// *which node emitted, at which point in its own logical
+    /// progress*, not the order the driver visited nodes in.
     stream_seqs: Vec<u64>,
 }
 
@@ -137,11 +136,10 @@ impl Cluster {
     ///
     /// Engines use this to classify crash-free *windows*: a
     /// [`Cluster::poll_crash`] on any other node is a no-op, so
-    /// stretches of crash-free nodes run on the lockstep shard executor
-    /// and only the (rare) crash-pending node needs the serial
-    /// round-then-poll interleaving. Once a node's crashes have all
-    /// fired it re-joins the shardable set (though a crashed node is
-    /// excluded from rounds anyway).
+    /// stretches of crash-free nodes run as one plain round and only
+    /// the (rare) crash-pending node needs the round-then-poll
+    /// interleaving. Once a node's crashes have all fired it re-joins
+    /// the window (though a crashed node is excluded from rounds anyway).
     pub fn crash_pending(&self, node: NodeId) -> bool {
         self.injector
             .as_ref()
@@ -231,13 +229,6 @@ impl Cluster {
     /// Advances `node`'s trace-stream cursor after a harvested round.
     pub fn set_stream_seq(&mut self, node: NodeId, next: u64) {
         self.stream_seqs[node.as_usize()] = next;
-    }
-
-    /// Swaps `node`'s simulator with `other` — how the shard executor
-    /// ships a node to a worker thread (swap a placeholder in, move the
-    /// real simulator out through a channel, swap back at the barrier).
-    pub fn swap_sim(&mut self, node: NodeId, other: &mut NodeSim) {
-        std::mem::swap(&mut self.sims[node.as_usize()], other);
     }
 
     /// The network fabric.

@@ -13,11 +13,12 @@
 //!
 //! Simulation time is virtual and every run is bit-for-bit
 //! reproducible — a property the paper's wall-clock measurements cannot
-//! have, and one we rely on to regenerate tables. Host-parallel
-//! execution does not break this: the [`shard`] executor partitions
-//! node simulators across worker threads in deterministic lockstep
-//! rounds, merging trace/profiler output back in one canonical order,
-//! so stdout and trace bytes are identical at any `--shards` count.
+//! have, and one we rely on to regenerate tables. One run is one
+//! thread: the [`shard`] round runner steps nodes on the caller's
+//! thread under stream-namespaced event ids, so trace bytes do not
+//! depend on the order a driver visits nodes in, and host parallelism
+//! lives outside the simulator (the bench crate's `--jobs` runs whole
+//! simulations side by side).
 
 pub mod cluster;
 pub mod node;
@@ -27,8 +28,10 @@ pub mod shard;
 pub mod work;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use node::{NodeCheckpoint, NodeState, WorkCx, DEFAULT_IO_RETRIES};
+pub use node::{NodeState, WorkCx, DEFAULT_IO_RETRIES};
 pub use report::{JobOutcome, JobReport, NodeReport};
-pub use sched::{NodeSim, NodeSimCheckpoint, RoundReport, ThreadState};
-pub use shard::{run_parts, run_parts_with, set_shards, shards, RoundRun, ShardExecutor};
+pub use sched::{NodeSim, RoundReport, ThreadState};
+pub use shard::{run_node_round, run_round, run_solo_round, RoundRun};
+#[doc(hidden)]
+pub use shard::{set_shards, ShardExecutor};
 pub use work::{StepOutcome, Work};

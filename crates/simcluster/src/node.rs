@@ -4,7 +4,7 @@ use simcore::{
     metrics, tracer, ByteSize, CostModel, FaultInjector, NodeId, SimDuration, SimError, SimResult,
     SimTime, SpaceId,
 };
-use simmem::{GcRecord, Heap, HeapConfig, HeapCounters};
+use simmem::{GcRecord, Heap, HeapConfig};
 use simstore::{Disk, FileId};
 
 /// Default bound on transient-I/O retries. One above the injector's
@@ -235,58 +235,10 @@ impl NodeState {
     /// instances of the same plan, fault schedules are keyed purely on
     /// `(seed, node, op, count)`, so a node draws the same verdicts it
     /// would have drawn from a cluster-shared injector regardless of how
-    /// nodes interleave — the property the sharded executor relies on.
+    /// nodes interleave.
     pub fn install_injector(&mut self, injector: FaultInjector) {
         self.disk.install_injector(injector);
     }
-
-    /// Snapshots every report-visible counter on this node. Taken by the
-    /// sharded executor before each speculative round so an overshot
-    /// round (a shard racing past another shard's failure) can be
-    /// [`NodeState::rewind`]-ed away, keeping even failed-run reports
-    /// byte-identical to the serial engine's.
-    pub fn checkpoint(&self) -> NodeCheckpoint {
-        NodeCheckpoint {
-            now: self.now,
-            gc_time: self.gc_time,
-            compute_time: self.compute_time,
-            io_stall_time: self.io_stall_time,
-            disk_free_at: self.disk_free_at,
-            gc_pending: self.gc_pending.len(),
-            heap: self.heap.counters_mark(),
-            injector: self.disk.injector().cloned(),
-        }
-    }
-
-    /// Restores the counters captured by [`NodeState::checkpoint`].
-    ///
-    /// Heap contents and disk files are *not* restored — an aborted
-    /// speculative round may leave them polluted, but nothing observes
-    /// them after the abort (the engine stops at the failed round).
-    pub fn rewind(&mut self, cp: &NodeCheckpoint) {
-        self.now = cp.now;
-        self.gc_time = cp.gc_time;
-        self.compute_time = cp.compute_time;
-        self.io_stall_time = cp.io_stall_time;
-        self.disk_free_at = cp.disk_free_at;
-        self.gc_pending.truncate(cp.gc_pending);
-        self.heap.counters_rewind(&cp.heap);
-        self.disk.restore_injector(cp.injector.clone());
-    }
-}
-
-/// A snapshot of a node's report-visible counters (see
-/// [`NodeState::checkpoint`]).
-#[derive(Clone, Debug)]
-pub struct NodeCheckpoint {
-    now: SimTime,
-    gc_time: SimDuration,
-    compute_time: SimDuration,
-    io_stall_time: SimDuration,
-    disk_free_at: SimTime,
-    gc_pending: usize,
-    heap: HeapCounters,
-    injector: Option<FaultInjector>,
 }
 
 /// Execution context handed to a [`crate::work::Work`] step.

@@ -10,31 +10,8 @@ use std::collections::BTreeMap;
 
 use simcore::{metrics, tracer, SimDuration, SimError, ThreadId};
 
-use crate::node::{NodeCheckpoint, NodeState, WorkCx};
+use crate::node::{NodeState, WorkCx};
 use crate::work::{StepOutcome, Work};
-
-/// Snapshot of the round-mutated scheduler state of a [`NodeSim`], taken
-/// before a speculative round under the shard executor and restored when
-/// that round is discarded (a lower-numbered node failed first, so under
-/// serial fail-fast semantics this node would never have run).
-///
-/// `Work` bodies are deliberately *not* snapshotted: rewind is only used
-/// on fail-fast paths, where the first failure permanently aborts the
-/// run, so a rewound thread body is never stepped again. Everything that
-/// is *observable afterwards* — clocks, counters, heap statistics,
-/// fault-injector cursors, slot states — is restored exactly.
-#[derive(Debug)]
-pub struct NodeSimCheckpoint {
-    node: NodeCheckpoint,
-    /// `(state, progress)` per existing slot; `run_round` never adds or
-    /// removes slots, so positions line up on rewind.
-    slots: Vec<(ThreadState, u64)>,
-    scope_cpu: BTreeMap<u64, SimDuration>,
-    last_traced_threads: usize,
-    last_metered_threads: usize,
-    pending_quanta: u64,
-    last_metric_cell: Option<u64>,
-}
 
 /// Scheduling state of a thread slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -444,35 +421,6 @@ impl NodeSim {
                 metrics::gauge_set(node, Metric::MemLiveBytes, self.node.now, used as i64);
             }
         }
-    }
-
-    /// Snapshots everything a speculative round can mutate that remains
-    /// observable after a fail-fast abort. See [`NodeSimCheckpoint`].
-    pub fn checkpoint(&self) -> NodeSimCheckpoint {
-        NodeSimCheckpoint {
-            node: self.node.checkpoint(),
-            slots: self.threads.iter().map(|t| (t.state, t.progress)).collect(),
-            scope_cpu: self.scope_cpu.clone(),
-            last_traced_threads: self.last_traced_threads,
-            last_metered_threads: self.last_metered_threads,
-            pending_quanta: self.pending_quanta,
-            last_metric_cell: self.last_metric_cell,
-        }
-    }
-
-    /// Restores a [`Self::checkpoint`], discarding one speculative round.
-    pub fn rewind(&mut self, cp: &NodeSimCheckpoint) {
-        self.node.rewind(&cp.node);
-        debug_assert_eq!(self.threads.len(), cp.slots.len());
-        for (slot, &(state, progress)) in self.threads.iter_mut().zip(&cp.slots) {
-            slot.state = state;
-            slot.progress = progress;
-        }
-        self.scope_cpu = cp.scope_cpu.clone();
-        self.last_traced_threads = cp.last_traced_threads;
-        self.last_metered_threads = cp.last_metered_threads;
-        self.pending_quanta = cp.pending_quanta;
-        self.last_metric_cell = cp.last_metric_cell;
     }
 }
 

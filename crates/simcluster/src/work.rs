@@ -27,13 +27,7 @@ pub enum StepOutcome {
 /// should consume up to its quantum of CPU ([`WorkCx::remaining`]) and
 /// return; the scheduler converts per-thread CPU usage into node
 /// wall-clock advancement under processor sharing.
-///
-/// `Work` is `Send` so whole nodes (and the thread bodies they carry)
-/// can be shipped to shard workers by the lockstep executor
-/// ([`crate::shard::ShardExecutor`]). Bodies still never run
-/// concurrently with anything that aliases their node: a node is owned
-/// by exactly one shard per round.
-pub trait Work: Send {
+pub trait Work {
     /// Runs for (up to) one quantum.
     fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome;
 

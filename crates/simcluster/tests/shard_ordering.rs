@@ -1,21 +1,27 @@
-//! Property test: cross-shard event ordering is shard-count-invariant.
+//! Property test: merged trace bytes and per-node state do not depend
+//! on the order a driver visits nodes within a round.
 //!
-//! Shard workers emit trace events into per-node stream overlays that
-//! the executor merges back at the round barrier; the canonical merged
-//! order (`(time, node, seq)`) must therefore be *identical* whatever
-//! the shard count — the events are the only cross-shard "messages" in
-//! the lockstep design, so their merged bytes are the ordering
-//! property. Randomized workloads (seeded LCG: node counts, skewed
-//! thread loads, tuple counts, per-thread emission cadence) run at
-//! shards 1/2/3/4 and the serialized trace of every parallel run must
-//! equal the serial one byte for byte.
+//! A driver is free to reorder nodes — hyracks' batch `drive` runs a
+//! crash-pending node out of band, ahead of the rest of its window —
+//! and the trace must not notice: each node round emits under the
+//! node's own stream, so an event's id says which node emitted it and
+//! how far along that node was, and the canonical `(time, node, id)`
+//! merge does the rest. Randomized workloads (seeded generator: node
+//! counts, skewed thread loads, tuple counts, per-thread emission
+//! cadence, and in half the cases a thread that fails part-way) run
+//! with every round visiting nodes ascending, descending, and in a
+//! per-round shuffle, and the serialized trace of every permuted run
+//! must equal the ascending one byte for byte. A failing thread stops a
+//! fail-fast round at its node, so in that one round the permuted runs
+//! reorder only the nodes ahead of it: the same nodes run, then the
+//! round stops.
 //!
 //! A single `#[test]` drives all cases because the tracer is
 //! process-global; this file is its own test binary, so nothing else
 //! races it.
 
-use simcluster::{Cluster, ClusterConfig, ShardExecutor, StepOutcome, Work, WorkCx};
-use simcore::{tracer, ByteSize, NodeId, SimDuration, SpaceId};
+use simcluster::{run_round, Cluster, ClusterConfig, StepOutcome, Work, WorkCx};
+use simcore::{tracer, ByteSize, NodeId, SimDuration, SimError, SpaceId};
 
 /// Deterministic splitmix-style generator for the property cases.
 struct Rng(u64);
@@ -35,12 +41,13 @@ impl Rng {
 }
 
 /// Burns CPU over synthetic tuples and emits a trace event every
-/// `emit_every` tuples — the cross-shard messages whose merged order
-/// the property checks.
+/// `emit_every` tuples — the events whose merged order the property
+/// checks. Fails once `fail_after` tuples are done, if set.
 struct Chatter {
     space: Option<SpaceId>,
     tuples: u64,
     emit_every: u64,
+    fail_after: Option<u64>,
     processed: u64,
 }
 
@@ -56,6 +63,9 @@ impl Work for Chatter {
         };
         let per_tuple = cx.cost().tuple_cost(ByteSize(64));
         while self.tuples > 0 && !cx.out_of_quantum() {
+            if self.fail_after.is_some_and(|n| self.processed >= n) {
+                return StepOutcome::Failed(SimError::Internal("planned failure".into()));
+            }
             cx.charge(per_tuple);
             if let Err(e) = cx.alloc(space, ByteSize(40)) {
                 return StepOutcome::Failed(e);
@@ -88,10 +98,24 @@ impl Work for Chatter {
     }
 }
 
-/// Builds one randomized cluster case and runs it to completion at the
-/// given shard count, returning the canonical serialized trace plus a
-/// per-node state fingerprint.
-fn run_case(case_seed: u64, shards: usize) -> (String, Vec<(u64, u64)>) {
+/// How a run orders the runnable nodes of each round.
+#[derive(Clone, Copy, Debug)]
+enum Visit {
+    Ascending,
+    Descending,
+    /// A fresh Fisher–Yates shuffle per round, from this seed.
+    Shuffled(u64),
+}
+
+/// What one run leaves behind: the canonical serialized trace, per-node
+/// `(clock, minor GCs)`, and the `(round, node)` whose failure ended
+/// it, if any.
+type Outcome = (String, Vec<(u64, u64)>, Option<(usize, NodeId)>);
+
+/// Builds one randomized cluster case and runs it fail-fast to
+/// completion (or to its planned failure), visiting nodes per `visit`.
+/// `stop` names the round and node the reference run failed at.
+fn run_case(case_seed: u64, visit: Visit, stop: Option<(usize, NodeId)>) -> Outcome {
     let mut rng = Rng(case_seed);
     let nodes = rng.range(2, 6) as usize;
     let cfg = ClusterConfig {
@@ -102,30 +126,55 @@ fn run_case(case_seed: u64, shards: usize) -> (String, Vec<(u64, u64)>) {
         ..Default::default()
     };
     let mut c = Cluster::new(cfg);
+    let failing = (case_seed % 2 == 1).then(|| rng.range(0, nodes as u64 - 1) as usize);
     for i in 0..nodes {
         let threads = rng.range(1, 4);
-        for _ in 0..threads {
+        for t in 0..threads {
             c.sim(NodeId(i as u32)).spawn(Box::new(Chatter {
                 space: None,
                 tuples: rng.range(500, 6_000),
                 emit_every: rng.range(16, 257),
+                fail_after: (failing == Some(i) && t == 0).then(|| rng.range(100, 400)),
                 processed: 0,
             }));
         }
     }
 
+    let mut shuffle = match visit {
+        Visit::Shuffled(seed) => Rng(seed),
+        _ => Rng(0),
+    };
     tracer::begin_run();
-    let mut exec = ShardExecutor::with_shards(shards);
-    loop {
-        let runnable: Vec<NodeId> = (0..nodes as u32)
+    let mut failed_at = None;
+    for round in 0.. {
+        let mut runnable: Vec<NodeId> = (0..nodes as u32)
             .map(NodeId)
             .filter(|&n| c.sim(n).live_count() > 0)
             .collect();
         if runnable.is_empty() {
             break;
         }
-        let run = exec.run_round(&mut c, &runnable, true);
-        assert!(!run.aborted, "case {case_seed}: unexpected failure");
+        // Everything is free to move, except that the round that fails
+        // must still reach the failing node after the same nodes.
+        let free = match stop {
+            Some((r, node)) if r == round => runnable.iter().position(|&n| n == node).unwrap(),
+            _ => runnable.len(),
+        };
+        match visit {
+            Visit::Ascending => {}
+            Visit::Descending => runnable[..free].reverse(),
+            Visit::Shuffled(_) => {
+                for i in (1..free).rev() {
+                    runnable.swap(i, shuffle.range(0, i as u64) as usize);
+                }
+            }
+        }
+        let run = run_round(&mut c, &runnable, true);
+        failed_at = run.first_failure().map(|(n, _)| (round, n));
+        assert_eq!(run.aborted, failed_at.is_some());
+        if run.aborted {
+            break;
+        }
     }
     let events = tracer::take_run().expect("trace harvested");
     let trace = tracer::jsonl_run(0, &format!("case{case_seed}"), &events);
@@ -135,35 +184,40 @@ fn run_case(case_seed: u64, shards: usize) -> (String, Vec<(u64, u64)>) {
             (n.now.as_nanos(), n.heap.stats().minor_count)
         })
         .collect();
-    (trace, state)
+    (trace, state, failed_at)
 }
 
 #[test]
-fn merged_event_order_is_shard_invariant() {
+fn merged_trace_and_state_ignore_the_visit_order() {
     tracer::enable();
+    let mut failing_cases = 0;
     for case in 0..8u64 {
         let case_seed = 0xA5A5_0000 + case;
-        let (serial_trace, serial_state) = run_case(case_seed, 1);
+        let want = run_case(case_seed, Visit::Ascending, None);
         assert!(
-            serial_trace.lines().count() > 1,
+            want.0.lines().count() > 1,
             "case {case_seed}: workload emitted no events — property is vacuous"
         );
-        for shards in [2usize, 3, 4] {
-            let (trace, state) = run_case(case_seed, shards);
-            assert_eq!(
-                state, serial_state,
-                "case {case_seed}: node state diverged at {shards} shards"
-            );
+        failing_cases += usize::from(want.2.is_some());
+        for visit in [
+            Visit::Descending,
+            Visit::Shuffled(case_seed),
+            Visit::Shuffled(!case_seed),
+        ] {
+            let got = run_case(case_seed, visit, want.2);
+            assert_eq!(got.2, want.2, "case {case_seed} {visit:?}: failing round");
+            assert_eq!(got.1, want.1, "case {case_seed} {visit:?}: node state");
             assert!(
-                trace == serial_trace,
-                "case {case_seed}: merged event order diverged at {shards} shards\n\
+                got.0 == want.0,
+                "case {case_seed} {visit:?}: merged trace diverged\n\
                  first differing line: {:?}",
-                trace
-                    .lines()
-                    .zip(serial_trace.lines())
-                    .find(|(a, b)| a != b)
+                got.0.lines().zip(want.0.lines()).find(|(a, b)| a != b)
             );
         }
     }
+    assert_eq!(
+        failing_cases, 4,
+        "half the cases exercise the fail-fast stop"
+    );
     tracer::disable();
 }

@@ -247,9 +247,9 @@ const OP_CORRUPT: u64 = 3;
 /// That means separate instances built from the same plan and consulted
 /// only for their own node draw exactly the verdicts one globally
 /// shared instance would, regardless of how node operations interleave.
-/// The cluster exploits this to give every disk its own injector (so
-/// node simulators are `Send` and can execute on shard threads) while
-/// keeping the failure schedule identical to the old shared-`Rc` wiring.
+/// The cluster exploits this to give every disk its own injector (a
+/// node simulator owns everything its round touches) while keeping the
+/// failure schedule identical to the old shared-`Rc` wiring.
 /// Crash scheduling (`crash_due`/`is_down`) *is* cross-node state and
 /// stays on a single driver-side instance.
 #[derive(Clone, Debug)]
@@ -401,9 +401,9 @@ impl FaultInjector {
     /// Whether `node` still has a scheduled crash that has not fired.
     ///
     /// Engines use this to classify crash-free *windows*: only a node
-    /// with a pending crash needs the serial round-then-poll
-    /// interleaving; every other node (and this node again, once its
-    /// crashes have all fired) can run on the lockstep shard executor.
+    /// with a pending crash needs the round-then-poll interleaving;
+    /// every other node (and this node again, once its crashes have all
+    /// fired) rides the window's plain round.
     pub fn crash_pending(&self, node: NodeId) -> bool {
         self.plan
             .crashes
@@ -560,7 +560,7 @@ mod tests {
         assert!(!inj.crash_due(NodeId(1), SimTime::from_nanos(200)));
     }
 
-    /// The contract the sharded executor rests on: per-node injector
+    /// The contract the per-owner split rests on: per-node injector
     /// instances of one plan draw exactly the verdict schedule a single
     /// cluster-shared instance draws, no matter how node operations
     /// interleave, and their stats sum to the shared instance's.

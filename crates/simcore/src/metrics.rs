@@ -16,15 +16,14 @@
 //! Determinism contract — the same discipline as the tracer, by
 //! construction: metric updates ride the tracer's per-run /
 //! per-node-stream buffers as [`crate::tracer::TraceData::Metric`]
-//! events, so they inherit stream-namespaced ids, speculation rewind,
-//! and the `(time, node, id)` harvest merge. The fold
-//! ([`fold`]) is a pure function of that merged order, so a metrics
-//! dump is byte-identical at any `--jobs`/`--shards` count. One
-//! consequence worth knowing: trace event ids share the per-stream
-//! sequences with metric updates, so a trace file written with metrics
-//! armed has different (still deterministic) ids than one written
-//! without — each flag combination is self-consistent across
-//! jobs/shards.
+//! events, so they inherit stream-namespaced ids and the
+//! `(time, node, id)` harvest merge. The fold ([`fold`]) is a pure
+//! function of that merged order, so a metrics dump is byte-identical
+//! at any `--jobs` count. One consequence worth knowing: trace event
+//! ids share the per-stream sequences with metric updates, so a trace
+//! file written with metrics armed has different (still deterministic)
+//! ids than one written without — each flag combination is
+//! self-consistent across `--jobs`.
 //!
 //! Disabled cost: every update entry point is a single relaxed atomic
 //! load, exactly like the tracer and profiler.
@@ -302,8 +301,7 @@ struct CellState {
 /// in cells where its value changed (change-driven emission), so long
 /// quiescent stretches produce no points. Histogram observations are
 /// folded in canonical merged order into one sketch per
-/// `(node, metric)` — never per-shard-then-merged — keeping the
-/// quantiles identical at any shard count.
+/// `(node, metric)`.
 ///
 /// The input must be in the tracer's harvest order (`take_run`'s
 /// `(time, node, id)` sort); non-metric events are ignored.

@@ -15,7 +15,6 @@
 //! recording entry point is a single relaxed load when disabled, cheap
 //! enough to leave in simulator hot paths unconditionally.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -150,83 +149,10 @@ pub fn reset() {
     }
 }
 
-thread_local! {
-    /// When set, deterministic counts on this thread accumulate into a
-    /// detachable segment instead of the global atomics. The shard
-    /// executor wraps speculative node rounds in a segment so an
-    /// overshot round (a round serial execution would not have run) can
-    /// be discarded instead of polluting the run's totals.
-    static SEGMENT: RefCell<Option<ProfSegment>> = const { RefCell::new(None) };
-}
-
-/// A detachable bundle of deterministic counter deltas, indexed like
-/// [`STAGES`]: `(events, units, vtime_ns)` per stage.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfSegment {
-    deltas: [(u64, u64, u64); N],
-}
-
-impl ProfSegment {
-    /// Whether the segment recorded nothing.
-    pub fn is_empty(&self) -> bool {
-        self.deltas
-            .iter()
-            .all(|&(e, u, v)| e == 0 && u == 0 && v == 0)
-    }
-}
-
-/// Starts capturing this thread's deterministic counts into a segment
-/// (no-op while disabled). Wall-clock sidecar guards keep writing to
-/// the globals — the sidecar is nondeterministic anyway.
-pub fn segment_begin() {
-    if is_enabled() {
-        SEGMENT.with(|s| *s.borrow_mut() = Some(ProfSegment::default()));
-    }
-}
-
-/// Stops capturing and returns the segment (empty when none was
-/// active). The caller decides whether to [`segment_apply`] it into the
-/// global totals or discard it.
-pub fn segment_take() -> ProfSegment {
-    SEGMENT.with(|s| s.borrow_mut().take()).unwrap_or_default()
-}
-
-/// Folds a harvested segment into the global totals. Sums are
-/// commutative, so apply order never affects the snapshot.
-pub fn segment_apply(seg: &ProfSegment) {
-    for (i, &(events, units, vtime_ns)) in seg.deltas.iter().enumerate() {
-        let c = &REGISTRY.cells[i];
-        if events > 0 {
-            c.events.fetch_add(events, Ordering::Relaxed);
-        }
-        if units > 0 {
-            c.units.fetch_add(units, Ordering::Relaxed);
-        }
-        if vtime_ns > 0 {
-            c.vtime_ns.fetch_add(vtime_ns, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Records `events` occurrences covering `units` work units.
 #[inline]
 pub fn count(stage: Stage, events: u64, units: u64) {
     if !is_enabled() {
-        return;
-    }
-    let segmented = SEGMENT.with(|s| {
-        let mut s = s.borrow_mut();
-        match s.as_mut() {
-            Some(seg) => {
-                let d = &mut seg.deltas[stage as usize];
-                d.0 += events;
-                d.1 += units;
-                true
-            }
-            None => false,
-        }
-    });
-    if segmented {
         return;
     }
     let c = &REGISTRY.cells[stage as usize];
@@ -239,19 +165,6 @@ pub fn count(stage: Stage, events: u64, units: u64) {
 #[inline]
 pub fn vtime(stage: Stage, d: SimDuration) {
     if !is_enabled() {
-        return;
-    }
-    let segmented = SEGMENT.with(|s| {
-        let mut s = s.borrow_mut();
-        match s.as_mut() {
-            Some(seg) => {
-                seg.deltas[stage as usize].2 += d.as_nanos();
-                true
-            }
-            None => false,
-        }
-    });
-    if segmented {
         return;
     }
     REGISTRY.cells[stage as usize]

@@ -18,17 +18,16 @@
 //! is byte-identical no matter how `--jobs` spreads runs across OS
 //! worker threads. Host wall-clock never enters the stream.
 //!
-//! Intra-run parallelism uses *stream overlays*: while the shard
-//! executor steps a node's scheduling round (possibly on another OS
-//! thread), emissions land in a per-node stream whose ids are
-//! `(stream << 32) | seq` — stream 0 is the driver, stream `n + 1` is
-//! node `n`. Because stream assignment follows code location (driver
+//! Event ids are *stream-namespaced*: while a node's scheduling round
+//! runs, a `(stream, seq)` cursor on the run buffer stamps emissions
+//! with `(stream << 32) | seq` — stream 0 is the driver, stream `n + 1`
+//! is node `n`. Because stream assignment follows code location (driver
 //! code emits between rounds, node code emits inside its own round) and
 //! each stream's `seq` advances with the node's own logical progress,
-//! every event's id is a pure function of the simulation — identical at
-//! any `--shards` count. The driver absorbs harvested segments at round
-//! barriers and the usual `(time, node, id)` merge yields identical
-//! bytes whether rounds ran inline or fanned out.
+//! every event's id is a pure function of the simulation, independent
+//! of the order a driver visits nodes within a round (the batch drive
+//! runs crash-pending nodes out of band), and the `(time, node, id)`
+//! merge yields one canonical order.
 //!
 //! Like [`crate::prof`], the tracer is process-global and disabled by
 //! default; every emission entry point is a single relaxed atomic load
@@ -271,8 +270,8 @@ pub enum TraceData {
         cause: EventId,
     },
     /// A metrics-plane update ([`crate::metrics`]) riding the trace
-    /// stream so it inherits stream-namespaced ids, speculation rewind
-    /// and the deterministic harvest merge. The sweep executor routes
+    /// stream so it inherits stream-namespaced ids and the
+    /// deterministic harvest merge. The sweep executor routes
     /// these to the metrics fold; trace files never contain them.
     Metric {
         /// The registry entry being updated.
@@ -501,21 +500,15 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     static RUN: RefCell<Option<RunBuf>> = const { RefCell::new(None) };
-    static STREAM: RefCell<Option<StreamBuf>> = const { RefCell::new(None) };
 }
 
 #[derive(Default)]
 struct RunBuf {
+    /// The driver sequence (stream 0).
     next: u64,
-    events: Vec<Event>,
-}
-
-/// A per-node stream overlay: while installed, emissions on this thread
-/// get ids namespaced under `stream` instead of drawing from the run
-/// buffer's driver sequence.
-struct StreamBuf {
-    stream: u32,
-    next: u64,
+    /// `(stream, seq)` of the node round in progress, if any: while
+    /// set, emissions draw their ids from it instead of `next`.
+    stream: Option<(u32, u64)>,
     events: Vec<Event>,
 }
 
@@ -565,48 +558,30 @@ pub fn take_run() -> Option<RunTrace> {
     Some(events)
 }
 
-/// Installs a stream overlay on this thread: until [`stream_take`],
-/// emissions get ids `(stream << 32) | seq` with `seq` continuing from
-/// `next`. The shard executor wraps each node round in the node's own
-/// stream (stream `n + 1`; 0 is the driver), making every event id
-/// independent of which OS thread — and which `--shards` count — ran
-/// the round. No-op while both tracing and metrics are disabled.
+/// Opens `stream` on the current run: until [`stream_end`], emissions
+/// get ids `(stream << 32) | seq` with `seq` continuing from `next`.
+/// Each node round runs under the node's own stream (stream `n + 1`; 0
+/// is the driver), making every event id independent of the order nodes
+/// are visited in. No-op while both tracing and metrics are disabled,
+/// or outside a run.
 pub fn stream_begin(stream: u32, next: u64) {
     if armed() {
-        STREAM.with(|s| {
-            *s.borrow_mut() = Some(StreamBuf {
-                stream,
-                next,
-                events: Vec::new(),
-            })
+        RUN.with(|r| {
+            if let Some(buf) = r.borrow_mut().as_mut() {
+                buf.stream = Some((stream, next));
+            }
         });
     }
 }
 
-/// Uninstalls this thread's stream overlay, returning the continuation
-/// sequence and the events captured since [`stream_begin`]. Returns
-/// `(next, empty)` when no overlay was installed (tracing disabled) —
-/// callers thread `next` back through unconditionally.
-pub fn stream_take(next: u64) -> (u64, Vec<Event>) {
-    match STREAM.with(|s| s.borrow_mut().take()) {
-        Some(buf) => (buf.next, buf.events),
-        None => (next, Vec::new()),
-    }
-}
-
-/// Appends already-stamped events (a harvested stream segment) into the
-/// current run's buffer. The merge order is recovered at [`take_run`];
-/// segments may be absorbed in any order. Dropped while disabled or
-/// outside a run.
-pub fn absorb(events: Vec<Event>) {
-    if !armed() || events.is_empty() {
-        return;
-    }
+/// Closes the stream opened by [`stream_begin`], returning its
+/// continuation sequence — `next` itself when none was open (disarmed,
+/// or outside a run), so callers thread it back unconditionally.
+pub fn stream_end(next: u64) -> u64 {
     RUN.with(|r| {
-        if let Some(buf) = r.borrow_mut().as_mut() {
-            buf.events.extend(events);
-        }
-    });
+        let cursor = r.borrow_mut().as_mut().and_then(|buf| buf.stream.take());
+        cursor.map_or(next, |(_, seq)| seq)
+    })
 }
 
 /// Emits one event into the current run's buffer, returning its id.
@@ -635,46 +610,30 @@ pub(crate) fn emit_raw(
     dur: SimDuration,
     data: TraceData,
 ) -> EventId {
-    // A stream overlay (a node round executing under the shard
-    // executor) captures the event with a namespaced id; otherwise the
-    // run buffer's driver sequence (stream 0) applies.
-    let streamed = STREAM.with(|s| {
-        let mut s = s.borrow_mut();
-        s.as_mut().map(|buf| {
-            buf.next += 1;
-            let id = EventId(((buf.stream as u64) << 32) | buf.next);
-            buf.events.push(Event {
-                id,
-                node,
-                scope,
-                at,
-                dur,
-                data: data.clone(),
-            });
-            id
-        })
-    });
-    if let Some(id) = streamed {
-        return id;
-    }
     RUN.with(|r| {
         let mut r = r.borrow_mut();
-        match r.as_mut() {
-            Some(buf) => {
-                buf.next += 1;
-                let id = EventId(buf.next);
-                buf.events.push(Event {
-                    id,
-                    node,
-                    scope,
-                    at,
-                    dur,
-                    data,
-                });
-                id
+        let Some(buf) = r.as_mut() else {
+            return EventId::NONE;
+        };
+        let id = match &mut buf.stream {
+            Some((stream, seq)) => {
+                *seq += 1;
+                EventId(((*stream as u64) << 32) | *seq)
             }
-            None => EventId::NONE,
-        }
+            None => {
+                buf.next += 1;
+                EventId(buf.next)
+            }
+        };
+        buf.events.push(Event {
+            id,
+            node,
+            scope,
+            at,
+            dur,
+            data,
+        });
+        id
     })
 }
 

@@ -82,15 +82,6 @@ pub struct AllocOutcome {
     pub pauses: Vec<GcRecord>,
 }
 
-/// A snapshot of a heap's report-visible counters (see
-/// [`Heap::counters_mark`]).
-#[derive(Clone, Debug)]
-pub struct HeapCounters {
-    stats: GcStats,
-    peak_used: ByteSize,
-    records: usize,
-}
-
 /// The simulated managed heap. See the crate docs for the model.
 #[derive(Clone, Debug)]
 pub struct Heap {
@@ -194,26 +185,6 @@ impl Heap {
     /// Pause time accumulated since a [`Heap::pause_mark`] snapshot.
     pub fn pause_since(&self, mark: SimDuration) -> SimDuration {
         self.stats.total_pause.saturating_sub(mark)
-    }
-
-    /// Snapshots the report-visible counters (GC stats, peak occupancy,
-    /// record count) ahead of a speculative scheduling round.
-    pub fn counters_mark(&self) -> HeapCounters {
-        HeapCounters {
-            stats: self.stats.clone(),
-            peak_used: self.peak_used,
-            records: self.records.len(),
-        }
-    }
-
-    /// Restores the counters captured by [`Heap::counters_mark`]. Heap
-    /// *contents* (spaces, occupancy) are not rolled back — the shard
-    /// executor only rewinds counters on rounds whose run is about to
-    /// abort, where contents are never observed again.
-    pub fn counters_rewind(&mut self, mark: &HeapCounters) {
-        self.stats = mark.stats.clone();
-        self.peak_used = mark.peak_used;
-        self.records.truncate(mark.records);
     }
 
     /// All collection records, oldest first.

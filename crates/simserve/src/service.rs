@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use itask_core::MemSignal;
-use simcluster::{run_parts, Cluster, ClusterConfig, ShardExecutor};
+use simcluster::{run_round, Cluster, ClusterConfig};
 use simcore::sketch::QuantileSketch;
 use simcore::{
     metrics, tracer, tracer::EventId, ByteSize, FaultPlan, NodeId, SimDuration, SimError, SimTime,
@@ -81,8 +81,8 @@ pub struct ScaleSpec {
     pub model: TenantModel,
     /// Admission shards: tenants hash to a shard (`tenant % shards`),
     /// each shard owns an indexed controller gating on its own slice of
-    /// nodes (`node % shards`), and per-shard decisions fan out across
-    /// [`run_parts`] with a deterministic shard-order merge. Clamped to
+    /// nodes (`node % shards`), and shards decide in shard order, each
+    /// against its own view frozen at round start. Clamped to
     /// `[1, nodes]`. The configured `max_active` (and any brownout cap)
     /// applies per shard.
     pub admission_shards: usize,
@@ -288,9 +288,6 @@ pub struct Service {
     last_storm_any: EventId,
     quarantines: u64,
     brownout_rounds: u64,
-    /// Lockstep shard executor for the data-plane rounds (persistent so
-    /// the worker pool is built once, not per round).
-    exec: ShardExecutor,
 }
 
 impl Service {
@@ -379,7 +376,6 @@ impl Service {
             last_storm_any: EventId::NONE,
             quarantines: 0,
             brownout_rounds: 0,
-            exec: ShardExecutor::new(),
         }
     }
 
@@ -441,9 +437,8 @@ impl Service {
                 );
             }
         }
-        // Shard sketches merge in shard order: any `--jobs`/`--shards`
-        // count produced the same per-shard sketches, so the merged
-        // quantiles are deterministic too.
+        // Shard sketches merge in shard order, so the merged quantiles
+        // are deterministic.
         let merge = |sketches: &[QuantileSketch]| {
             let mut all = QuantileSketch::default();
             for s in sketches {
@@ -597,55 +592,61 @@ impl Service {
             let Some(job) = self.controllers[0].next(view) else {
                 break;
             };
-            let scope = self.next_scope;
-            self.next_scope += 1;
+            let tenant = job.tenant;
             let targets = self.schedulable_nodes();
-            let mut driver = build_driver(
-                job.kind,
-                self.cfg.engine,
-                scope,
-                self.cfg.params,
-                job.dataset_seed,
-                self.cfg.block_size,
-                &targets,
-                &mut self.cluster,
-            );
-            // Waits are measured from the latest enqueue, so a retry's
-            // sample is its genuine re-queueing delay, not the failed
-            // execution that preceded it.
-            let wait = now.since(job.enqueued).as_nanos();
-            if tracer::is_enabled() {
-                tracer::emit(
-                    None,
-                    Some(scope),
-                    now,
-                    SimDuration::ZERO,
-                    tracer::TraceData::Admitted {
-                        tenant: job.tenant,
-                        wait_ns: wait,
-                    },
-                );
-            }
-            metrics::counter_add(None, metrics::Metric::ServeAdmitted, now, 1);
-            let failure = driver.start(&mut self.cluster).err();
-            let slo = self.slos.entry(job.tenant).or_default();
-            slo.queue_wait.insert(wait);
-            self.active.push(ActiveJob {
-                driver,
-                queued: job,
-                failure,
-                shard: 0,
-            });
+            let wait = self.launch(job, 0, &targets, now);
+            self.slos.entry(tenant).or_default().queue_wait.insert(wait);
         }
     }
 
+    /// Starts an admitted job on `targets` under a fresh scope and
+    /// records it as active on admission shard `shard`. Returns its
+    /// queue wait in nanoseconds, measured from the latest enqueue, so
+    /// a retry's sample is its genuine re-queueing delay, not the
+    /// failed execution that preceded it.
+    fn launch(&mut self, job: QueuedJob, shard: usize, targets: &[NodeId], now: SimTime) -> u64 {
+        let scope = self.next_scope;
+        self.next_scope += 1;
+        let mut driver = build_driver(
+            job.kind,
+            self.cfg.engine,
+            scope,
+            self.cfg.params,
+            job.dataset_seed,
+            self.cfg.block_size,
+            targets,
+            &mut self.cluster,
+        );
+        let wait = now.since(job.enqueued).as_nanos();
+        if tracer::is_enabled() {
+            tracer::emit(
+                None,
+                Some(scope),
+                now,
+                SimDuration::ZERO,
+                tracer::TraceData::Admitted {
+                    tenant: job.tenant,
+                    wait_ns: wait,
+                },
+            );
+        }
+        metrics::counter_add(None, metrics::Metric::ServeAdmitted, now, 1);
+        let failure = driver.start(&mut self.cluster).err();
+        self.active.push(ActiveJob {
+            driver,
+            queued: job,
+            failure,
+            shard,
+        });
+        wait
+    }
+
     /// Scale-mode admission: every shard's controller drains its queue
-    /// against a frozen per-shard view in parallel ([`run_parts`]), and
-    /// decisions commit in shard order so the outcome is identical at
-    /// any worker count. The view is frozen for the whole batch — the
-    /// documented semantics of one sharded admission round: `max_active`
-    /// and the brownout cap bound each *shard*, and the memory gate
-    /// reads the shard's node slice as of round start.
+    /// against a per-shard view frozen at round start, in shard order.
+    /// The view is frozen for the whole batch — the documented semantics
+    /// of one sharded admission round: `max_active` and the brownout cap
+    /// bound each *shard*, and the memory gate reads the shard's node
+    /// slice as of round start.
     fn admit_scale(&mut self, now: SimTime) {
         let shards = self.controllers.len();
         let brownout_cap = self
@@ -667,74 +668,26 @@ impl Service {
         let free: Vec<f64> = (0..shards)
             .map(|s| self.cluster.min_free_heap_ratio_of(&self.shard_nodes[s]))
             .collect();
-        let controllers = std::mem::take(&mut self.controllers);
-        let parts: Vec<_> = controllers
-            .into_iter()
-            .enumerate()
-            .map(|(s, c)| (c, base_active[s], reduce[s], free[s]))
-            .collect();
-        // The closure runs on worker threads: pure controller state
-        // machine, no tracer/profiler emission (driver-thread-only).
-        let results = run_parts(parts, |_s, (mut ctl, base, reduce, free)| {
-            let mut jobs = Vec::new();
-            loop {
-                let active = base + jobs.len();
+        for s in 0..shards {
+            for admitted in 0.. {
+                let active = base_active[s] + admitted;
                 if brownout_cap.is_some_and(|cap| active >= cap) {
                     break;
                 }
                 let view = ClusterView {
                     active,
-                    min_free_ratio: free,
-                    any_reduce_signal: reduce,
+                    min_free_ratio: free[s],
+                    any_reduce_signal: reduce[s],
                     now,
                 };
-                let Some(job) = ctl.next(view) else { break };
-                jobs.push(job);
-            }
-            (ctl, jobs)
-        });
-        // Commit in shard order: scopes, traces, and job starts happen
-        // in one canonical sequence regardless of worker count.
-        for (s, (ctl, jobs)) in results.into_iter().enumerate() {
-            self.controllers.push(ctl);
-            for job in jobs {
-                let scope = self.next_scope;
-                self.next_scope += 1;
+                let Some(job) = self.controllers[s].next(view) else {
+                    break;
+                };
                 let targets = self.schedulable_shard_nodes(s);
-                let mut driver = build_driver(
-                    job.kind,
-                    self.cfg.engine,
-                    scope,
-                    self.cfg.params,
-                    job.dataset_seed,
-                    self.cfg.block_size,
-                    &targets,
-                    &mut self.cluster,
-                );
-                let wait = now.since(job.enqueued).as_nanos();
-                if tracer::is_enabled() {
-                    tracer::emit(
-                        None,
-                        Some(scope),
-                        now,
-                        SimDuration::ZERO,
-                        tracer::TraceData::Admitted {
-                            tenant: job.tenant,
-                            wait_ns: wait,
-                        },
-                    );
-                }
-                metrics::counter_add(None, metrics::Metric::ServeAdmitted, now, 1);
-                let failure = driver.start(&mut self.cluster).err();
+                let wait = self.launch(job, s, &targets, now);
                 // Bounded memory at 10^5 tenants: waits go into the
                 // shard sketch, not per-tenant sketches.
                 self.scale_wait[s].insert(wait);
-                self.active.push(ActiveJob {
-                    driver,
-                    queued: job,
-                    failure,
-                    shard: s,
-                });
             }
         }
     }
@@ -792,8 +745,7 @@ impl Service {
     fn step_data_plane(&mut self) {
         // Every node's round commits (no fail-fast): a thread failure
         // only fails its owning job, never the round. Crash polling
-        // happens in [`Self::handle_crashes`] *after* the barrier, so
-        // the parallel fan-out is safe even under a crash plan.
+        // happens in [`Self::handle_crashes`] *after* the barrier.
         let mut nodes = Vec::with_capacity(self.cluster.node_count());
         for n in 0..self.cluster.node_count() {
             let node = NodeId(n as u32);
@@ -804,7 +756,7 @@ impl Service {
         if nodes.is_empty() {
             return;
         }
-        let run = self.exec.run_round(&mut self.cluster, &nodes, false);
+        let run = run_round(&mut self.cluster, &nodes, false);
         for (node, report) in run.reports {
             let n = node.as_usize();
             for (tid, err) in report.failed {

@@ -3,9 +3,9 @@
 //! two-phase pipeline. The `--quick` stdout goldens and the benchmark's
 //! `sim_digest` cover the fault-free data plane; these pins also walk
 //! the service's crash re-homing, its shuffle under a fabric slowdown
-//! window, and the quarantine drain, for both engines, at one shard and
-//! at two. A host-side change must not move any of them; a change to
-//! the model moves them on purpose and re-captures.
+//! window, and the quarantine drain, for both engines. A host-side
+//! change must not move any of them; a change to the model moves them
+//! on purpose and re-captures.
 
 use simcore::{FaultPlan, NodeId, SimDuration, SimTime};
 use simserve::{
@@ -102,35 +102,23 @@ const PINS: [Pin; 8] = [
     Pin { engine: EngineKind::Itask, scenario: Scenario::Overload, want: Fingerprint { elapsed_ns: 116986094, rounds: 194, outputs: 29876, completed: 26, failed: 0, omes: 0, retries: 0, p50: 22539098, p99: 68658401, quarantines: 6 } },
 ];
 
-/// One test, not one per pin: the shard count is process-global
-/// (`simcluster::set_shards`), so the pins must not race each other.
 #[test]
-fn pinned_fingerprints_hold_at_one_and_two_shards() {
-    for shards in [1, 2] {
-        simcluster::set_shards(shards);
-        for pin in &PINS {
-            let r = Service::new(config(pin.engine, pin.scenario)).run();
-            let latency = r.merged_latency();
-            let got = Fingerprint {
-                elapsed_ns: r.elapsed.as_nanos(),
-                rounds: r.rounds,
-                outputs: r.total_outputs,
-                completed: r.total(|t| t.completed),
-                failed: r.total(|t| t.failed),
-                omes: r.total(|t| t.omes),
-                retries: r.total(|t| t.retries),
-                p50: latency.quantile(0.5),
-                p99: latency.quantile(0.99),
-                quarantines: r.quarantines,
-            };
-            assert_eq!(
-                got,
-                pin.want,
-                "{} {:?} shards={shards}",
-                pin.engine.label(),
-                pin.scenario
-            );
-        }
+fn pinned_fingerprints_hold() {
+    for pin in &PINS {
+        let r = Service::new(config(pin.engine, pin.scenario)).run();
+        let latency = r.merged_latency();
+        let got = Fingerprint {
+            elapsed_ns: r.elapsed.as_nanos(),
+            rounds: r.rounds,
+            outputs: r.total_outputs,
+            completed: r.total(|t| t.completed),
+            failed: r.total(|t| t.failed),
+            omes: r.total(|t| t.omes),
+            retries: r.total(|t| t.retries),
+            p50: latency.quantile(0.5),
+            p99: latency.quantile(0.99),
+            quarantines: r.quarantines,
+        };
+        assert_eq!(got, pin.want, "{} {:?}", pin.engine.label(), pin.scenario);
     }
-    simcluster::set_shards(1);
 }

@@ -76,9 +76,9 @@ pub struct SmrConfig {
     pub faults: Option<FaultPlan>,
     /// Seed for the deterministic per-index payload digests.
     pub seed: u64,
-    /// Shard count for the lockstep executor; `0` uses the global
-    /// `--shards` setting (the benches), a positive value pins it
-    /// (tests exercising byte-identity without touching global state).
+    /// Unread; only caller: `benchmark/src/workloads.rs`, delete with
+    /// the next benchmark PR.
+    #[doc(hidden)]
     pub shards: usize,
 }
 

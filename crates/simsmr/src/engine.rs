@@ -1,7 +1,6 @@
 //! The quorum driver: proposes, replicates, collects acks, commits in
 //! log order, and runs heartbeat-timeout elections — all between
-//! lockstep rounds of the shard executor, so the whole protocol is
-//! byte-identical at any `--shards` count.
+//! scheduling rounds of the quorum's nodes.
 //!
 //! # Timing model
 //!
@@ -29,12 +28,12 @@
 //! tail. Both a scheduled leader crash and a full-GC pause longer than
 //! the timeout take this same path.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use itask_core::{live_budget_for_pause, predicted_full_pause, StateGuard};
-use simcluster::{Cluster, ClusterConfig, ShardExecutor};
+use simcluster::{run_round, Cluster, ClusterConfig};
 use simcore::sketch::QuantileSketch;
 use simcore::tracer::{self, EventId, TraceData};
 use simcore::{metrics, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
@@ -220,13 +219,8 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     if let Some(plan) = &cfg.faults {
         cluster.install_faults(plan.clone());
     }
-    let mut exec = if cfg.shards == 0 {
-        ShardExecutor::new()
-    } else {
-        ShardExecutor::with_shards(cfg.shards)
-    };
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Rc::new(Cell::new(false));
     let mut mailboxes = Vec::with_capacity(cfg.nodes);
     for n in 0..cfg.nodes {
         let id = NodeId(n as u32);
@@ -347,14 +341,14 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
             }
         }
 
-        // 2. One lockstep round over the live replicas, each first
-        //    handed everything staged for it since the last one.
+        // 2. One round over the live replicas, each first handed
+        //    everything staged for it since the last one.
         for (mailbox, cmds) in mailboxes.iter().zip(&mut staged) {
             if !cmds.is_empty() {
                 mailbox.deliver(cmds);
             }
         }
-        let round = exec.run_round(&mut cluster, &live, true);
+        let round = run_round(&mut cluster, &live, true);
         if let Some((node, report)) = round.first_failure() {
             result = Err(report
                 .failed
@@ -655,14 +649,14 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
 
     // Wind down: replicas retire at their next step; late acks only
     // feed the per-node digest chains.
-    stop.store(true, Ordering::Relaxed);
+    stop.set(true);
     for _ in 0..16 {
         let live = cluster.live_nodes();
         let busy = live.iter().any(|&n| cluster.sim(n).live_count() > 0);
         if !busy {
             break;
         }
-        exec.run_round(&mut cluster, &live, false);
+        run_round(&mut cluster, &live, false);
     }
     for (mailbox, digests) in mailboxes.iter().zip(&mut node_digests) {
         mailbox.collect(&mut acks);

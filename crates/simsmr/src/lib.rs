@@ -29,12 +29,11 @@
 //!   and deflates pre-emptively whenever that pause could outlast the
 //!   election timeout, keeping the quorum stable by construction.
 //!
-//! Everything runs in virtual time on the lockstep
-//! [`simcluster::ShardExecutor`], so stdout and trace output are
-//! byte-identical at any `--shards` count; leader election and view
-//! changes run off heartbeat timeouts in the same virtual time, so a
-//! scheduled leader crash ([`simcore::FaultPlan`]) or a long leader GC
-//! pause produces a *deterministic* view change. Per-commit causal
+//! Everything runs in virtual time, one [`simcluster::run_round`] per
+//! driver iteration; leader election and view changes run off
+//! heartbeat timeouts in the same virtual time, so a scheduled leader
+//! crash ([`simcore::FaultPlan`]) or a long leader GC pause produces a
+//! *deterministic* view change. Per-commit causal
 //! chains (propose → replicate → ack → commit) emit through the
 //! `simcore` tracer, and commit latencies accumulate in the existing
 //! [`simcore::sketch::QuantileSketch`] for p50/p99/p99.9 reporting.

@@ -18,9 +18,9 @@
 //! (async disk, like the paper's background serialization threads) and
 //! frees the heap bytes.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use itask_core::Deflatable;
 use simcluster::{StepOutcome, Work, WorkCx};
@@ -67,29 +67,28 @@ pub struct Ack {
 
 /// The driver's end of one replica's mailbox.
 ///
-/// The driver and the replica never run at the same time — the lockstep
-/// executor steps replicas inside a round and the driver works between
-/// rounds — so the mutexes are only what makes the replica `Send` for
-/// `--shards N`, and each side takes each of them once per turn: the
-/// driver hands over a round's commands with one [`Mailbox::deliver`]
-/// and takes a round's acks with one [`Mailbox::collect`]; the replica
-/// holds the inbox for one whole step and publishes its acks and
-/// counters when the step ends.
-pub struct Mailbox(Arc<Shared>);
+/// The driver and the replica never run at the same time — replicas
+/// step inside a round and the driver works between rounds — and each
+/// side touches each cell once per turn: the driver hands over a
+/// round's commands with one [`Mailbox::deliver`] and takes a round's
+/// acks with one [`Mailbox::collect`]; the replica holds the inbox for
+/// one whole step and publishes its acks and counters when the step
+/// ends.
+pub struct Mailbox(Rc<Shared>);
 
 /// What the two ends of a mailbox share.
 #[derive(Default)]
 struct Shared {
-    inbox: Mutex<VecDeque<Cmd>>,
-    outbox: Mutex<Vec<Ack>>,
-    stats: Mutex<ReplicaStats>,
+    inbox: RefCell<VecDeque<Cmd>>,
+    outbox: RefCell<Vec<Ack>>,
+    stats: Cell<ReplicaStats>,
 }
 
 impl Mailbox {
     /// Appends `staged` to the replica's command queue in order, leaving
     /// `staged` empty (and its allocation with the caller).
     pub fn deliver(&self, staged: &mut Vec<Cmd>) {
-        lock(&self.0.inbox).extend(staged.drain(..));
+        self.0.inbox.borrow_mut().extend(staged.drain(..));
     }
 
     /// Replaces the contents of `acks` with everything the replica
@@ -97,18 +96,13 @@ impl Mailbox {
     /// trade places, so neither side allocates in steady state.
     pub fn collect(&self, acks: &mut Vec<Ack>) {
         acks.clear();
-        std::mem::swap(&mut *lock(&self.0.outbox), acks);
+        std::mem::swap(&mut *self.0.outbox.borrow_mut(), acks);
     }
 
     /// The replica's counters as of its last completed step.
     pub fn stats(&self) -> ReplicaStats {
-        *lock(&self.0.stats)
+        self.0.stats.get()
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock()
-        .expect("a replica step panicked holding its mailbox")
 }
 
 /// Engine-readable replica counters.
@@ -162,8 +156,8 @@ struct Applier {
 
 /// One replica's simulated thread body.
 pub struct ReplicaWork {
-    mailbox: Arc<Shared>,
-    stop: Arc<AtomicBool>,
+    mailbox: Rc<Shared>,
+    stop: Rc<Cell<bool>>,
     sm: Applier,
 }
 
@@ -174,9 +168,9 @@ impl ReplicaWork {
         node: NodeId,
         space: SpaceId,
         cfg: &SmrConfig,
-        stop: Arc<AtomicBool>,
+        stop: Rc<Cell<bool>>,
     ) -> (Self, Mailbox) {
-        let mailbox = Arc::<Shared>::default();
+        let mailbox = Rc::<Shared>::default();
         let work = ReplicaWork {
             mailbox: mailbox.clone(),
             stop,
@@ -299,15 +293,15 @@ impl Applier {
 
 impl Work for ReplicaWork {
     fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome {
-        if self.stop.load(Ordering::Relaxed) {
+        if self.stop.get() {
             return StepOutcome::Finished;
         }
-        let outcome = self.sm.drain(cx, &mut lock(&self.mailbox.inbox));
+        let outcome = self.sm.drain(cx, &mut self.mailbox.inbox.borrow_mut());
         // A step that failed publishes too: the acks it produced before
         // the failing command are real.
         if !matches!(outcome, StepOutcome::Waiting) {
-            lock(&self.mailbox.outbox).append(&mut self.sm.acks);
-            *lock(&self.mailbox.stats) = self.sm.stats;
+            self.mailbox.outbox.borrow_mut().append(&mut self.sm.acks);
+            self.mailbox.stats.set(self.sm.stats);
         }
         outcome
     }

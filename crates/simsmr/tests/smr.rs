@@ -1,9 +1,8 @@
 //! Determinism, view-change, and quorum-safety tests for the SMR
-//! engine. Shard counts are pinned via `SmrConfig::shards` so the
-//! tests never touch the global `--shards` state.
+//! engine.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use simcluster::{NodeState, StepOutcome, Work, WorkCx};
@@ -40,8 +39,7 @@ fn quick_run_commits_everything() {
         RuntimeMode::Itask,
         RuntimeMode::ItaskElect,
     ] {
-        let mut cfg = SmrConfig::new(3, mode).quick().with_pressure(75);
-        cfg.shards = 1;
+        let cfg = SmrConfig::new(3, mode).quick().with_pressure(75);
         let o = run(&cfg);
         assert_clean(&o, &cfg);
         assert!(o.latency.count() == cfg.entries, "one sample per commit");
@@ -51,10 +49,9 @@ fn quick_run_commits_everything() {
 
 #[test]
 fn same_config_is_bit_identical() {
-    let mut cfg = SmrConfig::new(3, RuntimeMode::Itask)
+    let cfg = SmrConfig::new(3, RuntimeMode::Itask)
         .quick()
         .with_pressure(75);
-    cfg.shards = 1;
     let a = run(&cfg);
     let b = run(&cfg);
     assert_clean(&a, &cfg);
@@ -65,11 +62,10 @@ fn same_config_is_bit_identical() {
 
 #[test]
 fn leader_crash_forces_deterministic_view_change() {
-    let mut cfg = SmrConfig::new(3, RuntimeMode::Itask)
+    let cfg = SmrConfig::new(3, RuntimeMode::Itask)
         .quick()
         .with_pressure(45)
         .with_faults(crash_leader_plan());
-    cfg.shards = 1;
     let a = run(&cfg);
     assert_clean(&a, &cfg);
     assert!(
@@ -86,8 +82,7 @@ fn leader_crash_forces_deterministic_view_change() {
 
 #[test]
 fn regular_mode_high_pressure_gc_deposes_leader() {
-    let mut cfg = SmrConfig::new(3, RuntimeMode::Regular).with_pressure(92);
-    cfg.shards = 1;
+    let cfg = SmrConfig::new(3, RuntimeMode::Regular).with_pressure(92);
     let o = run(&cfg);
     assert_clean(&o, &cfg);
     assert!(
@@ -98,8 +93,7 @@ fn regular_mode_high_pressure_gc_deposes_leader() {
 
 #[test]
 fn election_aware_mode_keeps_leader_seated() {
-    let mut cfg = SmrConfig::new(3, RuntimeMode::ItaskElect).with_pressure(92);
-    cfg.shards = 1;
+    let cfg = SmrConfig::new(3, RuntimeMode::ItaskElect).with_pressure(92);
     let o = run(&cfg);
     assert_clean(&o, &cfg);
     assert_eq!(
@@ -110,24 +104,6 @@ fn election_aware_mode_keeps_leader_seated() {
         o.deflations > 0,
         "the win must come from deflation, not luck"
     );
-}
-
-#[test]
-fn shard_count_does_not_change_the_run() {
-    let mut cfg = SmrConfig::new(5, RuntimeMode::Itask)
-        .quick()
-        .with_pressure(75);
-    cfg.shards = 1;
-    let a = run(&cfg);
-    assert_clean(&a, &cfg);
-    cfg.shards = 2;
-    let b = run(&cfg);
-    cfg.shards = 4;
-    let c = run(&cfg);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_eq!(fingerprint(&a), fingerprint(&c));
-    assert_eq!(a.node_digests, b.node_digests);
-    assert_eq!(a.node_digests, c.node_digests);
 }
 
 /// Everything a 2 000-entry run at 92% live/heap reports, as the commit
@@ -175,42 +151,39 @@ const PINS: [Pin; 12] = [
 ];
 
 #[test]
-fn pinned_fingerprints_hold_at_every_shard_count() {
+fn pinned_fingerprints_hold() {
     for pin in &PINS {
-        for shards in [1, 2, 4] {
-            let mut cfg = SmrConfig::new(pin.nodes, pin.mode);
-            cfg.entries = 2_000;
-            cfg = cfg.with_pressure(92);
-            if pin.crash {
-                cfg = cfg.with_faults(crash_leader_plan());
-            }
-            cfg.shards = shards;
-            let o = run(&cfg);
-            assert_clean(&o, &cfg);
-            let got = Fingerprint {
-                commits: o.commits,
-                final_view: o.final_view,
-                view_changes: o.view_changes,
-                digest: o.committed_digest(),
-                p50: o.quantile_ns(0.5),
-                p999: o.quantile_ns(0.999),
-                elapsed: o.elapsed.as_nanos(),
-                gc_stall: o.gc_stall.as_nanos(),
-                minor: o.minor_gcs,
-                full: o.full_gcs,
-                lugc: o.lugcs,
-                deflations: o.deflations,
-                deflated: o.deflated.as_u64(),
-            };
-            assert_eq!(
-                got,
-                pin.want,
-                "{}-node {} crash={} shards={shards}",
-                pin.nodes,
-                pin.mode.label(),
-                pin.crash
-            );
+        let mut cfg = SmrConfig::new(pin.nodes, pin.mode);
+        cfg.entries = 2_000;
+        cfg = cfg.with_pressure(92);
+        if pin.crash {
+            cfg = cfg.with_faults(crash_leader_plan());
         }
+        let o = run(&cfg);
+        assert_clean(&o, &cfg);
+        let got = Fingerprint {
+            commits: o.commits,
+            final_view: o.final_view,
+            view_changes: o.view_changes,
+            digest: o.committed_digest(),
+            p50: o.quantile_ns(0.5),
+            p999: o.quantile_ns(0.999),
+            elapsed: o.elapsed.as_nanos(),
+            gc_stall: o.gc_stall.as_nanos(),
+            minor: o.minor_gcs,
+            full: o.full_gcs,
+            lugc: o.lugcs,
+            deflations: o.deflations,
+            deflated: o.deflated.as_u64(),
+        };
+        assert_eq!(
+            got,
+            pin.want,
+            "{}-node {} crash={}",
+            pin.nodes,
+            pin.mode.label(),
+            pin.crash
+        );
     }
 }
 
@@ -230,7 +203,7 @@ impl Rig {
         let id = NodeId(0);
         let mut node = NodeState::new(id, 2, heap, ByteSize::gib(1));
         let space = node.heap.create_space("smr.state0");
-        let (work, mailbox) = ReplicaWork::new(id, space, &cfg, Arc::new(AtomicBool::new(false)));
+        let (work, mailbox) = ReplicaWork::new(id, space, &cfg, Rc::new(Cell::new(false)));
         Rig {
             node,
             work,
@@ -344,21 +317,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Quorum safety: across quorum sizes, pressure tiers, runtime
-    /// modes, crash schedules and shard counts, no two nodes' applied
-    /// sequences may diverge from the committed log on a common prefix.
+    /// modes and crash schedules, no two nodes' applied sequences may
+    /// diverge from the committed log on a common prefix.
     #[test]
     fn committed_logs_never_diverge(
         five in any::<bool>(),
         mode_ix in 0usize..3,
         pressure in prop_oneof![Just(45u64), Just(75u64), Just(92u64)],
         crash_leader in any::<bool>(),
-        shards in 1usize..=2,
     ) {
         let nodes = if five { 5 } else { 3 };
         let mode = [RuntimeMode::Regular, RuntimeMode::Itask, RuntimeMode::ItaskElect][mode_ix];
         let mut cfg = SmrConfig::new(nodes, mode).quick().with_pressure(pressure);
         cfg.entries = 64;
-        cfg.shards = shards;
         if crash_leader {
             cfg = cfg.with_faults(crash_leader_plan());
         }

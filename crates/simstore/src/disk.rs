@@ -10,8 +10,8 @@
 //! Each disk *owns* its injector. Verdicts are counter-hashed per
 //! `(node, op-kind)` (see [`simcore::fault`]), so per-node injector
 //! instances replaying the same plan produce exactly the schedule one
-//! shared injector would — while keeping the disk `Send` for the shard
-//! executor. The cluster aggregates per-disk stats back into one view.
+//! shared injector would. The cluster aggregates per-disk stats back
+//! into one view.
 
 use std::fmt;
 
@@ -104,22 +104,9 @@ impl Disk {
     }
 
     /// Routes subsequent reads/writes through a fault injector this
-    /// disk owns. Installing again replaces the previous injector
-    /// (used by the shard executor to rewind a speculative round).
+    /// disk owns. Installing again replaces the previous injector.
     pub fn install_injector(&mut self, injector: FaultInjector) {
         self.injector = Some(Box::new(injector));
-    }
-
-    /// The owned fault injector, if one is installed.
-    pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_deref()
-    }
-
-    /// Replaces (or clears) the installed injector wholesale — the shard
-    /// executor's rewind path restores a pre-round clone so an aborted
-    /// speculative round leaves no trace in fault schedules or stats.
-    pub fn restore_injector(&mut self, injector: Option<FaultInjector>) {
-        self.injector = injector.map(Box::new);
     }
 
     /// Injected-fault counts charged to this disk (zeroes without an
