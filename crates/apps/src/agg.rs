@@ -7,7 +7,6 @@
 //! ([`MergeableTuple`]). Map-side combining, reduce-side aggregation and
 //! the ITask merge stage are then all the same fold.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hadoop::{HadoopConfig, MapCx, Mapper, ReduceCx, Reducer, RegularJobResult};
@@ -358,17 +357,9 @@ impl<S: AggSpec> AggMapTask<S> {
         if self.state.is_empty() {
             return Ok(());
         }
-        let mut buckets: BTreeMap<u32, Vec<S::Mid>> = BTreeMap::new();
-        for item in self.state.drain() {
-            buckets
-                .entry(self.spec.bucket(item.key(), self.buckets))
-                .or_default()
-                .push(item);
-        }
-        let batch = ShuffleBatch {
-            buckets: buckets.into_iter().collect(),
-        };
-        let ser: ByteSize = batch.buckets.iter().map(|(_, v)| ser_of(v)).sum();
+        let items = self.state.drain();
+        let ser = ser_of(&items);
+        let batch = ShuffleBatch::grouped(items, |m| self.spec.bucket(m.key(), self.buckets));
         cx.emit_final(Box::new(batch), ser)
     }
 }

@@ -6,13 +6,14 @@
 //! processed alone.
 
 use hadoop::HadoopConfig;
+use simcore::ByteSize;
 use workloads::wikipedia::Article;
 
 use crate::agg::AggSpec;
 use crate::mids::{CountMid, OutKv};
 use crate::summary::RunSummary;
 
-use super::{itask, regular, wikipedia_splits, NODES};
+use super::{itask, regular, wikipedia_splits, wikipedia_word_total, NODES};
 
 /// Lemmatizer scratch per sentence character (the paper reports three
 /// orders of magnitude over the sentence; 250 x the UTF-16 string puts
@@ -101,13 +102,14 @@ pub fn run_itask(seed: u64) -> RunSummary<OutKv> {
     )
 }
 
-/// Invariant: total lemma count equals total word occurrences.
+/// Invariant: total lemma count equals total word occurrences, for
+/// a job that ran over the default 128 KiB splits.
 pub fn verify(outs: &[OutKv], seed: u64) -> bool {
+    verify_sized(outs, seed, ByteSize::kib(128))
+}
+
+/// [`verify`] for a job that ran over `split`-sized splits.
+pub fn verify_sized(outs: &[OutKv], seed: u64, split: ByteSize) -> bool {
     let total: u64 = outs.iter().map(|o| o.value).sum();
-    let expected: u64 = wikipedia_splits(false, seed)
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|a| a.words.len() as u64)
-        .sum();
-    total == expected
+    total == wikipedia_word_total(false, seed, split)
 }

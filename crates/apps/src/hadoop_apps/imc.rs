@@ -3,13 +3,14 @@
 //! over the whole vocabulary outgrows the 0.5GB map heap.
 
 use hadoop::HadoopConfig;
+use simcore::ByteSize;
 use workloads::wikipedia::Article;
 
 use crate::agg::AggSpec;
 use crate::mids::{CountMid, OutKv};
 use crate::summary::RunSummary;
 
-use super::{itask, regular, wikipedia_splits, NODES};
+use super::{itask, regular, wikipedia_splits, wikipedia_word_total, NODES};
 
 /// The in-map combiner entry: word string key, boxed count, plus the
 /// per-word document-frequency bookkeeping the problem report's mapper
@@ -84,7 +85,7 @@ impl AggSpec for ImcTunedSpec {
 /// splits).
 pub fn tuned_config() -> HadoopConfig {
     let mut cfg = HadoopConfig::table1(NODES, 512, 1024, 6, 6);
-    cfg.split_size = simcore::ByteSize::kib(64);
+    cfg.split_size = ByteSize::kib(64);
     cfg
 }
 
@@ -105,13 +106,30 @@ pub fn run_itask(seed: u64) -> RunSummary<OutKv> {
     itask(&ImcSpec, &table1_config(), wikipedia_splits(true, seed))
 }
 
-/// Invariant: total counted words equals total word occurrences.
+/// Invariant: total counted words equals total word occurrences, for
+/// a job that ran over the default 128 KiB splits.
 pub fn verify(outs: &[OutKv], seed: u64) -> bool {
+    verify_sized(outs, seed, ByteSize::kib(128))
+}
+
+/// [`verify`] for a job that ran over `split`-sized splits.
+pub fn verify_sized(outs: &[OutKv], seed: u64, split: ByteSize) -> bool {
     let total: u64 = outs.iter().map(|o| o.value).sum();
-    let expected: u64 = wikipedia_splits(true, seed)
-        .iter()
-        .flat_map(|s| s.iter())
-        .map(|a| a.words.len() as u64)
-        .sum();
-    total == expected
+    total == wikipedia_word_total(true, seed, split)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cut decides the articles: the tuned job's correct output over
+    /// its own 64 KiB splits is not the 128 KiB dataset's word total.
+    #[test]
+    fn verify_sized_accepts_the_tuned_jobs_output_that_verify_rejects() {
+        let cfg = tuned_config();
+        let (run, _attempts) = run_tuned(3);
+        let outs = run.result.expect("the tuned job completes");
+        assert!(verify_sized(&outs, 3, cfg.split_size));
+        assert!(!verify(&outs, 3));
+    }
 }

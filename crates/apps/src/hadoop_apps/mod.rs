@@ -46,14 +46,29 @@ pub fn wikipedia_splits(full: bool, seed: u64) -> Vec<Vec<Article>> {
 
 /// Loads a Wikipedia dataset at an explicit split size.
 pub fn wikipedia_splits_sized(full: bool, seed: u64, split: ByteSize) -> Vec<Vec<Article>> {
-    let cfg = if full {
-        WikipediaConfig::full_dump(seed)
-    } else {
-        WikipediaConfig::sample(seed)
-    };
+    let cfg = wikipedia_config(full, seed);
     (0..cfg.num_blocks(split))
         .map(|b| cfg.block(b, split))
         .collect()
+}
+
+/// Word occurrences in a Wikipedia dataset cut into `split`-sized
+/// splits (the cut decides the articles, so the total depends on it),
+/// summed one block at a time: a verifier never holds the dataset.
+pub fn wikipedia_word_total(full: bool, seed: u64, split: ByteSize) -> u64 {
+    let cfg = wikipedia_config(full, seed);
+    (0..cfg.num_blocks(split))
+        .flat_map(|b| cfg.block(b, split))
+        .map(|a| a.words.len() as u64)
+        .sum()
+}
+
+fn wikipedia_config(full: bool, seed: u64) -> WikipediaConfig {
+    if full {
+        WikipediaConfig::full_dump(seed)
+    } else {
+        WikipediaConfig::sample(seed)
+    }
 }
 
 /// Runs a spec's regular Hadoop job and wraps it uniformly.

@@ -100,15 +100,8 @@ impl ItaskWcMap {
         for (w, c) in std::mem::take(&mut self.counts) {
             buckets.entry(w % 16).or_default().push(CountT(w, c));
         }
-        let batch = ShuffleBatch {
-            buckets: buckets.into_iter().collect(),
-        };
-        let ser: u64 = batch
-            .buckets
-            .iter()
-            .flat_map(|(_, v)| v)
-            .map(Tuple::ser_bytes)
-            .sum();
+        let ser: u64 = buckets.values().flatten().map(Tuple::ser_bytes).sum();
+        let batch = ShuffleBatch::from_buckets(buckets);
         cx.emit_final(Box::new(batch), ByteSize(ser))
     }
 }

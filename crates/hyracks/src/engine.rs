@@ -10,8 +10,7 @@ use simcluster::{run_node_round, run_round, Cluster, JobOutcome, JobReport};
 use simcore::{prof, ByteSize, NodeId, SimDuration, SimResult};
 
 use crate::job::{salvage_crashed_workers, ShuffleClocks, TwoPhaseJob};
-use crate::operator::Operator;
-use crate::pool::BatchPool;
+use crate::operator::{BucketArena, Operator};
 
 /// Parameters of a regular two-phase job.
 #[derive(Clone, Debug)]
@@ -69,29 +68,52 @@ impl ItaskJobSpec {
     }
 }
 
-/// What an ITask map task emits as its final output: partial results
-/// already bucketed for the shuffle.
+/// What an ITask map task emits as its final output: one flush's
+/// partial results, already grouped for the shuffle. Flat — every tuple
+/// of the flush in one vector, buckets ascending, and one `(bucket,
+/// len)` run per bucket touched — so a flush costs two allocations
+/// however many buckets it spreads over.
 pub struct ShuffleBatch<T> {
-    /// `(bucket, tuples)` pairs.
-    pub buckets: Vec<(u32, Vec<T>)>,
+    /// The flush's tuples, grouped by bucket in `runs` order.
+    tuples: Vec<T>,
+    /// `(bucket, len)` of each group; the lengths sum to `tuples.len()`.
+    runs: Vec<(u32, u32)>,
+}
+
+impl<T> ShuffleBatch<T> {
+    /// Groups one flush's `tuples` by `bucket`, buckets ascending. The
+    /// sort is stable: within a bucket tuples keep the order they came
+    /// in (an aggregate's key-ordered drain stays key-ordered).
+    pub fn grouped(mut tuples: Vec<T>, bucket: impl Fn(&T) -> u32) -> Self {
+        tuples.sort_by_key(&bucket);
+        let runs = tuples
+            .chunk_by(|a, b| bucket(a) == bucket(b))
+            .map(|run| (bucket(&run[0]), run.len() as u32))
+            .collect();
+        ShuffleBatch { tuples, runs }
+    }
+
+    /// From `(bucket, tuples)` groups, kept in the order given.
+    pub fn from_buckets(buckets: impl IntoIterator<Item = (u32, Vec<T>)>) -> Self {
+        let (mut tuples, mut runs) = (Vec::new(), Vec::new());
+        for (bucket, group) in buckets {
+            runs.push((bucket, group.len() as u32));
+            tuples.extend(group);
+        }
+        ShuffleBatch { tuples, runs }
+    }
+
+    /// Hands each `(bucket, run)` group to `arena`, in order.
+    pub(crate) fn pour_into(self, arena: &mut BucketArena<T>) {
+        let mut tuples = self.tuples.into_iter();
+        for (bucket, len) in self.runs {
+            arena.push_run(bucket, tuples.by_ref().take(len as usize));
+        }
+    }
 }
 
 /// Splits records into frames of at most `granularity` serialized bytes.
 pub fn chunk_into_frames<T: Tuple>(records: Vec<T>, granularity: ByteSize) -> Vec<Vec<T>> {
-    let mut pool = BatchPool::with_capacity(0);
-    chunk_into_frames_pooled(records, granularity, &mut pool)
-}
-
-/// [`chunk_into_frames`] drawing frame buffers from `pool` and parking
-/// the spent input buffer there, so phase-2 framing recycles the batch
-/// vectors the shuffle just retired instead of round-tripping the
-/// allocator. Host-side only: frame boundaries and contents are
-/// identical to the unpooled path.
-pub fn chunk_into_frames_pooled<T: Tuple>(
-    mut records: Vec<T>,
-    granularity: ByteSize,
-    pool: &mut BatchPool<T>,
-) -> Vec<Vec<T>> {
     let _wall = prof::wall_timer(prof::Stage::FrameChunk);
     prof::count(prof::Stage::FrameChunk, 1, records.len() as u64);
     // Two passes: count each frame's length first so every frame (and
@@ -113,17 +135,15 @@ pub fn chunk_into_frames_pooled<T: Tuple>(
     if n > 0 {
         counts.push(n);
     }
-    let mut frames = Vec::with_capacity(counts.len());
-    {
-        let mut it = records.drain(..);
-        for n in counts {
-            let mut frame = pool.take(n);
+    let mut it = records.into_iter();
+    counts
+        .into_iter()
+        .map(|n| {
+            let mut frame = Vec::with_capacity(n);
             frame.extend(it.by_ref().take(n));
-            frames.push(frame);
-        }
-    }
-    pool.put(records);
-    frames
+            frame
+        })
+        .collect()
 }
 
 /// Flushes one accumulated crash-free window: runs a fail-fast round
@@ -310,4 +330,71 @@ pub fn distribute_blocks<T: Tuple>(
         per_node[i % nodes].extend(frames);
     }
     per_node
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct K(u64);
+
+    impl Tuple for K {
+        fn heap_bytes(&self) -> u64 {
+            8
+        }
+    }
+
+    /// One flush in the per-bucket form map tasks used to emit: the
+    /// key-ordered drain dealt into a `BTreeMap<bucket, Vec>`.
+    fn per_bucket(drain: &[K], buckets: u64) -> BTreeMap<u32, Vec<K>> {
+        let mut groups: BTreeMap<u32, Vec<K>> = BTreeMap::new();
+        for k in drain {
+            groups
+                .entry((k.0 % buckets) as u32)
+                .or_default()
+                .push(k.clone());
+        }
+        groups
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// What the shuffle sees of a node's flushes — each bucket's
+        /// tuple sequence and the `(bucket, len)` batch list the fabric
+        /// is charged by — is the same whether a flush was grouped flat
+        /// (one stable sort) or dealt into per-bucket vectors.
+        #[test]
+        fn flat_batches_fill_the_arena_like_per_bucket_ones(
+            flushes in proptest::collection::vec(proptest::collection::vec(0u64..400, 0..60), 0..10),
+            buckets in 1u64..12,
+        ) {
+            let mut want_arenas: Vec<Vec<K>> = Vec::new();
+            let mut want_batches: Vec<(u32, u32)> = Vec::new();
+            let mut grouped = BucketArena::default();
+            let mut from_buckets = BucketArena::default();
+            for mut keys in flushes {
+                // An aggregate drains unique keys in key order.
+                keys.sort_unstable();
+                keys.dedup();
+                let drain: Vec<K> = keys.into_iter().map(K).collect();
+                let old = per_bucket(&drain, buckets);
+                for (&bucket, group) in &old {
+                    if want_arenas.len() <= bucket as usize {
+                        want_arenas.resize_with(bucket as usize + 1, Vec::new);
+                    }
+                    want_arenas[bucket as usize].extend(group.iter().cloned());
+                    want_batches.push((bucket, group.len() as u32));
+                }
+                ShuffleBatch::grouped(drain, |k| (k.0 % buckets) as u32).pour_into(&mut grouped);
+                ShuffleBatch::from_buckets(old).pour_into(&mut from_buckets);
+            }
+            let want = (want_arenas, want_batches);
+            prop_assert_eq!(&grouped.into_parts(), &want);
+            prop_assert_eq!(&from_buckets.into_parts(), &want);
+        }
+    }
 }

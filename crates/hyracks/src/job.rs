@@ -22,11 +22,8 @@ use itask_core::{
 use simcluster::{Cluster, JobReport, NodeSim, Work, WorkCx, DEFAULT_IO_RETRIES};
 use simcore::{metrics, prof, tracer, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
 
-use crate::engine::{
-    chunk_into_frames_pooled, ItaskFactories, ItaskJobSpec, JobSpec, ShuffleBatch,
-};
+use crate::engine::{chunk_into_frames, ItaskFactories, ItaskJobSpec, JobSpec, ShuffleBatch};
 use crate::operator::{BucketArena, Operator, OperatorWorker, OutputSink};
-use crate::pool::BatchPool;
 
 /// Which node clocks the shuffle's wire time advances.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,8 +109,6 @@ pub struct TwoPhaseJob<'f, In, Mid, Out> {
     inputs: Option<Vec<Vec<Vec<In>>>>,
     phase: Phase,
     plane: Plane<'f, In, Mid, Out>,
-    /// Spent shuffle buffers park here and come back as phase-2 frames.
-    pool: BatchPool<Mid>,
 }
 
 impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
@@ -183,7 +178,6 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
             inputs: Some(inputs),
             phase: Phase::Map,
             plane,
-            pool: BatchPool::new(),
         }
     }
 
@@ -281,7 +275,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
     /// job's clock policy, frames each bucket and launches phase 2.
     pub fn enter_reduce(&mut self, cluster: &mut Cluster) -> SimResult<()> {
         let outputs: BucketedOutputs<Mid> = match &mut self.plane {
-            // Retired workers still hold sink handles; drain in place.
+            // A sink is a shared cell; drain it in place.
             Plane::Regular(p) => std::mem::take(&mut p.map_sinks)
                 .into_iter()
                 .map(|s| s.take())
@@ -290,9 +284,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
                 let outputs = p.irss.iter_mut().map(|irs| {
                     let mut arena = BucketArena::default();
                     for batch in finals::<ShuffleBatch<Mid>>(irs, "map tasks emit ShuffleBatch") {
-                        for (bucket, tuples) in batch.buckets {
-                            arena.push_batch(bucket, tuples);
-                        }
+                        batch.pour_into(&mut arena);
                     }
                     arena
                 });
@@ -301,7 +293,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
                 outputs
             }
         };
-        let per_node = shuffle(cluster, outputs, &mut self.pool, self.scope, self.clocks)?;
+        let per_node = shuffle(cluster, outputs, self.scope, self.clocks)?;
         self.phase = Phase::Reduce;
 
         let node_count = cluster.node_count();
@@ -311,7 +303,7 @@ impl<'f, In: Tuple, Mid: Tuple, Out: 'static> TwoPhaseJob<'f, In, Mid, Out> {
             let framed: Vec<(u32, Vec<Vec<Mid>>)> = nonempty_buckets(buckets)
                 .map(|(bucket, tuples)| {
                     framed_tuples += tuples.len() as u64;
-                    let frames = chunk_into_frames_pooled(tuples, self.granularity, &mut self.pool);
+                    let frames = chunk_into_frames(tuples, self.granularity);
                     (bucket, frames)
                 })
                 .collect();
@@ -625,7 +617,6 @@ fn nonempty_buckets<T>(buckets: Vec<Vec<T>>) -> impl Iterator<Item = (u32, Vec<T
 fn shuffle<T: Tuple>(
     cluster: &mut Cluster,
     outputs: BucketedOutputs<T>,
-    pool: &mut BatchPool<T>,
     scope: Option<u64>,
     clocks: ShuffleClocks,
 ) -> SimResult<ShuffledInputs<T>> {
@@ -675,11 +666,9 @@ fn shuffle<T: Tuple>(
         // Every batch of bucket `b` from this source lands on the same
         // destination, so the whole per-bucket arena moves in one step:
         // adopted outright by the first source to fill the slot, bulk-
-        // appended after that. Retired buffers park in the pool for
-        // phase-2 framing.
+        // appended after that.
         for (bi, mut tuples) in arenas.into_iter().enumerate() {
             if tuples.is_empty() {
-                pool.put(tuples);
                 continue;
             }
             let dst = live[bi % live.len()];
@@ -688,10 +677,9 @@ fn shuffle<T: Tuple>(
                 slots.resize_with(bi + 1, Vec::new);
             }
             if slots[bi].is_empty() {
-                pool.put(std::mem::replace(&mut slots[bi], tuples));
+                slots[bi] = tuples;
             } else {
                 slots[bi].append(&mut tuples);
-                pool.put(tuples);
             }
         }
     }
@@ -789,7 +777,7 @@ mod tests {
         let arena_of = |batches: Vec<(u32, Vec<W>)>| {
             let mut arena = BucketArena::default();
             for (bucket, tuples) in batches {
-                arena.push_batch(bucket, tuples);
+                arena.push_run(bucket, tuples.into_iter());
             }
             arena
         };
@@ -805,8 +793,7 @@ mod tests {
             c.sim(NodeId(n)).node_mut().now += SimDuration::from_micros(10 * n as u64);
         }
         let before: Vec<SimTime> = (0..4).map(|n| c.sim(NodeId(n)).node().now).collect();
-        let mut pool = BatchPool::new();
-        let routed = shuffle(&mut c, bucketed_outputs(), &mut pool, None, clocks).unwrap();
+        let routed = shuffle(&mut c, bucketed_outputs(), None, clocks).unwrap();
         let ledger = format!("{:?}", c.fabric().stats());
         let after = (0..4).map(|n| c.sim(NodeId(n)).node().now).collect();
         (routed, ledger, before, after)

@@ -23,12 +23,10 @@
 pub mod engine;
 pub mod job;
 pub mod operator;
-pub mod pool;
 
 pub use engine::{
-    chunk_into_frames, chunk_into_frames_pooled, distribute_blocks, run_itask, run_regular,
-    ItaskFactories, ItaskJobSpec, JobSpec, ShuffleBatch,
+    chunk_into_frames, distribute_blocks, run_itask, run_regular, ItaskFactories, ItaskJobSpec,
+    JobSpec, ShuffleBatch,
 };
 pub use job::{salvage_crashed_workers, Phase, ShuffleClocks, TwoPhaseJob};
 pub use operator::{BucketArena, OpCx, Operator, OperatorWorker, OutputSink};
-pub use pool::BatchPool;

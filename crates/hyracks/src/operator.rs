@@ -152,24 +152,19 @@ impl<T> BucketArena<T> {
         total
     }
 
-    /// Absorbs an already-batched `(bucket, tuples)` group wholesale
-    /// (ITask map finals arrive pre-bucketed as [`crate::ShuffleBatch`]).
-    /// Empty batches are recorded too — the shuffle charges the fabric
-    /// per batch, so dropping one would change wire times. Not meant to
-    /// be mixed with the [`Self::push_grow`]/[`Self::seal_batches`]
-    /// protocol on one arena.
-    pub fn push_batch(&mut self, bucket: u32, tuples: Vec<T>) {
+    /// Absorbs an already-batched `(bucket, tuples)` run (ITask map
+    /// finals arrive pre-grouped as [`crate::ShuffleBatch`]) as one
+    /// batch. Empty runs are recorded too — the shuffle charges the
+    /// fabric per batch, so dropping one would change wire times. Not
+    /// meant to be mixed with the [`Self::push_grow`]/
+    /// [`Self::seal_batches`] protocol on one arena.
+    pub fn push_run(&mut self, bucket: u32, run: impl ExactSizeIterator<Item = T>) {
         let bi = bucket as usize;
         if self.arenas.len() <= bi {
             self.arenas.resize_with(bi + 1, Vec::new);
         }
-        self.batches.push((bucket, tuples.len() as u32));
-        if self.arenas[bi].is_empty() {
-            // First batch for the bucket: adopt the allocation.
-            self.arenas[bi] = tuples;
-        } else {
-            self.arenas[bi].extend(tuples);
-        }
+        self.batches.push((bucket, run.len() as u32));
+        self.arenas[bi].extend(run);
     }
 
     /// Decomposes into `(arenas, batches)` for the shuffle.

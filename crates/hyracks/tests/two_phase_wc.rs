@@ -130,19 +130,9 @@ impl CountMapTask {
         for (w, c) in std::mem::take(&mut self.counts) {
             buckets.entry(bucket_of(w)).or_default().push(CountT(w, c));
         }
-        let batch = ShuffleBatch {
-            buckets: buckets.into_iter().collect(),
-        };
-        bump(
-            &MAP_OUT,
-            batch.buckets.iter().flat_map(|(_, v)| v).map(|c| c.1).sum(),
-        );
-        let ser: u64 = batch
-            .buckets
-            .iter()
-            .flat_map(|(_, v)| v.iter())
-            .map(Tuple::ser_bytes)
-            .sum();
+        bump(&MAP_OUT, buckets.values().flatten().map(|c| c.1).sum());
+        let ser: u64 = buckets.values().flatten().map(Tuple::ser_bytes).sum();
+        let batch = ShuffleBatch::from_buckets(buckets);
         cx.emit_final(Box::new(batch), ByteSize(ser))
     }
 }

@@ -5,6 +5,12 @@
 //! time of the round: `max(longest step, ceil(total CPU / cores))`.
 //! GC pauses are stop-the-world and advance the clock directly as they
 //! happen (inside [`crate::node::NodeState::alloc`]).
+//!
+//! A retired slot owns nothing: the moment a thread finishes, fails, is
+//! killed or crashes, its `Work` body is dropped (or handed to the
+//! caller, for a crash) and the slot keeps only its id, state, scope
+//! and progress counter. Slots are never removed, so a thread's id is
+//! its index in the table for the whole life of the [`NodeSim`].
 
 use std::collections::BTreeMap;
 
@@ -39,17 +45,31 @@ struct ThreadSlot {
     scope: Option<u64>,
 }
 
-/// Placeholder body left in a slot whose real `Work` was salvaged by
-/// [`NodeSim::crash`]. Never stepped (the slot is `Failed`).
-struct CrashTombstone;
+impl ThreadSlot {
+    fn is_live(&self) -> bool {
+        matches!(self.state, ThreadState::Runnable | ThreadState::Waiting)
+    }
 
-impl Work for CrashTombstone {
+    /// Retires the slot in `state` and returns its body, leaving the
+    /// zero-sized [`Retired`] behind: whatever host memory the work
+    /// owned goes with the returned box, not with the `NodeSim`.
+    fn retire(&mut self, state: ThreadState) -> Box<dyn Work> {
+        self.state = state;
+        std::mem::replace(&mut self.work, Box::new(Retired))
+    }
+}
+
+/// The body of a retired slot. Zero-sized, so boxing it allocates
+/// nothing; never stepped (the slot is `Finished` or `Failed`).
+struct Retired;
+
+impl Work for Retired {
     fn step(&mut self, _cx: &mut WorkCx<'_>) -> StepOutcome {
-        StepOutcome::Failed(SimError::Internal("stepped a crash tombstone".into()))
+        StepOutcome::Failed(SimError::Internal("stepped a retired thread".into()))
     }
 
     fn label(&self) -> String {
-        "crashed".into()
+        "retired".into()
     }
 }
 
@@ -141,16 +161,11 @@ impl NodeSim {
             );
         }
         self.node.disk.purge();
-        let mut salvaged = Vec::new();
-        for slot in &mut self.threads {
-            if matches!(slot.state, ThreadState::Runnable | ThreadState::Waiting) {
-                slot.state = ThreadState::Failed;
-                // Swap the body out; the retired slot keeps a tombstone.
-                let body = std::mem::replace(&mut slot.work, Box::new(CrashTombstone));
-                salvaged.push(body);
-            }
-        }
-        salvaged
+        self.threads
+            .iter_mut()
+            .filter(|slot| slot.is_live())
+            .map(|slot| slot.retire(ThreadState::Failed))
+            .collect()
     }
 
     /// Read access to the node.
@@ -184,6 +199,8 @@ impl NodeSim {
     /// the owning job; [`NodeSim::thread_scope`] maps failures back.
     pub fn spawn_scoped(&mut self, work: Box<dyn Work>, scope: Option<u64>) -> ThreadId {
         let id = ThreadId(self.next_thread);
+        // By-id lookups index the table: ids are dense, in spawn order.
+        debug_assert_eq!(id.0 as usize, self.threads.len());
         self.next_thread += 1;
         self.threads.push(ThreadSlot {
             id,
@@ -197,10 +214,16 @@ impl NodeSim {
 
     /// The allocation scope a thread was spawned under, if any.
     pub fn thread_scope(&self, id: ThreadId) -> Option<u64> {
-        self.threads
-            .iter()
-            .find(|t| t.id == id)
-            .and_then(|t| t.scope)
+        self.slot(id).and_then(|t| t.scope)
+    }
+
+    /// The slot of `id`: its index in the table (see `spawn_scoped`).
+    fn slot(&self, id: ThreadId) -> Option<&ThreadSlot> {
+        self.threads.get(id.0 as usize)
+    }
+
+    fn slot_mut(&mut self, id: ThreadId) -> Option<&mut ThreadSlot> {
+        self.threads.get_mut(id.0 as usize)
     }
 
     /// Kills every live thread spawned under `scope` (job teardown).
@@ -208,10 +231,8 @@ impl NodeSim {
     pub fn kill_scope(&mut self, scope: u64) -> usize {
         let mut killed = 0;
         for t in &mut self.threads {
-            if t.scope == Some(scope)
-                && matches!(t.state, ThreadState::Runnable | ThreadState::Waiting)
-            {
-                t.state = ThreadState::Failed;
+            if t.scope == Some(scope) && t.is_live() {
+                drop(t.retire(ThreadState::Failed));
                 killed += 1;
             }
         }
@@ -230,19 +251,16 @@ impl NodeSim {
     pub fn live_count_in_scope(&self, scope: u64) -> usize {
         self.threads
             .iter()
-            .filter(|t| {
-                t.scope == Some(scope)
-                    && matches!(t.state, ThreadState::Runnable | ThreadState::Waiting)
-            })
+            .filter(|t| t.scope == Some(scope) && t.is_live())
             .count()
     }
 
     /// Kills a thread outright (the naïve baseline of §6.1; ITask proper
     /// interrupts cooperatively instead). Returns whether it existed.
     pub fn kill(&mut self, id: ThreadId) -> bool {
-        match self.threads.iter_mut().find(|t| t.id == id) {
-            Some(t) if matches!(t.state, ThreadState::Runnable | ThreadState::Waiting) => {
-                t.state = ThreadState::Failed;
+        match self.slot_mut(id) {
+            Some(t) if t.is_live() => {
+                drop(t.retire(ThreadState::Failed));
                 true
             }
             _ => false,
@@ -251,29 +269,27 @@ impl NodeSim {
 
     /// The state of a thread, if it exists.
     pub fn thread_state(&self, id: ThreadId) -> Option<ThreadState> {
-        self.threads.iter().find(|t| t.id == id).map(|t| t.state)
+        self.slot(id).map(|t| t.state)
     }
 
     /// Ids of live (runnable or waiting) threads.
     pub fn live_threads(&self) -> Vec<ThreadId> {
         self.threads
             .iter()
-            .filter(|t| matches!(t.state, ThreadState::Runnable | ThreadState::Waiting))
+            .filter(|t| t.is_live())
             .map(|t| t.id)
             .collect()
     }
 
     /// Number of live threads.
     pub fn live_count(&self) -> usize {
-        self.live_threads().len()
+        self.threads.iter().filter(|t| t.is_live()).count()
     }
 
     /// Progress units accumulated by `id` since the last
     /// [`Self::take_progress`] call (the IRS speed rule's input).
     pub fn take_progress(&mut self, id: ThreadId) -> u64 {
-        self.threads
-            .iter_mut()
-            .find(|t| t.id == id)
+        self.slot_mut(id)
             .map(|t| std::mem::take(&mut t.progress))
             .unwrap_or(0)
     }
@@ -281,7 +297,7 @@ impl NodeSim {
     /// Adds progress units to a thread (called by work via label...);
     /// engines call this after a step using the step's tuple count.
     pub fn add_progress(&mut self, id: ThreadId, units: u64) {
-        if let Some(t) = self.threads.iter_mut().find(|t| t.id == id) {
+        if let Some(t) = self.slot_mut(id) {
             t.progress += units;
         }
     }
@@ -301,10 +317,7 @@ impl NodeSim {
         let mut any_ran = false;
 
         for i in 0..self.threads.len() {
-            if !matches!(
-                self.threads[i].state,
-                ThreadState::Runnable | ThreadState::Waiting
-            ) {
+            if !self.threads[i].is_live() {
                 continue;
             }
             let outcome = {
@@ -330,12 +343,12 @@ impl NodeSim {
                 }
                 StepOutcome::Waiting => slot.state = ThreadState::Waiting,
                 StepOutcome::Finished => {
-                    slot.state = ThreadState::Finished;
+                    drop(slot.retire(ThreadState::Finished));
                     report.finished.push(slot.id);
                     any_ran = true;
                 }
                 StepOutcome::Failed(err) => {
-                    slot.state = ThreadState::Failed;
+                    drop(slot.retire(ThreadState::Failed));
                     report.failed.push((slot.id, err));
                     any_ran = true;
                 }
