@@ -48,6 +48,12 @@ pub trait AggSpec: Clone + 'static {
     fn finish(&self, mid: Self::Mid) -> Self::Out;
 
     /// Shuffle bucket of a key (hash by default; sort apps use ranges).
+    ///
+    /// Contract: `bucket(key, buckets) < buckets` for every key, and the
+    /// same `(key, buckets)` always gives the same bucket. The grouped
+    /// drain sizes its per-bucket table by `buckets` and the engine
+    /// tags reduce partitions by it; a range split must clamp its last
+    /// range (as `hs` does) rather than return `buckets`.
     fn bucket(&self, key: u64, buckets: u32) -> u32 {
         (key % buckets as u64) as u32
     }
@@ -77,7 +83,8 @@ pub trait AggSpec: Clone + 'static {
 
 /// Cheap deterministic hasher for the u64 aggregation keys: one
 /// Fibonacci multiply instead of SipHash on the per-tuple fold path.
-/// Order sensitivity is confined to [`AggState::drain`], which sorts.
+/// Order sensitivity is confined to [`AggState::drain`] and
+/// [`AggState::drain_grouped`], which sort.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -139,18 +146,99 @@ impl<M: MergeableTuple> AggState<M> {
         Ok(())
     }
 
-    /// Drains the accumulated tuples in key order (the sort restores
-    /// the order the previous BTreeMap-backed state emitted in — this
-    /// is the only place map order is observable).
-    pub fn drain(&mut self) -> Vec<M> {
-        let _wall = prof::wall_timer(prof::Stage::AggDrain);
+    /// Empties the map in hash order, counting the drain.
+    fn take_unordered(&mut self) -> Vec<M> {
         prof::count(prof::Stage::AggDrain, 1, self.map.len() as u64);
         let mut out: Vec<M> = Vec::with_capacity(self.map.len());
         out.extend(self.map.drain().map(|(_, v)| v));
-        // Keys are unique, so sorting the tuples by their own key gives
-        // the order the previous BTreeMap-backed state emitted in.
+        out
+    }
+
+    /// Drains the accumulated tuples in key order; the sort is what
+    /// keeps the hash map's iteration order from being observable.
+    ///
+    /// The ITask map flush uses [`AggState::drain_grouped`] instead;
+    /// the callers left here need the whole drain key-ordered, or gain
+    /// nothing from grouping, and moving any of the simulated ones
+    /// moves a digest:
+    ///
+    /// * regular Hyracks map/reduce ([`AggMapOp`], [`AggReduceOp`]):
+    ///   `OpCx::emit` is an arena push with no simulated side effect,
+    ///   so only the per-bucket order matters — host-only, but map
+    ///   flushes are capped at [`AggSpec::map_cache_bytes`] and the
+    ///   grouped drain measured no gain there (EXPERIMENTS.md, PR 22);
+    /// * Hadoop map ([`AggMapper`]): `MapCx::write` charges the heap
+    ///   per tuple and spills at a threshold, so emission order is
+    ///   simulated;
+    /// * reduce and merge partials ([`AggReduceTask`], [`AggMergeTask`],
+    ///   [`AggReducer`]): re-folded downstream in arrival order, which
+    ///   charges allocations in that order — simulated.
+    pub fn drain(&mut self) -> Vec<M> {
+        let _wall = prof::wall_timer(prof::Stage::AggDrain);
+        let mut out = self.take_unordered();
+        // Keys are unique, so this is a total order.
         out.sort_unstable_by_key(MergeableTuple::key);
         out
+    }
+
+    /// Drains the accumulated tuples grouped for the shuffle: buckets
+    /// ascending, keys ascending inside a bucket, plus the `(bucket,
+    /// len)` run of every bucket touched — the two halves of a
+    /// [`ShuffleBatch`]. Keys are unique, so this is exactly the order
+    /// of [`AggState::drain`] followed by a stable sort on the bucket,
+    /// reached in linear time: `bucket` is evaluated once per tuple, a
+    /// counting pass deals the tuples to their runs in place, and only
+    /// a run is comparison-sorted.
+    pub fn drain_grouped(
+        &mut self,
+        buckets: u32,
+        bucket: impl Fn(u64) -> u32,
+    ) -> (Vec<M>, Vec<(u32, u32)>) {
+        let _wall = prof::wall_timer(prof::Stage::AggDrain);
+        let mut out = self.take_unordered();
+        // Per-bucket lengths first, then (below) each bucket's cursor:
+        // where in `out` its next tuple belongs.
+        let mut cursor = vec![0u32; buckets as usize];
+        let mut tags: Vec<u32> = out
+            .iter()
+            .map(|m| {
+                let b = bucket(m.key());
+                debug_assert!(b < buckets, "AggSpec::bucket returned {b} of {buckets}");
+                cursor[b as usize] += 1;
+                b
+            })
+            .collect();
+        let mut runs = Vec::new();
+        let mut start = 0u32;
+        for (b, slot) in cursor.iter_mut().enumerate() {
+            let len = std::mem::replace(slot, start);
+            if len > 0 {
+                runs.push((b as u32, len));
+            }
+            start += len;
+        }
+        // American-flag placement: earlier buckets' runs are complete,
+        // so a stray tuple under this run's `at` belongs to a later
+        // bucket; swap it to that bucket's cursor — one swap per tuple
+        // at most — and look again at what came back.
+        let mut at = 0usize;
+        for &(b, len) in &runs {
+            let start = at;
+            let end = start + len as usize;
+            while at < end {
+                let home = tags[at];
+                if home == b {
+                    at += 1;
+                } else {
+                    let to = cursor[home as usize] as usize;
+                    cursor[home as usize] += 1;
+                    out.swap(at, to);
+                    tags.swap(at, to);
+                }
+            }
+            out[start..end].sort_unstable_by_key(MergeableTuple::key);
+        }
+        (out, runs)
     }
 }
 
@@ -357,10 +445,11 @@ impl<S: AggSpec> AggMapTask<S> {
         if self.state.is_empty() {
             return Ok(());
         }
-        let items = self.state.drain();
+        let (items, runs) = self
+            .state
+            .drain_grouped(self.buckets, |key| self.spec.bucket(key, self.buckets));
         let ser = ser_of(&items);
-        let batch = ShuffleBatch::grouped(items, |m| self.spec.bucket(m.key(), self.buckets));
-        cx.emit_final(Box::new(batch), ser)
+        cx.emit_final(Box::new(ShuffleBatch::from_runs(items, runs)), ser)
     }
 }
 

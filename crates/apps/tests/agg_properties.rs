@@ -2,11 +2,15 @@
 //! must never matter, byte accounting must balance, and every app
 //! spec's explode/finish pair must conserve its invariant quantity.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use apps::agg::{AggSpec, AggState, MergeableTuple};
 use apps::hyracks_apps::hj::JoinIn;
-use apps::hyracks_apps::{gr::GrSpec, hj::HjSpec, ii::IiSpec, wc::WcSpec};
+use apps::hyracks_apps::{gr::GrSpec, hj::HjSpec, hs::HsSpec, ii::IiSpec, wc::WcSpec};
+use apps::hyracks_apps::{run_itask_spec, HyracksParams};
 use apps::{CountMid, JoinMid, ListMid, StripeMid};
 use itask_core::Tuple;
 use workloads::tpch::{Customer, Order};
@@ -25,6 +29,141 @@ fn fold_all<M: MergeableTuple>(items: Vec<M>) -> (Vec<M>, i64) {
             .unwrap();
     }
     (state.drain(), ledger)
+}
+
+/// A flush's tuples and its `(bucket, len)` runs.
+type Grouped<M> = (Vec<M>, Vec<(u32, u32)>);
+
+/// Folds `mids` twice and drains one state grouped, the other the way
+/// the ITask map flush used to: key-ordered drain, stable sort on the
+/// bucket, one run per stretch of equal buckets.
+fn both_drains<M: MergeableTuple>(
+    mids: &[M],
+    buckets: u32,
+    bucket: impl Fn(u64) -> u32,
+) -> (Grouped<M>, Grouped<M>) {
+    let fold = || {
+        let mut state = AggState::new();
+        for m in mids {
+            state.add(m.clone(), &mut |_| Ok(())).unwrap();
+        }
+        state
+    };
+    let grouped = fold().drain_grouped(buckets, &bucket);
+    let mut tuples = fold().drain();
+    tuples.sort_by_key(|m| bucket(m.key()));
+    let runs = tuples
+        .chunk_by(|a, b| bucket(a.key()) == bucket(b.key()))
+        .map(|run| (bucket(run[0].key()), run.len() as u32))
+        .collect();
+    (grouped, (tuples, runs))
+}
+
+/// Key sets of size 0, 1 and up to a few thousand, over key ranges
+/// narrow enough to repeat keys and wide enough to leave buckets empty.
+fn flush_keys() -> impl Strategy<Value = Vec<u64>> {
+    let key = || prop_oneof![0u64..50, 0u64..100_000, any::<u64>()];
+    prop_oneof![
+        1 => proptest::collection::vec(key(), 0..1),
+        1 => proptest::collection::vec(key(), 1..2),
+        6 => proptest::collection::vec(key(), 2..3000),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The grouped drain is the key-ordered drain stably sorted by
+    /// bucket — tuple for tuple and run for run — under both bucket
+    /// functions (modulo, and `hs`'s clamped range split, which puts
+    /// every key past `vertices` in the last bucket), with a fixed-size
+    /// and a variable-size accumulator, from one bucket to more buckets
+    /// than keys.
+    #[test]
+    fn drain_grouped_equals_key_drain_stably_sorted_by_bucket(
+        keys in flush_keys(),
+        buckets in 1u32..=400,
+        vertices in 1u64..200_000,
+    ) {
+        let counts: Vec<CountMid> = keys.iter().map(|&k| CountMid::one(k, 136)).collect();
+        let lists: Vec<ListMid> =
+            keys.iter().enumerate().map(|(i, &k)| ListMid::one(k, i as u64, 176, 40)).collect();
+        let modulo = |k| WcSpec.bucket(k, buckets);
+        let hs = HsSpec { vertices };
+        let range = |k| hs.bucket(k, buckets);
+
+        let (got, want) = both_drains(&counts, buckets, modulo);
+        prop_assert_eq!(got, want);
+        let (got, want) = both_drains(&counts, buckets, range);
+        prop_assert_eq!(got, want);
+        let (got, want) = both_drains(&lists, buckets, modulo);
+        prop_assert_eq!(got, want);
+        let (got, want) = both_drains(&lists, buckets, range);
+        prop_assert_eq!(&got, &want);
+
+        // The shape `ShuffleBatch::from_runs` asserts, in release too.
+        let (tuples, runs) = got;
+        prop_assert_eq!(runs.iter().map(|r| r.1 as usize).sum::<usize>(), tuples.len());
+        prop_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert!(runs.iter().all(|&(b, len)| b < buckets && len > 0));
+    }
+}
+
+/// A counter spec whose `bucket` counts its own calls.
+#[derive(Clone)]
+struct CountingBuckets(Rc<Cell<u64>>);
+
+impl AggSpec for CountingBuckets {
+    type In = CountMid;
+    type Mid = CountMid;
+    type Out = CountMid;
+
+    fn name(&self) -> &'static str {
+        "counting-buckets"
+    }
+
+    fn explode(&self, rec: &CountMid, out: &mut Vec<CountMid>) {
+        out.push(*rec);
+    }
+
+    fn finish(&self, mid: CountMid) -> CountMid {
+        mid
+    }
+
+    fn bucket(&self, key: u64, buckets: u32) -> u32 {
+        self.0.set(self.0.get() + 1);
+        (key % buckets as u64) as u32
+    }
+}
+
+/// The ITask map flush is linear in `bucket` evaluations: one ITask job
+/// whose only input frame holds `n = 4096` distinct keys flushes them
+/// once (nothing interrupts it under a 12 MiB heap) and may call
+/// `bucket` at most `2 n = 8192` times. It calls it 4 096 times — once
+/// per tuple. When the flush stably comparison-sorted the drain by
+/// bucket it made 102 922 calls for this same job (`2 n log2 n` =
+/// 98 304 from the comparator, the rest from the run scan) and fails
+/// this bound.
+#[test]
+fn itask_map_flush_calls_bucket_at_most_twice_per_tuple() {
+    const N: u64 = 4096;
+    let calls = Rc::new(Cell::new(0));
+    let params = HyracksParams::default();
+    let mut inputs = vec![Vec::new(); params.nodes];
+    // Scrambled so neither the fold nor the drain sees sorted keys.
+    inputs[0].push(
+        (0..N)
+            .map(|i| CountMid::one(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 136))
+            .collect(),
+    );
+    let run = run_itask_spec(&CountingBuckets(calls.clone()), &params, inputs);
+    let outs = run.result.expect("4096 counters fit a 12 MiB heap");
+    assert_eq!(outs.len() as u64, N, "keys are distinct");
+    assert!(
+        calls.get() <= 2 * N,
+        "{} bucket calls to flush {N} tuples",
+        calls.get()
+    );
 }
 
 proptest! {

@@ -71,8 +71,10 @@ impl ItaskJobSpec {
 /// What an ITask map task emits as its final output: one flush's
 /// partial results, already grouped for the shuffle. Flat — every tuple
 /// of the flush in one vector, buckets ascending, and one `(bucket,
-/// len)` run per bucket touched — so a flush costs two allocations
-/// however many buckets it spreads over.
+/// len)` run per bucket touched — so a batch is two allocations however
+/// many buckets it spreads over. (The flush that builds one through
+/// `apps`' grouped drain makes two more that die inside it: a 4 B
+/// bucket tag per tuple and a 4 B cursor per bucket.)
 pub struct ShuffleBatch<T> {
     /// The flush's tuples, grouped by bucket in `runs` order.
     tuples: Vec<T>,
@@ -81,15 +83,18 @@ pub struct ShuffleBatch<T> {
 }
 
 impl<T> ShuffleBatch<T> {
-    /// Groups one flush's `tuples` by `bucket`, buckets ascending. The
-    /// sort is stable: within a bucket tuples keep the order they came
-    /// in (an aggregate's key-ordered drain stays key-ordered).
-    pub fn grouped(mut tuples: Vec<T>, bucket: impl Fn(&T) -> u32) -> Self {
-        tuples.sort_by_key(&bucket);
-        let runs = tuples
-            .chunk_by(|a, b| bucket(a) == bucket(b))
-            .map(|run| (bucket(&run[0]), run.len() as u32))
-            .collect();
+    /// From one flush's `tuples` already grouped by bucket, buckets
+    /// strictly ascending, and the `(bucket, len)` of each group.
+    pub fn from_runs(tuples: Vec<T>, runs: Vec<(u32, u32)>) -> Self {
+        debug_assert_eq!(
+            runs.iter().map(|&(_, len)| len as usize).sum::<usize>(),
+            tuples.len(),
+            "run lengths cover the tuples"
+        );
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].0 < w[1].0),
+            "buckets strictly ascend"
+        );
         ShuffleBatch { tuples, runs }
     }
 
@@ -365,8 +370,8 @@ mod tests {
 
         /// What the shuffle sees of a node's flushes — each bucket's
         /// tuple sequence and the `(bucket, len)` batch list the fabric
-        /// is charged by — is the same whether a flush was grouped flat
-        /// (one stable sort) or dealt into per-bucket vectors.
+        /// is charged by — is the same whether a flush arrives flat with
+        /// its run list or dealt into per-bucket vectors.
         #[test]
         fn flat_batches_fill_the_arena_like_per_bucket_ones(
             flushes in proptest::collection::vec(proptest::collection::vec(0u64..400, 0..60), 0..10),
@@ -374,7 +379,7 @@ mod tests {
         ) {
             let mut want_arenas: Vec<Vec<K>> = Vec::new();
             let mut want_batches: Vec<(u32, u32)> = Vec::new();
-            let mut grouped = BucketArena::default();
+            let mut from_runs = BucketArena::default();
             let mut from_buckets = BucketArena::default();
             for mut keys in flushes {
                 // An aggregate drains unique keys in key order.
@@ -389,11 +394,13 @@ mod tests {
                     want_arenas[bucket as usize].extend(group.iter().cloned());
                     want_batches.push((bucket, group.len() as u32));
                 }
-                ShuffleBatch::grouped(drain, |k| (k.0 % buckets) as u32).pour_into(&mut grouped);
+                let runs = old.iter().map(|(&b, group)| (b, group.len() as u32)).collect();
+                let flat = old.values().flatten().cloned().collect();
+                ShuffleBatch::from_runs(flat, runs).pour_into(&mut from_runs);
                 ShuffleBatch::from_buckets(old).pour_into(&mut from_buckets);
             }
             let want = (want_arenas, want_batches);
-            prop_assert_eq!(&grouped.into_parts(), &want);
+            prop_assert_eq!(&from_runs.into_parts(), &want);
             prop_assert_eq!(&from_buckets.into_parts(), &want);
         }
     }
