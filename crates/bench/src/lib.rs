@@ -5,11 +5,11 @@
 //! seconds, the ×1024 "paper-equivalent" seconds, GC fractions, peak
 //! heaps and OME markers.
 
+pub mod dumpfmt;
 pub mod metricsfmt;
 pub mod series;
 pub mod sweep;
 pub mod tracefmt;
-pub mod trajectory;
 
 pub use series::Series;
 use simcore::{ByteSize, SimDuration, SCALE};

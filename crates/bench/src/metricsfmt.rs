@@ -8,10 +8,10 @@
 //! phase alignment the paper's Figure 3 narrative asserts, and a
 //! label-matched A/B diff between two dumps.
 //!
-//! The JSON parsing reuses [`crate::tracefmt`]'s hand-rolled parser;
-//! histogram lines reconstruct a [`SketchSnapshot`] so the rendering is
-//! exactly the shared `mid_line`/`tail_line` every other latency
-//! consumer uses.
+//! The JSON reader, loader skeleton and run pairing are
+//! [`crate::dumpfmt`]'s, shared with `tracectl`'s reader; histogram
+//! lines reconstruct a [`SketchSnapshot`] so the rendering is exactly
+//! the shared `mid_line`/`tail_line` every other latency consumer uses.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use simcore::metrics::{Metric, MetricKind};
 use simcore::sketch::{fmt_ms, SketchSnapshot};
 
-use crate::tracefmt::{parse, Json};
+use crate::dumpfmt::{diff_runs, for_each_record, header_label, node_name, Json};
 
 /// One sampled gridpoint of a dump.
 #[derive(Clone, Debug)]
@@ -62,94 +62,47 @@ pub struct MetricsRun {
 
 /// Loads a `--metrics` JSONL dump.
 pub fn load_jsonl(text: &str) -> Result<Vec<MetricsRun>, String> {
-    let mut runs: Vec<MetricsRun> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}", lineno + 1);
-        let v = parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let run = v
-            .get("run")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| err("missing run index"))? as usize;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing kind"))?;
-        let num = |key: &str| v.get(key).and_then(Json::as_u64).ok_or_else(|| err(key));
-        match kind {
-            "run" => {
-                if run != runs.len() {
-                    return Err(err(&format!(
-                        "run header {run} out of order (have {})",
-                        runs.len()
-                    )));
-                }
-                runs.push(MetricsRun {
-                    label: v
-                        .get("label")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    cadence_ns: num("cadence_ns")?,
-                    points: Vec::new(),
-                    hists: Vec::new(),
-                });
-            }
-            "point" => {
-                let target = runs
-                    .get_mut(run)
-                    .ok_or_else(|| err("point before its run header"))?;
-                target.points.push(MetricsPoint {
-                    ts: num("ts")?,
-                    node: v.get("node").and_then(Json::as_i64).unwrap_or(-1),
-                    metric: v
-                        .get("metric")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err("missing metric"))?
-                        .to_string(),
+    for_each_record(
+        text,
+        |header| {
+            Ok(MetricsRun {
+                label: header_label(header),
+                cadence_ns: header.need_u64("cadence_ns")?,
+                points: Vec::new(),
+                hists: Vec::new(),
+            })
+        },
+        |run, kind, v| {
+            let node = v.get("node").and_then(Json::as_i64).unwrap_or(-1);
+            match kind.as_str() {
+                "point" => run.points.push(MetricsPoint {
+                    ts: v.need_u64("ts")?,
+                    node,
+                    metric: v.need_str("metric")?.to_string(),
                     value: v
                         .get("value")
                         .and_then(Json::as_i64)
-                        .ok_or_else(|| err("value"))?,
-                });
-            }
-            "hist" => {
-                let target = runs
-                    .get_mut(run)
-                    .ok_or_else(|| err("hist before its run header"))?;
-                target.hists.push(MetricsHist {
-                    node: v.get("node").and_then(Json::as_i64).unwrap_or(-1),
-                    metric: v
-                        .get("metric")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err("missing metric"))?
-                        .to_string(),
-                    sum: num("sum")?,
+                        .ok_or("missing value")?,
+                }),
+                "hist" => run.hists.push(MetricsHist {
+                    node,
+                    metric: v.need_str("metric")?.to_string(),
+                    sum: v.need_u64("sum")?,
                     snap: SketchSnapshot {
-                        count: num("count")?,
-                        min: num("min")?,
-                        max: num("max")?,
-                        p50: num("p50")?,
-                        p90: num("p90")?,
-                        p99: num("p99")?,
-                        p999: num("p999")?,
+                        count: v.need_u64("count")?,
+                        min: v.need_u64("min")?,
+                        max: v.need_u64("max")?,
+                        p50: v.need_u64("p50")?,
+                        p90: v.need_u64("p90")?,
+                        p99: v.need_u64("p99")?,
+                        p999: v.need_u64("p999")?,
                     },
-                });
+                }),
+                other => return Err(format!("unknown kind {other:?}")),
             }
-            other => return Err(err(&format!("unknown kind {other:?}"))),
-        }
-    }
-    Ok(runs)
-}
-
-fn node_name(node: i64) -> String {
-    if node < 0 {
-        "cluster".to_string()
-    } else {
-        format!("node{node}")
-    }
+            Ok(())
+        },
+    )
 }
 
 /// Per-series (node-keyed) rollup of one metric within a run.
@@ -428,57 +381,10 @@ fn diff_pair(out: &mut String, ra: &MetricsRun, rb: &MetricsRun) {
     }
 }
 
-/// Renders the two-dump A/B diff. Runs are matched by *label* (first
-/// unmatched B run with the same label, in A order), not by position —
-/// the same pairing rule as `tracectl diff`.
+/// Renders the two-dump A/B diff, runs matched by *label*
+/// ([`diff_runs`]) — the same pairing rule as `tracectl diff`.
 pub fn diff(a: &[MetricsRun], b: &[MetricsRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "diff: A has {} run(s), B has {} run(s)",
-        a.len(),
-        b.len()
-    );
-    let labels_match = a.len() == b.len() && a.iter().zip(b).all(|(ra, rb)| ra.label == rb.label);
-    if !labels_match {
-        let _ = writeln!(
-            out,
-            "warning: run labels differ between dumps; matching runs by label, not position"
-        );
-    }
-    let mut used_b = vec![false; b.len()];
-    for (i, ra) in a.iter().enumerate() {
-        let matched = b
-            .iter()
-            .enumerate()
-            .position(|(j, rb)| !used_b[j] && rb.label == ra.label);
-        let _ = writeln!(out);
-        match matched {
-            Some(j) => {
-                used_b[j] = true;
-                if j == i {
-                    let _ = writeln!(out, "== run {i}: A={} | B={}", ra.label, b[j].label);
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "== run {i}: A={} | B={} (B run {j})",
-                        ra.label, b[j].label
-                    );
-                }
-                diff_pair(&mut out, ra, &b[j]);
-            }
-            None => {
-                let _ = writeln!(out, "== run {i}: only in A ({})", ra.label);
-            }
-        }
-    }
-    for (j, rb) in b.iter().enumerate() {
-        if !used_b[j] {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "== run {j}: only in B ({})", rb.label);
-        }
-    }
-    out
+    diff_runs(a, b, "dumps", |r| &r.label, diff_pair)
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! caller assembles rows in the original spec order, keeping the
 //! printed tables byte-identical to a serial run.
 //!
-//! The executor also captures per-run wall-clock time and, via
-//! [`SweepLog`], emits a machine-readable `BENCH_sweeps.json` next to
-//! the text artifacts so perf changes are visible run over run.
+//! [`SweepLog`] carries the instrument sinks — `--trace`, `--metrics`,
+//! `--profile` — and writes nothing unless one of them was given.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -18,7 +17,7 @@ use std::time::Instant;
 use simcore::{metrics, prof, tracer};
 
 /// One schedulable unit of a sweep: a label (for progress lines and
-/// `BENCH_sweeps.json`) and a closure that runs one simulation.
+/// the dumps' run headers) and a closure that runs one simulation.
 ///
 /// The lifetime lets jobs borrow from the caller's stack (configs,
 /// labels): the pool runs under [`std::thread::scope`], so borrows
@@ -47,8 +46,6 @@ pub struct RunOutcome<R> {
     pub label: String,
     /// What the job returned.
     pub result: R,
-    /// Host wall-clock time for this run, in milliseconds.
-    pub wall_ms: u64,
     /// The run's harvested trace events, when `--trace` armed the
     /// tracer (merged in deterministic `(time, node, seq)` order).
     pub trace: Option<tracer::RunTrace>,
@@ -133,10 +130,9 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
 
 /// Extracts `--profile` from an argument list (mutating it). When the
 /// flag is present, resets and arms the in-simulator profiler including
-/// its wall-clock sidecar; [`SweepLog::finish`] then embeds the
-/// per-stage breakdown in the binary's JSON sidecar (merged into
-/// `BENCH_sweeps.json`) and writes a human-readable
-/// `<dir>/sweeps/<bin>.profile.txt`.
+/// its wall-clock sidecar; [`SweepLog::finish`] then writes the
+/// per-stage breakdown to `<dir>/sweeps/<bin>.profile.json` and a
+/// human-readable `<dir>/sweeps/<bin>.profile.txt`.
 ///
 /// Stdout is untouched: the deterministic tables stay byte-identical
 /// with and without `--profile`.
@@ -304,7 +300,7 @@ impl Harness {
             eprintln!("{bin}: unknown flag {flag}\n{}", self.usage(bin));
             std::process::exit(2);
         }
-        let mut log = SweepLog::new(bin, self.jobs);
+        let mut log = SweepLog::new(bin);
         log.set_trace(self.trace.clone());
         log.set_metrics(self.metrics.clone());
         log
@@ -352,7 +348,6 @@ pub fn run_all<'a, R: Send>(jobs: usize, specs: Vec<RunSpec<'a, R>>) -> Vec<RunO
                 *results[i].lock().expect("sweep result poisoned") = Some(RunOutcome {
                     label: spec.label,
                     result,
-                    wall_ms,
                     trace,
                     metrics: run_metrics,
                 });
@@ -392,18 +387,13 @@ fn split_harvest(
     (want_trace.then_some(trace_events), Some(folded))
 }
 
-/// Per-binary wall-clock log, persisted as JSON.
-///
-/// Each binary appends every completed run, then [`SweepLog::finish`]
-/// writes a per-binary sidecar (`<dir>/sweeps/<bin>.json`) and
-/// regenerates the merged `<dir>/BENCH_sweeps.json` from all sidecars
-/// present, so concurrent binaries never clobber each other's rows.
-/// `<dir>` is `bench_results`, overridable via `ITASK_BENCH_RESULTS`.
+/// Per-binary instrument sinks: the streamed `--trace` / `--metrics`
+/// dumps and, when `--profile` is armed, the per-stage breakdown in
+/// `<dir>/sweeps/<bin>.profile.{json,txt}` (`<dir>` is `bench_results`,
+/// overridable via `ITASK_BENCH_RESULTS`). A binary run with none of
+/// the three writes no file at all.
 pub struct SweepLog {
     bin: String,
-    jobs: usize,
-    runs: Vec<(String, u64)>,
-    started: Instant,
     trace_path: Option<String>,
     stream: Option<TraceStream>,
     metrics_path: Option<String>,
@@ -517,13 +507,10 @@ impl MetricsStream {
 }
 
 impl SweepLog {
-    /// Starts a log for one binary; `jobs` is the resolved worker count.
-    pub fn new(bin: &str, jobs: usize) -> Self {
+    /// Starts a log for one binary.
+    pub fn new(bin: &str) -> Self {
         SweepLog {
             bin: bin.to_string(),
-            jobs: effective_jobs(jobs),
-            runs: Vec::new(),
-            started: Instant::now(),
             trace_path: None,
             stream: None,
             metrics_path: None,
@@ -547,15 +534,13 @@ impl SweepLog {
         self.metrics_path = path;
     }
 
-    /// Records the wall-clock of every outcome in a batch, streaming
-    /// any harvested traces straight to the trace files (flushed per
-    /// batch — nothing is buffered across batches).
+    /// Streams a batch's harvested traces and metrics straight to
+    /// their files (flushed per batch — nothing is buffered across
+    /// batches).
     pub fn absorb<R>(&mut self, outcomes: &[RunOutcome<R>]) {
-        self.runs.reserve(outcomes.len());
         let mut wrote = false;
         let mut wrote_metrics = false;
         for o in outcomes {
-            self.runs.push((o.label.clone(), o.wall_ms));
             if let Some(trace) = &o.trace {
                 if let Err(e) = self.append_trace(&o.label, trace) {
                     eprintln!("[sweep] could not stream trace, disarming: {e}");
@@ -614,25 +599,20 @@ impl SweepLog {
         self.mstream.as_mut().expect("just opened").append(label, m)
     }
 
-    /// Records a single timed step that ran outside the executor.
-    pub fn push(&mut self, label: impl Into<String>, wall_ms: u64) {
-        self.runs.push((label.into(), wall_ms));
-    }
-
-    /// Writes the sidecar and re-merges `BENCH_sweeps.json`.
+    /// Closes the trace and metrics files and, with `--profile` armed,
+    /// writes the profile sidecars.
     ///
     /// IO failures are reported on stderr but never fail the binary:
     /// the tables themselves are the primary artifact.
     pub fn finish(mut self) {
-        let total_ms = self.started.elapsed().as_millis() as u64;
         if let Err(e) = self.finish_traces() {
             eprintln!("[sweep] could not write trace files: {e}");
         }
         if let Err(e) = self.finish_metrics() {
             eprintln!("[sweep] could not write metrics files: {e}");
         }
-        if let Err(e) = self.write(total_ms) {
-            eprintln!("[sweep] could not write BENCH_sweeps.json: {e}");
+        if let Err(e) = self.write_profile() {
+            eprintln!("[sweep] could not write profile sidecars: {e}");
         }
     }
 
@@ -664,92 +644,31 @@ impl SweepLog {
         }
     }
 
-    fn write(&self, total_ms: u64) -> std::io::Result<()> {
-        let dir = results_dir();
-        let sweep_dir = dir.join("sweeps");
+    /// With `--profile` armed, writes the per-stage breakdown (the
+    /// deterministic counters plus the wall sidecar) as JSON and as a
+    /// human-readable twin.
+    fn write_profile(&self) -> std::io::Result<()> {
+        if !prof::is_enabled() {
+            return Ok(());
+        }
+        let snap = prof::snapshot();
+        let sweep_dir = results_dir().join("sweeps");
         std::fs::create_dir_all(&sweep_dir)?;
-        // With `--profile` armed, embed the per-stage breakdown (the
-        // deterministic counters plus the wall sidecar) and drop a
-        // human-readable twin next to the JSON.
-        let profile = prof::is_enabled().then(prof::snapshot);
-        let mut body = String::new();
-        body.push_str("{\n");
-        body.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        body.push_str(&format!("  \"total_wall_ms\": {total_ms},\n"));
-        if let Some(snap) = &profile {
-            body.push_str(&format!("  \"profile\": {},\n", prof::to_json(snap)));
-            std::fs::write(
-                sweep_dir.join(format!("{}.profile.txt", self.bin)),
-                prof::render_sidecar(snap),
-            )?;
-        }
-        body.push_str("  \"runs\": [\n");
-        for (i, (label, ms)) in self.runs.iter().enumerate() {
-            let sep = if i + 1 == self.runs.len() { "" } else { "," };
-            body.push_str(&format!(
-                "    {{\"label\": \"{}\", \"wall_ms\": {ms}}}{sep}\n",
-                json_escape(label)
-            ));
-        }
-        body.push_str("  ]\n}");
-        std::fs::write(sweep_dir.join(format!("{}.json", self.bin)), &body)?;
-        merge_sweeps(&dir)
+        std::fs::write(
+            sweep_dir.join(format!("{}.profile.json", self.bin)),
+            prof::to_json(&snap),
+        )?;
+        std::fs::write(
+            sweep_dir.join(format!("{}.profile.txt", self.bin)),
+            prof::render_sidecar(&snap),
+        )
     }
-}
-
-/// Rebuilds `<dir>/BENCH_sweeps.json` from every sidecar in
-/// `<dir>/sweeps/`, sorted by binary name for stable output.
-fn merge_sweeps(dir: &std::path::Path) -> std::io::Result<()> {
-    let sweep_dir = dir.join("sweeps");
-    let mut entries: Vec<(String, String)> = Vec::new();
-    for entry in std::fs::read_dir(&sweep_dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().is_some_and(|e| e == "json") {
-            let name = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string();
-            entries.push((name, std::fs::read_to_string(&path)?));
-        }
-    }
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"host_cores\": {cores},\n"));
-    out.push_str("  \"binaries\": {\n");
-    for (i, (name, body)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        let indented = body.replace('\n', "\n    ");
-        out.push_str(&format!("    \"{}\": {indented}{sep}\n", json_escape(name)));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(dir.join("BENCH_sweeps.json"), out)
 }
 
 fn results_dir() -> std::path::PathBuf {
     std::env::var_os("ITASK_BENCH_RESULTS")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("bench_results"))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -868,7 +787,7 @@ mod tests {
         assert!(out
             .iter()
             .all(|o| o.trace.as_ref().is_some_and(|t| !t.is_empty())));
-        let mut log = SweepLog::new("tracebin", 1);
+        let mut log = SweepLog::new("tracebin");
         let trace_path = dir.join("trace.json");
         log.set_trace(Some(trace_path.to_string_lossy().into_owned()));
         // Absorb one run at a time: the stream must flush per batch, so
@@ -994,7 +913,7 @@ mod tests {
             assert_eq!(m.points[0].at, cadence);
             assert_eq!(m.points[0].value, 3);
         }
-        let mut log = SweepLog::new("bothbin", 1);
+        let mut log = SweepLog::new("bothbin");
         let trace_path = dir.join("trace.json");
         let metrics_path = dir.join("metrics.jsonl");
         log.set_trace(Some(trace_path.to_string_lossy().into_owned()));
@@ -1017,28 +936,5 @@ mod tests {
     fn empty_sweep_is_fine() {
         let out: Vec<RunOutcome<()>> = run_all(4, Vec::new());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn sweep_log_writes_sidecar_and_merge() {
-        let dir = std::env::temp_dir().join(format!("itask_sweeplog_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("ITASK_BENCH_RESULTS", &dir);
-        let mut log = SweepLog::new("testbin", 1);
-        log.push("alpha", 12);
-        log.push("beta", 34);
-        log.finish();
-        std::env::remove_var("ITASK_BENCH_RESULTS");
-        let sidecar = std::fs::read_to_string(dir.join("sweeps/testbin.json")).unwrap();
-        assert!(sidecar.contains("\"alpha\""));
-        let merged = std::fs::read_to_string(dir.join("BENCH_sweeps.json")).unwrap();
-        assert!(merged.contains("\"testbin\""));
-        assert!(merged.contains("\"host_cores\""));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

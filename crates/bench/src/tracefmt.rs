@@ -7,236 +7,16 @@
 //! latency chain (via the deterministic [`QuantileSketch`]), per-tenant
 //! queue/run breakdowns, and an A/B diff between two traces.
 //!
-//! The crate has no serde; a small hand-rolled recursive-descent JSON
-//! parser covers both the JSONL lines and (for schema checks) the
-//! Chrome JSON file. Every numeric value a trace contains is well below
-//! 2^53, so `f64` round-trips them exactly.
+//! The JSON reader, the line-by-line loader skeleton and the
+//! label-matched run pairing are [`crate::dumpfmt`]'s, shared with
+//! `metricsctl`'s reader.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use simcore::sketch::{fmt_ms, QuantileSketch};
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (trace values are < 2^53, so f64 is exact).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object (first match), `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as u64, if it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as i64, if it is an integral number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document, rejecting trailing garbage.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|e| format!("bad number {s:?}: {e}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|e| e.to_string());
-            }
-            b'\\' => {
-                let esc = *bytes.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or("truncated \\u escape")
-                            .and_then(|h| std::str::from_utf8(h).map_err(|_| "bad \\u escape"))?;
-                        *pos += 4;
-                        let cp = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        // Traces only escape control chars; surrogate
-                        // pairs never appear. Reject rather than mangle.
-                        let c = char::from_u32(cp).ok_or("surrogate in \\u escape")?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("bad escape \\{}", other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // {
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // [
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
+use crate::dumpfmt::{diff_runs, for_each_record, header_label, node_name, Json};
 
 /// One event from a JSONL trace line.
 #[derive(Clone, Debug)]
@@ -289,60 +69,27 @@ pub struct TraceRun {
 
 /// Loads a JSONL trace (the `<path>.jsonl` twin of a Chrome dump).
 pub fn load_jsonl(text: &str) -> Result<Vec<TraceRun>, String> {
-    let mut runs: Vec<TraceRun> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let run = v
-            .get("run")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("line {}: missing run index", lineno + 1))?
-            as usize;
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing kind", lineno + 1))?
-            .to_string();
-        if kind == "run" {
-            if run != runs.len() {
-                return Err(format!(
-                    "line {}: run header {run} out of order (have {})",
-                    lineno + 1,
-                    runs.len()
-                ));
-            }
-            runs.push(TraceRun {
-                label: v
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+    for_each_record(
+        text,
+        |header| {
+            Ok(TraceRun {
+                label: header_label(header),
                 events: Vec::new(),
+            })
+        },
+        |run, kind, v| {
+            run.events.push(TraceEvent {
+                id: v.need_u64("id")?,
+                kind,
+                node: v.get("node").and_then(Json::as_i64).unwrap_or(-1),
+                scope: v.get("scope").and_then(Json::as_u64),
+                ts: v.need_u64("ts")?,
+                dur: v.get("dur").and_then(Json::as_u64).unwrap_or(0),
+                payload: v,
             });
-            continue;
-        }
-        let target = runs
-            .get_mut(run)
-            .ok_or_else(|| format!("line {}: event before its run header", lineno + 1))?;
-        target.events.push(TraceEvent {
-            id: v
-                .get("id")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {}: missing id", lineno + 1))?,
-            kind,
-            node: v.get("node").and_then(Json::as_i64).unwrap_or(-1),
-            scope: v.get("scope").and_then(Json::as_u64),
-            ts: v
-                .get("ts")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("line {}: missing ts", lineno + 1))?,
-            dur: v.get("dur").and_then(Json::as_u64).unwrap_or(0),
-            payload: v,
-        });
-    }
-    Ok(runs)
+            Ok(())
+        },
+    )
 }
 
 fn sketch_line(s: &QuantileSketch) -> String {
@@ -482,14 +229,6 @@ fn summarize(run: &TraceRun) -> RunSummary {
         }
     }
     s
-}
-
-fn node_name(node: i64) -> String {
-    if node < 0 {
-        "cluster".to_string()
-    } else {
-        format!("node{node}")
-    }
 }
 
 /// Renders the Figure-3-style sequencing: every complete
@@ -760,60 +499,10 @@ fn diff_pair(out: &mut String, ra: &TraceRun, rb: &TraceRun) {
     }
 }
 
-/// Renders the two-trace A/B diff. Runs are matched by *label* (first
-/// unmatched B run with the same label, in A order), not by position:
-/// sweeps that added, removed, or reordered configurations still diff
-/// the comparable runs against each other. When the two traces' label
-/// sequences differ a warning line says so; when they are identical the
-/// output is exactly the old positional diff.
+/// Renders the two-trace A/B diff, runs matched by *label*
+/// ([`diff_runs`]).
 pub fn diff(a: &[TraceRun], b: &[TraceRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "diff: A has {} run(s), B has {} run(s)",
-        a.len(),
-        b.len()
-    );
-    let labels_match = a.len() == b.len() && a.iter().zip(b).all(|(ra, rb)| ra.label == rb.label);
-    if !labels_match {
-        let _ = writeln!(
-            out,
-            "warning: run labels differ between traces; matching runs by label, not position"
-        );
-    }
-    let mut used_b = vec![false; b.len()];
-    for (i, ra) in a.iter().enumerate() {
-        let matched = b
-            .iter()
-            .enumerate()
-            .position(|(j, rb)| !used_b[j] && rb.label == ra.label);
-        let _ = writeln!(out);
-        match matched {
-            Some(j) => {
-                used_b[j] = true;
-                if j == i {
-                    let _ = writeln!(out, "== run {i}: A={} | B={}", ra.label, b[j].label);
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "== run {i}: A={} | B={} (B run {j})",
-                        ra.label, b[j].label
-                    );
-                }
-                diff_pair(&mut out, ra, &b[j]);
-            }
-            None => {
-                let _ = writeln!(out, "== run {i}: only in A ({})", ra.label);
-            }
-        }
-    }
-    for (j, rb) in b.iter().enumerate() {
-        if !used_b[j] {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "== run {j}: only in B ({})", rb.label);
-        }
-    }
-    out
+    diff_runs(a, b, "traces", |r| &r.label, diff_pair)
 }
 
 /// Minimal JSON string escaping for labels and kind names.
@@ -935,30 +624,7 @@ pub fn perfetto(runs: &[TraceRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parser_round_trips_values() {
-        let v = parse(r#"{"a":1,"b":-2.5,"c":"x\"y\n","d":[true,false,null],"e":{}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("b"), Some(&Json::Num(-2.5)));
-        assert_eq!(v.get("c").unwrap().as_str(), Some("x\"y\n"));
-        assert_eq!(v.get("d").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("e"), Some(&Json::Obj(vec![])));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{} trailing").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn parser_handles_unicode_escapes() {
-        let v = parse(r#""a	b""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\tb"));
-    }
+    use crate::dumpfmt::parse;
 
     fn sample_jsonl() -> String {
         concat!(

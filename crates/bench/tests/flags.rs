@@ -1,7 +1,8 @@
 //! Every harness binary rejects a flag nobody consumes — exit 2, the
 //! flag named on stderr, nothing on stdout — before it runs anything.
 //! `--shards` was a flag once: a stale `--shards 2` must fail the same
-//! way, not turn into a positional `2` that selects no program.
+//! way, not turn into a positional `2` that selects no program. And a
+//! binary writes files only when an instrument flag asks for them.
 
 use std::process::Command;
 
@@ -26,12 +27,10 @@ const HARNESS_BINS: [(&str, &str); 16] = [
 
 #[test]
 fn unknown_flags_exit_2_on_every_harness_binary() {
-    let scratch = std::env::temp_dir().join(format!("itask-flags-{}", std::process::id()));
     for (name, bin) in HARNESS_BINS {
         for args in [&["--no-such-flag"][..], &["--shards", "2"]] {
             let out = Command::new(bin)
                 .args(args)
-                .env("ITASK_BENCH_RESULTS", &scratch)
                 .output()
                 .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -54,4 +53,46 @@ fn help_prints_usage_and_exits_0() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("usage: table5 [--jobs N]"), "{stdout}");
     assert!(stdout.contains("[--quick]"), "{stdout}");
+}
+
+/// The names in `dir`, sorted.
+fn names_in(dir: &std::path::Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).expect("read scratch dir");
+    let mut names: Vec<String> = entries
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// A binary given no instrument flag writes no file; `--profile` writes
+/// its two sidecars and nothing else.
+#[test]
+fn only_an_instrument_flag_writes_files() {
+    let scratch = std::env::temp_dir().join(format!("itask-flags-{}", std::process::id()));
+    std::fs::remove_dir_all(&scratch).ok();
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_smr"))
+            .arg("--quick")
+            .args(extra)
+            .env("ITASK_BENCH_RESULTS", &scratch)
+            .output()
+            .expect("spawn smr");
+        assert!(out.status.success(), "smr --quick {extra:?}");
+    };
+    run(&[]);
+    assert_eq!(names_in(&scratch), Vec::<String>::new());
+    run(&["--profile"]);
+    assert_eq!(names_in(&scratch), ["sweeps"]);
+    assert_eq!(
+        names_in(&scratch.join("sweeps")),
+        ["smr.profile.json", "smr.profile.txt"]
+    );
+    std::fs::remove_dir_all(&scratch).ok();
 }

@@ -21,16 +21,9 @@ fn golden_dir() -> PathBuf {
 }
 
 /// Run `bin` with `args`, capture stdout, and compare to the snapshot.
-///
-/// Sidecar sweep logs are redirected to a scratch dir via
-/// `ITASK_BENCH_RESULTS` so the test never dirties `bench_results/`.
 fn check_golden(bin: &str, args: &[&str], golden_name: &str) {
-    let scratch = std::env::temp_dir().join(format!("itask-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
-
     let out = Command::new(bin)
         .args(args)
-        .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
@@ -112,7 +105,6 @@ fn check_report(bin: &str, args: &[&str], flag: &str, ctl: &str, golden_name: &s
         .args(args)
         .arg(flag)
         .arg(&dump)
-        .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(

@@ -9,15 +9,17 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use itask_bench::dumpfmt::{self, Json};
 use itask_bench::metricsfmt;
-use itask_bench::tracefmt::{self, Json};
+use itask_bench::tracefmt;
 
 /// One metered run's artifacts.
 struct Artifacts {
     jsonl: Vec<u8>,
     om: Vec<u8>,
     trace_jsonl: Vec<u8>,
-    sweeps: String,
+    /// `sweeps/<bin>.profile.json` (empty without `--profile`).
+    profile: String,
 }
 
 /// Runs `bin args --metrics <scratch>/metrics.jsonl` (plus `--jobs`,
@@ -38,6 +40,8 @@ fn metered_run(
     std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let metrics: PathBuf = scratch.join("metrics.jsonl");
     let trace_path: PathBuf = scratch.join("trace.json");
+    let name = std::path::Path::new(bin).file_stem().expect("binary name");
+    let name = name.to_string_lossy();
     let mut cmd = Command::new(bin);
     cmd.args(args)
         .arg("--jobs")
@@ -68,7 +72,8 @@ fn metered_run(
         } else {
             Vec::new()
         },
-        sweeps: std::fs::read_to_string(scratch.join("BENCH_sweeps.json")).unwrap_or_default(),
+        profile: std::fs::read_to_string(scratch.join(format!("sweeps/{name}.profile.json")))
+            .unwrap_or_default(),
     }
 }
 
@@ -196,16 +201,13 @@ fn gc_pause_metric_matches_profiler_and_trace() {
         })
         .sum();
 
-    // Profiler: the gc stage's vtime in the sweeps sidecar.
-    let sweeps = tracefmt::parse(&a.sweeps).expect("sweeps json parses");
-    let prof_gc_ns = sweeps
-        .get("binaries")
-        .and_then(|b| b.get("faults"))
-        .and_then(|f| f.get("profile"))
-        .and_then(|p| p.get("gc"))
+    // Profiler: the gc stage's vtime in the profile sidecar.
+    let profile = dumpfmt::parse(&a.profile).expect("profile json parses");
+    let prof_gc_ns = profile
+        .get("gc")
         .and_then(|g| g.get("vtime_ns"))
         .and_then(Json::as_u64)
-        .expect("profile gc vtime in sweeps sidecar");
+        .expect("gc vtime in profile sidecar");
 
     assert!(trace_gc_ns > 0, "expected GC activity in the faults sweep");
     assert_eq!(
@@ -243,10 +245,7 @@ fn metrics_compose_with_trace_and_profile() {
         !all.trace_jsonl.is_empty(),
         "trace written alongside metrics"
     );
-    assert!(
-        all.sweeps.contains("\"profile\""),
-        "profile in sweeps sidecar"
-    );
+    assert!(all.profile.contains("\"gc\""), "profile sidecar written");
     assert!(
         solo.jsonl == all.jsonl,
         "metrics jsonl changed when the tracer/profiler were armed too"

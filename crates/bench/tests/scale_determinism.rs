@@ -9,12 +9,8 @@ use std::process::Command;
 
 /// Runs `service --scale --quick --jobs <jobs>` and returns stdout.
 fn run_scale(jobs: usize) -> Vec<u8> {
-    let scratch =
-        std::env::temp_dir().join(format!("itask-scale-det-{}-{jobs}", std::process::id()));
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_service"))
         .args(["--scale", "--quick", "--jobs", &jobs.to_string()])
-        .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .expect("spawn service --scale");
     assert!(

@@ -8,7 +8,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use itask_bench::tracefmt::{self, Json};
+use itask_bench::dumpfmt::{self, Json};
+use itask_bench::tracefmt;
 
 /// Runs `bin args --trace <scratch>/trace.json --jobs <jobs>` and
 /// returns the bytes of (chrome json, jsonl).
@@ -23,7 +24,6 @@ fn traced_run(bin: &str, args: &[&str], jobs: usize, tag: &str) -> (Vec<u8>, Vec
         .arg(jobs.to_string())
         .arg("--trace")
         .arg(&trace)
-        .env("ITASK_BENCH_RESULTS", &scratch)
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
     assert!(
@@ -75,7 +75,7 @@ fn trace_identical_across_jobs_table5_quick_wc() {
 #[test]
 fn trace_chrome_schema_is_valid() {
     let (chrome, jsonl) = traced_run(env!("CARGO_BIN_EXE_faults"), &["--wc-only"], 2, "schema");
-    let doc = tracefmt::parse(std::str::from_utf8(&chrome).expect("utf-8"))
+    let doc = dumpfmt::parse(std::str::from_utf8(&chrome).expect("utf-8"))
         .expect("chrome trace parses as JSON");
     assert_eq!(
         doc.get("displayTimeUnit").and_then(Json::as_str),

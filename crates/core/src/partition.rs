@@ -218,16 +218,6 @@ impl<T: Tuple> VecPartition<T> {
         assert!(self.meta.cursor < self.meta.len, "advance past end");
         self.meta.cursor += 1;
     }
-
-    /// Sum of the simulated heap bytes of the processed prefix.
-    pub fn processed_bytes(&self) -> ByteSize {
-        ByteSize(
-            self.items[..self.meta.cursor]
-                .iter()
-                .map(Tuple::heap_bytes)
-                .sum(),
-        )
-    }
 }
 
 impl<T: Tuple> Partition for VecPartition<T> {

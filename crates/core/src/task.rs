@@ -146,12 +146,6 @@ impl<'a, 'b> TaskCx<'a, 'b> {
         self.work.free(s, bytes)
     }
 
-    /// Live bytes currently accumulated in the output space.
-    pub fn out_bytes(&mut self) -> ByteSize {
-        let s = self.spaces.out;
-        self.work.node().heap.space_live(s)
-    }
-
     /// Emits the accumulated output as an *intermediate result*: a tagged
     /// partition pushed to the partition queue, addressed to `dest`
     /// (component 4(b) of Figure 1 — e.g. a Reduce interrupt tagging its

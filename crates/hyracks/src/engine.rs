@@ -6,7 +6,7 @@
 use std::rc::Rc;
 
 use itask_core::{ITask, IrsConfig, Tuple};
-use simcluster::{run_node_round, run_round, Cluster, JobOutcome, JobReport};
+use simcluster::{run_node_round, Cluster, JobOutcome, JobReport};
 use simcore::{prof, ByteSize, NodeId, SimDuration, SimResult};
 
 use crate::job::{salvage_crashed_workers, ShuffleClocks, TwoPhaseJob};
@@ -151,23 +151,6 @@ pub fn chunk_into_frames<T: Tuple>(records: Vec<T>, granularity: ByteSize) -> Ve
         .collect()
 }
 
-/// Flushes one accumulated crash-free window: runs a fail-fast round
-/// over `batch` (drained) and surfaces its first failure. A no-op for
-/// an empty batch.
-fn run_window(cluster: &mut Cluster, batch: &mut Vec<NodeId>) -> SimResult<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let run = run_round(cluster, batch, true);
-    batch.clear();
-    if let Some((_, report)) = run.first_failure() {
-        if let Some((_, e)) = report.failed.first() {
-            return Err(e.clone());
-        }
-    }
-    Ok(())
-}
-
 /// Advances the cluster until `job`'s running phase has retired on
 /// every surviving node, then closes the phase with a cluster barrier.
 /// The first thread failure aborts.
@@ -179,19 +162,15 @@ fn run_window(cluster: &mut Cluster, batch: &mut Vec<NodeId>) -> SimResult<()> {
 /// *no* node survives), a regular job dies with `NodeLost` like the
 /// paper's baselines.
 ///
-/// Walking nodes in order, stretches of nodes with no pending crash
-/// batch into one window (a `poll_crash` on them would be a no-op):
-/// their controllers tick in node order, then their rounds run in node
-/// order — `tick_node(n)` reads only node n, and no other node's round
-/// touches node n, so deferring a batched node's round to the window
-/// flush preserves per-node semantics exactly. Only a node that still
-/// has an unfired crash runs tick → round → poll on the spot, so
-/// recovery can re-home work before later nodes tick.
+/// Each busy live node, in node order, ticks its controller, runs one
+/// round and — only while it still has an unfired crash — polls for
+/// it, so recovery re-homes work before later nodes tick.
+/// `tick_node(n)` reads only node n and no other node's round touches
+/// node n, so the order nodes are visited in cannot move a byte.
 fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
     cluster: &mut Cluster,
     job: &mut TwoPhaseJob<'_, In, Mid, Out>,
 ) -> SimResult<()> {
-    let mut batch: Vec<NodeId> = Vec::with_capacity(cluster.node_count());
     loop {
         let mut any = false;
         for n in 0..cluster.node_count() {
@@ -200,26 +179,20 @@ fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
                 continue;
             }
             any = true;
-            let crash_pending = cluster.crash_pending(node);
-            if crash_pending {
-                run_window(cluster, &mut batch)?;
-            }
             job.tick_node(cluster, node)?;
             if !job.node_busy(cluster, node) {
                 continue;
             }
-            if !crash_pending {
-                batch.push(node);
-                continue;
-            }
             let failed = run_node_round(cluster, node).failed;
-            let salvaged = cluster.poll_crash(node);
-            if cluster.sim(node).is_crashed() {
-                // The node died this round: its thread errors die with
-                // it; recover its work onto the survivors.
-                salvage_crashed_workers(cluster, node, salvaged)?;
-                job.on_node_crash(cluster, node)?;
-                continue;
+            if cluster.crash_pending(node) {
+                let salvaged = cluster.poll_crash(node);
+                if cluster.sim(node).is_crashed() {
+                    // The node died this round: its thread errors die with
+                    // it; recover its work onto the survivors.
+                    salvage_crashed_workers(cluster, node, salvaged)?;
+                    job.on_node_crash(cluster, node)?;
+                    continue;
+                }
             }
             if let Some((_, e)) = failed.into_iter().next() {
                 return Err(e);
@@ -228,7 +201,6 @@ fn drive<In: Tuple, Mid: Tuple, Out: 'static>(
         if !any {
             break;
         }
-        run_window(cluster, &mut batch)?;
     }
     cluster.sync_clocks(SimDuration::ZERO);
     Ok(())

@@ -51,14 +51,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// Same testbed with a different per-node heap (Figure 11's sweep).
-    pub fn with_heap(mut self, heap: ByteSize) -> Self {
-        self.heap_per_node = heap;
-        self
-    }
-}
-
 /// A running cluster.
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -127,29 +119,15 @@ impl Cluster {
         self.injector = Some(FaultInjector::new(plan));
     }
 
-    /// Whether a fault plan has been armed.
-    pub fn faults_armed(&self) -> bool {
-        self.injector.is_some()
-    }
-
     /// Whether `node` still has a scheduled-but-unfired crash.
     ///
-    /// Engines use this to classify crash-free *windows*: a
-    /// [`Cluster::poll_crash`] on any other node is a no-op, so
-    /// stretches of crash-free nodes run as one plain round and only
-    /// the (rare) crash-pending node needs the round-then-poll
-    /// interleaving. Once a node's crashes have all fired it re-joins
-    /// the window (though a crashed node is excluded from rounds anyway).
+    /// A [`Cluster::poll_crash`] on any other node is a no-op, so the
+    /// batch drive polls only the (rare) crash-pending node after its
+    /// round.
     pub fn crash_pending(&self, node: NodeId) -> bool {
         self.injector
             .as_ref()
             .is_some_and(|inj| inj.crash_pending(node))
-    }
-
-    /// The driver-side fault injector, if a plan was armed (crash
-    /// state: [`FaultInjector::is_down`], [`FaultInjector::down_nodes`]).
-    pub fn driver_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
     }
 
     /// Fires any scheduled crash whose instant `node`'s clock has
@@ -241,11 +219,6 @@ impl Cluster {
         &mut self.store
     }
 
-    /// Read-only block store access.
-    pub fn store_ref(&self) -> &BlockStore {
-        &self.store
-    }
-
     /// The cluster-wide clock: the slowest node's time.
     pub fn elapsed(&self) -> SimDuration {
         self.sims
@@ -312,15 +285,6 @@ impl Cluster {
                 n.heap.effective_free().as_u64() as f64 / cap as f64
             })
             .fold(1.0_f64, f64::min)
-    }
-
-    /// Total live threads across live nodes (all jobs).
-    pub fn total_live_threads(&self) -> usize {
-        self.sims
-            .iter()
-            .filter(|s| !s.is_crashed())
-            .map(|s| s.live_count())
-            .sum()
     }
 
     /// Advances every live node's clock to at least `target` (no-op for

@@ -63,11 +63,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Total GC time across nodes.
-    pub fn total_gc_time(&self) -> SimDuration {
-        self.nodes.iter().map(|n| n.gc_time).sum()
-    }
-
     /// GC time on the slowest node (what a stacked time-breakdown bar
     /// shows for the job).
     pub fn critical_path_gc(&self) -> SimDuration {

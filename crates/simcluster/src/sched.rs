@@ -178,16 +178,6 @@ impl NodeSim {
         &mut self.node
     }
 
-    /// Consumes the simulator, returning the node.
-    pub fn into_node(self) -> NodeState {
-        self.node
-    }
-
-    /// Overrides the scheduling quantum (tests and engines).
-    pub fn set_quantum(&mut self, quantum: SimDuration) {
-        self.quantum = quantum;
-    }
-
     /// Spawns a simulated thread; it will be stepped from the next round.
     pub fn spawn(&mut self, work: Box<dyn Work>) -> ThreadId {
         self.spawn_scoped(work, None)
@@ -270,15 +260,6 @@ impl NodeSim {
     /// The state of a thread, if it exists.
     pub fn thread_state(&self, id: ThreadId) -> Option<ThreadState> {
         self.slot(id).map(|t| t.state)
-    }
-
-    /// Ids of live (runnable or waiting) threads.
-    pub fn live_threads(&self) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .filter(|t| t.is_live())
-            .map(|t| t.id)
-            .collect()
     }
 
     /// Number of live threads.

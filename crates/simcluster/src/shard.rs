@@ -3,12 +3,11 @@
 //!
 //! Nodes only interact at driver-side barriers (shuffles, clock syncs,
 //! admission decisions), so within one scheduling *round* every node's
-//! step is independent and a driver is free to visit nodes in any order
-//! — the batch drive runs a crash-pending node out of band, ahead of
-//! the rest of its window. What keeps the trace bytes independent of
-//! that order is **stream-namespaced event ids**: each node round runs
-//! under the node's own tracer stream ([`simcore::tracer::stream_begin`]),
-//! so events get ids `(stream << 32) | seq` where stream `n + 1` belongs
+//! step is independent and a driver is free to visit nodes in any
+//! order. What keeps the trace bytes independent of that order is
+//! **stream-namespaced event ids**: each node round runs under the
+//! node's own tracer stream ([`simcore::tracer::stream_begin`]), so
+//! events get ids `(stream << 32) | seq` where stream `n + 1` belongs
 //! to node `n` and the per-node `seq` cursor lives in the [`Cluster`].
 //! Ids therefore encode *which node emitted, at which point in its own
 //! logical progress*, and the run buffer's `(time, node, id)` sort
@@ -67,9 +66,8 @@ pub fn run_round(cluster: &mut Cluster, nodes: &[NodeId], fail_fast: bool) -> Ro
 }
 
 /// One round of one cluster node, under the node's tracer stream. The
-/// batch drive calls it directly for the one case that must interleave
-/// with the driver: a node whose scheduled crash has not fired yet runs
-/// round-then-poll; every other node rides [`run_round`].
+/// batch drive calls it directly, node by node, between a controller
+/// tick and a crash poll; simserve and simsmr go through [`run_round`].
 pub fn run_node_round(cluster: &mut Cluster, node: NodeId) -> RoundReport {
     let mut seq = cluster.stream_seq(node);
     let report = run_solo_round(cluster.sim(node), &mut seq);

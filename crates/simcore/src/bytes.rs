@@ -44,11 +44,6 @@ impl ByteSize {
         self.0 == 0
     }
 
-    /// The size in fractional mebibytes.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
     /// Saturating subtraction.
     pub const fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))

@@ -400,10 +400,9 @@ impl FaultInjector {
 
     /// Whether `node` still has a scheduled crash that has not fired.
     ///
-    /// Engines use this to classify crash-free *windows*: only a node
-    /// with a pending crash needs the round-then-poll interleaving;
-    /// every other node (and this node again, once its crashes have all
-    /// fired) rides the window's plain round.
+    /// Only a node with a pending crash needs a crash poll after its
+    /// round; for every other node (and this node again, once its
+    /// crashes have all fired) the poll would be a no-op.
     pub fn crash_pending(&self, node: NodeId) -> bool {
         self.plan
             .crashes
@@ -415,11 +414,6 @@ impl FaultInjector {
     /// Whether `node` has crashed.
     pub fn is_down(&self, node: NodeId) -> bool {
         self.down.contains(&node)
-    }
-
-    /// Nodes currently down.
-    pub fn down_nodes(&self) -> &[NodeId] {
-        &self.down
     }
 }
 

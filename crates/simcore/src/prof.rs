@@ -280,7 +280,7 @@ pub fn to_json(snap: &[StageSnapshot]) -> String {
     for (i, s) in snap.iter().enumerate() {
         let sep = if i + 1 == snap.len() { "" } else { "," };
         out.push_str(&format!(
-            "      \"{}\": {{\"events\": {}, \"units\": {}, \"vtime_ns\": {}, \"wall_ns\": {}}}{sep}\n",
+            "  \"{}\": {{\"events\": {}, \"units\": {}, \"vtime_ns\": {}, \"wall_ns\": {}}}{sep}\n",
             s.stage.name(),
             s.events,
             s.units,
@@ -288,7 +288,7 @@ pub fn to_json(snap: &[StageSnapshot]) -> String {
             s.wall_ns,
         ));
     }
-    out.push_str("    }");
+    out.push_str("}\n");
     out
 }
 

@@ -71,11 +71,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Whether this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

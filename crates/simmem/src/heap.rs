@@ -187,11 +187,6 @@ impl Heap {
         self.stats.total_pause.saturating_sub(mark)
     }
 
-    /// All collection records, oldest first.
-    pub fn gc_records(&self) -> &[GcRecord] {
-        &self.records
-    }
-
     /// Creates a new, empty space, attributed to the current allocation
     /// scope (if one is set).
     pub fn create_space(&mut self, label: impl Into<String>) -> SpaceId {
