@@ -6,11 +6,15 @@
 //! window, and the quarantine drain, for both engines. A host-side
 //! change must not move any of them; a change to the model moves them
 //! on purpose and re-captures.
+//!
+//! The scale pins cover what those do not: the sharded 10^4-tenant
+//! admission plane in the shed-heavy regime of the benchmark's
+//! `service_scale`, down to the order its `Shed` events fire in.
 
-use simcore::{FaultPlan, NodeId, SimDuration, SimTime};
+use simcore::{tracer, FaultPlan, NodeId, SimDuration, SimTime};
 use simserve::{
-    BreakerConfig, BrownoutConfig, EngineKind, OverloadConfig, PolicyKind, RetryPolicy, Service,
-    ServiceConfig,
+    BreakerConfig, BrownoutConfig, EngineKind, LoadShape, OverloadConfig, PolicyKind, RetryPolicy,
+    ScaleSpec, Service, ServiceConfig, TenantModel, WeightRule,
 };
 
 #[derive(Clone, Copy, Debug)]
@@ -120,5 +124,138 @@ fn pinned_fingerprints_hold() {
             quarantines: r.quarantines,
         };
         assert_eq!(got, pin.want, "{} {:?}", pin.engine.label(), pin.scenario);
+    }
+}
+
+/// The benchmark of record's `service_scale` configurations at 10^4
+/// tenants: 4 ms deadlines, two-deep tenant queues, budgeted retries,
+/// four admission shards — nearly every arrival is shed, so these pin
+/// the admission plane rather than the data plane.
+fn scale_config(policy: PolicyKind, shape: LoadShape) -> ServiceConfig {
+    let mut cfg = ServiceConfig::standard(EngineKind::Itask, 0, 42);
+    cfg.horizon = SimDuration::from_millis(40);
+    cfg.admission.policy = policy;
+    cfg.admission.max_active = 2;
+    cfg.admission.queue_cap = Some(2);
+    cfg.retry = RetryPolicy::budgeted();
+    let mut model = TenantModel::uniform(10_000, SimDuration::from_micros(2));
+    model.shape = shape;
+    model.deadline = Some(SimDuration::from_millis(4));
+    model.weights = WeightRule {
+        premium_every: 10,
+        premium_weight: 8,
+    };
+    cfg.scale = Some(ScaleSpec {
+        model,
+        admission_shards: 4,
+    });
+    cfg
+}
+
+/// FNV-1a over a stream of words: order-sensitive, so a fold over the
+/// report's tenant map or the trace's shed events pins the sequence.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Self {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Everything a scale run reports, plus the order its sheds fired in.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ScalePrint {
+    tenants: u64,
+    /// Every `(tenant, counters)` of `report.tenants`, in key order.
+    tenant_fold: u64,
+    rounds: u64,
+    peak_queued: u64,
+    outputs: u64,
+    /// Merged latency and queue-wait sketches: count, p50, p99 each.
+    latency: [u64; 3],
+    queue_wait: [u64; 3],
+    /// Traced `Shed` events and the `(at, tenant, reason)` fold of
+    /// their sequence.
+    sheds: u64,
+    shed_fold: u64,
+}
+
+fn scale_print(cfg: ServiceConfig) -> ScalePrint {
+    tracer::begin_run();
+    let r = Service::new(cfg).run();
+    let events = tracer::take_run().expect("tracer armed");
+    let mut tenant_fold = Fold::new();
+    for (&id, t) in &r.tenants {
+        for x in [
+            id as u64,
+            t.submitted,
+            t.completed,
+            t.failed,
+            t.omes,
+            t.retries,
+            t.shed_deadline,
+            t.shed_queue,
+            t.shed_retry,
+        ] {
+            tenant_fold.word(x);
+        }
+    }
+    let (mut sheds, mut shed_fold) = (0, Fold::new());
+    for e in &events {
+        if let tracer::TraceData::Shed { tenant, reason } = &e.data {
+            sheds += 1;
+            shed_fold.word(e.at.as_nanos());
+            shed_fold.word(*tenant as u64);
+            for b in reason.bytes() {
+                shed_fold.word(b as u64);
+            }
+        }
+    }
+    let sketch = |s: simcore::QuantileSketch| [s.count(), s.quantile(0.5), s.quantile(0.99)];
+    ScalePrint {
+        tenants: r.tenants.len() as u64,
+        tenant_fold: tenant_fold.0,
+        rounds: r.rounds,
+        peak_queued: r.peak_queued,
+        outputs: r.total_outputs,
+        latency: sketch(r.merged_latency()),
+        queue_wait: sketch(r.merged_queue_wait()),
+        sheds,
+        shed_fold: shed_fold.0,
+    }
+}
+
+const BURSTY: LoadShape = LoadShape::Bursty {
+    period: SimDuration::from_millis(8),
+    burst_len: SimDuration::from_millis(2),
+    mult_pm: 4_000,
+};
+
+/// Captured on the parent of the lazy-deadline-heap change (`7750383`).
+#[rustfmt::skip]
+const SCALE_PINS: [(PolicyKind, LoadShape, ScalePrint); 3] = [
+    (PolicyKind::WeightedFair, LoadShape::Steady, ScalePrint { tenants: 8637, tenant_fold: 15778249298285129767, rounds: 118, peak_queued: 3358, outputs: 24079, latency: [19, 26334806, 81369838], queue_wait: [19, 847346, 3977297], sheds: 20000, shed_fold: 12481629443735789357 }),
+    (PolicyKind::WeightedFair, BURSTY, ScalePrint { tenants: 9685, tenant_fold: 13773401426418926432, rounds: 129, peak_queued: 5651, outputs: 24091, latency: [18, 13125055, 100534064], queue_wait: [18, 475836, 3611042], sheds: 35050, shed_fold: 17034433565349169659 }),
+    (PolicyKind::MemoryAware, LoadShape::Steady, ScalePrint { tenants: 8637, tenant_fold: 4761857268579148217, rounds: 115, peak_queued: 3050, outputs: 25548, latency: [17, 26135248, 96159662], queue_wait: [17, 3989997, 3999549], sheds: 20002, shed_fold: 1533261738581046706 }),
+];
+
+#[test]
+fn scale_fingerprints_hold() {
+    // The only test in this binary that arms the tracer; the other one
+    // reads reports, which tracing never changes.
+    tracer::enable();
+    let got: Vec<ScalePrint> = SCALE_PINS
+        .iter()
+        .map(|&(policy, shape, _)| scale_print(scale_config(policy, shape)))
+        .collect();
+    tracer::disable();
+    for (g, (policy, shape, want)) in got.iter().zip(&SCALE_PINS) {
+        assert_eq!(g, want, "{} {}", policy.label(), shape.label());
     }
 }
