@@ -13,7 +13,7 @@ use hadoop::{HadoopConfig, MapCx, Mapper, ReduceCx, Reducer, RegularJobResult};
 use hyracks::{ItaskFactories, OpCx, Operator, ShuffleBatch};
 use itask_core::{ITask, Scale, TaskCx, Tuple, TupleTask};
 use simcluster::JobReport;
-use simcore::{prof, ByteSize, SimError, SimResult, TaskId};
+use simcore::{prof, ByteSize, KeyMap, SimError, SimResult, TaskId};
 
 /// A tuple that knows its aggregation key and can absorb another tuple
 /// with the same key.
@@ -81,37 +81,13 @@ pub trait AggSpec: Clone + 'static {
     }
 }
 
-/// Cheap deterministic hasher for the u64 aggregation keys: one
-/// Fibonacci multiply instead of SipHash on the per-tuple fold path.
-/// Order sensitivity is confined to [`AggState::drain`] and
-/// [`AggState::drain_grouped`], which sort.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; the key path below is `write_u64`.
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, k: u64) {
-        let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type KeyMap<M> = std::collections::HashMap<u64, M, std::hash::BuildHasherDefault<KeyHasher>>;
-
 /// The shared fold: a key → accumulator map with byte-accurate
-/// allocation callbacks.
+/// allocation callbacks. The map hashes with `simcore`'s one-multiply
+/// [`KeyMap`] hasher instead of SipHash on the per-tuple fold path;
+/// order sensitivity is confined to [`AggState::drain`] and
+/// [`AggState::drain_grouped`], which sort.
 pub struct AggState<M: MergeableTuple> {
-    map: KeyMap<M>,
+    map: KeyMap<u64, M>,
 }
 
 impl<M: MergeableTuple> AggState<M> {

@@ -5,7 +5,10 @@
 //! The crate has no serde; a small hand-rolled recursive-descent JSON
 //! parser covers the JSONL lines of both dumps and (for schema checks)
 //! the Chrome JSON file. Every numeric value a dump contains is well
-//! below 2^53, so `f64` round-trips them exactly.
+//! below 2^53, so `f64` round-trips them exactly. The parser recurses
+//! once per array/object level, so nesting is capped at [`MAX_DEPTH`]:
+//! malformed input gets an error naming the byte, never a stack
+//! overflow.
 
 use std::fmt::Write as _;
 
@@ -88,11 +91,16 @@ impl Json {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts. A dump line nests
+/// three levels deep at most; anything near this is not a dump.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -106,12 +114,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value at `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -187,7 +200,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // {
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -206,7 +219,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -220,7 +233,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // [
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -229,7 +242,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -364,6 +377,7 @@ pub fn diff_runs<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parser_round_trips_values() {
@@ -387,5 +401,67 @@ mod tests {
     fn parser_handles_unicode_escapes() {
         let v = parse(r#""a	b""#).unwrap();
         assert_eq!(v.as_str(), Some("a\tb"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // One line of 300 000 `[` overflowed the main thread's stack.
+        let err = parse(&"[".repeat(300_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let err = parse(&r#"{"a":"#.repeat(200)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 640");
+        // The cap itself still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+    }
+
+    /// A `shed` record of a `service --scale --quick` trace and its
+    /// Chrome twin row (nested `args`), verbatim.
+    const RECORDS: [&str; 2] = [
+        r#"{"run":0,"id":471,"kind":"shed","node":-1,"scope":null,"ts":4325963,"dur":0,"tenant":4668,"reason":"deadline"}"#,
+        r#"{"name":"shed.deadline","ph":"i","s":"t","pid":0,"tid":-1,"ts":4325963,"args":{"id":471,"scope":null,"tenant":4668,"reason":"deadline"}}"#,
+    ];
+
+    /// JSON's structural characters, escapes and literals' letters, a
+    /// few numbers' characters, and multi-byte UTF-8.
+    const ALPHABET: [char; 28] = [
+        '{', '}', '[', ']', '"', ':', ',', '\\', ' ', '\n', 'u', 'n', 't', 'r', 'f', 'a', 'l', 's',
+        'e', 'E', '0', '7', '-', '+', '.', 'x', 'é', '😀',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_strings(
+            picks in proptest::collection::vec(0..ALPHABET.len(), 0..200),
+        ) {
+            let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+            let _ = parse(&text);
+        }
+
+        #[test]
+        fn parse_never_panics_on_damaged_records(
+            which in 0..RECORDS.len(),
+            cut in 0usize..160,
+            flips in proptest::collection::vec((0usize..160, 1u8..=255), 0..4),
+        ) {
+            let record = RECORDS[which];
+            let mut bytes = record.as_bytes()[..cut.min(record.len())].to_vec();
+            for (at, mask) in flips {
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= mask;
+                }
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    #[test]
+    fn real_records_parse() {
+        for record in RECORDS {
+            let v = parse(record).expect("a real record parses");
+            assert_eq!(v.get("ts").and_then(Json::as_u64), Some(4_325_963));
+        }
     }
 }

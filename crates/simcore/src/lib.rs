@@ -7,7 +7,8 @@
 //! simulation, never by wall-clock measurement. This crate provides the
 //! time axis ([`SimTime`], [`SimDuration`]), the cost-model constants
 //! ([`CostModel`]), deterministic randomness ([`rng`]), byte-size helpers,
-//! identifier types, the shared error type and the three instruments
+//! identifier types, the integer-key hasher ([`hash`]), the shared error
+//! type and the three instruments
 //! ([`tracer`], [`metrics`], [`prof`]). The tracer's per-run stream is the
 //! only record of what a run did; the paper's timeline figures are
 //! rebuilt from it.
@@ -16,6 +17,7 @@ pub mod bytes;
 pub mod cost;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod jbloat;
 pub mod metrics;
@@ -32,6 +34,7 @@ pub use fault::{
     FaultInjector, FaultPlan, FaultStats, LinkState, NetFault, NetFaultKind, NodeCrash, ReadFault,
     WriteFault,
 };
+pub use hash::KeyMap;
 pub use ids::{JobId, NodeId, PartitionId, SpaceId, TaskId, ThreadId};
 pub use jbloat::HeapSized;
 pub use rng::DetRng;

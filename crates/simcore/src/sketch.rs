@@ -16,10 +16,22 @@
 //! case for per-tenant latencies in a bounded sweep.
 
 /// Deterministic quantile sketch over `u64` samples.
+///
+/// An empty sketch is two words and owns no heap: everything else
+/// appears with the first sample. At 10^5 tenants whose per-tenant
+/// sketches never see one (scale mode, DESIGN.md §5h) that keeps each
+/// SLO record small and allocation-free.
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {
     /// Buffer capacity per level (compaction threshold).
     k: usize,
+    /// `None` until the first insert or non-empty merge.
+    body: Option<Box<Body>>,
+}
+
+/// What a sketch holds once it has seen a sample.
+#[derive(Clone, Debug)]
+struct Body {
     /// levels[l] holds values of weight `2^l`, unsorted between carries.
     levels: Vec<Vec<u64>>,
     /// Per-level survivor-offset toggle (alternates to cancel the
@@ -35,86 +47,75 @@ impl QuantileSketch {
     pub const DEFAULT_K: usize = 256;
 
     /// Creates an empty sketch with buffer capacity `k` (min 2, rounded
-    /// up to even so compaction halves exactly).
+    /// up to even so compaction halves exactly). Allocates nothing.
     pub fn new(k: usize) -> Self {
         let k = k.max(2) + (k.max(2) & 1);
-        QuantileSketch {
-            k,
-            levels: vec![Vec::new()],
-            toggles: vec![false],
-            count: 0,
-            min: u64::MAX,
-            max: 0,
-        }
+        QuantileSketch { k, body: None }
     }
 
     /// Number of samples inserted.
     pub fn count(&self) -> u64 {
-        self.count
+        self.body.as_ref().map_or(0, |b| b.count)
     }
 
     /// Whether any sample was inserted.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.body.is_none()
     }
 
     /// Smallest sample (`0` when empty).
     pub fn min(&self) -> u64 {
-        if self.is_empty() {
-            0
-        } else {
-            self.min
-        }
+        self.body.as_ref().map_or(0, |b| b.min)
     }
 
     /// Largest sample (`0` when empty).
     pub fn max(&self) -> u64 {
-        self.max
+        self.body.as_ref().map_or(0, |b| b.max)
     }
 
     /// Inserts one sample.
     pub fn insert(&mut self, v: u64) {
-        self.count += 1;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.levels[0].push(v);
-        self.carry(0);
+        let k = self.k;
+        let b = self.body_mut();
+        b.count += 1;
+        b.min = b.min.min(v);
+        b.max = b.max.max(v);
+        b.level(0).push(v);
+        b.carry(k, 0);
     }
 
     /// Merges another sketch into this one (buffer capacities need not
     /// match; the receiver's `k` governs).
     pub fn merge(&mut self, other: &QuantileSketch) {
-        if other.is_empty() {
+        let Some(o) = &other.body else {
             return;
-        }
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (level, vals) in other.levels.iter().enumerate() {
-            while self.levels.len() <= level {
-                self.levels.push(Vec::new());
-                self.toggles.push(false);
-            }
-            self.levels[level].extend_from_slice(vals);
-            self.carry(level);
+        };
+        let k = self.k;
+        let b = self.body_mut();
+        b.count += o.count;
+        b.min = b.min.min(o.min);
+        b.max = b.max.max(o.max);
+        for (level, vals) in o.levels.iter().enumerate() {
+            b.level(level).extend_from_slice(vals);
+            b.carry(k, level);
         }
     }
 
     /// The `q`-quantile (`0.0 ≤ q ≤ 1.0`) as a weighted rank walk over
     /// the sketch's (value, weight) pairs. Returns `0` when empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.is_empty() {
+        let Some(b) = &self.body else {
             return 0;
-        }
+        };
         if q <= 0.0 {
-            return self.min;
+            return b.min;
         }
         if q >= 1.0 {
-            return self.max;
+            return b.max;
         }
         let mut pairs: Vec<(u64, u64)> = Vec::new();
         let mut total: u64 = 0;
-        for (level, vals) in self.levels.iter().enumerate() {
+        for (level, vals) in b.levels.iter().enumerate() {
             let w = 1u64 << level;
             for &v in vals {
                 pairs.push((v, w));
@@ -132,7 +133,7 @@ impl QuantileSketch {
                 return v;
             }
         }
-        self.max
+        b.max
     }
 
     /// One deterministic read of the whole distribution: count, range
@@ -152,15 +153,35 @@ impl QuantileSketch {
         }
     }
 
-    /// Compacts `level` (and cascades) while it is at capacity: the
-    /// buffer is sorted and every other value is promoted with doubled
-    /// weight, alternating the surviving offset per carry.
-    fn carry(&mut self, mut level: usize) {
-        while self.levels[level].len() >= self.k {
-            if self.levels.len() <= level + 1 {
-                self.levels.push(Vec::new());
-                self.toggles.push(false);
-            }
+    /// The body, created empty on first use.
+    fn body_mut(&mut self) -> &mut Body {
+        self.body.get_or_insert_with(|| {
+            Box::new(Body {
+                levels: Vec::new(),
+                toggles: Vec::new(),
+                count: 0,
+                min: u64::MAX,
+                max: 0,
+            })
+        })
+    }
+}
+
+impl Body {
+    /// The buffer of `level`, growing the level stack to reach it.
+    fn level(&mut self, level: usize) -> &mut Vec<u64> {
+        while self.levels.len() <= level {
+            self.levels.push(Vec::new());
+            self.toggles.push(false);
+        }
+        &mut self.levels[level]
+    }
+
+    /// Compacts `level` (and cascades) while it holds `k` or more
+    /// values: the buffer is sorted and every other value is promoted
+    /// with doubled weight, alternating the surviving offset per carry.
+    fn carry(&mut self, k: usize, mut level: usize) {
+        while self.levels[level].len() >= k {
             let mut buf = std::mem::take(&mut self.levels[level]);
             buf.sort_unstable();
             let offset = usize::from(self.toggles[level]);
@@ -170,8 +191,8 @@ impl QuantileSketch {
                 let last = buf.pop().expect("non-empty buffer");
                 self.levels[level].push(last);
             }
-            let promoted: Vec<u64> = buf.iter().copied().skip(offset).step_by(2).collect();
-            self.levels[level + 1].extend(promoted);
+            let promoted = buf.iter().copied().skip(offset).step_by(2);
+            self.level(level + 1).extend(promoted);
             level += 1;
         }
     }

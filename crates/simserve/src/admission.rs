@@ -15,20 +15,24 @@
 //! controller refuses to run is recorded as a [`ShedRecord`] for the
 //! service to account and trace; nothing is dropped silently.
 //!
-//! Pops are O(log n) in the number of queued tenants. Three ordered
-//! indexes shadow the per-tenant queues: a FIFO index over each queue's
-//! front stamp, a weighted-fair index over exact cross-multiplied
-//! virtual time (`FairKey`), and a deadline index over every queued
-//! deadline-carrying job. The indexed pops preserve the original linear
+//! Pops are O(log n) in the number of queued tenants, and an arrival
+//! shed at enqueue costs one hashed lookup. The per-tenant queues and
+//! served times live in hashed maps ([`simcore::KeyMap`]), and beside
+//! them sits the one ordered index the policy pops by: a FIFO index over each queue's front stamp
+//! (FIFO, memory-aware) or a weighted-fair index over exact
+//! cross-multiplied virtual time (`FairKey`). Deadlines sit in a
+//! min-heap of `(deadline, stamp, tenant)` with lazy deletion: a pop
+//! leaves its entry behind, and expiry discards any entry whose stamp
+//! is no longer queued. The indexed pops preserve the original linear
 //! scans' semantics bit-for-bit (exact rational comparison, lowest
 //! tenant id on virtual-time ties, global stamp order for FIFO); the
 //! [`mod@reference`] module retains the naive O(n) implementation as the
 //! oracle for the equivalence property tests.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
-use simcore::{SimDuration, SimTime};
+use simcore::{KeyMap, SimDuration, SimTime};
 
 use crate::overload::{ShedReason, ShedRecord};
 use crate::workload::{Arrival, JobKind, WeightRule};
@@ -171,21 +175,31 @@ impl Eq for FairKey {}
 /// Per-tenant queues plus the policy state.
 pub struct AdmissionController {
     cfg: AdmissionConfig,
-    queues: BTreeMap<u32, VecDeque<QueuedJob>>,
+    /// Non-empty queues only, by tenant. Hashed: read by key, and
+    /// [`AdmissionController::queued_tenants`] sorts.
+    queues: KeyMap<u32, VecDeque<QueuedJob>>,
+    /// Buffers of queues that emptied, handed to the next queue that
+    /// opens: at 10^5 tenants nearly every arrival opens a queue and
+    /// sheds it again. Never more than the peak number of queues.
+    spare: Vec<VecDeque<QueuedJob>>,
     /// Immediately-runnable jobs across all queues (kept in lockstep
     /// with the queues so `queued()` is O(1)).
     queued_count: usize,
-    /// One `(front stamp, tenant)` entry per non-empty queue. Front
-    /// tracking, not min tracking: a released retry can park an older
-    /// stamp *behind* a fresher arrival, and FIFO order is defined by
-    /// queue fronts exactly as the original scan saw them.
+    /// FIFO and memory-aware only (empty otherwise): one `(front stamp,
+    /// tenant)` entry per non-empty queue. Front tracking, not min
+    /// tracking: a released retry can park an older stamp *behind* a
+    /// fresher arrival, and FIFO order is defined by queue fronts
+    /// exactly as the original scan saw them.
     fifo_index: BTreeSet<(u64, u32)>,
-    /// One [`FairKey`] entry per non-empty queue, re-keyed whenever the
-    /// tenant's served time advances.
+    /// Weighted-fair only (empty otherwise): one [`FairKey`] entry per
+    /// non-empty queue, re-keyed whenever the tenant's served time
+    /// advances.
     fair_index: BTreeSet<FairKey>,
-    /// Every queued deadline-carrying job, keyed `(deadline, stamp,
-    /// tenant)` so expiry walks only the jobs that are actually due.
-    deadline_index: BTreeSet<(SimTime, u64, u32)>,
+    /// One `(deadline, stamp, tenant)` entry per deadline-carrying
+    /// enqueue, smallest first, held until expiry pops it. Lazy:
+    /// popping a job leaves its entry here, and expiry skips entries
+    /// whose stamp is no longer queued.
+    deadlines: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// Backed-off retries parked until their release instant, keyed by
     /// `(release, stamp)` so ties release in stamp order.
     delayed: BTreeMap<(SimTime, u64), QueuedJob>,
@@ -197,7 +211,7 @@ pub struct AdmissionController {
     /// takes precedence over `weights` when set.
     weight_rule: Option<WeightRule>,
     /// Served busy-nanos per tenant (weighted-fair virtual time).
-    served: BTreeMap<u32, u64>,
+    served: KeyMap<u32, u64>,
     next_stamp: u64,
 }
 
@@ -218,16 +232,17 @@ impl AdmissionController {
     fn build(cfg: AdmissionConfig, weights: BTreeMap<u32, u64>, rule: Option<WeightRule>) -> Self {
         AdmissionController {
             cfg,
-            queues: BTreeMap::new(),
+            queues: KeyMap::default(),
+            spare: Vec::new(),
             queued_count: 0,
             fifo_index: BTreeSet::new(),
             fair_index: BTreeSet::new(),
-            deadline_index: BTreeSet::new(),
+            deadlines: BinaryHeap::new(),
             delayed: BTreeMap::new(),
             shed: Vec::new(),
             weights,
             weight_rule: rule,
-            served: BTreeMap::new(),
+            served: KeyMap::default(),
             next_stamp: 0,
         }
     }
@@ -254,30 +269,34 @@ impl AdmissionController {
         self.delayed.keys().next().map(|&(at, _)| at)
     }
 
-    /// Tenants with at least one immediately-runnable queued job. The
-    /// per-tenant map prunes lazily on every pop/shed path, so this is
-    /// exactly the non-empty set — no tombstone queues.
+    /// Tenants with at least one immediately-runnable queued job, in
+    /// ascending id order. The per-tenant map prunes on every pop/shed
+    /// path, so this is exactly the non-empty set — no tombstone
+    /// queues.
     pub fn queued_tenants(&self) -> Vec<u32> {
         debug_assert!(
             self.queues.values().all(|q| !q.is_empty()),
             "empty tenant queue left unpruned"
         );
+        let (used, unused) = if self.fair() {
+            (self.fair_index.len(), self.fifo_index.len())
+        } else {
+            (self.fifo_index.len(), self.fair_index.len())
+        };
         debug_assert_eq!(
-            self.fifo_index.len(),
+            used,
             self.queues.len(),
-            "fifo index must hold exactly one front per non-empty queue"
+            "the policy's index must hold exactly one entry per non-empty queue"
         );
-        debug_assert_eq!(
-            self.fair_index.len(),
-            self.queues.len(),
-            "fair index must hold exactly one key per non-empty queue"
-        );
+        debug_assert_eq!(unused, 0, "the other policy's index stays empty");
         debug_assert_eq!(
             self.queued_count,
             self.queues.values().map(VecDeque::len).sum::<usize>(),
             "queued counter out of lockstep with the queues"
         );
-        self.queues.keys().copied().collect()
+        let mut tenants: Vec<u32> = self.queues.keys().copied().collect();
+        tenants.sort_unstable();
+        tenants
     }
 
     /// Drains the shed decisions recorded since the last call.
@@ -371,16 +390,17 @@ impl AdmissionController {
     }
 
     /// Credits a tenant with served busy time (drives weighted-fair
-    /// virtual time forward on completion or failure). Re-keys the
-    /// tenant's fair-index entry if it currently has queued work.
+    /// virtual time forward on completion or failure). Under
+    /// weighted-fair, re-keys the tenant's fair-index entry if it
+    /// currently has queued work.
     pub fn credit_served(&mut self, tenant: u32, busy_nanos: u64) {
-        let queued = self.queues.contains_key(&tenant);
-        if queued {
+        let rekey = self.fair() && self.queues.contains_key(&tenant);
+        if rekey {
             let old = self.fair_key(tenant);
             self.fair_index.remove(&old);
         }
         *self.served.entry(tenant).or_insert(0) += busy_nanos;
-        if queued {
+        if rekey {
             let new = self.fair_key(tenant);
             self.fair_index.insert(new);
         }
@@ -390,49 +410,44 @@ impl AdmissionController {
     /// pop: a job that waited out its deadline in the queue must not
     /// burn cluster time), pruning tenant queues that empty out.
     ///
-    /// Index-driven: walks the deadline index only as far as jobs that
-    /// are actually due, so a quiet round costs one `first()` probe
-    /// regardless of how many tenants are queued. Each expiry pays a
-    /// scan of the owning tenant's queue (bounded by `queue_cap` when
-    /// one is set), never of the tenant population. Records shed in
-    /// `(deadline, stamp)` order rather than the old tenant-major
-    /// order; shed *sets* are unchanged.
+    /// Heap-driven: pops deadline entries only as far as the ones that
+    /// are actually due, so a quiet round costs one `peek()` regardless
+    /// of how many tenants are queued. An entry whose stamp is no
+    /// longer in its tenant's queue belongs to a job admitted since,
+    /// and is dropped; stamps are never reused — a requeue stamps
+    /// afresh and pushes a fresh entry — so a job is shed at most once.
+    /// Each due entry pays a scan of the owning tenant's queue (bounded
+    /// by `queue_cap` when one is set), never of the tenant population.
+    /// Stamps are unique, so the live entries leave the heap in strictly
+    /// ascending `(deadline, stamp)` order and sheds are recorded in
+    /// that order (not the reference scan's tenant-major order; shed
+    /// *sets* are the same).
     fn expire(&mut self, now: SimTime) {
-        while let Some(&(deadline, stamp, tenant)) = self.deadline_index.first() {
+        while let Some(&Reverse((deadline, stamp, tenant))) = self.deadlines.peek() {
             if deadline >= now {
                 break;
             }
-            self.deadline_index.remove(&(deadline, stamp, tenant));
-            let (seq, was_front, next_front) = {
-                let q = self
-                    .queues
-                    .get_mut(&tenant)
-                    .expect("deadline-indexed job has a queue");
-                let pos = q
-                    .iter()
-                    .position(|j| j.stamp == stamp)
-                    .expect("deadline-indexed job is queued");
-                let job = q.remove(pos).expect("position is in range");
-                (job.seq, pos == 0, q.front().map(|j| j.stamp))
+            self.deadlines.pop();
+            let Some(q) = self.queues.get_mut(&tenant) else {
+                continue;
             };
+            let Some(pos) = q.iter().position(|j| j.stamp == stamp) else {
+                continue;
+            };
+            let front = q.front().map(|j| j.stamp);
+            let job = q.remove(pos).expect("position is in range");
+            let next_front = q.front().map(|j| j.stamp);
+            if next_front.is_none() {
+                self.close_queue(tenant);
+            }
             self.queued_count -= 1;
+            self.reindex(tenant, front, next_front);
             self.shed.push(ShedRecord {
                 tenant,
-                seq,
+                seq: job.seq,
                 reason: ShedReason::DeadlineExpired,
                 at: now,
             });
-            if was_front {
-                self.fifo_index.remove(&(stamp, tenant));
-                if let Some(front) = next_front {
-                    self.fifo_index.insert((front, tenant));
-                }
-            }
-            if next_front.is_none() {
-                self.queues.remove(&tenant);
-                let key = self.fair_key(tenant);
-                self.fair_index.remove(&key);
-            }
         }
     }
 
@@ -483,46 +498,74 @@ impl AdmissionController {
         self.pop_front(tenant)
     }
 
+    /// Pops the tenant's head job. Its deadline entry, if any, stays
+    /// in the heap and is dropped when it comes due ([`Self::expire`]).
     fn pop_front(&mut self, tenant: u32) -> Option<QueuedJob> {
-        let (job, next_front) = {
-            let q = self.queues.get_mut(&tenant)?;
-            let job = q.pop_front()?;
-            (job, q.front().map(|j| j.stamp))
-        };
+        let q = self.queues.get_mut(&tenant)?;
+        let job = q.pop_front()?;
+        let next_front = q.front().map(|j| j.stamp);
+        if next_front.is_none() {
+            self.close_queue(tenant);
+        }
         self.queued_count -= 1;
-        self.fifo_index.remove(&(job.stamp, tenant));
-        if let Some(d) = job.deadline {
-            self.deadline_index.remove(&(d, job.stamp, tenant));
-        }
-        match next_front {
-            Some(front) => {
-                self.fifo_index.insert((front, tenant));
-            }
-            None => {
-                self.queues.remove(&tenant);
-                let key = self.fair_key(tenant);
-                self.fair_index.remove(&key);
-            }
-        }
+        self.reindex(tenant, Some(job.stamp), next_front);
         Some(job)
     }
 
-    /// Appends `job` to its tenant's queue and keeps every index in
-    /// lockstep: the deadline index gains the job, and a queue going
-    /// non-empty gains its FIFO-front and fair-index entries.
+    /// Appends `job` to its tenant's queue: a deadline-carrying job
+    /// gains a heap entry, and a queue going non-empty gains its entry
+    /// in the policy's index.
     fn push_job(&mut self, job: QueuedJob) {
-        if let Some(d) = job.deadline {
-            self.deadline_index.insert((d, job.stamp, job.tenant));
-        }
-        let key = self.fair_key(job.tenant);
         let (stamp, tenant) = (job.stamp, job.tenant);
-        let q = self.queues.entry(tenant).or_default();
+        if let Some(d) = job.deadline {
+            self.deadlines.push(Reverse((d, stamp, tenant)));
+        }
+        let spare = &mut self.spare;
+        let q = self
+            .queues
+            .entry(tenant)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         let was_empty = q.is_empty();
         q.push_back(job);
         self.queued_count += 1;
         if was_empty {
-            self.fifo_index.insert((stamp, tenant));
-            self.fair_index.insert(key);
+            self.reindex(tenant, None, Some(stamp));
+        }
+    }
+
+    /// Prunes `tenant`'s queue, which just emptied, keeping its buffer.
+    fn close_queue(&mut self, tenant: u32) {
+        if let Some(q) = self.queues.remove(&tenant) {
+            self.spare.push(q);
+        }
+    }
+
+    /// Whether the policy pops by the fair index (else by FIFO fronts).
+    fn fair(&self) -> bool {
+        self.cfg.policy == PolicyKind::WeightedFair
+    }
+
+    /// Keeps the policy's index in lockstep after the front stamp of
+    /// `tenant`'s queue moved from `old` to `new` (`None`: empty). The
+    /// FIFO index follows the front; the fair index only follows the
+    /// queue in and out of existence — its key moves with `served`.
+    fn reindex(&mut self, tenant: u32, old: Option<u64>, new: Option<u64>) {
+        if self.fair() {
+            if old.is_some() != new.is_some() {
+                let key = self.fair_key(tenant);
+                if new.is_some() {
+                    self.fair_index.insert(key);
+                } else {
+                    self.fair_index.remove(&key);
+                }
+            }
+        } else if old != new {
+            if let Some(front) = old {
+                self.fifo_index.remove(&(front, tenant));
+            }
+            if let Some(front) = new {
+                self.fifo_index.insert((front, tenant));
+            }
         }
     }
 
@@ -1123,10 +1166,10 @@ mod tests {
     fn indexes_stay_tombstone_free_under_large_tenant_churn() {
         // Million-tenant-scale churn, shrunk to 20k so debug test runs
         // stay quick: one deadlined job per tenant, pop a slice, expire
-        // the rest. Every index (fifo fronts, fair keys, deadlines) and
-        // the queued counter must drain back to exactly empty —
-        // `queued_tenants()` debug-asserts index/queue lockstep on
-        // every call.
+        // the rest. The policy's index, the deadline heap (stale entries
+        // of the popped slice included) and the queued counter must
+        // drain back to exactly empty — `queued_tenants()`
+        // debug-asserts index/queue lockstep on every call.
         const TENANTS: u32 = 20_000;
         let cfg = AdmissionConfig {
             policy: PolicyKind::WeightedFair,
@@ -1150,10 +1193,81 @@ mod tests {
         assert!(c.next(calm_at(0, 200)).is_none());
         assert_eq!(c.queued(), 0);
         assert!(c.queued_tenants().is_empty(), "all queues pruned");
+        assert!(c.deadlines.is_empty(), "stale heap entries dropped");
         assert_eq!(c.pending_delayed(), 0);
         let shed = c.take_shed();
         assert_eq!(shed.len(), (TENANTS - popped) as usize);
         assert!(shed.iter().all(|s| s.reason == ShedReason::DeadlineExpired));
+    }
+
+    /// `(tenant, seq)` of every shed decision since the last drain.
+    fn shed_ids(c: &mut AdmissionController) -> Vec<(u32, u32)> {
+        c.take_shed().iter().map(|s| (s.tenant, s.seq)).collect()
+    }
+
+    #[test]
+    fn expiry_sheds_across_tenants_in_deadline_then_stamp_order() {
+        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        // Stamps 0..5 in enqueue order; deadlines deliberately out of
+        // both stamp and tenant order.
+        c.enqueue_arrival(&deadlined(5, 0, 1, 20), t(1)); // stamp 0
+        c.enqueue_arrival(&deadlined(1, 0, 1, 15), t(1)); // stamp 1
+        c.enqueue_arrival(&deadlined(3, 0, 1, 20), t(1)); // stamp 2
+        c.enqueue_arrival(&deadlined(1, 1, 1, 15), t(1)); // stamp 3
+        c.enqueue_arrival(&deadlined(3, 1, 1, 12), t(1)); // stamp 4
+        c.enqueue_arrival(&deadlined(7, 0, 1, 40), t(1)); // stamp 5, survives
+        assert!(c.next(calm_at(4, 30)).is_none(), "no slot: expiry only");
+        // (12, 4) (15, 1) (15, 3) (20, 0) (20, 2): tenant 5 before
+        // tenant 3 on the deadline tie, because its stamp is older.
+        assert_eq!(
+            shed_ids(&mut c),
+            vec![(3, 1), (1, 0), (1, 1), (5, 0), (3, 0)]
+        );
+        assert_eq!(c.queued_tenants(), vec![7]);
+    }
+
+    #[test]
+    fn admitted_job_leaves_no_shed_when_its_stale_entry_comes_due() {
+        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        c.enqueue_arrival(&deadlined(2, 0, 1, 20), t(1));
+        c.enqueue_arrival(&deadlined(2, 1, 1, 25), t(1));
+        let job = c
+            .next(calm_at(0, 10))
+            .expect("admitted before its deadline");
+        assert_eq!(job.seq, 0);
+        // The admitted job's heap entry is still there; when it comes
+        // due it must not shed the job now at the queue's front.
+        assert_eq!(c.deadlines.len(), 2);
+        assert!(c.next(calm_at(4, 22)).is_none());
+        assert!(c.take_shed().is_empty(), "stale entry shed a live job");
+        assert_eq!(c.queued(), 1);
+        assert_eq!(c.deadlines.len(), 1, "stale entry dropped");
+        assert!(c.next(calm_at(4, 26)).is_none());
+        assert_eq!(shed_ids(&mut c), vec![(2, 1)]);
+        assert!(c.deadlines.is_empty());
+    }
+
+    #[test]
+    fn popped_then_requeued_job_is_shed_exactly_once() {
+        for policy in [PolicyKind::Fifo, PolicyKind::WeightedFair] {
+            let cfg = AdmissionConfig {
+                policy,
+                ..AdmissionConfig::default()
+            };
+            let mut c = AdmissionController::new(cfg, BTreeMap::new());
+            c.enqueue_arrival(&deadlined(4, 0, 1, 20), t(1));
+            let job = c.next(calm_at(0, 5)).expect("admitted");
+            // Fails and rejoins under a fresh stamp, keeping its
+            // original deadline: two heap entries now name this job,
+            // one stale (the old stamp) and one live.
+            c.requeue(job, t(6));
+            assert_eq!(c.deadlines.len(), 2);
+            assert!(c.next(calm_at(4, 30)).is_none());
+            assert_eq!(shed_ids(&mut c), vec![(4, 0)], "{policy:?}");
+            assert_eq!(c.queued(), 0);
+            assert!(c.queued_tenants().is_empty());
+            assert!(c.deadlines.is_empty());
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@ use itask_core::MemSignal;
 use simcluster::{run_round, Cluster, ClusterConfig};
 use simcore::sketch::QuantileSketch;
 use simcore::{
-    metrics, tracer, tracer::EventId, ByteSize, FaultPlan, NodeId, SimDuration, SimError, SimTime,
+    metrics, tracer, tracer::EventId, ByteSize, FaultPlan, KeyMap, NodeId, SimDuration, SimError,
+    SimTime,
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, ClusterView, QueuedJob};
@@ -120,6 +121,11 @@ impl ServiceConfig {
 }
 
 /// Per-tenant service-level accounting.
+///
+/// In scale mode latencies and queue waits go to per-shard sketches
+/// instead, so a tenant's two sketches stay empty — and an empty
+/// [`QuantileSketch`] allocates nothing. A tenant that only ever had
+/// arrivals shed costs its record and no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct TenantSlo {
     /// Jobs submitted (arrivals inside the horizon).
@@ -139,14 +145,19 @@ pub struct TenantSlo {
     /// Failures denied a retry by the tenant's empty token bucket.
     pub shed_retry: u64,
     /// End-to-end latency (submission → completion), nanoseconds.
+    /// Empty in scale mode.
     pub latency: QuantileSketch,
-    /// Queue wait (submission → admission), nanoseconds.
+    /// Queue wait (submission → admission), nanoseconds. Empty in scale
+    /// mode.
     pub queue_wait: QuantileSketch,
 }
 
 /// The outcome of one service run.
 pub struct ServiceReport {
-    /// Per-tenant SLO accounting.
+    /// Per-tenant SLO accounting, one record per tenant that submitted
+    /// (or, outside scale mode, was configured), in tenant-id order.
+    /// Scale-mode records carry counters only: their sketches are
+    /// empty, see `scale_latency` / `scale_queue_wait`.
     pub tenants: BTreeMap<u32, TenantSlo>,
     /// Virtual wall time of the whole run.
     pub elapsed: SimDuration,
@@ -258,7 +269,10 @@ pub struct Service {
     /// (`node % shards`); a single all-nodes slice otherwise.
     shard_nodes: Vec<Vec<NodeId>>,
     active: Vec<ActiveJob>,
-    slos: BTreeMap<u32, TenantSlo>,
+    /// Per-tenant SLO records, hashed: touched several times per
+    /// arrival at 10^5 tenants, read by key only, and sorted into the
+    /// report's `BTreeMap` once when the run ends.
+    slos: KeyMap<u32, TenantSlo>,
     /// Scale mode: per-shard bounded-memory latency sketches (empty
     /// vectors outside scale mode; per-tenant sketches used instead).
     scale_lat: Vec<QuantileSketch>,
@@ -303,7 +317,7 @@ impl Service {
         if let Some(plan) = cfg.fault_plan.clone() {
             cluster.install_faults(plan);
         }
-        let mut slos: BTreeMap<u32, TenantSlo> = BTreeMap::new();
+        let mut slos: KeyMap<u32, TenantSlo> = KeyMap::default();
         let all_nodes: Vec<NodeId> = (0..cfg.nodes).map(|n| NodeId(n as u32)).collect();
         let (controllers, arrivals, shard_nodes, scale_lat, scale_wait) = match &cfg.scale {
             None => {
@@ -451,8 +465,16 @@ impl Service {
         } else {
             (Some(merge(&self.scale_lat)), Some(merge(&self.scale_wait)))
         };
+        // Sort ids, not records; the map is then bulk-built from an
+        // already sorted run.
+        let mut ids: Vec<u32> = self.slos.keys().copied().collect();
+        ids.sort_unstable();
+        let tenants = ids
+            .into_iter()
+            .map(|id| (id, self.slos.remove(&id).expect("id taken from the map")))
+            .collect();
         ServiceReport {
-            tenants: self.slos,
+            tenants,
             elapsed: self.cluster.elapsed(),
             total_outputs: self.total_outputs,
             rounds: self.rounds,

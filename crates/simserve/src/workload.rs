@@ -9,10 +9,10 @@
 //! adjacency records, so one generic driver executes any of them on
 //! either engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use planner::{CollectQuery, FoldQuery, Query};
-use simcore::{ByteSize, DetRng, SimDuration, SimTime};
+use simcore::{ByteSize, DetRng, KeyMap, SimDuration, SimTime};
 use workloads::webmap::{AdjRecord, WebmapConfig, WebmapSize};
 
 /// The job catalog: what a client can submit.
@@ -346,6 +346,10 @@ impl TenantModel {
 /// yields the same arrival sequence — and because arrivals are drawn
 /// from a single aggregate process they are emitted already in
 /// nondecreasing time order.
+///
+/// The only per-tenant state is a sequence number per tenant that has
+/// submitted, in a [`KeyMap`]: one multiply-hash lookup per arrival
+/// instead of SipHash, read strictly by key.
 pub struct ArrivalGen {
     rng: DetRng,
     model: TenantModel,
@@ -355,8 +359,8 @@ pub struct ArrivalGen {
     total_mix: u32,
     /// Next per-tenant sequence number, allocated on a tenant's first
     /// arrival only. Accessed strictly by key (never iterated), so the
-    /// hash map's unstable order cannot leak into the schedule.
-    seqs: HashMap<u32, u32>,
+    /// hash map's order cannot leak into the schedule.
+    seqs: KeyMap<u32, u32>,
     done: bool,
 }
 
@@ -373,7 +377,7 @@ impl ArrivalGen {
             seed,
             at: SimTime::ZERO,
             total_mix,
-            seqs: HashMap::new(),
+            seqs: KeyMap::default(),
             done: false,
         }
     }
@@ -585,7 +589,7 @@ mod tests {
         }
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at), "time-ordered");
         // Per-tenant seqs count up densely from 0.
-        let mut next = HashMap::new();
+        let mut next = std::collections::HashMap::new();
         for x in &a {
             let slot = next.entry(x.tenant).or_insert(0u32);
             assert_eq!(x.seq, *slot);
