@@ -248,7 +248,6 @@ fn main() {
     let mut rows = Vec::new();
     for (i, &load) in loads.iter().enumerate() {
         let ctl = &reports[i][2];
-        let lat = ctl.merged_latency();
         rows.push(vec![
             format!("x{load}"),
             ctl.total(|t| t.shed_deadline).to_string(),
@@ -257,7 +256,7 @@ fn main() {
             ctl.total(|t| t.failed).to_string(),
             ctl.quarantines.to_string(),
             ctl.brownout_rounds.to_string(),
-            fmt_ms(lat.quantile(0.99)),
+            fmt_ms(ctl.latency.quantile(0.99)),
         ]);
     }
     print_table(

@@ -246,39 +246,23 @@ impl Cluster {
         }
     }
 
-    /// Free-heap ratio of one node: effective free bytes (capacity minus
-    /// live set — garbage is reclaimable) over capacity, in `[0, 1]`.
-    pub fn free_heap_ratio(&self, node: NodeId) -> f64 {
-        let n = self.sims[node.as_usize()].node();
-        let cap = n.heap.capacity().as_u64();
-        if cap == 0 {
-            return 0.0;
-        }
-        n.heap.effective_free().as_u64() as f64 / cap as f64
-    }
-
     /// The tightest free-heap ratio across live nodes (1.0 for an empty
     /// cluster) — what a memory-aware admission controller gates on.
     pub fn min_free_heap_ratio(&self) -> f64 {
-        self.sims
-            .iter()
-            .filter(|s| !s.is_crashed())
-            .map(|s| {
-                let n = s.node();
-                let cap = n.heap.capacity().as_u64().max(1);
-                n.heap.effective_free().as_u64() as f64 / cap as f64
-            })
-            .fold(1.0_f64, f64::min)
+        Self::min_free_ratio(self.sims.iter())
     }
 
     /// [`min_free_heap_ratio`](Cluster::min_free_heap_ratio) restricted
     /// to the given nodes (1.0 when none of them are live) — the
     /// per-shard memory gate for sharded admission.
     pub fn min_free_heap_ratio_of(&self, nodes: &[NodeId]) -> f64 {
-        nodes
-            .iter()
-            .map(|&id| &self.sims[id.as_usize()])
-            .filter(|s| !s.is_crashed())
+        Self::min_free_ratio(nodes.iter().map(|&id| &self.sims[id.as_usize()]))
+    }
+
+    /// The smallest effective-free bytes (capacity minus live set —
+    /// garbage is reclaimable) over capacity among the live `sims`.
+    fn min_free_ratio<'s>(sims: impl Iterator<Item = &'s NodeSim>) -> f64 {
+        sims.filter(|s| !s.is_crashed())
             .map(|s| {
                 let n = s.node();
                 let cap = n.heap.capacity().as_u64().max(1);
@@ -383,8 +367,8 @@ mod tests {
             .heap
             .alloc(space, ByteSize::kib(40), SimTime::ZERO)
             .unwrap();
-        assert!((c.free_heap_ratio(node) - 0.6).abs() < 1e-9);
-        assert_eq!(c.free_heap_ratio(NodeId(1)), 1.0);
+        assert!((c.min_free_heap_ratio_of(&[node]) - 0.6).abs() < 1e-9);
+        assert_eq!(c.min_free_heap_ratio_of(&[NodeId(1)]), 1.0);
         assert!((c.min_free_heap_ratio() - 0.6).abs() < 1e-9);
 
         c.advance_clocks_to(SimTime::from_nanos(1_000));

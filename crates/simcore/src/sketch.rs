@@ -18,9 +18,7 @@
 /// Deterministic quantile sketch over `u64` samples.
 ///
 /// An empty sketch is two words and owns no heap: everything else
-/// appears with the first sample. At 10^5 tenants whose per-tenant
-/// sketches never see one (scale mode, DESIGN.md §5h) that keeps each
-/// SLO record small and allocation-free.
+/// appears with the first sample.
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {
     /// Buffer capacity per level (compaction threshold).

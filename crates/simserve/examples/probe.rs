@@ -8,7 +8,7 @@ fn main() {
     for tenants in [1u32, 2, 3, 4, 6, 8] {
         for engine in [EngineKind::Regular, EngineKind::Itask] {
             let r = Service::new(ServiceConfig::standard(engine, tenants, 42)).run();
-            let lat = r.merged_latency();
+            let lat = &r.latency;
             println!(
                 "tenants={tenants} {:>7}: sub={} done={} fail={} omes={} retries={} p50={}ms p99={}ms elapsed={}ms rounds={}",
                 engine.label(),

@@ -18,8 +18,8 @@
 //!   concurrent jobs share node heaps, contend genuinely, interrupt
 //!   each other, and can be torn down surgically.
 //! - [`service`] — the scheduling loop tying it together, with
-//!   per-tenant SLO accounting (latency and queue-wait quantiles via
-//!   the deterministic [`simcore::sketch`], OME/retry/failure counts);
+//!   per-tenant SLO counters (OME/retry/failure/shed) and latency and
+//!   queue-wait quantiles via the deterministic [`simcore::sketch`];
 //!   service gauges go to the [`simcore::metrics`] plane.
 //! - [`overload`] — survival controls for sustained OME storms:
 //!   deadline-aware shedding, per-tenant retry token budgets with
@@ -47,6 +47,5 @@ pub use overload::{
 };
 pub use service::{ScaleSpec, Service, ServiceConfig, ServiceReport, TenantSlo};
 pub use workload::{
-    generate_arrivals, Arrival, ArrivalGen, ArrivalSource, JobKind, LoadShape, TenantModel,
-    TenantSpec, WeightRule,
+    generate_arrivals, Arrival, ArrivalGen, JobKind, LoadShape, TenantModel, TenantSpec, WeightRule,
 };

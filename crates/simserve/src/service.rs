@@ -10,8 +10,15 @@
 //! or charged against their tenant. Everything is seeded and stepped in
 //! a fixed order, so a `(config, seed)` pair always produces the same
 //! report — byte for byte.
+//!
+//! There is one admission path. Tenants hash to admission shards, and
+//! each shard drains its queue against a view of its node slice frozen
+//! at round start. The classic configuration (explicit `tenants`, no
+//! [`ScaleSpec`]) is one shard that owns every node, fed a schedule
+//! generated up front.
 
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 
 use itask_core::MemSignal;
 use simcluster::{run_round, Cluster, ClusterConfig};
@@ -28,7 +35,7 @@ use crate::overload::{
     TokenBucket,
 };
 use crate::workload::{
-    dataset_blocks, generate_arrivals, ArrivalGen, ArrivalSource, JobKind, TenantModel, TenantSpec,
+    dataset_blocks, generate_arrivals, Arrival, ArrivalGen, JobKind, TenantModel, TenantSpec,
 };
 
 /// Safety valve: a service run that exceeds this many scheduling rounds
@@ -69,8 +76,7 @@ pub struct ServiceConfig {
     pub block_size: ByteSize,
     /// Scale mode: a lazily generated tenant population with sharded
     /// admission, replacing `tenants` (which must then be empty).
-    /// `None` (the default) keeps the classic single-controller path —
-    /// and its bytes — untouched.
+    /// `None` (the default) admits `tenants` through one shard.
     pub scale: Option<ScaleSpec>,
 }
 
@@ -120,12 +126,10 @@ impl ServiceConfig {
     }
 }
 
-/// Per-tenant service-level accounting.
-///
-/// In scale mode latencies and queue waits go to per-shard sketches
-/// instead, so a tenant's two sketches stay empty — and an empty
-/// [`QuantileSketch`] allocates nothing. A tenant that only ever had
-/// arrivals shed costs its record and no heap allocation.
+/// Per-tenant service-level accounting: counters only. Latencies and
+/// queue waits go to the per-shard sketches merged into
+/// [`ServiceReport`], so a tenant that only ever had arrivals shed costs
+/// one 64-byte record and no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct TenantSlo {
     /// Jobs submitted (arrivals inside the horizon).
@@ -142,22 +146,15 @@ pub struct TenantSlo {
     pub shed_deadline: u64,
     /// Arrivals shed because the tenant's bounded queue was full.
     pub shed_queue: u64,
-    /// Failures denied a retry by the tenant's empty token bucket.
+    /// Failures denied a retry by the tenant's empty token bucket
+    /// (counted here, not in `failed`).
     pub shed_retry: u64,
-    /// End-to-end latency (submission → completion), nanoseconds.
-    /// Empty in scale mode.
-    pub latency: QuantileSketch,
-    /// Queue wait (submission → admission), nanoseconds. Empty in scale
-    /// mode.
-    pub queue_wait: QuantileSketch,
 }
 
 /// The outcome of one service run.
 pub struct ServiceReport {
     /// Per-tenant SLO accounting, one record per tenant that submitted
     /// (or, outside scale mode, was configured), in tenant-id order.
-    /// Scale-mode records carry counters only: their sketches are
-    /// empty, see `scale_latency` / `scale_queue_wait`.
     pub tenants: BTreeMap<u32, TenantSlo>,
     /// Virtual wall time of the whole run.
     pub elapsed: SimDuration,
@@ -173,13 +170,13 @@ pub struct ServiceReport {
     /// High-water mark of immediately-runnable queued jobs across all
     /// admission shards.
     pub peak_queued: u64,
-    /// Scale mode only: end-to-end latency samples, recorded per
-    /// admission shard and merged in shard order (bounded memory — the
-    /// per-tenant sketches stay empty at 10^5 tenants).
-    pub scale_latency: Option<QuantileSketch>,
-    /// Scale mode only: queue-wait samples, sharded and merged like
-    /// `scale_latency`.
-    pub scale_queue_wait: Option<QuantileSketch>,
+    /// End-to-end latency (submission → completion, nanoseconds) of
+    /// every completed job, recorded per admission shard and merged in
+    /// shard order: bounded memory at any tenant count.
+    pub latency: QuantileSketch,
+    /// Queue wait (latest enqueue → admission, nanoseconds) of every
+    /// admission, sharded and merged like `latency`.
+    pub queue_wait: QuantileSketch,
 }
 
 impl ServiceReport {
@@ -193,29 +190,16 @@ impl ServiceReport {
         self.total(|t| t.shed_deadline + t.shed_queue + t.shed_retry)
     }
 
-    /// All latency samples merged: the shard-merged scale sketch when
-    /// in scale mode, else every tenant's sketch merged.
+    /// A clone of `latency`, kept only because `benchmark/` calls it.
+    #[doc(hidden)]
     pub fn merged_latency(&self) -> QuantileSketch {
-        if let Some(s) = &self.scale_latency {
-            return s.clone();
-        }
-        let mut all = QuantileSketch::default();
-        for t in self.tenants.values() {
-            all.merge(&t.latency);
-        }
-        all
+        self.latency.clone()
     }
 
-    /// All queue-wait samples merged (scale sketch when present).
+    /// A clone of `queue_wait`, kept only because `benchmark/` calls it.
+    #[doc(hidden)]
     pub fn merged_queue_wait(&self) -> QuantileSketch {
-        if let Some(s) = &self.scale_queue_wait {
-            return s.clone();
-        }
-        let mut all = QuantileSketch::default();
-        for t in self.tenants.values() {
-            all.merge(&t.queue_wait);
-        }
-        all
+        self.queue_wait.clone()
     }
 
     /// The report reduced to stable table cells:
@@ -223,8 +207,7 @@ impl ServiceReport {
     /// Everything derives from integer state, so equal runs produce
     /// byte-identical cells — the service table's determinism contract.
     pub fn summary_cells(&self) -> Vec<String> {
-        let lat = self.merged_latency();
-        let qw = self.merged_queue_wait();
+        let (lat, qw) = (&self.latency, &self.queue_wait);
         vec![
             format!(
                 "{}/{}",
@@ -253,30 +236,31 @@ struct ActiveJob {
     driver: Box<dyn JobDriver>,
     queued: QueuedJob,
     failure: Option<SimError>,
-    /// Admission shard that issued the job (0 outside scale mode).
+    /// Admission shard that issued the job.
     shard: usize,
 }
+
+/// The arrival schedule in time order: generated up front for explicit
+/// tenants, synthesized on demand in scale mode.
+type Arrivals = Box<dyn Iterator<Item = Arrival>>;
 
 /// The service runtime.
 pub struct Service {
     cfg: ServiceConfig,
     cluster: Cluster,
-    /// Admission controllers: exactly one outside scale mode; one per
-    /// admission shard (tenant % shards) in scale mode.
+    /// One admission controller per shard (`tenant % shards`).
     controllers: Vec<AdmissionController>,
-    arrivals: ArrivalSource,
-    /// Scale mode: node slice owned by each admission shard
-    /// (`node % shards`); a single all-nodes slice otherwise.
+    arrivals: Peekable<Arrivals>,
+    /// Node slice owned by each admission shard (`node % shards`).
     shard_nodes: Vec<Vec<NodeId>>,
     active: Vec<ActiveJob>,
     /// Per-tenant SLO records, hashed: touched several times per
     /// arrival at 10^5 tenants, read by key only, and sorted into the
     /// report's `BTreeMap` once when the run ends.
     slos: KeyMap<u32, TenantSlo>,
-    /// Scale mode: per-shard bounded-memory latency sketches (empty
-    /// vectors outside scale mode; per-tenant sketches used instead).
-    scale_lat: Vec<QuantileSketch>,
-    scale_wait: Vec<QuantileSketch>,
+    /// Per-shard latency and queue-wait sketches.
+    shard_latency: Vec<QuantileSketch>,
+    shard_queue_wait: Vec<QuantileSketch>,
     peak_queued: u64,
     next_scope: u64,
     total_outputs: u64,
@@ -318,8 +302,7 @@ impl Service {
             cluster.install_faults(plan);
         }
         let mut slos: KeyMap<u32, TenantSlo> = KeyMap::default();
-        let all_nodes: Vec<NodeId> = (0..cfg.nodes).map(|n| NodeId(n as u32)).collect();
-        let (controllers, arrivals, shard_nodes, scale_lat, scale_wait) = match &cfg.scale {
+        let (controllers, arrivals): (_, Arrivals) = match &cfg.scale {
             None => {
                 for t in &cfg.tenants {
                     slos.insert(t.id, TenantSlo::default());
@@ -328,10 +311,7 @@ impl Service {
                 let fixed = generate_arrivals(cfg.seed, &cfg.tenants, cfg.horizon);
                 (
                     vec![AdmissionController::new(cfg.admission, weights)],
-                    ArrivalSource::fixed(fixed),
-                    vec![all_nodes],
-                    Vec::new(),
-                    Vec::new(),
+                    Box::new(fixed.into_iter()),
                 )
             }
             Some(spec) => {
@@ -345,37 +325,30 @@ impl Service {
                         AdmissionController::with_weight_rule(cfg.admission, spec.model.weights)
                     })
                     .collect();
-                let shard_nodes = (0..shards)
-                    .map(|s| {
-                        all_nodes
-                            .iter()
-                            .copied()
-                            .filter(|n| n.as_usize() % shards == s)
-                            .collect()
-                    })
-                    .collect();
                 let stream = ArrivalGen::new(cfg.seed, spec.model.clone(), cfg.horizon);
-                (
-                    controllers,
-                    ArrivalSource::lazy(stream),
-                    shard_nodes,
-                    vec![QuantileSketch::default(); shards],
-                    vec![QuantileSketch::default(); shards],
-                )
+                (controllers, Box::new(stream))
             }
         };
         let nodes = cfg.nodes;
-        let n_shards = controllers.len();
+        let shards = controllers.len();
+        let shard_nodes = (0..shards)
+            .map(|s| {
+                (0..nodes)
+                    .filter(|n| n % shards == s)
+                    .map(|n| NodeId(n as u32))
+                    .collect()
+            })
+            .collect();
         Service {
             cfg,
             cluster,
             controllers,
-            arrivals,
+            arrivals: arrivals.peekable(),
             shard_nodes,
             active: Vec::new(),
             slos,
-            scale_lat,
-            scale_wait,
+            shard_latency: vec![QuantileSketch::default(); shards],
+            shard_queue_wait: vec![QuantileSketch::default(); shards],
             peak_queued: 0,
             next_scope: 1,
             total_outputs: 0,
@@ -386,7 +359,7 @@ impl Service {
             gc_seen: vec![(0, 0, 0); nodes],
             oom_round: vec![0; nodes],
             last_storm: vec![EventId::NONE; nodes],
-            last_queue_depth: vec![i64::MIN; n_shards],
+            last_queue_depth: vec![i64::MIN; shards],
             last_storm_any: EventId::NONE,
             quarantines: 0,
             brownout_rounds: 0,
@@ -460,19 +433,23 @@ impl Service {
             }
             all
         };
-        let (scale_latency, scale_queue_wait) = if self.scale_lat.is_empty() {
-            (None, None)
-        } else {
-            (Some(merge(&self.scale_lat)), Some(merge(&self.scale_wait)))
-        };
         // Sort ids, not records; the map is then bulk-built from an
         // already sorted run.
         let mut ids: Vec<u32> = self.slos.keys().copied().collect();
         ids.sort_unstable();
-        let tenants = ids
+        let tenants: BTreeMap<u32, TenantSlo> = ids
             .into_iter()
             .map(|id| (id, self.slos.remove(&id).expect("id taken from the map")))
             .collect();
+        // Every queue is empty once the loop ends, so each arrival was
+        // completed, failed or shed, and counted exactly once.
+        for (id, t) in &tenants {
+            debug_assert_eq!(
+                t.submitted,
+                t.completed + t.failed + t.shed_deadline + t.shed_queue + t.shed_retry,
+                "tenant {id}: arrivals not conserved"
+            );
+        }
         ServiceReport {
             tenants,
             elapsed: self.cluster.elapsed(),
@@ -481,8 +458,8 @@ impl Service {
             quarantines: self.quarantines,
             brownout_rounds: self.brownout_rounds,
             peak_queued: self.peak_queued,
-            scale_latency,
-            scale_queue_wait,
+            latency: merge(&self.shard_latency),
+            queue_wait: merge(&self.shard_queue_wait),
         }
     }
 
@@ -502,11 +479,7 @@ impl Service {
         for c in &mut self.controllers {
             c.release_due(now);
         }
-        while let Some(a) = self.arrivals.peek() {
-            if a.at > now {
-                break;
-            }
-            let a = self.arrivals.pop().expect("peeked");
+        while let Some(a) = self.arrivals.next_if(|a| a.at <= now) {
             self.slos.entry(a.tenant).or_default().submitted += 1;
             if tracer::is_enabled() {
                 tracer::emit(
@@ -578,49 +551,6 @@ impl Service {
         }
     }
 
-    /// Fills free slots per the admission policy. Brownout tightens the
-    /// loop two ways: the active ceiling drops to the brownout cap, and
-    /// the memory-aware gate sees a standing `REDUCE` signal.
-    fn admit(&mut self, now: SimTime) {
-        if self.cfg.scale.is_some() {
-            self.admit_scale(now);
-        } else {
-            self.admit_serial(now);
-        }
-    }
-
-    /// The classic single-controller admission loop.
-    fn admit_serial(&mut self, now: SimTime) {
-        let brownout_cap = self
-            .cfg
-            .overload
-            .brownout
-            .filter(|_| self.brownout.active())
-            .map(|b| b.max_active);
-        loop {
-            if brownout_cap.is_some_and(|cap| self.active.len() >= cap) {
-                break;
-            }
-            let view = ClusterView {
-                active: self.active.len(),
-                min_free_ratio: self.cluster.min_free_heap_ratio(),
-                any_reduce_signal: self.brownout.active()
-                    || self
-                        .active
-                        .iter()
-                        .any(|j| j.driver.memory_signal() == MemSignal::Reduce),
-                now,
-            };
-            let Some(job) = self.controllers[0].next(view) else {
-                break;
-            };
-            let tenant = job.tenant;
-            let targets = self.schedulable_nodes();
-            let wait = self.launch(job, 0, &targets, now);
-            self.slos.entry(tenant).or_default().queue_wait.insert(wait);
-        }
-    }
-
     /// Starts an admitted job on `targets` under a fresh scope and
     /// records it as active on admission shard `shard`. Returns its
     /// queue wait in nanoseconds, measured from the latest enqueue, so
@@ -663,13 +593,20 @@ impl Service {
         wait
     }
 
-    /// Scale-mode admission: every shard's controller drains its queue
-    /// against a per-shard view frozen at round start, in shard order.
-    /// The view is frozen for the whole batch — the documented semantics
-    /// of one sharded admission round: `max_active` and the brownout cap
-    /// bound each *shard*, and the memory gate reads the shard's node
-    /// slice as of round start.
-    fn admit_scale(&mut self, now: SimTime) {
+    /// Fills free slots per the admission policy: every shard's
+    /// controller drains its queue in shard order, against a view of the
+    /// shard frozen at round start. `max_active` and the brownout cap
+    /// bound each shard, and the memory gate reads the shard's node
+    /// slice. Brownout tightens the loop two ways: the active ceiling
+    /// drops to the brownout cap, and the memory-aware gate sees a
+    /// standing `REDUCE` signal.
+    ///
+    /// The frozen view is the view a re-read after every launch would
+    /// give: `start` charges no heap (ITask offers its partitions
+    /// serialized to disk, regular only spawns threads), and a job that
+    /// has just started signals `Steady`. The one input a launch moves
+    /// is the shard's active count, which the loop tracks.
+    fn admit(&mut self, now: SimTime) {
         let shards = self.controllers.len();
         let brownout_cap = self
             .cfg
@@ -705,47 +642,34 @@ impl Service {
                 let Some(job) = self.controllers[s].next(view) else {
                     break;
                 };
-                let targets = self.schedulable_shard_nodes(s);
+                let targets = self.schedulable_nodes(s);
                 let wait = self.launch(job, s, &targets, now);
-                // Bounded memory at 10^5 tenants: waits go into the
-                // shard sketch, not per-tenant sketches.
-                self.scale_wait[s].insert(wait);
+                self.shard_queue_wait[s].insert(wait);
             }
         }
     }
 
-    /// Live nodes minus quarantined ones — where new jobs' inputs land.
-    /// Falls back to all live nodes if quarantine has eaten the whole
-    /// cluster (work-conservation beats a perfect quarantine).
-    fn schedulable_nodes(&self) -> Vec<NodeId> {
+    /// The shard's live, unquarantined nodes — where a new job's inputs
+    /// land. When crashes or quarantine have emptied the shard's slice
+    /// it falls back to every live unquarantined node, then to every
+    /// live node: work conservation beats strict shard affinity and a
+    /// perfect quarantine.
+    fn schedulable_nodes(&self, shard: usize) -> Vec<NodeId> {
         let live = self.cluster.live_nodes();
-        let targets: Vec<NodeId> = live
+        let healthy = |n: &NodeId| !self.breakers[n.as_usize()].quarantined();
+        let own: Vec<NodeId> = self.shard_nodes[shard]
             .iter()
             .copied()
-            .filter(|n| !self.breakers[n.as_usize()].quarantined())
+            .filter(|n| live.contains(n) && healthy(n))
             .collect();
-        if targets.is_empty() {
+        if !own.is_empty() {
+            return own;
+        }
+        let any: Vec<NodeId> = live.iter().copied().filter(healthy).collect();
+        if any.is_empty() {
             live
         } else {
-            targets
-        }
-    }
-
-    /// Scale mode: the shard's own nodes minus crashed/quarantined
-    /// ones, falling back to the whole cluster's schedulable set when
-    /// the shard's slice is entirely unavailable (work-conservation
-    /// again beats strict shard affinity).
-    fn schedulable_shard_nodes(&self, shard: usize) -> Vec<NodeId> {
-        let live = self.cluster.live_nodes();
-        let targets: Vec<NodeId> = self.shard_nodes[shard]
-            .iter()
-            .copied()
-            .filter(|n| live.contains(n) && !self.breakers[n.as_usize()].quarantined())
-            .collect();
-        if targets.is_empty() {
-            self.schedulable_nodes()
-        } else {
-            targets
+            any
         }
     }
 
@@ -1022,11 +946,7 @@ impl Service {
             if done {
                 slo.completed += 1;
                 let latency = now.since(job.queued.arrived).as_nanos();
-                if self.scale_lat.is_empty() {
-                    slo.latency.insert(latency);
-                } else {
-                    self.scale_lat[job.shard].insert(latency);
-                }
+                self.shard_latency[job.shard].insert(latency);
                 if tracer::is_enabled() {
                     tracer::emit(
                         None,
@@ -1051,7 +971,7 @@ impl Service {
                 // Classification picks the attempt ceiling (transient
                 // substrate faults earn more attempts than deterministic
                 // OMEs), then the tenant's token bucket gets a veto:
-                // an empty bucket fails the job fast rather than letting
+                // an empty bucket sheds the job fast rather than letting
                 // a retry storm starve first-attempt traffic.
                 let class = classify(&err);
                 let policy = self.cfg.retry;
@@ -1088,25 +1008,25 @@ impl Service {
                     let delay =
                         policy.backoff(self.cfg.seed, job.queued.tenant, job.queued.seq, attempt);
                     self.controllers[shard].requeue_after(job.queued, now, delay);
+                } else if budget_denied {
+                    // Shed, not failed: the job ends here exactly once.
+                    slo.shed_retry += 1;
+                    metrics::counter_add(None, metrics::Metric::ServeShedRetryBudget, now, 1);
+                    if tracer::is_enabled() {
+                        tracer::emit(
+                            None,
+                            None,
+                            now,
+                            SimDuration::ZERO,
+                            tracer::TraceData::Shed {
+                                tenant: job.queued.tenant,
+                                reason: ShedReason::RetryBudget.label(),
+                            },
+                        );
+                    }
                 } else {
                     slo.failed += 1;
                     metrics::counter_add(None, metrics::Metric::ServeFailed, now, 1);
-                    if budget_denied {
-                        slo.shed_retry += 1;
-                        metrics::counter_add(None, metrics::Metric::ServeShedRetryBudget, now, 1);
-                        if tracer::is_enabled() {
-                            tracer::emit(
-                                None,
-                                None,
-                                now,
-                                SimDuration::ZERO,
-                                tracer::TraceData::Shed {
-                                    tenant: job.queued.tenant,
-                                    reason: ShedReason::RetryBudget.label(),
-                                },
-                            );
-                        }
-                    }
                 }
             }
         }
@@ -1178,7 +1098,6 @@ fn build_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Arrival;
 
     /// A service with no arrivals of its own, so tests can inject jobs
     /// at precise points in the round.
@@ -1189,29 +1108,33 @@ mod tests {
         Service::new(cfg)
     }
 
-    /// Builds a driver for one injected job and registers it active,
-    /// without starting it.
-    fn inject(svc: &mut Service, engine: EngineKind) {
+    /// One job of `kind`, as a controller hands it to `launch`.
+    fn queued(kind: JobKind, dataset_seed: u64) -> QueuedJob {
         let mut ctl = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
         ctl.enqueue_arrival(
             &Arrival {
                 at: SimTime::ZERO,
                 tenant: 0,
                 seq: 0,
-                kind: JobKind::DegreeCount,
-                dataset_seed: 77,
+                kind,
+                dataset_seed,
                 deadline: None,
             },
             SimTime::ZERO,
         );
-        let job = ctl
-            .next(ClusterView {
-                active: 0,
-                min_free_ratio: 1.0,
-                any_reduce_signal: false,
-                now: SimTime::ZERO,
-            })
-            .expect("queued job");
+        ctl.next(ClusterView {
+            active: 0,
+            min_free_ratio: 1.0,
+            any_reduce_signal: false,
+            now: SimTime::ZERO,
+        })
+        .expect("queued job")
+    }
+
+    /// Builds a driver for one injected job and registers it active,
+    /// without starting it.
+    fn inject(svc: &mut Service, engine: EngineKind) {
+        let job = queued(JobKind::DegreeCount, 77);
         let driver = build_driver(
             job.kind,
             engine,
@@ -1228,6 +1151,36 @@ mod tests {
             failure: None,
             shard: 0,
         });
+    }
+
+    /// Launching a job leaves the memory gate's inputs where they were:
+    /// the tightest free-heap ratio does not move, and the new job
+    /// signals no `REDUCE`. That is why a shard's view frozen at round
+    /// start equals one re-read after every launch. Checked on an idle
+    /// cluster and on heaps the earlier jobs are already charging.
+    #[test]
+    fn launch_leaves_the_gate_inputs_unchanged() {
+        for engine in [EngineKind::Regular, EngineKind::Itask] {
+            let mut svc = empty_service(engine, None);
+            let mut charged = false;
+            for seed in 0..3 {
+                let before = svc.cluster.min_free_heap_ratio();
+                charged |= before < 1.0;
+                let now = SimTime::ZERO + svc.cluster.elapsed();
+                let targets = svc.schedulable_nodes(0);
+                svc.launch(queued(JobKind::LinkCollect, seed), 0, &targets, now);
+                let label = engine.label();
+                assert_eq!(svc.cluster.min_free_heap_ratio(), before, "{label} #{seed}");
+                let job = svc.active.last().expect("launched");
+                assert!(job.failure.is_none(), "{label} #{seed}: {:?}", job.failure);
+                assert_ne!(job.driver.memory_signal(), MemSignal::Reduce, "{label}");
+                for _ in 0..3 {
+                    svc.pump();
+                    svc.step_data_plane();
+                }
+            }
+            assert!(charged, "{}: no launch met a charged heap", engine.label());
+        }
     }
 
     /// A crash must be reported to every active job even when the dead

@@ -9,8 +9,6 @@
 //! adjacency records, so one generic driver executes any of them on
 //! either engine.
 
-use std::collections::VecDeque;
-
 use planner::{CollectQuery, FoldQuery, Query};
 use simcore::{ByteSize, DetRng, KeyMap, SimDuration, SimTime};
 use workloads::webmap::{AdjRecord, WebmapConfig, WebmapSize};
@@ -433,56 +431,11 @@ impl ArrivalGen {
     }
 }
 
-/// Where the service pulls arrivals from: a pre-generated schedule (the
-/// classic per-tenant generator) or the lazy scale stream.
-pub enum ArrivalSource {
-    /// Materialised schedule, popped front-first.
-    Fixed(VecDeque<Arrival>),
-    /// Lazily synthesized stream plus a one-slot lookahead for `peek`.
-    /// Boxed so the variant stays pocket-sized next to `Fixed`.
-    Lazy {
-        /// The generator.
-        stream: Box<ArrivalGen>,
-        /// Synthesized but not yet consumed.
-        peeked: Option<Arrival>,
-    },
-}
+impl Iterator for ArrivalGen {
+    type Item = Arrival;
 
-impl ArrivalSource {
-    /// Wraps a materialised schedule.
-    pub fn fixed(arrivals: Vec<Arrival>) -> Self {
-        ArrivalSource::Fixed(arrivals.into())
-    }
-
-    /// Wraps a lazy stream.
-    pub fn lazy(stream: ArrivalGen) -> Self {
-        ArrivalSource::Lazy {
-            stream: Box::new(stream),
-            peeked: None,
-        }
-    }
-
-    /// The next arrival without consuming it.
-    pub fn peek(&mut self) -> Option<&Arrival> {
-        match self {
-            ArrivalSource::Fixed(q) => q.front(),
-            ArrivalSource::Lazy { stream, peeked } => {
-                if peeked.is_none() {
-                    *peeked = stream.next_arrival();
-                }
-                peeked.as_ref()
-            }
-        }
-    }
-
-    /// Consumes and returns the next arrival.
-    pub fn pop(&mut self) -> Option<Arrival> {
-        match self {
-            ArrivalSource::Fixed(q) => q.pop_front(),
-            ArrivalSource::Lazy { stream, peeked } => {
-                peeked.take().or_else(|| stream.next_arrival())
-            }
-        }
+    fn next(&mut self) -> Option<Arrival> {
+        self.next_arrival()
     }
 }
 
@@ -664,32 +617,6 @@ mod tests {
         // Burst windows are 1/4 of the time at 4x the rate: they should
         // hold clearly more than half of all arrivals.
         assert!(in_burst > off_burst, "{in_burst} vs {off_burst}");
-    }
-
-    #[test]
-    fn arrival_source_peek_then_pop_agree_for_both_variants() {
-        let arrivals = generate_arrivals(
-            42,
-            &[TenantSpec::uniform(0, SimDuration::from_millis(5))],
-            SimDuration::from_millis(40),
-        );
-        let mut fixed = ArrivalSource::fixed(arrivals.clone());
-        let model = TenantModel::uniform(100, SimDuration::from_millis(1));
-        let mut lazy =
-            ArrivalSource::lazy(ArrivalGen::new(42, model, SimDuration::from_millis(40)));
-        for src in [&mut fixed, &mut lazy] {
-            let mut n = 0usize;
-            loop {
-                let peeked = src.peek().map(|a| (a.at, a.tenant, a.seq));
-                let popped = src.pop().map(|a| (a.at, a.tenant, a.seq));
-                assert_eq!(peeked, popped);
-                if popped.is_none() {
-                    break;
-                }
-                n += 1;
-            }
-            assert!(n > 0);
-        }
     }
 
     #[test]

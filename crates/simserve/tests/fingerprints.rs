@@ -110,7 +110,7 @@ const PINS: [Pin; 8] = [
 fn pinned_fingerprints_hold() {
     for pin in &PINS {
         let r = Service::new(config(pin.engine, pin.scenario)).run();
-        let latency = r.merged_latency();
+        let latency = &r.latency;
         let got = Fingerprint {
             elapsed_ns: r.elapsed.as_nanos(),
             rounds: r.rounds,
@@ -217,15 +217,15 @@ fn scale_print(cfg: ServiceConfig) -> ScalePrint {
             }
         }
     }
-    let sketch = |s: simcore::QuantileSketch| [s.count(), s.quantile(0.5), s.quantile(0.99)];
+    let sketch = |s: &simcore::QuantileSketch| [s.count(), s.quantile(0.5), s.quantile(0.99)];
     ScalePrint {
         tenants: r.tenants.len() as u64,
         tenant_fold: tenant_fold.0,
         rounds: r.rounds,
         peak_queued: r.peak_queued,
         outputs: r.total_outputs,
-        latency: sketch(r.merged_latency()),
-        queue_wait: sketch(r.merged_queue_wait()),
+        latency: sketch(&r.latency),
+        queue_wait: sketch(&r.queue_wait),
         sheds,
         shed_fold: shed_fold.0,
     }
