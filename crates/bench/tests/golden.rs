@@ -194,6 +194,27 @@ fn golden_table5_quick_wc() {
     );
 }
 
+/// The Hadoop tables: the only goldens that run the hadoop crate's
+/// per-task attempt JVMs, YARN retry chains and sort-buffer spills.
+/// ~16-25s each in release at `--jobs 2`, far longer in debug.
+fn check_hadoop_table(bin: &str, golden_name: &str) {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping {golden_name} golden in debug mode; run with --release to cover it");
+        return;
+    }
+    check_golden(bin, &["--jobs", "2"], golden_name);
+}
+
+#[test]
+fn golden_table1() {
+    check_hadoop_table(env!("CARGO_BIN_EXE_table1"), "table1.txt");
+}
+
+#[test]
+fn golden_survival13() {
+    check_hadoop_table(env!("CARGO_BIN_EXE_survival13"), "survival13.txt");
+}
+
 // The two timeline figures compute their stdout from the trace stream,
 // so the harvest's merge order is on the golden surface: the snapshot
 // must hold at the default and serially.
