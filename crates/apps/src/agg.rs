@@ -9,11 +9,10 @@
 
 use std::rc::Rc;
 
-use hadoop::{HadoopConfig, MapCx, Mapper, ReduceCx, Reducer, RegularJobResult};
+use hadoop::{MapCx, Mapper, ReduceCx, Reducer};
 use hyracks::{ItaskFactories, OpCx, Operator, ShuffleBatch};
 use itask_core::{ITask, Scale, TaskCx, Tuple, TupleTask};
-use simcluster::JobReport;
-use simcore::{prof, ByteSize, KeyMap, SimError, SimResult, TaskId};
+use simcore::{prof, ByteSize, KeyMap, SimResult, TaskId};
 
 /// A tuple that knows its aggregation key and can absorb another tuple
 /// with the same key.
@@ -687,31 +686,4 @@ impl<S: AggSpec> Reducer for AggReducer<S> {
         }
         Ok(())
     }
-}
-
-/// Runs the regular Hadoop job for a spec.
-pub fn run_hadoop_regular<S: AggSpec>(
-    spec: &S,
-    cfg: &HadoopConfig,
-    splits: Vec<Vec<S::In>>,
-) -> RegularJobResult<S::Out> {
-    let buckets = cfg.reduce_tasks;
-    hadoop::run_regular_job(
-        cfg,
-        splits,
-        || AggMapper::new(spec.clone(), buckets),
-        || AggReducer::new(spec.clone()),
-    )
-}
-
-/// Runs the ITask Hadoop job for a spec.
-pub fn run_hadoop_itask<S: AggSpec>(
-    spec: &S,
-    cfg: &HadoopConfig,
-    splits: Vec<Vec<S::In>>,
-) -> (JobReport, Result<Vec<S::Out>, SimError>) {
-    // The factories must bucket exactly as finely as the engine tags.
-    let buckets = cfg.reduce_tasks * hadoop::ITASK_BUCKET_MULTIPLIER;
-    let factories = itask_factories(spec.clone(), buckets);
-    hadoop::run_itask_job::<S::In, S::Mid, S::Out>(cfg, splits, &factories)
 }

@@ -12,12 +12,11 @@ pub mod msa;
 pub mod wcm;
 
 use hadoop::HadoopConfig;
-use simcluster::JobReport;
-use simcore::{ByteSize, SimError};
+use simcore::ByteSize;
 use workloads::stackoverflow::{Post, StackOverflowConfig};
 use workloads::wikipedia::{Article, WikipediaConfig};
 
-use crate::agg::{run_hadoop_itask, run_hadoop_regular, AggSpec};
+use crate::agg::{itask_factories, AggMapper, AggReducer, AggSpec};
 use crate::summary::RunSummary;
 
 /// Worker nodes of the paper's testbed.
@@ -71,21 +70,22 @@ fn wikipedia_config(full: bool, seed: u64) -> WikipediaConfig {
     }
 }
 
-/// Runs a spec's regular Hadoop job and wraps it uniformly.
+/// Runs a spec's regular Hadoop job and wraps it uniformly, with the
+/// number of task attempts it made (retries included).
 pub fn regular<S: AggSpec>(
     spec: &S,
     cfg: &HadoopConfig,
     splits: Vec<Vec<S::In>>,
 ) -> (RunSummary<S::Out>, u32) {
-    let run = run_hadoop_regular(spec, cfg, splits);
-    let attempts = run.map_attempts + run.reduce_attempts;
-    (
-        RunSummary {
-            report: run.report,
-            result: run.result,
-        },
-        attempts,
-    )
+    let buckets = cfg.reduce_tasks;
+    let (report, result) = hadoop::run_regular_job(
+        cfg,
+        splits,
+        || AggMapper::new(spec.clone(), buckets),
+        || AggReducer::new(spec.clone()),
+    );
+    let attempts = report.counter("hadoop.map_attempts") + report.counter("hadoop.reduce_attempts");
+    (RunSummary { report, result }, attempts as u32)
 }
 
 /// Runs a spec's ITask Hadoop job and wraps it uniformly.
@@ -94,7 +94,9 @@ pub fn itask<S: AggSpec>(
     cfg: &HadoopConfig,
     splits: Vec<Vec<S::In>>,
 ) -> RunSummary<S::Out> {
-    let (report, result): (JobReport, Result<Vec<S::Out>, SimError>) =
-        run_hadoop_itask(spec, cfg, splits);
+    // The factories must bucket exactly as finely as the engine tags.
+    let buckets = cfg.reduce_tasks * hadoop::ITASK_BUCKET_MULTIPLIER;
+    let factories = itask_factories(spec.clone(), buckets);
+    let (report, result) = hadoop::run_itask_job::<S::In, S::Mid, S::Out>(cfg, splits, &factories);
     RunSummary { report, result }
 }

@@ -41,10 +41,7 @@ fn run_with(
             max_parallelism: params.cores,
             victim_policy: policy,
             interrupt_mode: mode,
-            manager: ManagerConfig {
-                mode: ser,
-                ..ManagerConfig::default()
-            },
+            manager: ManagerConfig { mode: ser },
             monitor: MonitorConfig {
                 serialize_free_pct: hover_pct,
                 ..MonitorConfig::default()

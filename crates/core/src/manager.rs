@@ -26,23 +26,15 @@ pub enum SerializeMode {
 }
 
 /// Partition-manager policy parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ManagerConfig {
-    /// A partition deserialized within this window is protected from
-    /// re-serialization while alternatives exist (anti-thrashing).
-    pub thrash_window: SimDuration,
     /// Disk or in-memory byte arrays.
     pub mode: SerializeMode,
 }
 
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            thrash_window: SimDuration::from_millis(5),
-            mode: SerializeMode::Disk,
-        }
-    }
-}
+/// A partition deserialized within this window is protected from
+/// re-serialization while alternatives exist (anti-thrashing).
+const THRASH_WINDOW: SimDuration = SimDuration::from_millis(5);
 
 /// Serializes one partition: the object form becomes garbage and the
 /// byte form goes to the node disk via a background write (default
@@ -224,7 +216,6 @@ pub fn serialization_order(
     graph: &TaskGraph,
     running_tasks: &[TaskId],
     now: SimTime,
-    cfg: ManagerConfig,
 ) -> Vec<PartitionId> {
     let dist_to_running = |t: TaskId| {
         running_tasks
@@ -239,7 +230,7 @@ pub fn serialization_order(
         .map(|m| {
             let protected = m
                 .last_deserialized
-                .map(|t| now.since(t) < cfg.thrash_window)
+                .map(|t| now.since(t) < THRASH_WINDOW)
                 .unwrap_or(false);
             let deser_age = m.last_deserialized.map(|t| t.as_nanos()).unwrap_or(0);
             (
@@ -388,7 +379,7 @@ mod tests {
         // Partition for b.
         q.push(in_memory_partition(&mut n, 2, b.as_u32(), 10, 1));
 
-        let order = serialization_order(&q, &g, &[c], SimTime::ZERO, ManagerConfig::default());
+        let order = serialization_order(&q, &g, &[c], SimTime::ZERO);
         // a's partition is serialized first, c's last.
         assert_eq!(order, vec![PartitionId(0), PartitionId(2), PartitionId(1)]);
     }
@@ -404,13 +395,7 @@ mod tests {
         q.push(hot);
         q.push(in_memory_partition(&mut n, 1, a.as_u32(), 10, 1));
 
-        let order = serialization_order(
-            &q,
-            &g,
-            &[a],
-            SimTime::ZERO + SimDuration::from_millis(1),
-            ManagerConfig::default(),
-        );
+        let order = serialization_order(&q, &g, &[a], SimTime::ZERO + SimDuration::from_millis(1));
         // The cold partition is preferred even though ids tie-break the
         // other way.
         assert_eq!(order, vec![PartitionId(1), PartitionId(0)]);
@@ -425,7 +410,7 @@ mod tests {
         serialize_partition(p.as_mut(), &mut n).unwrap();
         let mut q = PartitionQueue::new();
         q.push(p);
-        let order = serialization_order(&q, &g, &[a], SimTime::ZERO, ManagerConfig::default());
+        let order = serialization_order(&q, &g, &[a], SimTime::ZERO);
         assert!(order.is_empty());
     }
 }

@@ -73,10 +73,6 @@ pub struct IrsConfig {
     pub victim_policy: VictimPolicy,
     /// Interrupt mechanism (cooperative, or the naïve kill-restart).
     pub interrupt_mode: InterruptMode,
-    /// Instances activated per GROW tick (slow start, §5.1).
-    pub grow_per_tick: usize,
-    /// Give up on a partition after this many failed activations.
-    pub max_activation_failures: u32,
     /// Allocation scope (owning service-layer job id) the IRS spawns its
     /// workers under, so multi-job heaps attribute every space to a job.
     pub scope: Option<u64>,
@@ -90,12 +86,13 @@ impl Default for IrsConfig {
             max_parallelism: 8,
             victim_policy: VictimPolicy::Rules,
             interrupt_mode: InterruptMode::Cooperative,
-            grow_per_tick: 1,
-            max_activation_failures: 32,
             scope: None,
         }
     }
 }
+
+/// Instances activated per GROW tick under pressure (slow start, §5.1).
+const GROW_PER_TICK: usize = 1;
 
 /// State shared between the controller and its running task instances.
 pub(crate) struct IrsShared {
@@ -510,13 +507,7 @@ impl Irs {
         let order = {
             let s = self.handle.0.borrow();
             let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
-            serialization_order(
-                &s.queue,
-                &self.graph,
-                &running_tasks,
-                sim.node().now,
-                self.cfg.manager,
-            )
+            serialization_order(&s.queue, &self.graph, &running_tasks, sim.node().now)
         };
         // All policy arithmetic uses *effective* free (capacity − live):
         // serialization and interrupts turn live bytes into garbage, and
@@ -616,13 +607,7 @@ impl Irs {
         let order = {
             let s = self.handle.0.borrow();
             let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
-            serialization_order(
-                &s.queue,
-                &self.graph,
-                &running_tasks,
-                sim.node().now,
-                self.cfg.manager,
-            )
+            serialization_order(&s.queue, &self.graph, &running_tasks, sim.node().now)
         };
         for pid in order {
             if sim.node().heap.effective_free() >= threshold {
@@ -654,7 +639,7 @@ impl Irs {
         let burst = if roomy {
             self.cfg.max_parallelism
         } else {
-            self.cfg.grow_per_tick
+            GROW_PER_TICK
         };
         for _ in 0..burst {
             {
@@ -711,7 +696,6 @@ impl Irs {
             tag,
             desc.instantiate(),
             parts,
-            self.cfg.max_activation_failures,
             self.cfg.interrupt_mode,
         );
         let instance = worker.instance_id();

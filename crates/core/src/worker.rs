@@ -28,13 +28,14 @@ pub struct ItaskWorker {
     inputs: VecDeque<PartitionBox>,
     spaces: Option<InstanceSpaces>,
     initialized: bool,
-    max_activation_failures: u32,
     interrupt_mode: InterruptMode,
 }
 
+/// Give up on a partition after this many failed activations.
+const MAX_ACTIVATION_FAILURES: u32 = 32;
+
 impl ItaskWorker {
     /// Builds a worker; the IRS spawns it as a simulated thread.
-    #[allow(clippy::too_many_arguments)] // mirrors the instance fields
     pub(crate) fn new(
         handle: IrsHandle,
         task_id: TaskId,
@@ -42,7 +43,6 @@ impl ItaskWorker {
         tag: Tag,
         task: Box<dyn ITask>,
         inputs: VecDeque<PartitionBox>,
-        max_activation_failures: u32,
         interrupt_mode: InterruptMode,
     ) -> Self {
         let instance = handle.next_instance_id();
@@ -56,7 +56,6 @@ impl ItaskWorker {
             inputs,
             spaces: None,
             initialized: false,
-            max_activation_failures,
             interrupt_mode,
         }
     }
@@ -226,9 +225,7 @@ impl ItaskWorker {
         let give_up = self
             .inputs
             .front()
-            .map(|p| {
-                self.handle.bump_activation_failure(p.meta().id) > self.max_activation_failures
-            })
+            .map(|p| self.handle.bump_activation_failure(p.meta().id) > MAX_ACTIVATION_FAILURES)
             .unwrap_or(false);
         self.release_spaces(cx);
         if give_up {
@@ -321,7 +318,7 @@ impl Work for ItaskWorker {
                         .front()
                         .map(|p| {
                             self.handle.bump_activation_failure(p.meta().id)
-                                > self.max_activation_failures
+                                > MAX_ACTIVATION_FAILURES
                         })
                         .unwrap_or(false);
                     if give_up {

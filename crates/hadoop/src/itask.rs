@@ -1,5 +1,6 @@
-//! The ITask version of a Hadoop job (paper §4.2): Mapper/Reducer become
-//! ITasks and each node's task memory (`MM × MH`) is pooled under one
+//! The ITask version of a Hadoop job (paper §4.2): the caller's ITask
+//! factories (map, reduce, merge) stand in for the `Mapper`/`Reducer`
+//! pair, and each node's task memory (`MM × MH`) is pooled under one
 //! IRS instead of being fenced into per-task JVMs.
 //!
 //! The job driver itself is shared with the Hyracks engine — "the
@@ -54,54 +55,4 @@ where
     };
     let inputs = distribute_blocks(cfg.nodes, splits, spec.granularity);
     hyracks::run_itask::<MIn, Mid, Out>(&mut cluster, inputs, &spec, factories)
-}
-
-/// A reusable handle to an ITask Hadoop job: configuration plus task
-/// factories, submittable any number of times with fresh inputs.
-///
-/// A multi-tenant service keeps one handle per registered job kind and
-/// submits it on every client request instead of rebuilding factories
-/// per run; the factories are `Rc`-shared so the handle clones cheaply.
-pub struct JobHandle {
-    cfg: HadoopConfig,
-    factories: ItaskFactories,
-}
-
-impl Clone for JobHandle {
-    fn clone(&self) -> Self {
-        JobHandle {
-            cfg: self.cfg.clone(),
-            factories: self.factories.clone(),
-        }
-    }
-}
-
-impl JobHandle {
-    /// Registers a job: framework configuration plus ITask factories.
-    pub fn new(cfg: HadoopConfig, factories: ItaskFactories) -> Self {
-        JobHandle { cfg, factories }
-    }
-
-    /// The framework configuration.
-    pub fn config(&self) -> &HadoopConfig {
-        &self.cfg
-    }
-
-    /// The shared task factories.
-    pub fn factories(&self) -> &ItaskFactories {
-        &self.factories
-    }
-
-    /// Submits one run of the job over `splits`.
-    pub fn submit<MIn, Mid, Out>(
-        &self,
-        splits: Vec<Vec<MIn>>,
-    ) -> (JobReport, Result<Vec<Out>, SimError>)
-    where
-        MIn: Tuple,
-        Mid: Tuple,
-        Out: 'static,
-    {
-        run_itask_job::<MIn, Mid, Out>(&self.cfg, splits, &self.factories)
-    }
 }

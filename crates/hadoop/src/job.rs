@@ -13,20 +13,6 @@ use crate::attempt::{
 use crate::config::HadoopConfig;
 use crate::task::{Mapper, Reducer};
 
-/// The result of a regular Hadoop job.
-pub struct RegularJobResult<Out> {
-    /// Timing/GC/peak report (synthesized from attempt outcomes; present
-    /// even when the job crashed — its elapsed time is the paper's
-    /// CTime).
-    pub report: JobReport,
-    /// Final outputs, or the error that killed the job.
-    pub result: Result<Vec<Out>, SimError>,
-    /// Map attempts executed (including retries).
-    pub map_attempts: u32,
-    /// Reduce attempts executed (including retries).
-    pub reduce_attempts: u32,
-}
-
 /// Greedy list scheduler: place each task's attempt chain on the
 /// earliest-free slot. Returns `(makespan, fail_time)` where `fail_time`
 /// is when the first task exhausted its attempts (if any).
@@ -81,6 +67,11 @@ struct NodeAccount {
 /// deterministic attempt outcome. Returns the stage makespan, the fail
 /// time if a task exhausted retries, per-slot accounting and attempt
 /// count.
+///
+/// A task's chain spends the YARN budget once: its first try carries
+/// the substrate relaunches before the final attempt (their time and
+/// one container start-up each), and every OME repeat after it costs
+/// one attempt, one start-up and the final attempt's own time.
 fn schedule_stage(
     outcomes: &[AttemptOutcome],
     slots: usize,
@@ -92,25 +83,24 @@ fn schedule_stage(
     let mut attempts = 0u32;
     let mut fail: Option<(SimDuration, SimError)> = None;
     for outcome in outcomes {
-        // Substrate relaunches are already folded into the outcome
-        // (duration + extra_attempts); what remains of the YARN budget
-        // models the deterministic OME repeats.
         let tries = if outcome.result.ok() {
             1
         } else {
             max_attempts.saturating_sub(outcome.extra_attempts).max(1)
         };
-        let startup = CONTAINER_STARTUP * (1 + outcome.extra_attempts) as u64;
+        let mut starts = 1 + outcome.extra_attempts;
+        let mut span = outcome.wasted + outcome.duration;
+        let mut gc = outcome.wasted_gc + outcome.gc_time;
         let mut earliest = SimDuration::ZERO;
         for _ in 0..tries {
-            let (slot, end) = sched.place(earliest, outcome.duration + startup);
+            let (slot, end) = sched.place(earliest, span + CONTAINER_STARTUP * starts as u64);
             earliest = end;
-            attempts += 1 + outcome.extra_attempts;
-            let node = slot % nodes.max(1);
-            let acc = &mut accounts[node];
-            acc.gc_time += outcome.gc_time;
-            acc.compute_time += outcome.duration - outcome.gc_time;
+            attempts += starts;
+            let acc = &mut accounts[slot % nodes.max(1)];
+            acc.gc_time += gc;
+            acc.compute_time += span - gc;
             acc.peak_heap = acc.peak_heap.max(outcome.peak_heap);
+            (starts, span, gc) = (1, outcome.duration, outcome.gc_time);
         }
         if let AttemptResult::Failed(e) = &outcome.result {
             let t = earliest;
@@ -151,13 +141,15 @@ fn synthesize_report(
 }
 
 /// Runs a regular Hadoop job: map attempts over `splits`, shuffle,
-/// reduce attempts over `reduce_tasks` buckets.
+/// reduce attempts over `reduce_tasks` buckets. The report is present
+/// even when the job crashed — its elapsed time is the paper's CTime —
+/// and counts attempts (retries included) and spills under `hadoop.*`.
 pub fn run_regular_job<M, R>(
     cfg: &HadoopConfig,
     splits: Vec<Vec<M::In>>,
     map_factory: impl Fn() -> M,
     reduce_factory: impl Fn() -> R,
-) -> RegularJobResult<R::Out>
+) -> (JobReport, Result<Vec<R::Out>, SimError>)
 where
     M: Mapper + 'static,
     R: Reducer<In = M::Out> + 'static,
@@ -197,70 +189,57 @@ where
         cfg.max_attempts,
         &mut accounts,
     );
-    if let Some((t, e)) = map_fail {
-        let mut report = synthesize_report(cfg, t, &accounts, JobOutcome::Failed(e.clone()));
-        report.bump_counter("hadoop.map_attempts", map_attempts as f64);
-        report.bump_counter("hadoop.spills", spills as f64);
-        return RegularJobResult {
-            report,
-            result: Err(e),
-            map_attempts,
-            reduce_attempts: 0,
-        };
-    }
 
-    // ---- Shuffle barrier.
-    let shuffle_bytes: u64 = shuffle_data
-        .values()
-        .flat_map(|v| v.iter())
-        .map(Tuple::ser_bytes)
-        .sum();
-    let shuffle_time = cost.net_transfer(ByteSize(shuffle_bytes / cfg.nodes.max(1) as u64));
-
-    // ---- Reduce stage: one task per bucket.
-    let mut reduce_outcomes = Vec::new();
-    let mut outputs: Vec<R::Out> = Vec::new();
-    for (_bucket, tuples) in shuffle_data {
-        let frames = chunk(tuples, cfg.split_size);
-        let (outcome, out) = run_reduce_attempt_retrying(cfg, frames, &reduce_factory);
-        if outcome.result.ok() {
-            outputs.extend(out);
+    // A failed map stage runs no reduce stage and records no reduce
+    // attempts.
+    let (elapsed, result, reduce_attempts) = 'job: {
+        if let Some((t, e)) = map_fail {
+            break 'job (t, Err(e), None);
         }
-        reduce_outcomes.push(outcome);
-    }
-    let (reduce_span, reduce_fail, reduce_attempts) = schedule_stage(
-        &reduce_outcomes,
-        cfg.nodes * cfg.max_reducers,
-        cfg.nodes,
-        cfg.max_attempts,
-        &mut accounts,
-    );
 
-    let base = map_span + shuffle_time;
-    if let Some((t, e)) = reduce_fail {
-        let mut report = synthesize_report(cfg, base + t, &accounts, JobOutcome::Failed(e.clone()));
-        report.bump_counter("hadoop.map_attempts", map_attempts as f64);
-        report.bump_counter("hadoop.reduce_attempts", reduce_attempts as f64);
-        report.bump_counter("hadoop.spills", spills as f64);
-        return RegularJobResult {
-            report,
-            result: Err(e),
-            map_attempts,
-            reduce_attempts,
-        };
-    }
+        // ---- Shuffle barrier.
+        let shuffle_bytes: u64 = shuffle_data
+            .values()
+            .flat_map(|v| v.iter())
+            .map(Tuple::ser_bytes)
+            .sum();
+        let base = map_span + cost.net_transfer(ByteSize(shuffle_bytes / cfg.nodes.max(1) as u64));
 
-    let elapsed = base + reduce_span;
-    let mut report = synthesize_report(cfg, elapsed, &accounts, JobOutcome::Completed);
+        // ---- Reduce stage: one task per bucket.
+        let mut reduce_outcomes = Vec::new();
+        let mut outputs: Vec<R::Out> = Vec::new();
+        for (_bucket, tuples) in shuffle_data {
+            let frames = chunk(tuples, cfg.split_size);
+            let (outcome, out) = run_reduce_attempt_retrying(cfg, frames, &reduce_factory);
+            if outcome.result.ok() {
+                outputs.extend(out);
+            }
+            reduce_outcomes.push(outcome);
+        }
+        let (reduce_span, reduce_fail, reduce_attempts) = schedule_stage(
+            &reduce_outcomes,
+            cfg.nodes * cfg.max_reducers,
+            cfg.nodes,
+            cfg.max_attempts,
+            &mut accounts,
+        );
+        match reduce_fail {
+            Some((t, e)) => (base + t, Err(e), Some(reduce_attempts)),
+            None => (base + reduce_span, Ok(outputs), Some(reduce_attempts)),
+        }
+    };
+
+    let outcome = match &result {
+        Ok(_) => JobOutcome::Completed,
+        Err(e) => JobOutcome::Failed(e.clone()),
+    };
+    let mut report = synthesize_report(cfg, elapsed, &accounts, outcome);
     report.bump_counter("hadoop.map_attempts", map_attempts as f64);
-    report.bump_counter("hadoop.reduce_attempts", reduce_attempts as f64);
-    report.bump_counter("hadoop.spills", spills as f64);
-    RegularJobResult {
-        report,
-        result: Ok(outputs),
-        map_attempts,
-        reduce_attempts,
+    if let Some(n) = reduce_attempts {
+        report.bump_counter("hadoop.reduce_attempts", n as f64);
     }
+    report.bump_counter("hadoop.spills", spills as f64);
+    (report, result)
 }
 
 /// Splits tuples into frames of at most `granularity` *object-form*

@@ -13,10 +13,19 @@
 //!   come from *user* state, exactly as in the studied problems;
 //! * **YARN-style retries** — an attempt that dies with an OME is
 //!   rescheduled until `max_attempts` is exhausted, which is why the
-//!   paper's CTime (time to the final crash) dwarfs PTime;
+//!   paper's CTime (time to the final crash) dwarfs PTime; relaunches
+//!   after a transient substrate fault count against the same budget,
+//!   once per task;
 //! * **the ITask version** pools each node's task memory (`MM × MH`)
 //!   under one IRS instead of fencing it per task, which is where its
 //!   advantage over manual tuning comes from.
+//!
+//! Map and reduce attempts are one piece of code ([`attempt`]): one
+//! frame loop in one task JVM, with what differs between the two — the
+//! heap, the per-record call, the end-of-input epilogue and the output —
+//! behind a private trait. [`job`] places the attempt outcomes on slots
+//! and reports attempts and spills as the `hadoop.map_attempts`,
+//! `hadoop.reduce_attempts` and `hadoop.spills` counters.
 
 pub mod attempt;
 pub mod config;
@@ -25,10 +34,9 @@ pub mod job;
 pub mod task;
 
 pub use attempt::{
-    run_map_attempt, run_map_attempt_retrying, run_reduce_attempt, run_reduce_attempt_retrying,
-    AttemptOutcome, AttemptResult,
+    run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
 };
 pub use config::HadoopConfig;
-pub use itask::{run_itask_job, JobHandle, ITASK_BUCKET_MULTIPLIER};
-pub use job::{run_regular_job, RegularJobResult};
+pub use itask::{run_itask_job, ITASK_BUCKET_MULTIPLIER};
+pub use job::run_regular_job;
 pub use task::{MapCx, Mapper, ReduceCx, Reducer};

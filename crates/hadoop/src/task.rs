@@ -11,12 +11,7 @@ use simcore::{ByteSize, CostModel, SimDuration, SimResult, SpaceId};
 pub struct MapCx<'a, 'b, Out: Tuple> {
     pub(crate) work: &'a mut WorkCx<'b>,
     pub(crate) state_space: SpaceId,
-    pub(crate) buffer_space: SpaceId,
-    pub(crate) buffer_bytes: &'a mut ByteSize,
-    pub(crate) sort_buffer: ByteSize,
-    pub(crate) spilled_ser: &'a mut ByteSize,
-    pub(crate) spills: &'a mut u32,
-    pub(crate) out: &'a mut BTreeMap<u32, Vec<Out>>,
+    pub(crate) buf: &'a mut SortBuffer<Out>,
 }
 
 impl<Out: Tuple> MapCx<'_, '_, Out> {
@@ -43,46 +38,70 @@ impl<Out: Tuple> MapCx<'_, '_, Out> {
         self.work.free(s, bytes)
     }
 
-    /// Live user-state bytes.
-    pub fn state_bytes(&mut self) -> ByteSize {
-        let s = self.state_space;
-        self.work.node().heap.space_live(s)
-    }
-
     /// `context.write(key, value)`: buffers the tuple; when the sort
     /// buffer fills, it is spilled to disk and the heap charge released
     /// (Hadoop's own out-of-core path — framework buffers never OME).
     pub fn write(&mut self, bucket: u32, tuple: Out) -> SimResult<()> {
         let bytes = ByteSize(tuple.heap_bytes());
-        let buf = self.buffer_space;
-        self.work.alloc(buf, bytes)?;
-        *self.buffer_bytes += bytes;
-        self.out.entry(bucket).or_default().push(tuple);
-        if *self.buffer_bytes > self.sort_buffer {
-            self.spill()?;
+        let buf = &mut *self.buf;
+        self.work.alloc(buf.space, bytes)?;
+        buf.bytes += bytes;
+        buf.out.entry(bucket).or_default().push(tuple);
+        if buf.bytes > buf.limit {
+            buf.spill(self.work)?;
         }
         Ok(())
     }
+}
 
-    /// Spills the sort buffer to disk.
-    pub(crate) fn spill(&mut self) -> SimResult<()> {
-        if self.buffer_bytes.is_zero() {
+/// A map attempt's sort buffer (`io.sort.mb`): buffered emissions are
+/// charged to its heap space until they pass the limit, then spilled.
+pub(crate) struct SortBuffer<Out> {
+    space: SpaceId,
+    limit: ByteSize,
+    bytes: ByteSize,
+    spilled_ser: ByteSize,
+    pub(crate) spills: u32,
+    pub(crate) out: BTreeMap<u32, Vec<Out>>,
+}
+
+impl<Out> SortBuffer<Out> {
+    pub(crate) fn new(space: SpaceId, limit: ByteSize) -> Self {
+        SortBuffer {
+            space,
+            limit,
+            bytes: ByteSize::ZERO,
+            spilled_ser: ByteSize::ZERO,
+            spills: 0,
+            out: BTreeMap::new(),
+        }
+    }
+
+    /// Spills the buffer to disk.
+    fn spill(&mut self, work: &mut WorkCx<'_>) -> SimResult<()> {
+        if self.bytes.is_zero() {
             return Ok(());
         }
         // Sort cost before writing the run.
-        self.work
-            .charge(self.work.cost().serialize_cpu(*self.buffer_bytes));
-        let ser = self.buffer_bytes.mul_ratio(1, 3).max(ByteSize(1));
-        let spill_no = *self.spills;
-        self.work
-            .node()
-            .disk_write_async(format!("spill{spill_no}"), ser)?;
-        *self.spilled_ser += ser;
-        *self.spills += 1;
-        let buf = self.buffer_space;
-        let released = *self.buffer_bytes;
-        self.work.free(buf, released);
-        *self.buffer_bytes = ByteSize::ZERO;
+        work.charge(work.cost().serialize_cpu(self.bytes));
+        let ser = self.bytes.mul_ratio(1, 3).max(ByteSize(1));
+        work.node()
+            .disk_write_async(format!("spill{}", self.spills), ser)?;
+        self.spilled_ser += ser;
+        self.spills += 1;
+        work.free(self.space, self.bytes);
+        self.bytes = ByteSize::ZERO;
+        Ok(())
+    }
+
+    /// End of the split: spills what is left, merges the spill runs and
+    /// releases the buffer's space.
+    pub(crate) fn close(&mut self, work: &mut WorkCx<'_>) -> SimResult<()> {
+        self.spill(work)?;
+        // Final merge of spill runs: read + write everything once.
+        work.charge(work.cost().disk_read(self.spilled_ser));
+        work.charge(work.cost().disk_write(self.spilled_ser));
+        work.node().heap.release_space(self.space);
         Ok(())
     }
 }
@@ -117,12 +136,6 @@ impl<Out: Tuple> ReduceCx<'_, '_, Out> {
     pub fn free_state(&mut self, bytes: ByteSize) -> ByteSize {
         let s = self.state_space;
         self.work.free(s, bytes)
-    }
-
-    /// Live user-state bytes.
-    pub fn state_bytes(&mut self) -> ByteSize {
-        let s = self.state_space;
-        self.work.node().heap.space_live(s)
     }
 
     /// Writes a final record to HDFS (streamed out, no heap charge).

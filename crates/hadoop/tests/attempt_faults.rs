@@ -4,9 +4,12 @@
 //! transient substrate faults are relaunch-worthy — a re-salted attempt
 //! sees different injection decisions and can succeed.
 
-use hadoop::{run_map_attempt_retrying, HadoopConfig, MapCx, Mapper};
+use hadoop::{
+    run_map_attempt_retrying, run_regular_job, AttemptResult, HadoopConfig, MapCx, Mapper,
+    ReduceCx, Reducer,
+};
 use itask_core::Tuple;
-use simcore::{ByteSize, FaultPlan, SimResult};
+use simcore::{ByteSize, FaultPlan, SimDuration, SimResult};
 
 #[derive(Clone, Copy, Debug)]
 struct KvT(u32);
@@ -54,6 +57,23 @@ impl Mapper for HoarderMapper {
     }
 }
 
+/// Drops its input; the jobs below never get past the map stage.
+#[derive(Default)]
+struct Discard;
+
+impl Reducer for Discard {
+    type In = KvT;
+    type Out = KvT;
+
+    fn reduce(&mut self, _cx: &mut ReduceCx<'_, '_, KvT>, _t: &KvT) -> SimResult<()> {
+        Ok(())
+    }
+
+    fn close(&mut self, _cx: &mut ReduceCx<'_, '_, KvT>) -> SimResult<()> {
+        Ok(())
+    }
+}
+
 fn spilly_cfg() -> HadoopConfig {
     let mut cfg = HadoopConfig::table1(1, 1024, 1024, 1, 1);
     // Tiny sort buffer → frequent spill writes → many injectable ops.
@@ -81,7 +101,7 @@ fn hard_substrate_fault_burns_the_whole_attempt_budget() {
     );
     assert!(out.is_empty(), "a dead attempt contributes no shuffle data");
     match &outcome.result {
-        hadoop::AttemptResult::Failed(e) => {
+        AttemptResult::Failed(e) => {
             assert!(
                 e.is_substrate() && !e.is_oom(),
                 "died of substrate, not OME: {e}"
@@ -136,7 +156,7 @@ fn ome_is_not_relaunched_even_under_chaos() {
     let (outcome, out) = run_map_attempt_retrying(&cfg, frames(256), HoarderMapper::default);
     assert!(!outcome.result.ok());
     match &outcome.result {
-        hadoop::AttemptResult::Failed(e) => assert!(e.is_oom(), "expected OME, got {e}"),
+        AttemptResult::Failed(e) => assert!(e.is_oom(), "expected OME, got {e}"),
         other => panic!("unexpected result {other:?}"),
     }
     assert_eq!(
@@ -144,4 +164,34 @@ fn ome_is_not_relaunched_even_under_chaos() {
         "OMEs are deterministic; the wrapper must not burn relaunches on them"
     );
     assert!(out.is_empty());
+}
+
+#[test]
+fn relaunch_then_ome_spends_the_attempt_budget_once() {
+    let mut cfg = HadoopConfig::table1(1, 64, 64, 1, 1); // 64 KiB heap
+    cfg.sort_buffer = ByteSize(256);
+    cfg.fault_plan = Some(FaultPlan::new(4).with_disk_transients(100));
+    // At this seed the first attempt dies of a disk transient and its
+    // relaunch OMEs.
+    let (outcome, _) = run_map_attempt_retrying(&cfg, frames(256), HoarderMapper::default);
+    assert_eq!(outcome.extra_attempts, 1);
+    assert!(matches!(&outcome.result, AttemptResult::Failed(e) if e.is_oom()));
+
+    let (report, result) =
+        run_regular_job(&cfg, frames(256), HoarderMapper::default, Discard::default);
+    assert!(result.is_err());
+    // The relaunch is paid once, on the chain's first try; each OME
+    // repeat after it is one attempt, one container start-up and the
+    // final attempt's own duration.
+    assert_eq!(
+        report.counter("hadoop.map_attempts"),
+        cfg.max_attempts as f64,
+        "the chain must stay within the YARN budget"
+    );
+    let tries = (cfg.max_attempts - outcome.extra_attempts) as u64;
+    let startup = SimDuration::from_millis(10);
+    assert_eq!(
+        report.elapsed,
+        outcome.wasted + outcome.duration * tries + startup * cfg.max_attempts as u64
+    );
 }

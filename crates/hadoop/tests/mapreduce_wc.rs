@@ -254,11 +254,11 @@ fn regular_job_completes_with_generous_heaps() {
     let (splits, truth) = splits(50_000, 3_000, 1);
     // "4GB" map/reduce heaps.
     let cfg = HadoopConfig::table1(4, 4096, 4096, 4, 4);
-    let run = run_regular_job(&cfg, splits, WcMapper::default, WcReducer::default);
-    assert!(run.report.outcome.ok());
-    assert_eq!(as_map(run.result.unwrap()), truth);
-    assert_eq!(run.map_attempts, 20); // 50k words / 2.5k per split
-    assert!(run.report.counter("hadoop.spills") > 0.0);
+    let (report, result) = run_regular_job(&cfg, splits, WcMapper::default, WcReducer::default);
+    assert!(report.outcome.ok());
+    assert_eq!(as_map(result.unwrap()), truth);
+    assert_eq!(report.counter("hadoop.map_attempts"), 20.0); // 50k words / 2.5k per split
+    assert!(report.counter("hadoop.spills") > 0.0);
 }
 
 #[test]
@@ -267,13 +267,14 @@ fn small_map_heap_triggers_retries_then_job_failure() {
     // "160MB" (156KiB) map heap.
     let (splits, _) = splits(60_000, 24_000, 2);
     let cfg = HadoopConfig::table1(4, 160, 4096, 4, 4);
-    let run = run_regular_job(&cfg, splits, WcMapper::default, WcReducer::default);
-    assert!(run.result.is_err());
-    assert!(run.report.outcome.is_oom());
+    let (report, result) = run_regular_job(&cfg, splits, WcMapper::default, WcReducer::default);
+    assert!(result.is_err());
+    assert!(report.outcome.is_oom());
     // Every failing split burned its full YARN attempt budget.
-    assert!(run.map_attempts > 20, "attempts = {}", run.map_attempts);
+    let attempts = report.counter("hadoop.map_attempts");
+    assert!(attempts > 20.0, "attempts = {attempts}");
     // The crash time reflects the retry storm (the CTime effect).
-    assert!(run.report.elapsed > simcore::SimDuration::ZERO);
+    assert!(report.elapsed > simcore::SimDuration::ZERO);
 }
 
 #[test]
@@ -291,7 +292,7 @@ fn itask_version_survives_the_same_configuration() {
 fn regular_and_itask_agree_on_results() {
     let (sp, _) = splits(30_000, 2_000, 3);
     let cfg = HadoopConfig::table1(4, 4096, 4096, 4, 4);
-    let reg = run_regular_job(&cfg, sp.clone(), WcMapper::default, WcReducer::default);
+    let (_, reg) = run_regular_job(&cfg, sp.clone(), WcMapper::default, WcReducer::default);
     let (_, it) = run_itask_job::<WordT, CountT, CountT>(&cfg, sp, &factories());
-    assert_eq!(as_map(reg.result.unwrap()), as_map(it.unwrap()));
+    assert_eq!(as_map(reg.unwrap()), as_map(it.unwrap()));
 }

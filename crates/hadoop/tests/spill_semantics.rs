@@ -4,7 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use hadoop::{run_map_attempt, run_regular_job, HadoopConfig, MapCx, Mapper, ReduceCx, Reducer};
+use hadoop::{
+    run_map_attempt_retrying, run_regular_job, HadoopConfig, MapCx, Mapper, ReduceCx, Reducer,
+};
 use itask_core::Tuple;
 use simcore::{ByteSize, SimResult};
 
@@ -88,7 +90,7 @@ fn spills_bound_framework_memory() {
     // 20x the sort buffer of emissions must pass through a 256KB heap.
     let cfg = tiny_cfg();
     let frames: Vec<Vec<Rec>> = (0..20).map(|_| (0..320).map(Rec).collect()).collect();
-    let (outcome, out) = run_map_attempt(&cfg, frames, Emit);
+    let (outcome, out) = run_map_attempt_retrying(&cfg, frames, || Emit);
     assert!(outcome.result.ok(), "{:?}", outcome.result);
     assert!(
         outcome.spills >= 5,
@@ -104,7 +106,7 @@ fn spills_bound_framework_memory() {
 fn user_state_kills_the_attempt_not_the_framework() {
     let cfg = tiny_cfg();
     let frames: Vec<Vec<Rec>> = vec![(0..10_000).map(Rec).collect()];
-    let (outcome, out) = run_map_attempt(&cfg, frames, Hoard(256));
+    let (outcome, out) = run_map_attempt_retrying(&cfg, frames, || Hoard(256));
     assert!(!outcome.result.ok(), "hoarding 2.5MB in 256KB must die");
     assert!(out.is_empty(), "failed attempts publish nothing");
     assert!(
@@ -119,15 +121,15 @@ fn regular_job_counts_attempts_and_completes() {
     let splits: Vec<Vec<Rec>> = (0..6)
         .map(|s| (0..200).map(|i| Rec(s * 200 + i)).collect())
         .collect();
-    let run = run_regular_job(&cfg, splits, || Emit, Sum::default);
-    assert!(run.report.outcome.ok());
-    assert_eq!(run.map_attempts, 6);
+    let (report, result) = run_regular_job(&cfg, splits, || Emit, Sum::default);
+    assert!(report.outcome.ok());
+    assert_eq!(report.counter("hadoop.map_attempts"), 6.0);
     assert_eq!(
-        run.reduce_attempts as usize,
-        8.min(cfg.reduce_tasks as usize)
+        report.counter("hadoop.reduce_attempts"),
+        8.min(cfg.reduce_tasks) as f64
     );
     // 1200 distinct keys, each counted once.
-    let total: u64 = run.result.unwrap().iter().map(|r| r.0).sum();
+    let total: u64 = result.unwrap().iter().map(|r| r.0).sum();
     assert_eq!(total, 1200);
 }
 
@@ -138,10 +140,13 @@ fn failed_tasks_exhaust_the_retry_budget() {
         (0..200).map(Rec).collect(),    // small enough to survive Hoard
         (0..10_000).map(Rec).collect(), // hoarded to death
     ];
-    let run = run_regular_job(&cfg, splits, || Hoard(256), Sum::default);
-    assert!(!run.report.outcome.ok());
+    let (report, _) = run_regular_job(&cfg, splits, || Hoard(256), Sum::default);
+    assert!(!report.outcome.ok());
     // One clean task + one task burning its full YARN budget.
-    assert_eq!(run.map_attempts, 1 + cfg.max_attempts);
+    assert_eq!(
+        report.counter("hadoop.map_attempts"),
+        (1 + cfg.max_attempts) as f64
+    );
 }
 
 #[test]
@@ -155,7 +160,7 @@ fn pooled_heap_is_the_slot_aggregate() {
 
 mod chunk_properties {
     use super::Rec;
-    use hadoop::{run_map_attempt, HadoopConfig};
+    use hadoop::{run_map_attempt_retrying, HadoopConfig};
     use proptest::prelude::*;
     use simcore::ByteSize;
 
@@ -196,7 +201,7 @@ mod chunk_properties {
                 })
                 .collect();
             let total: usize = frames.iter().sum();
-            let (outcome, out) = run_map_attempt(&cfg, input, Fwd);
+            let (outcome, out) = run_map_attempt_retrying(&cfg, input, || Fwd);
             prop_assert!(outcome.result.ok());
             let emitted: usize = out.values().map(Vec::len).sum();
             prop_assert_eq!(emitted, total);

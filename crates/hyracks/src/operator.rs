@@ -56,12 +56,6 @@ impl<'a, 'b, Out> OpCx<'a, 'b, Out> {
         let s = self.state_space;
         self.work.free(s, bytes)
     }
-
-    /// Live bytes in the state space.
-    pub fn state_bytes(&mut self) -> ByteSize {
-        let s = self.state_space;
-        self.work.node().heap.space_live(s)
-    }
 }
 
 /// A regular dataflow operator: one instance per worker thread, state

@@ -8,9 +8,9 @@
 //!
 //! A retired slot owns nothing: the moment a thread finishes, fails, is
 //! killed or crashes, its `Work` body is dropped (or handed to the
-//! caller, for a crash) and the slot keeps only its id, state, scope
-//! and progress counter. Slots are never removed, so a thread's id is
-//! its index in the table for the whole life of the [`NodeSim`].
+//! caller, for a crash) and the slot keeps only its id, state and
+//! scope. Slots are never removed, so a thread's id is its index in the
+//! table for the whole life of the [`NodeSim`].
 
 use std::collections::BTreeMap;
 
@@ -36,9 +36,6 @@ struct ThreadSlot {
     id: ThreadId,
     work: Box<dyn Work>,
     state: ThreadState,
-    /// Scale-loop iterations (or any progress unit) the work reported
-    /// since the last observation — the IRS speed rule reads this.
-    progress: u64,
     /// Owning allocation scope (job id), if spawned via
     /// [`NodeSim::spawn_scoped`]. Heap spaces created while this thread
     /// steps are attributed to it.
@@ -196,7 +193,6 @@ impl NodeSim {
             id,
             work,
             state: ThreadState::Runnable,
-            progress: 0,
             scope,
         });
         id
@@ -265,22 +261,6 @@ impl NodeSim {
     /// Number of live threads.
     pub fn live_count(&self) -> usize {
         self.threads.iter().filter(|t| t.is_live()).count()
-    }
-
-    /// Progress units accumulated by `id` since the last
-    /// [`Self::take_progress`] call (the IRS speed rule's input).
-    pub fn take_progress(&mut self, id: ThreadId) -> u64 {
-        self.slot_mut(id)
-            .map(|t| std::mem::take(&mut t.progress))
-            .unwrap_or(0)
-    }
-
-    /// Adds progress units to a thread (called by work via label...);
-    /// engines call this after a step using the step's tuple count.
-    pub fn add_progress(&mut self, id: ThreadId, units: u64) {
-        if let Some(t) = self.slot_mut(id) {
-            t.progress += units;
-        }
     }
 
     /// Runs one scheduling round: steps every live thread once, then
@@ -637,16 +617,6 @@ mod tests {
         assert_eq!(s.take_scope_cpu(1), SimDuration::ZERO);
         // Unscoped threads are not accounted anywhere.
         assert_eq!(s.take_scope_cpu(999), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn progress_counter_is_take_once() {
-        let mut s = sim(8, 64);
-        let id = s.spawn(crunch(100_000, 8));
-        s.run_round();
-        s.add_progress(id, 42);
-        assert_eq!(s.take_progress(id), 42);
-        assert_eq!(s.take_progress(id), 0);
     }
 
     #[test]

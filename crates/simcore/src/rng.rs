@@ -68,11 +68,6 @@ impl DetRng {
         self.inner.gen_range(lo..=hi)
     }
 
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit() < p.clamp(0.0, 1.0)
-    }
-
     /// A sample from a bounded Pareto distribution over `[lo, hi]` with
     /// shape `alpha`; used for heavy-tailed record sizes.
     ///
