@@ -67,23 +67,74 @@ impl DetRng {
         assert!(lo <= hi, "range_inclusive({lo}, {hi})");
         self.inner.gen_range(lo..=hi)
     }
+}
 
-    /// A sample from a bounded Pareto distribution over `[lo, hi]` with
-    /// shape `alpha`; used for heavy-tailed record sizes.
+/// A bounded Pareto distribution over `[lo, hi]` with shape `alpha`;
+/// used for heavy-tailed record sizes.
+///
+/// The powers the inverse CDF needs depend only on the bounds, so they
+/// are computed once here rather than on every draw. They come from the
+/// same inputs by the same operations as a per-draw computation would,
+/// so every sample is bit-identical to one.
+#[derive(Clone, Copy, Debug)]
+pub struct BoundedPareto {
+    lo: u64,
+    hi: u64,
+    alpha: f64,
+    /// `lo^alpha`.
+    la: f64,
+    /// `hi^alpha`.
+    ha: f64,
+    /// `hi^alpha * lo^alpha`.
+    ha_la: f64,
+    /// `-1 / alpha`.
+    neg_inv_alpha: f64,
+}
+
+impl BoundedPareto {
+    /// The distribution over `[lo, hi]` with shape `alpha`.
     ///
     /// # Panics
     ///
     /// Panics if `lo == 0`, `lo > hi`, or `alpha <= 0`.
-    pub fn bounded_pareto(&mut self, lo: u64, hi: u64, alpha: f64) -> u64 {
-        assert!(lo > 0 && lo <= hi, "bounded_pareto bounds");
-        assert!(alpha > 0.0, "bounded_pareto alpha");
-        let (l, h) = (lo as f64, hi as f64);
-        let u = self.unit();
-        let la = l.powf(alpha);
-        let ha = h.powf(alpha);
-        // Inverse-CDF of the bounded Pareto.
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
-        (x as u64).clamp(lo, hi)
+    pub fn new(lo: u64, hi: u64, alpha: f64) -> Self {
+        assert!(lo > 0 && lo <= hi, "bounded Pareto bounds [{lo}, {hi}]");
+        assert!(alpha > 0.0, "bounded Pareto alpha {alpha}");
+        let la = (lo as f64).powf(alpha);
+        let ha = (hi as f64).powf(alpha);
+        BoundedPareto {
+            lo,
+            hi,
+            alpha,
+            la,
+            ha,
+            ha_la: ha * la,
+            neg_inv_alpha: -1.0 / alpha,
+        }
+    }
+
+    /// Draws a value in `[lo, hi]` from one [`DetRng::unit`].
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        self.at(rng.unit())
+    }
+
+    /// The inverse CDF at `u`, clamped to the bounds.
+    fn at(&self, u: f64) -> u64 {
+        let x = (-(u * self.ha - u * self.la - self.ha) / self.ha_la).powf(self.neg_inv_alpha);
+        (x as u64).clamp(self.lo, self.hi)
+    }
+
+    /// The analytic mean of the continuous distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha == 1`, where the closed form divides by zero.
+    pub fn mean(&self) -> f64 {
+        let (l, h, a) = (self.lo as f64, self.hi as f64, self.alpha);
+        assert!(a != 1.0, "bounded Pareto mean at alpha 1");
+        (self.la / (1.0 - (l / h).powf(a)))
+            * (a / (a - 1.0))
+            * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
     }
 }
 
@@ -91,9 +142,21 @@ impl DetRng {
 /// `0..n` with exponent `s`.
 ///
 /// Rank 0 is the most popular item. Used for word frequencies and hot keys.
+///
+/// A draw maps `u` to the first rank whose cumulative mass reaches `u`
+/// (clamped to `n - 1`) in expected constant time, through a guide table
+/// (Chen & Asau's indexed search): `guide[j]` is the first rank whose
+/// mass reaches `j / G`, for `G = n.next_power_of_two()`. Because `G` is
+/// a power of two, `j / G` and `u * G` are exact, so
+/// `floor(u * G) / G <= u` and the answer is never before
+/// `guide[floor(u * G)]`; a forward scan from there finds it. Over a
+/// strictly increasing table that is exactly the rank a binary search
+/// returns, and only the key type of `cdf` would change if it became
+/// fixed-point.
 #[derive(Clone, Debug)]
 pub struct ZipfTable {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl ZipfTable {
@@ -101,9 +164,10 @@ impl ZipfTable {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `s < 0`.
+    /// Panics if `n == 0`, `n > u32::MAX` or `s < 0`.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "ZipfTable over zero ranks");
+        assert!(u32::try_from(n).is_ok(), "ZipfTable over {n} ranks");
         assert!(s >= 0.0, "negative Zipf exponent");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -115,7 +179,17 @@ impl ZipfTable {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfTable { cdf }
+        let g = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(g);
+        let mut i = 0;
+        for j in 0..g {
+            let floor = j as f64 / g as f64;
+            while i < n - 1 && cdf[i] < floor {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        ZipfTable { cdf, guide }
     }
 
     /// Number of ranks.
@@ -130,8 +204,24 @@ impl ZipfTable {
 
     /// Draws a rank in `0..n`; rank 0 is the hottest.
     pub fn sample(&self, rng: &mut DetRng) -> usize {
-        let u = rng.unit();
-        // First index whose cumulative mass reaches u.
+        self.rank(rng.unit())
+    }
+
+    /// The first rank whose cumulative mass reaches `u` in `[0, 1)`,
+    /// clamped to `n - 1`.
+    fn rank(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i
+    }
+
+    /// The binary search [`rank`](Self::rank) replaced, kept as the
+    /// reference the equivalence tests compare against.
+    #[cfg(test)]
+    fn reference_rank(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|p| p.partial_cmp(&u).expect("NaN in CDF"))
@@ -222,11 +312,122 @@ mod tests {
         }
     }
 
+    /// Checks the guide-table rank against the binary search at every
+    /// `cdf[i]` and its neighbours, at both ends of `[0, 1)`, and at
+    /// `draws` uniform `u`.
+    fn assert_rank_matches_reference(table: &ZipfTable, draws: usize, seed: u64) {
+        let edges = table
+            .cdf
+            .iter()
+            .flat_map(|&c| [c.next_down(), c, c.next_up()])
+            .chain([0.0, 1.0 - f64::EPSILON / 2.0]);
+        let mut rng = DetRng::new(seed);
+        let uniform = (0..draws).map(|_| rng.unit());
+        for u in edges.chain(uniform).filter(|u| (0.0..1.0).contains(u)) {
+            assert_eq!(
+                table.rank(u),
+                table.reference_rank(u),
+                "n {} u {u:e}",
+                table.len()
+            );
+        }
+    }
+
+    fn assert_strictly_increasing(table: &ZipfTable) {
+        assert!(
+            table.cdf.windows(2).all(|w| w[0] < w[1]),
+            "n {} CDF not strictly increasing",
+            table.len()
+        );
+    }
+
+    #[test]
+    fn zipf_guide_matches_binary_search_on_fixed_tables() {
+        for (n, s) in [
+            (65_536, 1.0),
+            (1_000, 1.0),
+            (10, 0.0),
+            (1, 0.0),
+            (1, 1.0),
+            (1, 2.5),
+        ] {
+            let table = ZipfTable::new(n, s);
+            assert_strictly_increasing(&table);
+            assert_rank_matches_reference(&table, 1_000_000, n as u64);
+        }
+    }
+
+    #[test]
+    fn zipf_guide_matches_binary_search_on_random_tables() {
+        let mut rng = DetRng::new(2024);
+        for n in [2, 3, 4, 5, 1023, 1024, 1025, 1 << 17] {
+            let s = rng.unit() * 1.5;
+            let table = ZipfTable::new(n, s);
+            assert_strictly_increasing(&table);
+            assert_rank_matches_reference(&table, 100_000, n as u64);
+        }
+        for _ in 0..8 {
+            let n = rng.range_inclusive(1, 1 << 17) as usize;
+            let s = rng.unit() * 1.5;
+            let table = ZipfTable::new(n, s);
+            assert_strictly_increasing(&table);
+            assert_rank_matches_reference(&table, 100_000, n as u64);
+        }
+    }
+
+    #[test]
+    fn word_table_is_strictly_increasing_and_ends_at_one() {
+        // The one table the workload generators build.
+        let table = ZipfTable::new(65_536, 1.0);
+        assert_strictly_increasing(&table);
+        assert_eq!(table.cdf[table.len() - 1], 1.0);
+    }
+
+    /// The per-draw formula [`BoundedPareto`] replaced.
+    fn reference_pareto_at(u: f64, lo: u64, hi: u64, alpha: f64) -> u64 {
+        let (l, h) = (lo as f64, hi as f64);
+        let la = l.powf(alpha);
+        let ha = h.powf(alpha);
+        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+        (x as u64).clamp(lo, hi)
+    }
+
+    /// The closed-form mean the generators computed per record.
+    fn reference_pareto_mean(l: f64, h: f64, a: f64) -> f64 {
+        let la = l.powf(a);
+        (la / (1.0 - (l / h).powf(a)))
+            * (a / (a - 1.0))
+            * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
+    }
+
+    #[test]
+    fn bounded_pareto_matches_per_draw_formula_at_every_call_site() {
+        // Wikipedia sentences, StackOverflow posts, and webmap degrees at
+        // every Table 3 size's `dmax`.
+        let mut sites = vec![(30, 16 * 1024, 1.6), (64, 64 * 1024, 1.25)];
+        for dmax in [172_547, 121_109, 71_741, 17_463, 9_229, 3_048, 16] {
+            sites.push((1, dmax, 1.7));
+        }
+        let mut rng = DetRng::new(31);
+        for (lo, hi, alpha) in sites {
+            let p = BoundedPareto::new(lo, hi, alpha);
+            for u in (0..100_000)
+                .map(|_| rng.unit())
+                .chain([0.0, 1.0 - f64::EPSILON / 2.0])
+            {
+                assert_eq!(p.at(u), reference_pareto_at(u, lo, hi, alpha), "u {u:e}");
+            }
+            let want = reference_pareto_mean(lo as f64, hi as f64, alpha);
+            assert_eq!(p.mean().to_bits(), want.to_bits(), "({lo}, {hi}, {alpha})");
+        }
+    }
+
     #[test]
     fn bounded_pareto_respects_bounds() {
         let mut rng = DetRng::new(99);
+        let p = BoundedPareto::new(10, 10_000, 1.2);
         for _ in 0..10_000 {
-            let v = rng.bounded_pareto(10, 10_000, 1.2);
+            let v = p.sample(&mut rng);
             assert!((10..=10_000).contains(&v));
         }
     }
@@ -235,9 +436,8 @@ mod tests {
     fn bounded_pareto_is_heavy_tailed() {
         let mut rng = DetRng::new(5);
         let n = 50_000;
-        let samples: Vec<u64> = (0..n)
-            .map(|_| rng.bounded_pareto(10, 1_000_000, 1.1))
-            .collect();
+        let p = BoundedPareto::new(10, 1_000_000, 1.1);
+        let samples: Vec<u64> = (0..n).map(|_| p.sample(&mut rng)).collect();
         let small = samples.iter().filter(|&&v| v < 100).count();
         let big = samples.iter().filter(|&&v| v > 100_000).count();
         // Most mass near the floor, but a real tail exists.

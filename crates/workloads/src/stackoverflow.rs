@@ -3,6 +3,7 @@
 //! XML objects can consume most of a task's heap on their own.
 
 use simcore::jbloat::{self, HeapSized};
+use simcore::rng::BoundedPareto;
 use simcore::{prof, ByteSize, DetRng};
 
 /// One post (with its answers/comments folded into `body_chars`).
@@ -89,11 +90,12 @@ impl StackOverflowConfig {
         let count = (index + 1) * self.posts / n_blocks - first;
         let mut rng = DetRng::new(self.seed).fork(index);
         let mean = self.mean_chars() as f64;
+        let raw_len = BoundedPareto::new(64, self.max_post_chars, 1.25);
+        let raw_mean = raw_len.mean();
         prof::count(prof::Stage::Generate, 1, count);
         (0..count)
             .map(|i| {
-                let raw = rng.bounded_pareto(64, self.max_post_chars, 1.25) as f64;
-                let raw_mean = bounded_pareto_mean(64.0, self.max_post_chars as f64, 1.25);
+                let raw = raw_len.sample(&mut rng) as f64;
                 let body_chars = ((raw * mean / raw_mean) as u64).clamp(64, self.max_post_chars);
                 Post {
                     id: first + i,
@@ -104,13 +106,6 @@ impl StackOverflowConfig {
             })
             .collect()
     }
-}
-
-fn bounded_pareto_mean(l: f64, h: f64, a: f64) -> f64 {
-    let la = l.powf(a);
-    (la / (1.0 - (l / h).powf(a)))
-        * (a / (a - 1.0))
-        * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
 }
 
 #[cfg(test)]

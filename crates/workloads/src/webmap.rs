@@ -5,6 +5,7 @@
 //! HS sorts the lines, II inverts vertex → neighbors.
 
 use simcore::jbloat::{self, HeapSized};
+use simcore::rng::BoundedPareto;
 use simcore::{prof, ByteSize, DetRng};
 
 /// The six dataset sizes of Table 3.
@@ -159,12 +160,16 @@ impl WebmapConfig {
         let mut rng = DetRng::new(self.seed).fork(index);
         let mean = self.mean_degree();
         let dmax = (self.vertices / 8).max(16);
+        // Out-degrees: a bounded Pareto rescaled to the target mean.
+        let raw_degree = BoundedPareto::new(1, dmax, DEGREE_ALPHA);
+        let raw_mean = raw_degree.mean();
         // `Range<u64>` is not `ExactSizeIterator`, so a plain collect
         // would grow the vecs; pre-size them instead.
         let mut recs = Vec::with_capacity(count as usize);
         for i in 0..count {
             let vertex = first + i;
-            let deg = sample_degree(&mut rng, mean, dmax);
+            let raw = raw_degree.sample(&mut rng) as f64;
+            let deg = ((raw * mean / raw_mean).round() as u64).clamp(1, dmax);
             let mut neighbors = Vec::with_capacity(deg as usize);
             for _ in 0..deg {
                 neighbors.push(rng.below(self.vertices.max(1)));
@@ -191,22 +196,8 @@ impl WebmapConfig {
     }
 }
 
-/// Draws an out-degree from a bounded Pareto (α = 1.7) rescaled to the
-/// target mean.
-fn sample_degree(rng: &mut DetRng, mean: f64, dmax: u64) -> u64 {
-    const ALPHA: f64 = 1.7;
-    let raw = rng.bounded_pareto(1, dmax, ALPHA) as f64;
-    let raw_mean = bounded_pareto_mean(1.0, dmax as f64, ALPHA);
-    ((raw * mean / raw_mean).round() as u64).clamp(1, dmax)
-}
-
-/// Analytic mean of a bounded Pareto on `[l, h]` with shape `a != 1`.
-fn bounded_pareto_mean(l: f64, h: f64, a: f64) -> f64 {
-    let la = l.powf(a);
-    (la / (1.0 - (l / h).powf(a)))
-        * (a / (a - 1.0))
-        * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-}
+/// Shape of the bounded Pareto that out-degrees are drawn from.
+const DEGREE_ALPHA: f64 = 1.7;
 
 #[cfg(test)]
 mod tests {

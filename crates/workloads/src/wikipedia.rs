@@ -4,9 +4,13 @@
 //! sentence itself, §2).
 
 use simcore::jbloat::{self, HeapSized};
+use simcore::rng::BoundedPareto;
 use simcore::{prof, ByteSize, DetRng};
 
 use crate::words::WordDist;
+
+/// Vocabulary size of the word distribution.
+const VOCAB: usize = 65_536;
 
 /// One article.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,8 +46,6 @@ pub struct WikipediaConfig {
     pub total_bytes: ByteSize,
     /// Longest sentence in characters (CRP's pain point).
     pub max_sentence_chars: u64,
-    /// Vocabulary size.
-    pub vocab: usize,
     /// Generator seed.
     pub seed: u64,
     dist: WordDist,
@@ -66,9 +68,8 @@ impl WikipediaConfig {
             articles,
             total_bytes: ByteSize(paper_bytes.as_u64() / simcore::SCALE),
             max_sentence_chars: 16 * 1024,
-            vocab: 65_536,
             seed,
-            dist: WordDist::new(65_536, 1.0),
+            dist: WordDist::new(VOCAB, 1.0),
         }
     }
 
@@ -96,6 +97,8 @@ impl WikipediaConfig {
         let count = (index + 1) * self.articles / n_blocks - first;
         let mut rng = DetRng::new(self.seed).fork(index);
         let mean = self.mean_chars();
+        // Sentence lengths: bounded Pareto mean ≈ 80 chars.
+        let sentence_len = BoundedPareto::new(30, self.max_sentence_chars, 1.6);
         // `Range<u64>` is not `ExactSizeIterator`, so a plain collect
         // would grow the vec; pre-size it instead.
         let mut articles = Vec::with_capacity(count as usize);
@@ -105,15 +108,13 @@ impl WikipediaConfig {
             // ~6.5 chars per word (word + space).
             let n_words = (chars / 6).max(1) as usize;
             let words = self.dist.sample_many(&mut rng, n_words);
-            // Split into sentences with a heavy-tailed length mix
-            // (bounded Pareto mean ≈ 80 chars; the capacity guess only
-            // has to be in the right ballpark to avoid regrows).
+            // Split into sentences with a heavy-tailed length mix (the
+            // capacity guess only has to be in the right ballpark to
+            // avoid regrows).
             let mut sentence_chars = Vec::with_capacity((chars / 64 + 1) as usize);
             let mut remaining = chars;
             while remaining > 0 {
-                let s = rng
-                    .bounded_pareto(30, self.max_sentence_chars, 1.6)
-                    .min(remaining) as u32;
+                let s = sentence_len.sample(&mut rng).min(remaining) as u32;
                 sentence_chars.push(s.max(1));
                 remaining = remaining.saturating_sub(s as u64);
             }
