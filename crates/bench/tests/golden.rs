@@ -194,25 +194,73 @@ fn golden_table5_quick_wc() {
     );
 }
 
-/// The Hadoop tables: the only goldens that run the hadoop crate's
-/// per-task attempt JVMs, YARN retry chains and sort-buffer spills.
-/// ~16-25s each in release at `--jobs 2`, far longer in debug.
-fn check_hadoop_table(bin: &str, golden_name: &str) {
+/// A golden too slow for debug builds: runs `bin --jobs 2 args...` in
+/// release only (the CI golden job runs the suite with `--release`).
+fn check_release(bin: &str, args: &[&str], golden_name: &str) {
     if cfg!(debug_assertions) {
         eprintln!("skipping {golden_name} golden in debug mode; run with --release to cover it");
         return;
     }
-    check_golden(bin, &["--jobs", "2"], golden_name);
+    let mut all = vec!["--jobs", "2"];
+    all.extend_from_slice(args);
+    check_golden(bin, &all, golden_name);
 }
 
+/// The Hadoop tables: the only goldens that run the hadoop crate's
+/// per-task attempt JVMs, YARN retry chains and sort-buffer spills.
+/// ~16-25s each in release at `--jobs 2`, far longer in debug.
 #[test]
 fn golden_table1() {
-    check_hadoop_table(env!("CARGO_BIN_EXE_table1"), "table1.txt");
+    check_release(env!("CARGO_BIN_EXE_table1"), &[], "table1.txt");
 }
 
 #[test]
 fn golden_survival13() {
-    check_hadoop_table(env!("CARGO_BIN_EXE_survival13"), "survival13.txt");
+    check_release(env!("CARGO_BIN_EXE_survival13"), &[], "survival13.txt");
+}
+
+/// Table 2's reclaim breakdown: the ITask runs of the five Hadoop
+/// problems (~6s).
+#[test]
+fn golden_table2() {
+    check_release(env!("CARGO_BIN_EXE_table2"), &[], "table2.txt");
+}
+
+/// The Hyracks grid, regular side: every program on its two smallest
+/// datasets at every thread count (~2.5s).
+#[test]
+fn golden_fig9_quick() {
+    check_release(env!("CARGO_BIN_EXE_fig9"), &["--quick"], "fig9_quick.txt");
+}
+
+/// ITask vs best regular on the TPC-H programs. Their largest datasets
+/// OME at every thread count, so the best-configuration rule's
+/// all-failed fallback is on the surface (~2s).
+#[test]
+fn golden_fig10_hj_gr() {
+    check_release(
+        env!("CARGO_BIN_EXE_fig10"),
+        &["hj", "gr"],
+        "fig10_hj_gr.txt",
+    );
+}
+
+/// Table 6's win/saving/scalability summary on three datasets per
+/// program, plus the HJ/GR upper-bound probes (~5s).
+#[test]
+fn golden_table6_quick() {
+    check_release(
+        env!("CARGO_BIN_EXE_table6"),
+        &["--quick"],
+        "table6_quick.txt",
+    );
+}
+
+/// §6.1's ablation: ITask vs kill-restart, random victims, in-memory
+/// serialization and lazy hover (~6s).
+#[test]
+fn golden_ablation() {
+    check_release(env!("CARGO_BIN_EXE_ablation"), &[], "ablation.txt");
 }
 
 // The two timeline figures compute their stdout from the trace stream,
