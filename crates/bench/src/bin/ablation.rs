@@ -5,14 +5,10 @@
 //!
 //! Usage: `ablation [--jobs N]`.
 
-use std::rc::Rc;
-
 use apps::agg::itask_factories;
 use apps::hyracks_apps::wc::WcSpec;
 use apps::hyracks_apps::HyracksParams;
-use itask_bench::sweep;
-#[allow(unused_imports)]
-use itask_bench::{cols, print_table, Cell};
+use itask_bench::{cols, print_table, sweep, Cell};
 use itask_core::{
     InterruptMode, IrsConfig, ManagerConfig, MonitorConfig, SerializeMode, VictimPolicy,
 };
@@ -103,9 +99,8 @@ const CONFIGS: [(InterruptMode, VictimPolicy, SerializeMode, u8, &str); 5] = [
 ];
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let mut log = h.log("ablation");
+    let mut h = sweep::harness("ablation");
+    h.end_flags();
 
     let sizes = [
         (WebmapSize::G10, 3u64),
@@ -133,9 +128,7 @@ fn main() {
             ));
         }
     }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut cells = out.into_iter().map(|o| o.result);
+    let mut cells = h.run(specs).into_iter();
 
     let mut rows = Vec::new();
     for (size, heap) in sizes {
@@ -166,12 +159,11 @@ fn main() {
             speed(&kill),
             speed(&random),
         ]);
-        let _ = Rc::new(());
     }
     print_table(
         "Ablation (§6.1 + §5.3): ITask vs naive interrupt designs, and disk vs in-memory serialization (WC)",
         &header,
         &rows,
     );
-    log.finish();
+    h.finish();
 }

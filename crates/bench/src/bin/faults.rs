@@ -12,7 +12,7 @@
 
 use apps::hyracks_apps::{ii, wc, HyracksParams};
 use apps::RunSummary;
-use itask_bench::sweep::{self, SweepLog};
+use itask_bench::sweep::{self, Harness};
 use itask_bench::{cols, print_table};
 use simcore::{ByteSize, FaultPlan, NodeId, SimDuration, SimTime};
 use workloads::webmap::WebmapSize;
@@ -104,8 +104,7 @@ fn recovery_cell<T>(s: &RunSummary<T>) -> String {
 }
 
 fn ablate<T: Ord + std::fmt::Debug + Send>(
-    jobs: usize,
-    log: &mut SweepLog,
+    h: &mut Harness,
     key: &str,
     name: &str,
     run_regular: impl Fn(&HyracksParams) -> RunSummary<T> + Sync,
@@ -114,19 +113,16 @@ fn ablate<T: Ord + std::fmt::Debug + Send>(
     // Phase 1: the fault-free runs. The schedules depend on their
     // elapsed times (the crash lands mid-run), so this is a barrier.
     let (run_regular, run_itask) = (&run_regular, &run_itask);
-    let clean = sweep::run_all(
-        jobs,
-        vec![
+    let mut clean = h
+        .run(vec![
             sweep::spec(format!("faults {key} clean reg"), move || {
                 run_regular(&params())
             }),
             sweep::spec(format!("faults {key} clean itask"), move || {
                 run_itask(&params())
             }),
-        ],
-    );
-    log.absorb(&clean);
-    let mut clean = clean.into_iter().map(|o| o.result);
+        ])
+        .into_iter();
     let clean_reg = clean.next().expect("clean regular run");
     let clean_it = clean.next().expect("clean itask run");
     let reg_secs = clean_reg.paper_seconds();
@@ -165,9 +161,7 @@ fn ablate<T: Ord + std::fmt::Debug + Send>(
             },
         ));
     }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut runs = out.into_iter().map(|o| o.result);
+    let mut runs = h.run(specs).into_iter();
 
     let mut rows = Vec::new();
     for (label, _) in schedules(mid) {
@@ -209,15 +203,13 @@ fn ablate<T: Ord + std::fmt::Debug + Send>(
 }
 
 fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
+    let mut h = sweep::harness("faults");
     let wc_only = h.flag("--wc-only");
     let ii_only = h.flag("--ii-only");
-    let mut log = h.log("faults");
+    h.end_flags();
     if !ii_only {
         ablate(
-            jobs,
-            &mut log,
+            &mut h,
             "wc",
             "WC",
             |p| wc::run_regular(SIZE, p),
@@ -226,13 +218,12 @@ fn main() {
     }
     if !wc_only {
         ablate(
-            jobs,
-            &mut log,
+            &mut h,
             "ii",
             "II",
             |p| ii::run_regular(SIZE, p),
             |p| ii::run_itask(SIZE, p),
         );
     }
-    log.finish();
+    h.finish();
 }

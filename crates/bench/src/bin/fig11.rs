@@ -5,7 +5,8 @@
 //!
 //! Usage: `fig11 [--jobs N]`.
 
-use apps::hyracks_apps::{ii, wc, HyracksParams};
+use apps::hyracks_apps::HyracksParams;
+use itask_bench::programs::{params, Dataset, PROGRAMS};
 use itask_bench::{print_table, sweep, Cell, Series};
 use simcore::tracer::{self, TraceData};
 use simcore::{ByteSize, NodeId, SimTime, SCALE};
@@ -13,11 +14,11 @@ use workloads::webmap::WebmapSize;
 
 const HEAPS_MIB: [u64; 4] = [12, 10, 8, 6];
 
-fn params(heap_mib: u64) -> HyracksParams {
+/// 8 threads on a `heap_mib` heap per node.
+fn heap(heap_mib: u64) -> HyracksParams {
     HyracksParams {
-        threads: 8,
         heap_per_node: ByteSize::mib(heap_mib),
-        ..HyracksParams::default()
+        ..params(8)
     }
 }
 
@@ -79,41 +80,32 @@ fn render_heap_sweep(name: &str, cells: &mut impl Iterator<Item = Cell>) {
 }
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let mut log = h.log("fig11");
+    let mut h = sweep::harness("fig11");
+    h.end_flags();
     // (c) is read off its run's trace stream.
     tracer::enable();
+    let [wc, _, ii, _, _] = &PROGRAMS;
+    let g10 = Dataset::Webmap(WebmapSize::G10);
 
     // (a)/(b): 4 heaps × {regular, itask} × {WC, II}; (c): one full run.
     // All independent — one batch.
     let mut specs: Vec<sweep::RunSpec<Cell>> = Vec::new();
-    for prog in ["wc", "ii"] {
-        for h in HEAPS_MIB {
-            specs.push(sweep::spec(format!("fig11 {prog} {h}GB reg"), move || {
-                let p = params(h);
-                match prog {
-                    "wc" => Cell::from_summary(&wc::run_regular(WebmapSize::G10, &p)),
-                    _ => Cell::from_summary(&ii::run_regular(WebmapSize::G10, &p)),
-                }
-            }));
+    for p in [wc, ii] {
+        for mib in HEAPS_MIB {
             specs.push(sweep::spec(
-                format!("fig11 {prog} {h}GB itask"),
-                move || {
-                    let p = params(h);
-                    match prog {
-                        "wc" => Cell::from_summary(&wc::run_itask(WebmapSize::G10, &p)),
-                        _ => Cell::from_summary(&ii::run_itask(WebmapSize::G10, &p)),
-                    }
-                },
+                format!("fig11 {} {mib}GB reg", p.key),
+                move || p.run(g10, false, &heap(mib)),
+            ));
+            specs.push(sweep::spec(
+                format!("fig11 {} {mib}GB itask", p.key),
+                move || p.run(g10, true, &heap(mib)),
             ));
         }
     }
     specs.push(sweep::spec("fig11 wc G14 itask (c)", || {
-        Cell::from_summary(&wc::run_itask(WebmapSize::G14, &params(12)))
+        wc.run(Dataset::Webmap(WebmapSize::G14), true, &heap(12))
     }));
-    let mut out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
+    let mut out = h.run_outcomes(specs);
     let timeline = out.pop().expect("fig11(c) run");
     let mut results = out.into_iter().map(|o| o.result);
 
@@ -180,5 +172,5 @@ fn main() {
             digits(&series, end)
         );
     }
-    log.finish();
+    h.finish();
 }

@@ -54,9 +54,8 @@ fn paper_secs(d: SimDuration) -> f64 {
 }
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let mut log = h.log("fig3");
+    let mut h = sweep::harness("fig3");
+    h.end_flags();
     tracer::enable();
 
     let size = WebmapSize::G27; // regular WC dies here; ITask survives
@@ -77,18 +76,14 @@ fn main() {
     );
 
     let params_ref = &params;
-    let out = sweep::run_all(
-        jobs,
-        vec![
-            sweep::spec("fig3 wc regular", move || {
-                wc::run_regular(size, params_ref).report
-            }),
-            sweep::spec("fig3 wc itask", move || {
-                wc::run_itask(size, params_ref).report
-            }),
-        ],
-    );
-    log.absorb(&out);
+    let out = h.run_outcomes(vec![
+        sweep::spec("fig3 wc regular", move || {
+            wc::run_regular(size, params_ref).report
+        }),
+        sweep::spec("fig3 wc itask", move || {
+            wc::run_itask(size, params_ref).report
+        }),
+    ]);
     let end = out
         .iter()
         .map(|o| o.result.elapsed)
@@ -151,5 +146,5 @@ fn main() {
         })
         .collect();
     print_table("Figure 3 series (peak per time bucket)", &header, &rows);
-    log.finish();
+    h.finish();
 }

@@ -32,7 +32,7 @@
 //! saturation verdicts, but the per-tenant rate is now microscopic and
 //! the admission plane must stay O(log n) per decision to keep up.
 
-use itask_bench::sweep::{self};
+use itask_bench::sweep;
 use itask_bench::{cols, print_table};
 use simcore::SimDuration;
 use simserve::{
@@ -170,11 +170,14 @@ fn fmt_ms(ns: u64) -> String {
 }
 
 fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
+    let mut h = sweep::harness("overload");
     let scale = h.flag("--scale");
     let quick = h.flag("--quick");
-    let mut log = h.log(if scale { "overload-scale" } else { "overload" });
+    if scale {
+        // Scale mode keeps its own profile sidecars.
+        h.bin.push_str("-scale");
+    }
+    h.end_flags();
 
     let (tenants, loads): (u32, &[u64]) = match (scale, quick) {
         (false, true) => (4, &[1, 2, 4]),
@@ -194,9 +197,7 @@ fn main() {
             });
         }
     }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut runs = out.into_iter().map(|o| o.result);
+    let mut runs = h.run(specs).into_iter();
 
     // reports[load_idx][config_idx], in spec order.
     let reports: Vec<Vec<ServiceReport>> = loads
@@ -309,5 +310,5 @@ fn main() {
         );
     }
 
-    log.finish();
+    h.finish();
 }

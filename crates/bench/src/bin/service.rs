@@ -20,7 +20,7 @@
 //! shapes (steady / diurnal / bursty) under weighted-fair admission;
 //! table 2 holds the shape steady and sweeps admission policies.
 
-use itask_bench::sweep::{self, SweepLog};
+use itask_bench::sweep::{self, Harness};
 use itask_bench::{cols, print_table};
 use simcore::SimDuration;
 use simserve::{
@@ -41,7 +41,7 @@ fn run_policy(policy: PolicyKind, tenants: u32) -> ServiceReport {
 }
 
 /// Headline: both engines across rising tenant counts.
-fn tenant_sweep(jobs: usize, log: &mut SweepLog, counts: &[u32]) {
+fn tenant_sweep(h: &mut Harness, counts: &[u32]) {
     let mut specs = Vec::new();
     for &t in counts {
         for engine in [EngineKind::Regular, EngineKind::Itask] {
@@ -51,9 +51,7 @@ fn tenant_sweep(jobs: usize, log: &mut SweepLog, counts: &[u32]) {
             ));
         }
     }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut runs = out.into_iter().map(|o| o.result);
+    let mut runs = h.run(specs).into_iter();
 
     let mut rows = Vec::new();
     for &t in counts {
@@ -90,7 +88,7 @@ fn tenant_sweep(jobs: usize, log: &mut SweepLog, counts: &[u32]) {
 }
 
 /// Ablation: admission policies protecting the regular engine.
-fn policy_sweep(jobs: usize, log: &mut SweepLog, tenants: u32) {
+fn policy_sweep(h: &mut Harness, tenants: u32) {
     let policies = [
         PolicyKind::Fifo,
         PolicyKind::WeightedFair,
@@ -105,9 +103,7 @@ fn policy_sweep(jobs: usize, log: &mut SweepLog, tenants: u32) {
             )
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut runs = out.into_iter().map(|o| o.result);
+    let mut runs = h.run(specs).into_iter();
 
     let mut rows = Vec::new();
     for p in policies {
@@ -196,8 +192,7 @@ const SCALE_COLS: [&str; 7] = [
 
 /// Scale table 1: load shapes under weighted-fair admission.
 fn scale_shape_sweep(
-    jobs: usize,
-    log: &mut SweepLog,
+    h: &mut Harness,
     population: u32,
     mean_gap: SimDuration,
     shapes: &[LoadShape],
@@ -210,14 +205,13 @@ fn scale_shape_sweep(
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let rows: Vec<Vec<String>> = out
+    let rows: Vec<Vec<String>> = h
+        .run(specs)
         .into_iter()
         .zip(shapes)
-        .map(|(o, s)| {
+        .map(|(r, s)| {
             let mut row = vec![s.label().to_string()];
-            row.extend(scale_cells(&o.result));
+            row.extend(scale_cells(&r));
             row
         })
         .collect();
@@ -231,7 +225,7 @@ fn scale_shape_sweep(
 }
 
 /// Scale table 2: admission policies at steady load.
-fn scale_policy_sweep(jobs: usize, log: &mut SweepLog, population: u32, mean_gap: SimDuration) {
+fn scale_policy_sweep(h: &mut Harness, population: u32, mean_gap: SimDuration) {
     let policies = [
         PolicyKind::Fifo,
         PolicyKind::WeightedFair,
@@ -245,14 +239,13 @@ fn scale_policy_sweep(jobs: usize, log: &mut SweepLog, population: u32, mean_gap
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let rows: Vec<Vec<String>> = out
+    let rows: Vec<Vec<String>> = h
+        .run(specs)
         .into_iter()
         .zip(policies)
-        .map(|(o, p)| {
+        .map(|(r, p)| {
             let mut row = vec![p.label().to_string()];
-            row.extend(scale_cells(&o.result));
+            row.extend(scale_cells(&r));
             row
         })
         .collect();
@@ -266,11 +259,14 @@ fn scale_policy_sweep(jobs: usize, log: &mut SweepLog, population: u32, mean_gap
 }
 
 fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
+    let mut h = sweep::harness("service");
     let scale = h.flag("--scale");
     let quick = h.flag("--quick");
-    let mut log = h.log(if scale { "service-scale" } else { "service" });
+    if scale {
+        // Scale mode keeps its own profile sidecars.
+        h.bin.push_str("-scale");
+    }
+    h.end_flags();
     if scale {
         // Quick keeps the population and offered load CI-sized; full
         // mode is the 10^5-tenant, ~500k jobs/s regime of
@@ -292,16 +288,16 @@ fn main() {
                 mult_pm: 4_000,
             },
         ];
-        scale_shape_sweep(jobs, &mut log, population, mean_gap, &shapes);
-        scale_policy_sweep(jobs, &mut log, population, mean_gap);
+        scale_shape_sweep(&mut h, population, mean_gap, &shapes);
+        scale_policy_sweep(&mut h, population, mean_gap);
     } else {
         let counts: &[u32] = if quick {
             &[1, 2, 3]
         } else {
             &[1, 2, 3, 4, 6, 8]
         };
-        tenant_sweep(jobs, &mut log, counts);
-        policy_sweep(jobs, &mut log, if quick { 3 } else { 6 });
+        tenant_sweep(&mut h, counts);
+        policy_sweep(&mut h, if quick { 3 } else { 6 });
     }
-    log.finish();
+    h.finish();
 }

@@ -16,7 +16,7 @@
 //! Usage: `smr [--jobs N] [--quick] [--trace PATH]`.
 //! Output is deterministic and byte-identical at any `--jobs` value.
 
-use itask_bench::sweep::{self, SweepLog};
+use itask_bench::sweep::{self, Harness};
 use itask_bench::{cols, print_table};
 use simcore::{FaultPlan, NodeId, SimDuration, SimTime};
 use simsmr::{run, RuntimeMode, SmrConfig, SmrOutcome};
@@ -70,7 +70,7 @@ fn row(pressure: u64, o: &SmrOutcome) -> Vec<String> {
 }
 
 /// Headline: commit-latency tail vs heap pressure for one quorum size.
-fn pressure_sweep(jobs: usize, log: &mut SweepLog, nodes: usize, quick: bool) {
+fn pressure_sweep(h: &mut Harness, nodes: usize, quick: bool) {
     let specs = TIERS
         .iter()
         .flat_map(|&p| {
@@ -81,9 +81,7 @@ fn pressure_sweep(jobs: usize, log: &mut SweepLog, nodes: usize, quick: bool) {
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let outcomes: Vec<SmrOutcome> = out.into_iter().map(|o| o.result).collect();
+    let outcomes: Vec<SmrOutcome> = h.run(specs);
 
     let mut rows = Vec::new();
     for (i, o) in outcomes.iter().enumerate() {
@@ -129,7 +127,7 @@ fn pressure_sweep(jobs: usize, log: &mut SweepLog, nodes: usize, quick: bool) {
 
 /// Leader-crash ablation: a scheduled crash deposes the leader mid-log;
 /// the quorum must elect, re-replicate, and commit everything anyway.
-fn crash_sweep(jobs: usize, log: &mut SweepLog, quick: bool) {
+fn crash_sweep(h: &mut Harness, quick: bool) {
     const NODES: usize = 3;
     const PRESSURE: u64 = 75;
     let plan =
@@ -142,11 +140,8 @@ fn crash_sweep(jobs: usize, log: &mut SweepLog, quick: bool) {
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-
     let mut rows = Vec::new();
-    for o in out.into_iter().map(|o| o.result) {
+    for o in h.run(specs) {
         check(&o, "smr crash run");
         assert!(
             o.view_changes >= 1,
@@ -175,14 +170,13 @@ fn crash_sweep(jobs: usize, log: &mut SweepLog, quick: bool) {
 }
 
 fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
+    let mut h = sweep::harness("smr");
     let quick = h.flag("--quick");
-    let mut log = h.log("smr");
-    pressure_sweep(jobs, &mut log, 3, quick);
+    h.end_flags();
+    pressure_sweep(&mut h, 3, quick);
     if !quick {
-        pressure_sweep(jobs, &mut log, 5, quick);
+        pressure_sweep(&mut h, 5, quick);
     }
-    crash_sweep(jobs, &mut log, quick);
-    log.finish();
+    crash_sweep(&mut h, quick);
+    h.finish();
 }

@@ -53,11 +53,10 @@ macro_rules! five_specs {
 }
 
 fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
+    let mut h = sweep::harness("survival13");
     let five = !h.flag("--eight-only");
     let eight = !h.flag("--five-only");
-    let mut log = h.log("survival13");
+    h.end_flags();
 
     // The five detailed problems contribute (crash, survive) column
     // pairs; each of the other eight renders its whole row (its crash
@@ -105,9 +104,7 @@ fn main() {
 
     let mut rows = Vec::new();
     if five {
-        let out = sweep::run_all(jobs, five_specs);
-        log.absorb(&out);
-        let mut cells = out.into_iter().map(|o| o.result);
+        let mut cells = h.run(five_specs).into_iter();
         for (name, story) in five_meta {
             rows.push(vec![
                 name.to_string(),
@@ -118,9 +115,7 @@ fn main() {
         }
     }
     if eight {
-        let out = sweep::run_all(jobs, eight_specs);
-        log.absorb(&out);
-        rows.extend(out.into_iter().map(|o| o.result));
+        rows.extend(h.run(eight_specs));
     }
 
     let header = cols(&[
@@ -137,5 +132,5 @@ fn main() {
         &header,
         &rows,
     );
-    log.finish();
+    h.finish();
 }

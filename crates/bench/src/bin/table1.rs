@@ -61,16 +61,13 @@ macro_rules! problem_specs {
 }
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let args = h.args.clone();
-    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
-    let mut log = h.log("table1");
+    let mut h = sweep::harness("table1");
+    h.end_flags();
 
     // (Name, Data, Config) in table order; each contributes 3 jobs.
     let mut meta: Vec<(&str, &str, String)> = Vec::new();
     let mut specs: Vec<RunSpec<String>> = Vec::new();
-    if want("msa") {
+    if h.wants("msa") {
         meta.push((
             "MSA",
             "StackOverflow FD 29GB",
@@ -78,7 +75,7 @@ fn main() {
         ));
         problem_specs!(specs, "MSA", msa);
     }
-    if want("imc") {
+    if h.wants("imc") {
         meta.push((
             "IMC",
             "Wikipedia FD 49GB",
@@ -86,7 +83,7 @@ fn main() {
         ));
         problem_specs!(specs, "IMC", imc);
     }
-    if want("iib") {
+    if h.wants("iib") {
         meta.push((
             "IIB",
             "Wikipedia FD 49GB",
@@ -94,7 +91,7 @@ fn main() {
         ));
         problem_specs!(specs, "IIB", iib);
     }
-    if want("wcm") {
+    if h.wants("wcm") {
         meta.push((
             "WCM",
             "Wikipedia FD 49GB",
@@ -102,14 +99,12 @@ fn main() {
         ));
         problem_specs!(specs, "WCM", wcm);
     }
-    if want("crp") {
+    if h.wants("crp") {
         meta.push(("CRP", "Wikipedia SP 5GB", config_col(&crp::table1_config())));
         problem_specs!(specs, "CRP", crp);
     }
 
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut cells = out.into_iter().map(|o| o.result);
+    let mut cells = h.run(specs).into_iter();
 
     let table: Vec<Vec<String>> = meta
         .into_iter()
@@ -137,5 +132,5 @@ fn main() {
         &header,
         &table,
     );
-    log.finish();
+    h.finish();
 }

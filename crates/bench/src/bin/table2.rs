@@ -29,41 +29,36 @@ fn row<T>(name: &str, s: &RunSummary<T>) -> Vec<String> {
 }
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let args = h.args.clone();
-    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
-    let mut log = h.log("table2");
+    let mut h = sweep::harness("table2");
+    h.end_flags();
 
     let mut specs: Vec<RunSpec<Vec<String>>> = Vec::new();
-    if want("msa") {
+    if h.wants("msa") {
         specs.push(sweep::spec("table2 MSA itask", || {
             row("MSA", &msa::run_itask(SEED))
         }));
     }
-    if want("imc") {
+    if h.wants("imc") {
         specs.push(sweep::spec("table2 IMC itask", || {
             row("IMC", &imc::run_itask(SEED))
         }));
     }
-    if want("iib") {
+    if h.wants("iib") {
         specs.push(sweep::spec("table2 IIB itask", || {
             row("IIB", &iib::run_itask(SEED))
         }));
     }
-    if want("wcm") {
+    if h.wants("wcm") {
         specs.push(sweep::spec("table2 WCM itask", || {
             row("WCM", &wcm::run_itask(SEED))
         }));
     }
-    if want("crp") {
+    if h.wants("crp") {
         specs.push(sweep::spec("table2 CRP itask", || {
             row("CRP", &crp::run_itask(SEED))
         }));
     }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let rows: Vec<Vec<String>> = out.into_iter().map(|o| o.result).collect();
+    let rows = h.run(specs);
 
     let header = cols(&[
         "Name",
@@ -78,5 +73,5 @@ fn main() {
         &header,
         &rows,
     );
-    log.finish();
+    h.finish();
 }

@@ -10,9 +10,8 @@ use simcore::ByteSize;
 use workloads::webmap::{WebmapConfig, WebmapSize};
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let mut log = h.log("table3");
+    let mut h = sweep::harness("table3");
+    h.end_flags();
 
     let header = cols(&[
         "dataset",
@@ -42,13 +41,11 @@ fn main() {
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let rows: Vec<Vec<String>> = out.into_iter().map(|o| o.result).collect();
+    let rows = h.run(specs);
     print_table(
         "Table 3: webmap inputs (Yahoo! Webmap, scaled 1/1024)",
         &header,
         &rows,
     );
-    log.finish();
+    h.finish();
 }

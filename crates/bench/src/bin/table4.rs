@@ -8,9 +8,8 @@ use itask_bench::{cols, print_table};
 use workloads::tpch::{TpchConfig, TpchScale};
 
 fn main() {
-    let h = sweep::harness();
-    let jobs = h.jobs;
-    let mut log = h.log("table4");
+    let mut h = sweep::harness("table4");
+    h.end_flags();
 
     let header = cols(&[
         "scale",
@@ -46,9 +45,7 @@ fn main() {
             })
         })
         .collect();
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let rows: Vec<Vec<String>> = out.into_iter().map(|o| o.result).collect();
+    let rows = h.run(specs);
     print_table("Table 4: TPC-H inputs (scaled 1/1024)", &header, &rows);
-    log.finish();
+    h.finish();
 }

@@ -6,85 +6,17 @@
 //!
 //! Usage: `table6 [--jobs N] [program ...]`; `--quick` limits to 3 datasets.
 
-use apps::hyracks_apps::{gr, hj, hs, ii, wc, HyracksParams};
-use itask_bench::sweep::{self, RunSpec};
-use itask_bench::{cols, print_table, Cell};
+use itask_bench::programs::{best_regular, params, Dataset, Program, PROGRAMS, THREADS};
+use itask_bench::{cols, print_table, sweep, Cell};
 use workloads::tpch::TpchScale;
-use workloads::webmap::WebmapSize;
 
-const THREADS: [usize; 5] = [1, 2, 4, 6, 8];
-
-fn params(threads: usize) -> HyracksParams {
-    HyracksParams {
-        threads,
-        ..HyracksParams::default()
-    }
-}
-
-struct Summary {
-    time_wins: usize,
-    time_savings: Vec<f64>,
-    heap_wins: usize,
-    heap_savings: Vec<f64>,
-    datasets: usize,
-    reg_largest: Option<usize>,
-    itask_largest: Option<usize>,
-}
-
-/// Replays the serial selection over measured cells: per dataset, the
-/// five regular runs (thread sweep) followed by the ITask run.
-fn summarize(n_sets: usize, cells: &mut impl Iterator<Item = Cell>) -> Summary {
-    let mut s = Summary {
-        time_wins: 0,
-        time_savings: Vec::new(),
-        heap_wins: 0,
-        heap_savings: Vec::new(),
-        datasets: n_sets,
-        reg_largest: None,
-        itask_largest: None,
-    };
-    for d in 0..n_sets {
-        // Regular at its best thread count.
-        let mut best: Option<Cell> = None;
-        for _ in &THREADS {
-            let r = cells.next().expect("regular cell");
-            let better = match (&best, r.ok) {
-                (None, _) => true,
-                (Some(b), true) => !b.ok || r.elapsed < b.elapsed,
-                (Some(b), false) => !b.ok && r.elapsed > b.elapsed,
-            };
-            if better {
-                best = Some(r);
-            }
-        }
-        let reg = best.expect("ran at least one config");
-        let it = cells.next().expect("itask cell");
-        if reg.ok {
-            s.reg_largest = Some(d);
-        }
-        if it.ok {
-            s.itask_largest = Some(d);
-        }
-        if it.ok && (!reg.ok || it.elapsed <= reg.elapsed) {
-            s.time_wins += 1;
-        }
-        if it.ok && reg.ok {
-            let rs = reg.elapsed.as_secs_f64();
-            let is = it.elapsed.as_secs_f64();
-            s.time_savings.push((rs - is) / rs);
-            let rp = reg.peak.as_u64() as f64;
-            let ip = it.peak.as_u64() as f64;
-            s.heap_savings.push((rp - ip) / rp);
-            if ip <= rp {
-                s.heap_wins += 1;
-            }
-        } else if it.ok {
-            // Regular failed: ITask wins on memory by surviving.
-            s.heap_wins += 1;
-        }
-    }
-    s
-}
+/// The paper's upper-bound probes past the tested datasets: the ITask
+/// version of HJ at 600x and of GR at 250x, with the GB each counts for
+/// when it completes.
+const PROBES: [(&str, TpchScale, f64); 2] = [
+    ("hj", TpchScale::X600, 600.0 * 9.8 / 10.0),
+    ("gr", TpchScale::X250, 250.0 * 9.8 / 10.0),
+];
 
 fn mean(v: &[f64]) -> f64 {
     if v.is_empty() {
@@ -94,125 +26,98 @@ fn mean(v: &[f64]) -> f64 {
     }
 }
 
-fn main() {
-    let mut h = sweep::harness();
-    let jobs = h.jobs;
-    let quick = h.flag("--quick");
-    let args = h.args.clone();
-    let want = |p: &str| args.is_empty() || args.iter().any(|a| a == p);
-    let webmap: Vec<WebmapSize> = {
-        let mut v = WebmapSize::ALL.to_vec();
-        v.reverse();
-        v
+/// One program's row, replayed over its measured cells: per dataset,
+/// the regular thread sweep followed by the ITask run, then the
+/// program's probe if it has one.
+fn summarize(p: &Program, n_sets: usize, cells: &mut impl Iterator<Item = Cell>) -> Vec<String> {
+    let (mut time_wins, mut heap_wins) = (0, 0);
+    let (mut time_savings, mut heap_savings) = (Vec::new(), Vec::new());
+    let (mut reg_gb, mut it_gb) = (0.0, 0.0);
+    for &(_, gb) in &p.datasets[..n_sets] {
+        let (_, reg) = best_regular(cells);
+        let it = cells.next().expect("itask cell");
+        if reg.ok {
+            reg_gb = gb;
+        }
+        if it.ok {
+            it_gb = gb;
+        }
+        if it.ok && (!reg.ok || it.elapsed <= reg.elapsed) {
+            time_wins += 1;
+        }
+        if it.ok && reg.ok {
+            let rs = reg.elapsed.as_secs_f64();
+            let is = it.elapsed.as_secs_f64();
+            time_savings.push((rs - is) / rs);
+            let rp = reg.peak.as_u64() as f64;
+            let ip = it.peak.as_u64() as f64;
+            heap_savings.push((rp - ip) / rp);
+            if ip <= rp {
+                heap_wins += 1;
+            }
+        } else if it.ok {
+            // Regular failed: ITask wins on memory by surviving.
+            heap_wins += 1;
+        }
+    }
+    // The ITask versions processed every tested dataset; the paper
+    // probes further (600x for HJ, 250x for GR).
+    if let Some(&(_, _, probe_gb)) = PROBES.iter().find(|(key, ..)| *key == p.key) {
+        if cells.next().expect("probe cell").ok {
+            it_gb = probe_gb;
+        }
+    }
+    let scal = if reg_gb > 0.0 {
+        it_gb / reg_gb
+    } else {
+        f64::NAN
     };
-    let tpch = TpchScale::TABLE4;
-    let n_web = if quick { 3 } else { webmap.len() };
-    let n_tpch = if quick { 3 } else { tpch.len() };
-    let mut log = h.log("table6");
+    vec![
+        p.name.to_string(),
+        format!("{time_wins}/{n_sets}"),
+        format!("{:.1}%", mean(&time_savings) * 100.0),
+        format!("{heap_wins}/{n_sets}"),
+        format!("{:.1}%", mean(&heap_savings) * 100.0),
+        format!("{:.2}x", scal),
+    ]
+}
 
-    // Paper-scale dataset sizes in GB for the scalability ratio.
-    let web_gb = [3.0, 10.0, 14.0, 27.0, 44.0, 72.0];
-    let tpch_gb = [9.8, 19.7, 29.7, 49.6, 99.8, 150.4];
+fn main() {
+    let mut h = sweep::harness("table6");
+    let quick = h.flag("--quick");
+    h.end_flags();
+    let progs: Vec<&Program> = PROGRAMS.iter().filter(|p| h.wants(p.key)).collect();
+    let n_for = |p: &Program| if quick { 3 } else { p.datasets.len() };
 
     // Every run of every program is independent, so the whole binary is
     // one batch: per program and dataset, 5 regular runs then the ITask
     // run, followed by the HJ/GR upper-bound probes.
-    let progs: Vec<&str> = ["wc", "hs", "ii", "hj", "gr"]
+    let mut specs = Vec::new();
+    for &p in &progs {
+        for &(ds, _) in &p.datasets[..n_for(p)] {
+            for t in THREADS {
+                specs.push(sweep::spec(
+                    format!("table6 {} {} reg t{t}", p.key, ds.label()),
+                    move || p.run(ds, false, &params(t)),
+                ));
+            }
+            specs.push(sweep::spec(
+                format!("table6 {} {} itask", p.key, ds.label()),
+                move || p.run(ds, true, &params(8)),
+            ));
+        }
+        if let Some(&(_, scale, _)) = PROBES.iter().find(|(key, ..)| *key == p.key) {
+            specs.push(sweep::spec(
+                format!("table6 {} probe {scale:?}", p.key),
+                move || p.run(Dataset::Tpch(scale), true, &params(8)),
+            ));
+        }
+    }
+    let mut cells = h.run(specs).into_iter();
+    let rows: Vec<Vec<String>> = progs
         .into_iter()
-        .filter(|p| want(p))
+        .map(|p| summarize(p, n_for(p), &mut cells))
         .collect();
-    let mut specs: Vec<RunSpec<Cell>> = Vec::new();
-    for &p in &progs {
-        let (n_sets, labels): (usize, Vec<&str>) = match p {
-            "wc" | "hs" | "ii" => (n_web, webmap.iter().map(|s| s.label()).collect()),
-            _ => (n_tpch, tpch.iter().map(|s| s.label()).collect()),
-        };
-        for d in 0..n_sets {
-            for &t in &THREADS {
-                let label = format!("table6 {p} {} reg t{t}", labels[d]);
-                let (webmap, tpch) = (&webmap, &tpch);
-                specs.push(sweep::spec(label, move || match p {
-                    "wc" => Cell::from_summary(&wc::run_regular(webmap[d], &params(t))),
-                    "hs" => Cell::from_summary(&hs::run_regular(webmap[d], &params(t))),
-                    "ii" => Cell::from_summary(&ii::run_regular(webmap[d], &params(t))),
-                    "hj" => Cell::from_summary(&hj::run_regular(tpch[d], &params(t))),
-                    _ => Cell::from_summary(&gr::run_regular(tpch[d], &params(t))),
-                }));
-            }
-            let label = format!("table6 {p} {} itask", labels[d]);
-            let (webmap, tpch) = (&webmap, &tpch);
-            specs.push(sweep::spec(label, move || match p {
-                "wc" => Cell::from_summary(&wc::run_itask(webmap[d], &params(8))),
-                "hs" => Cell::from_summary(&hs::run_itask(webmap[d], &params(8))),
-                "ii" => Cell::from_summary(&ii::run_itask(webmap[d], &params(8))),
-                "hj" => Cell::from_summary(&hj::run_itask(tpch[d], &params(8))),
-                _ => Cell::from_summary(&gr::run_itask(tpch[d], &params(8))),
-            }));
-        }
-        if p == "hj" {
-            specs.push(sweep::spec("table6 hj probe X600", || {
-                Cell::from_summary(&hj::run_itask(TpchScale::X600, &params(8)))
-            }));
-        }
-        if p == "gr" {
-            specs.push(sweep::spec("table6 gr probe X250", || {
-                Cell::from_summary(&gr::run_itask(TpchScale::X250, &params(8)))
-            }));
-        }
-    }
-    let out = sweep::run_all(jobs, specs);
-    log.absorb(&out);
-    let mut cells = out.into_iter().map(|o| o.result);
-
-    let mut rows = Vec::new();
-    let mut add = |name: &str, s: Summary, sizes: &[f64], itask_cap_gb: Option<f64>| {
-        let reg_gb = s.reg_largest.map(|d| sizes[d]).unwrap_or(0.0);
-        // The ITask versions processed every tested dataset; the paper
-        // probes further (600x for HJ, 250x for GR).
-        let it_gb = itask_cap_gb
-            .or(s.itask_largest.map(|d| sizes[d]))
-            .unwrap_or(0.0);
-        let scal = if reg_gb > 0.0 {
-            it_gb / reg_gb
-        } else {
-            f64::NAN
-        };
-        rows.push(vec![
-            name.to_string(),
-            format!("{}/{}", s.time_wins, s.datasets),
-            format!("{:.1}%", mean(&s.time_savings) * 100.0),
-            format!("{}/{}", s.heap_wins, s.datasets),
-            format!("{:.1}%", mean(&s.heap_savings) * 100.0),
-            format!("{:.2}x", scal),
-        ]);
-    };
-
-    for &p in &progs {
-        match p {
-            "wc" => {
-                let s = summarize(n_web, &mut cells);
-                add("WC", s, &web_gb, None);
-            }
-            "hs" => {
-                let s = summarize(n_web, &mut cells);
-                add("HS", s, &web_gb, None);
-            }
-            "ii" => {
-                let s = summarize(n_web, &mut cells);
-                add("II", s, &web_gb, None);
-            }
-            "hj" => {
-                let s = summarize(n_tpch, &mut cells);
-                let probe = cells.next().expect("hj probe cell");
-                add("HJ", s, &tpch_gb, probe.ok.then_some(600.0 * 9.8 / 10.0));
-            }
-            _ => {
-                let s = summarize(n_tpch, &mut cells);
-                let probe = cells.next().expect("gr probe cell");
-                add("GR", s, &tpch_gb, probe.ok.then_some(250.0 * 9.8 / 10.0));
-            }
-        }
-    }
 
     let header = cols(&[
         "Name",
@@ -223,5 +128,5 @@ fn main() {
         "Scalability",
     ]);
     print_table("Table 6: ITask vs regular summary", &header, &rows);
-    log.finish();
+    h.finish();
 }

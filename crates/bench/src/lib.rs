@@ -7,6 +7,7 @@
 
 pub mod dumpfmt;
 pub mod metricsfmt;
+pub mod programs;
 pub mod series;
 pub mod sweep;
 pub mod tracefmt;

@@ -1,4 +1,5 @@
-//! Parallel sweep executor for the table/figure binaries.
+//! Parallel sweep executor and the one driver every harness binary runs
+//! on.
 //!
 //! Every harness binary runs a sweep of independent deterministic
 //! simulations. Each simulation is a self-contained single-threaded
@@ -7,9 +8,11 @@
 //! caller assembles rows in the original spec order, keeping the
 //! printed tables byte-identical to a serial run.
 //!
-//! [`SweepLog`] carries the instrument sinks — `--trace`, `--metrics`,
-//! `--profile` — and writes nothing unless one of them was given.
+//! [`Harness`] parses the common flags, runs each batch on the `--jobs`
+//! pool, and owns the instrument sinks — `--trace`, `--metrics`,
+//! `--profile` — writing nothing unless one of them was given.
 
+use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -46,8 +49,8 @@ pub struct RunOutcome<R> {
     pub label: String,
     /// What the job returned.
     pub result: R,
-    /// The run's harvested trace events, when `--trace` armed the
-    /// tracer (merged in deterministic `(time, node, seq)` order).
+    /// The run's harvested trace events, when the tracer was armed
+    /// (merged in deterministic `(time, node, seq)` order).
     pub trace: Option<tracer::RunTrace>,
     /// The run's folded metrics, when `--metrics` armed the registry
     /// (sampled on the virtual-time cadence grid, `(time, node,
@@ -63,24 +66,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-}
-
-/// Default worker count from an `ITASK_BENCH_JOBS` environment value
-/// (CI and local sweeps set it once instead of hard-coding `--jobs` per
-/// invocation). `None`, empty, or unparsable values fall back to `0`
-/// (auto) — with a stderr warning when a value was present but bad.
-pub fn env_jobs_default(val: Option<&str>) -> usize {
-    match val {
-        None => 0,
-        Some(v) if v.trim().is_empty() => 0,
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("ignoring invalid ITASK_BENCH_JOBS value: {v}");
-                0
-            }
-        },
     }
 }
 
@@ -112,12 +97,11 @@ pub fn take_value(args: &mut Vec<String>, name: &str) -> Option<String> {
 }
 
 /// Extracts `--jobs N` / `--jobs=N` from an argument list (mutating
-/// it), returning the requested worker count (`0` = auto). With no flag
-/// present, falls back to the `ITASK_BENCH_JOBS` environment variable.
-/// Exits with an error message on a malformed flag value.
+/// it), returning the requested worker count (`0` = auto when the flag
+/// is absent). Exits with an error message on a malformed flag value.
 pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
     let Some(value) = take_value(args, "--jobs") else {
-        return env_jobs_default(std::env::var("ITASK_BENCH_JOBS").ok().as_deref());
+        return 0;
     };
     match value.parse::<usize>() {
         Ok(n) if n > 0 => n,
@@ -130,7 +114,7 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
 
 /// Extracts `--profile` from an argument list (mutating it). When the
 /// flag is present, resets and arms the in-simulator profiler including
-/// its wall-clock sidecar; [`SweepLog::finish`] then writes the
+/// its wall-clock sidecar; [`Harness::finish`] then writes the
 /// per-stage breakdown to `<dir>/sweeps/<bin>.profile.json` and a
 /// human-readable `<dir>/sweeps/<bin>.profile.txt`.
 ///
@@ -155,9 +139,9 @@ pub fn take_profile_flag(args: &mut Vec<String>) -> bool {
 
 /// Extracts `--trace <path>` / `--trace=<path>` from an argument list
 /// (mutating it). When present, arms the global [`tracer`]; the
-/// executor then buffers each run's events and [`SweepLog::finish`]
-/// writes Chrome trace-event JSON to `<path>` plus a compact JSONL twin
-/// to `<path>.jsonl` (the format `tracectl` consumes).
+/// executor then buffers each run's events and [`Harness::run`] streams
+/// Chrome trace-event JSON to `<path>` plus a compact JSONL twin to
+/// `<path>.jsonl` (the format `tracectl` consumes).
 ///
 /// Stdout is untouched: the deterministic tables stay byte-identical
 /// with and without `--trace`, and the trace files themselves are
@@ -174,9 +158,10 @@ pub fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
 /// `--metrics-cadence-ms N` / `--metrics-cadence-ms=N` from an argument
 /// list (mutating it). When a path is present, arms the global
 /// [`metrics`] registry (and installs the cadence if one was given);
-/// the executor then folds each run's metric stream on its worker and
-/// [`SweepLog::finish`] writes JSONL samples to `<path>` plus an
-/// OpenMetrics-style final snapshot to `<path>.om`.
+/// the executor then folds each run's metric stream on its worker,
+/// [`Harness::run`] streams JSONL samples to `<path>`, and
+/// [`Harness::finish`] writes an OpenMetrics-style final snapshot to
+/// `<path>.om`.
 ///
 /// Stdout is untouched: the deterministic tables stay byte-identical
 /// with and without `--metrics`, and the dumps themselves are
@@ -200,52 +185,57 @@ pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
     path
 }
 
-/// The shared flag surface of every bench binary, parsed in one call.
+/// The one driver of every bench binary: its flag surface, its sweep
+/// executor and its instrument sinks.
 ///
 /// [`harness`] consumes the common flags — `--jobs`, `--profile`,
 /// `--trace`, `--metrics`, `--metrics-cadence-ms` — with identical
 /// semantics everywhere (arming the profiler, tracer, and metrics
-/// registry as a side effect, exactly like the individual
-/// `take_*_flag` helpers). Binary-specific flags come off with
-/// [`Harness::flag`] and [`Harness::value`]; whatever remains is
-/// positional. [`Harness::log`] then rejects any flag nobody consumed
-/// and builds a [`SweepLog`] with the trace and metrics sinks already
-/// attached, so `--trace`, `--profile`, and `--metrics` compose on
-/// every binary without per-binary plumbing.
+/// registry as a side effect). Binary-specific flags come off with
+/// [`flag`](Self::flag) and [`value`](Self::value); whatever remains is
+/// positional. [`end_flags`](Self::end_flags) rejects any flag nobody
+/// consumed and opens the dump files; each [`run`](Self::run) streams
+/// its batch into them; [`finish`](Self::finish) closes them and writes
+/// the `--profile` sidecars (`<dir>/sweeps/<bin>.profile.{json,txt}`,
+/// `<dir>` = `bench_results`, overridable via `ITASK_BENCH_RESULTS`).
+/// A binary run with none of the three instrument flags writes no file.
 pub struct Harness {
     /// Arguments left after the common flags were consumed.
     pub args: Vec<String>,
+    /// The binary's name, for the usage line and the profile sidecars.
+    pub bin: String,
     /// Resolved `--jobs` (0 = auto).
-    pub jobs: usize,
-    /// Whether `--profile` armed the profiler.
-    pub profile: bool,
-    /// The `--trace` path, if any (tracer already armed).
-    pub trace: Option<String>,
-    /// The `--metrics` path, if any (registry already armed).
-    pub metrics: Option<String>,
+    jobs: usize,
+    /// The `--trace` / `--metrics` paths, until `end_flags` opens them.
+    trace_path: Option<String>,
+    metrics_path: Option<String>,
+    trace: Option<TraceStream>,
+    metrics: Option<MetricsStream>,
     /// Binary-specific flags asked for so far, as the usage line shows
     /// them.
     known: Vec<String>,
 }
 
-/// Parses the process arguments into a [`Harness`].
-pub fn harness() -> Harness {
+/// Parses the process arguments of binary `bin` into a [`Harness`].
+pub fn harness(bin: &str) -> Harness {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    parse_harness(&mut args)
+    parse_harness(bin, &mut args)
 }
 
 /// Flag-parsing core of [`harness`], testable on a plain argument list.
-pub fn parse_harness(args: &mut Vec<String>) -> Harness {
+pub fn parse_harness(bin: &str, args: &mut Vec<String>) -> Harness {
     let jobs = take_jobs_flag(args);
-    let profile = take_profile_flag(args);
-    let trace = take_trace_flag(args);
-    let metrics = take_metrics_flag(args);
+    take_profile_flag(args);
+    let trace_path = take_trace_flag(args);
+    let metrics_path = take_metrics_flag(args);
     Harness {
         args: std::mem::take(args),
+        bin: bin.to_string(),
         jobs,
-        profile,
-        trace,
-        metrics,
+        trace_path,
+        metrics_path,
+        trace: None,
+        metrics: None,
         known: Vec::new(),
     }
 }
@@ -266,6 +256,12 @@ impl Harness {
         take_value(&mut self.args, name)
     }
 
+    /// Whether the positional arguments select `name`; with none given,
+    /// every name is selected.
+    pub fn wants(&self, name: &str) -> bool {
+        self.args.is_empty() || self.args.iter().any(|a| a == name)
+    }
+
     /// The first `--…` argument no [`flag`](Self::flag) or
     /// [`value`](Self::value) call consumed.
     fn leftover_flag(&self) -> Option<&str> {
@@ -274,10 +270,11 @@ impl Harness {
     }
 
     /// One-line usage: the common flags, then this binary's own.
-    fn usage(&self, bin: &str) -> String {
+    fn usage(&self) -> String {
         let mut line = format!(
-            "usage: {bin} [--jobs N] [--profile] [--trace PATH] [--metrics PATH] \
-             [--metrics-cadence-ms N]"
+            "usage: {} [--jobs N] [--profile] [--trace PATH] [--metrics PATH] \
+             [--metrics-cadence-ms N]",
+            self.bin
         );
         for flag in &self.known {
             line.push_str(&format!(" [{flag}]"));
@@ -286,24 +283,98 @@ impl Harness {
         line
     }
 
-    /// Builds the binary's [`SweepLog`] with the trace and metrics
-    /// sinks attached. Call after every [`flag`](Self::flag) and
-    /// [`value`](Self::value): a `--…` argument still present is
-    /// unknown and exits 2 with the usage line (`--help` prints it and
-    /// exits 0), so a typo never launches a sweep.
-    pub fn log(&self, bin: &str) -> SweepLog {
+    /// Ends flag parsing. Call after every [`flag`](Self::flag) and
+    /// [`value`](Self::value) and before printing anything: a `--…`
+    /// argument still present is unknown and exits 2 with the usage
+    /// line (`--help` prints it and exits 0), so a typo never launches
+    /// a sweep. Then opens the `--trace` / `--metrics` files; one that
+    /// cannot be created is reported on stderr and disarmed.
+    pub fn end_flags(&mut self) {
         if let Some(flag) = self.leftover_flag() {
             if flag == "--help" {
-                println!("{}", self.usage(bin));
+                println!("{}", self.usage());
                 std::process::exit(0);
             }
-            eprintln!("{bin}: unknown flag {flag}\n{}", self.usage(bin));
+            eprintln!("{}: unknown flag {flag}\n{}", self.bin, self.usage());
             std::process::exit(2);
         }
-        let mut log = SweepLog::new(bin);
-        log.set_trace(self.trace.clone());
-        log.set_metrics(self.metrics.clone());
-        log
+        self.trace = self.trace_path.take().and_then(|path| {
+            TraceStream::open(&path)
+                .map_err(|e| eprintln!("[sweep] could not open trace files, disarming: {e}"))
+                .ok()
+        });
+        self.metrics = self.metrics_path.take().and_then(|path| {
+            MetricsStream::open(&path)
+                .map_err(|e| eprintln!("[sweep] could not open metrics file, disarming: {e}"))
+                .ok()
+        });
+    }
+
+    /// Runs one batch on the `--jobs` pool, streams its traces and
+    /// metrics to the armed dumps, and returns the results in spec
+    /// order.
+    pub fn run<R: Send>(&mut self, specs: Vec<RunSpec<'_, R>>) -> Vec<R> {
+        let outcomes = self.run_outcomes(specs);
+        outcomes.into_iter().map(|o| o.result).collect()
+    }
+
+    /// [`run`](Self::run), returning each run's label and harvested
+    /// trace alongside its result (for binaries that read their own
+    /// trace stream).
+    pub fn run_outcomes<R: Send>(&mut self, specs: Vec<RunSpec<'_, R>>) -> Vec<RunOutcome<R>> {
+        let outcomes = run_all(self.jobs, specs);
+        for o in &outcomes {
+            if let (Some(stream), Some(trace)) = (&mut self.trace, &o.trace) {
+                if let Err(e) = stream.append(&o.label, trace) {
+                    eprintln!("[sweep] could not stream trace, disarming: {e}");
+                    self.trace = None;
+                }
+            }
+            if let (Some(stream), Some(m)) = (&mut self.metrics, &o.metrics) {
+                if let Err(e) = stream.append(&o.label, m) {
+                    eprintln!("[sweep] could not stream metrics, disarming: {e}");
+                    self.metrics = None;
+                }
+            }
+        }
+        outcomes
+    }
+
+    /// Closes the trace and metrics files and, with `--profile` armed,
+    /// writes the profile sidecars.
+    ///
+    /// IO failures are reported on stderr but never fail the binary:
+    /// the tables themselves are the primary artifact.
+    pub fn finish(mut self) {
+        if let Some(Err(e)) = self.trace.take().map(TraceStream::close) {
+            eprintln!("[sweep] could not write trace files: {e}");
+        }
+        if let Some(Err(e)) = self.metrics.take().map(MetricsStream::close) {
+            eprintln!("[sweep] could not write metrics files: {e}");
+        }
+        if let Err(e) = self.write_profile() {
+            eprintln!("[sweep] could not write profile sidecars: {e}");
+        }
+    }
+
+    /// With `--profile` armed, writes the per-stage breakdown (the
+    /// deterministic counters plus the wall sidecar) as JSON and as a
+    /// human-readable twin.
+    fn write_profile(&self) -> std::io::Result<()> {
+        if !prof::is_enabled() {
+            return Ok(());
+        }
+        let snap = prof::snapshot();
+        let sweep_dir = results_dir().join("sweeps");
+        std::fs::create_dir_all(&sweep_dir)?;
+        std::fs::write(
+            sweep_dir.join(format!("{}.profile.json", self.bin)),
+            prof::to_json(&snap),
+        )?;
+        std::fs::write(
+            sweep_dir.join(format!("{}.profile.txt", self.bin)),
+            prof::render_sidecar(&snap),
+        )
     }
 }
 
@@ -387,46 +458,34 @@ fn split_harvest(
     (want_trace.then_some(trace_events), Some(folded))
 }
 
-/// Per-binary instrument sinks: the streamed `--trace` / `--metrics`
-/// dumps and, when `--profile` is armed, the per-stage breakdown in
-/// `<dir>/sweeps/<bin>.profile.{json,txt}` (`<dir>` is `bench_results`,
-/// overridable via `ITASK_BENCH_RESULTS`). A binary run with none of
-/// the three writes no file at all.
-pub struct SweepLog {
-    bin: String,
-    trace_path: Option<String>,
-    stream: Option<TraceStream>,
-    metrics_path: Option<String>,
-    mstream: Option<MetricsStream>,
+/// Creates `path` (and its parent directories) for buffered writing.
+fn create(path: &std::path::Path) -> std::io::Result<BufWriter<std::fs::File>> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    Ok(BufWriter::new(std::fs::File::create(path)?))
 }
 
-/// Incremental trace writer: each absorbed run is rendered, appended to
-/// both files, and flushed immediately, so the log never holds more
-/// than one run's events beyond the executor's own buffers — a sweep of
+/// Incremental trace writer: each run is rendered, appended to both
+/// files, and flushed immediately, so the harness never holds more than
+/// one run's events beyond the executor's own buffers — a sweep of
 /// hundreds of traced runs streams to disk instead of accumulating.
 /// The Chrome array's comma state (`first`) lives here so the streamed
 /// bytes are identical to a whole-buffer render.
 struct TraceStream {
-    chrome: std::io::BufWriter<std::fs::File>,
-    jsonl: std::io::BufWriter<std::fs::File>,
+    chrome: BufWriter<std::fs::File>,
+    jsonl: BufWriter<std::fs::File>,
     run: usize,
     first: bool,
 }
 
 impl TraceStream {
     fn open(path: &str) -> std::io::Result<Self> {
-        use std::io::Write;
-        let path = std::path::Path::new(path);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut chrome = std::io::BufWriter::new(std::fs::File::create(path)?);
+        let mut chrome = create(path.as_ref())?;
         chrome.write_all(tracer::CHROME_HEADER.as_bytes())?;
-        let mut jsonl_path = path.as_os_str().to_owned();
-        jsonl_path.push(".jsonl");
-        let jsonl = std::io::BufWriter::new(std::fs::File::create(jsonl_path)?);
+        let jsonl = create(format!("{path}.jsonl").as_ref())?;
         Ok(TraceStream {
             chrome,
             jsonl,
@@ -436,23 +495,18 @@ impl TraceStream {
     }
 
     fn append(&mut self, label: &str, events: &tracer::RunTrace) -> std::io::Result<()> {
-        use std::io::Write;
         self.chrome
             .write_all(tracer::chrome_run(self.run, label, events, &mut self.first).as_bytes())?;
         self.jsonl
             .write_all(tracer::jsonl_run(self.run, label, events).as_bytes())?;
         self.run += 1;
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        use std::io::Write;
         self.chrome.flush()?;
         self.jsonl.flush()
     }
 
+    /// Writes the Chrome footer. A traced sweep that harvested zero
+    /// runs still produces valid empty files.
     fn close(mut self) -> std::io::Result<()> {
-        use std::io::Write;
         self.chrome.write_all(tracer::CHROME_FOOTER.as_bytes())?;
         self.chrome.flush()?;
         self.jsonl.flush()
@@ -460,208 +514,36 @@ impl TraceStream {
 }
 
 /// Incremental metrics writer: sampled points stream to `<path>` as
-/// JSONL per absorbed run; the folded runs are retained (they are tiny
-/// next to the raw event stream) so [`MetricsStream::close`] can render
-/// the OpenMetrics-style final snapshot to `<path>.om`.
+/// JSONL per run; the folded runs are retained (they are tiny next to
+/// the raw event stream) so [`MetricsStream::close`] can render the
+/// OpenMetrics-style final snapshot to `<path>.om`.
 struct MetricsStream {
-    jsonl: std::io::BufWriter<std::fs::File>,
-    om_path: std::ffi::OsString,
+    jsonl: BufWriter<std::fs::File>,
+    om_path: String,
     runs: Vec<(String, metrics::RunMetrics)>,
 }
 
 impl MetricsStream {
     fn open(path: &str) -> std::io::Result<Self> {
-        let path = std::path::Path::new(path);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let jsonl = std::io::BufWriter::new(std::fs::File::create(path)?);
-        let mut om_path = path.as_os_str().to_owned();
-        om_path.push(".om");
         Ok(MetricsStream {
-            jsonl,
-            om_path,
+            jsonl: create(path.as_ref())?,
+            om_path: format!("{path}.om"),
             runs: Vec::new(),
         })
     }
 
     fn append(&mut self, label: &str, m: &metrics::RunMetrics) -> std::io::Result<()> {
-        use std::io::Write;
         self.jsonl
             .write_all(metrics::jsonl_run(self.runs.len(), label, m).as_bytes())?;
         self.runs.push((label.to_string(), m.clone()));
-        Ok(())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        use std::io::Write;
         self.jsonl.flush()
     }
 
+    /// Writes the `.om` snapshot. A metered sweep that harvested zero
+    /// runs still produces valid empty files.
     fn close(mut self) -> std::io::Result<()> {
-        self.flush()?;
+        self.jsonl.flush()?;
         std::fs::write(&self.om_path, metrics::openmetrics(&self.runs))
-    }
-}
-
-impl SweepLog {
-    /// Starts a log for one binary.
-    pub fn new(bin: &str) -> Self {
-        SweepLog {
-            bin: bin.to_string(),
-            trace_path: None,
-            stream: None,
-            metrics_path: None,
-            mstream: None,
-        }
-    }
-
-    /// Arms trace export: each absorbed batch streams Chrome JSON to
-    /// `path` and JSONL to `path.jsonl` (run index = batch order), and
-    /// [`SweepLog::finish`] closes the files. Pass the value returned by
-    /// [`take_trace_flag`].
-    pub fn set_trace(&mut self, path: Option<String>) {
-        self.trace_path = path;
-    }
-
-    /// Arms metrics export: each absorbed batch streams JSONL samples
-    /// to `path` (run index = batch order) and [`SweepLog::finish`]
-    /// writes the final OpenMetrics snapshot to `path.om`. Pass the
-    /// value returned by [`take_metrics_flag`].
-    pub fn set_metrics(&mut self, path: Option<String>) {
-        self.metrics_path = path;
-    }
-
-    /// Streams a batch's harvested traces and metrics straight to
-    /// their files (flushed per batch — nothing is buffered across
-    /// batches).
-    pub fn absorb<R>(&mut self, outcomes: &[RunOutcome<R>]) {
-        let mut wrote = false;
-        let mut wrote_metrics = false;
-        for o in outcomes {
-            if let Some(trace) = &o.trace {
-                if let Err(e) = self.append_trace(&o.label, trace) {
-                    eprintln!("[sweep] could not stream trace, disarming: {e}");
-                    self.trace_path = None;
-                    self.stream = None;
-                }
-                wrote = true;
-            }
-            if let Some(m) = &o.metrics {
-                if let Err(e) = self.append_metrics(&o.label, m) {
-                    eprintln!("[sweep] could not stream metrics, disarming: {e}");
-                    self.metrics_path = None;
-                    self.mstream = None;
-                }
-                wrote_metrics = true;
-            }
-        }
-        if wrote {
-            if let Some(stream) = &mut self.stream {
-                if let Err(e) = stream.flush() {
-                    eprintln!("[sweep] could not flush trace files: {e}");
-                }
-            }
-        }
-        if wrote_metrics {
-            if let Some(stream) = &mut self.mstream {
-                if let Err(e) = stream.flush() {
-                    eprintln!("[sweep] could not flush metrics file: {e}");
-                }
-            }
-        }
-    }
-
-    /// Appends one run to the trace files, opening them on first use.
-    fn append_trace(&mut self, label: &str, trace: &tracer::RunTrace) -> std::io::Result<()> {
-        if self.stream.is_none() {
-            let Some(path) = &self.trace_path else {
-                return Ok(());
-            };
-            self.stream = Some(TraceStream::open(path)?);
-        }
-        self.stream
-            .as_mut()
-            .expect("just opened")
-            .append(label, trace)
-    }
-
-    /// Appends one run to the metrics files, opening them on first use.
-    fn append_metrics(&mut self, label: &str, m: &metrics::RunMetrics) -> std::io::Result<()> {
-        if self.mstream.is_none() {
-            let Some(path) = &self.metrics_path else {
-                return Ok(());
-            };
-            self.mstream = Some(MetricsStream::open(path)?);
-        }
-        self.mstream.as_mut().expect("just opened").append(label, m)
-    }
-
-    /// Closes the trace and metrics files and, with `--profile` armed,
-    /// writes the profile sidecars.
-    ///
-    /// IO failures are reported on stderr but never fail the binary:
-    /// the tables themselves are the primary artifact.
-    pub fn finish(mut self) {
-        if let Err(e) = self.finish_traces() {
-            eprintln!("[sweep] could not write trace files: {e}");
-        }
-        if let Err(e) = self.finish_metrics() {
-            eprintln!("[sweep] could not write metrics files: {e}");
-        }
-        if let Err(e) = self.write_profile() {
-            eprintln!("[sweep] could not write profile sidecars: {e}");
-        }
-    }
-
-    /// Closes the trace files (writing the Chrome footer). A traced
-    /// sweep that harvested zero runs still produces valid empty files.
-    fn finish_traces(&mut self) -> std::io::Result<()> {
-        if self.stream.is_none() {
-            if let Some(path) = &self.trace_path {
-                self.stream = Some(TraceStream::open(path)?);
-            }
-        }
-        match self.stream.take() {
-            Some(stream) => stream.close(),
-            None => Ok(()),
-        }
-    }
-
-    /// Closes the metrics files (writing the `.om` snapshot). A metered
-    /// sweep that harvested zero runs still produces valid empty files.
-    fn finish_metrics(&mut self) -> std::io::Result<()> {
-        if self.mstream.is_none() {
-            if let Some(path) = &self.metrics_path {
-                self.mstream = Some(MetricsStream::open(path)?);
-            }
-        }
-        match self.mstream.take() {
-            Some(stream) => stream.close(),
-            None => Ok(()),
-        }
-    }
-
-    /// With `--profile` armed, writes the per-stage breakdown (the
-    /// deterministic counters plus the wall sidecar) as JSON and as a
-    /// human-readable twin.
-    fn write_profile(&self) -> std::io::Result<()> {
-        if !prof::is_enabled() {
-            return Ok(());
-        }
-        let snap = prof::snapshot();
-        let sweep_dir = results_dir().join("sweeps");
-        std::fs::create_dir_all(&sweep_dir)?;
-        std::fs::write(
-            sweep_dir.join(format!("{}.profile.json", self.bin)),
-            prof::to_json(&snap),
-        )?;
-        std::fs::write(
-            sweep_dir.join(format!("{}.profile.txt", self.bin)),
-            prof::render_sidecar(&snap),
-        )
     }
 }
 
@@ -685,6 +567,14 @@ mod tests {
         ARMING
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A harness for `bin` with the given instrument flags, parsed and
+    /// with its dump files open.
+    fn armed(bin: &str, flags: &[String]) -> Harness {
+        let mut h = parse_harness(bin, &mut flags.to_vec());
+        h.end_flags();
+        h
     }
 
     #[test]
@@ -716,7 +606,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a: Vec<u64> = run_all(1, mk()).into_iter().map(|o| o.result).collect();
-        let b: Vec<u64> = run_all(4, mk()).into_iter().map(|o| o.result).collect();
+        let b = armed("agree", &["--jobs=4".into()]).run(mk());
         assert_eq!(a, b);
     }
 
@@ -730,19 +620,6 @@ mod tests {
         assert_eq!(args, vec!["wc".to_string()]);
         let mut args = vec!["wc".to_string()];
         assert_eq!(take_jobs_flag(&mut args), 0);
-    }
-
-    #[test]
-    fn env_default_parses_and_rejects() {
-        // The pure helper is what `take_jobs_flag` consults when no
-        // --jobs flag is present (flag wins when both are given).
-        assert_eq!(env_jobs_default(None), 0);
-        assert_eq!(env_jobs_default(Some("")), 0);
-        assert_eq!(env_jobs_default(Some("  ")), 0);
-        assert_eq!(env_jobs_default(Some("4")), 4);
-        assert_eq!(env_jobs_default(Some(" 2 ")), 2);
-        assert_eq!(env_jobs_default(Some("zero")), 0);
-        assert_eq!(env_jobs_default(Some("-1")), 0);
     }
 
     #[test]
@@ -768,35 +645,33 @@ mod tests {
         let _arming = arming_lock();
         let dir = std::env::temp_dir().join(format!("itask_sweeptrace_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        tracer::enable();
-        let specs: Vec<RunSpec<'_, ()>> = (0..2u64)
-            .map(|i| {
-                spec(format!("run{i}"), move || {
-                    tracer::emit(
-                        None,
-                        None,
-                        SimTime::from_nanos(i),
-                        SimDuration::ZERO,
-                        tracer::TraceData::NodeCrash,
-                    );
-                })
+        let trace_path = dir.join("trace.json");
+        let mut h = armed(
+            "tracebin",
+            &["--trace".into(), trace_path.to_string_lossy().into_owned()],
+        );
+        let mk = |i: u64| {
+            spec(format!("run{i}"), move || {
+                tracer::emit(
+                    None,
+                    None,
+                    SimTime::from_nanos(i),
+                    SimDuration::ZERO,
+                    tracer::TraceData::NodeCrash,
+                );
             })
-            .collect();
-        let out = run_all(1, specs);
+        };
+        // Run one batch at a time: the stream must flush per run, so
+        // the JSONL grows on disk before finish() is ever called.
+        let mut out = h.run_outcomes(vec![mk(0)]);
+        let partial = std::fs::read_to_string(dir.join("trace.json.jsonl")).unwrap();
+        assert_eq!(partial.lines().count(), 2, "first batch on disk already");
+        out.extend(h.run_outcomes(vec![mk(1)]));
+        h.finish();
         tracer::disable();
         assert!(out
             .iter()
             .all(|o| o.trace.as_ref().is_some_and(|t| !t.is_empty())));
-        let mut log = SweepLog::new("tracebin");
-        let trace_path = dir.join("trace.json");
-        log.set_trace(Some(trace_path.to_string_lossy().into_owned()));
-        // Absorb one run at a time: the stream must flush per batch, so
-        // the JSONL grows on disk before finish() is ever called.
-        log.absorb(&out[..1]);
-        let partial = std::fs::read_to_string(dir.join("trace.json.jsonl")).unwrap();
-        assert_eq!(partial.lines().count(), 2, "first batch on disk already");
-        log.absorb(&out[1..]);
-        log.finish_traces().unwrap();
         let chrome = std::fs::read_to_string(&trace_path).unwrap();
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"run1\""));
@@ -841,15 +716,17 @@ mod tests {
     #[test]
     fn harness_takes_common_and_custom_flags() {
         let mut args = vec!["--jobs=2".to_string(), "--quick".into(), "wc".into()];
-        let mut h = parse_harness(&mut args);
+        let mut h = parse_harness("fig9", &mut args);
         assert_eq!(h.jobs, 2);
-        assert!(!h.profile);
-        assert_eq!(h.trace, None);
-        assert_eq!(h.metrics, None);
+        assert_eq!(h.trace_path, None);
+        assert_eq!(h.metrics_path, None);
         assert!(h.flag("--quick"));
         assert!(!h.flag("--quick"), "flag consumed on first take");
         assert_eq!(h.args, vec!["wc".to_string()]);
         assert_eq!(h.leftover_flag(), None);
+        assert!(h.wants("wc") && !h.wants("hs"));
+        h.args.clear();
+        assert!(h.wants("hs"), "no positional argument selects everything");
     }
 
     #[test]
@@ -858,15 +735,15 @@ mod tests {
         for stale in [&["--shards", "2"][..], &["--no-such-flag"], &["--help"]] {
             let mut args = vec!["--quick".to_string(), "wc".into(), "--csv=out".into()];
             args.extend(stale.iter().map(|a| a.to_string()));
-            let mut h = parse_harness(&mut args);
+            let mut h = parse_harness("fig9", &mut args);
             assert!(h.flag("--quick"));
             assert_eq!(h.value("--csv").as_deref(), Some("out"));
             assert_eq!(h.leftover_flag(), Some(stale[0]));
         }
-        let mut h = parse_harness(&mut vec!["wc".to_string()]);
+        let mut h = parse_harness("fig9", &mut vec!["wc".to_string()]);
         assert!(!h.flag("--quick") && h.value("--csv").is_none());
         assert_eq!(h.leftover_flag(), None);
-        let usage = h.usage("fig9");
+        let usage = h.usage();
         assert!(usage.starts_with("usage: fig9 [--jobs N]"), "{usage}");
         assert!(usage.ends_with("[--quick] [--csv V] [ARGS...]"), "{usage}");
     }
@@ -879,8 +756,17 @@ mod tests {
         let _arming = arming_lock();
         let dir = std::env::temp_dir().join(format!("itask_sweepboth_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        tracer::enable();
-        metrics::enable();
+        let trace_path = dir.join("trace.json");
+        let metrics_path = dir.join("metrics.jsonl");
+        let mut h = armed(
+            "bothbin",
+            &[
+                "--trace".into(),
+                trace_path.to_string_lossy().into_owned(),
+                "--metrics".into(),
+                metrics_path.to_string_lossy().into_owned(),
+            ],
+        );
         let cadence = metrics::cadence_ns();
         let specs: Vec<RunSpec<'_, ()>> = (0..2u64)
             .map(|i| {
@@ -901,7 +787,8 @@ mod tests {
                 })
             })
             .collect();
-        let out = run_all(1, specs);
+        let out = h.run_outcomes(specs);
+        h.finish();
         tracer::disable();
         metrics::disable();
         for o in &out {
@@ -913,14 +800,6 @@ mod tests {
             assert_eq!(m.points[0].at, cadence);
             assert_eq!(m.points[0].value, 3);
         }
-        let mut log = SweepLog::new("bothbin");
-        let trace_path = dir.join("trace.json");
-        let metrics_path = dir.join("metrics.jsonl");
-        log.set_trace(Some(trace_path.to_string_lossy().into_owned()));
-        log.set_metrics(Some(metrics_path.to_string_lossy().into_owned()));
-        log.absorb(&out);
-        log.finish_traces().unwrap();
-        log.finish_metrics().unwrap();
         let chrome = std::fs::read_to_string(&trace_path).unwrap();
         assert!(chrome.contains("\"traceEvents\""));
         let mj = std::fs::read_to_string(&metrics_path).unwrap();

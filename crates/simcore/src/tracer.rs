@@ -637,7 +637,8 @@ pub(crate) fn emit_raw(
     })
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping for labels and kind names.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
