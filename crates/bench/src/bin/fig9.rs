@@ -56,7 +56,6 @@ fn main() {
     let csv = h.value("--csv");
     h.end_flags();
     let progs: Vec<&Program> = PROGRAMS.iter().filter(|p| h.wants(p.key)).collect();
-    // Smallest-first so partial output is useful.
     let n_for = |p: &Program| if quick { 2 } else { p.datasets.len() };
 
     // Every (program, dataset, threads) run is independent: one batch.

@@ -81,7 +81,7 @@ fn pressure_sweep(h: &mut Harness, nodes: usize, quick: bool) {
             })
         })
         .collect();
-    let outcomes: Vec<SmrOutcome> = h.run(specs);
+    let outcomes = h.run(specs);
 
     let mut rows = Vec::new();
     for (i, o) in outcomes.iter().enumerate() {
