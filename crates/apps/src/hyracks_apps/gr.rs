@@ -55,7 +55,7 @@ pub fn inputs(scale: TpchScale, params: &HyracksParams) -> Vec<Vec<Vec<LineItem>
         blocks.push(cfg.lineitem_block(k, per_block));
         k += per_block;
     }
-    hyracks::distribute_blocks(params.nodes, blocks, params.granularity)
+    hyracks::distribute_blocks(super::NODES, blocks, params.granularity)
 }
 
 /// Runs the regular GR.

@@ -98,7 +98,7 @@ pub fn inputs(scale: TpchScale, params: &HyracksParams) -> Vec<Vec<Vec<JoinIn>>>
         );
         k += per_block;
     }
-    hyracks::distribute_blocks(params.nodes, blocks, params.granularity)
+    hyracks::distribute_blocks(super::NODES, blocks, params.granularity)
 }
 
 /// Runs the regular HJ.

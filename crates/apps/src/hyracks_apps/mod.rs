@@ -30,16 +30,22 @@ pub fn webmap_inputs<T: Tuple>(
     let blocks: Vec<Vec<T>> = (0..cfg.num_blocks(block_size))
         .map(|b| cfg.block(b, block_size).into_iter().map(&convert).collect())
         .collect();
-    hyracks::distribute_blocks(params.nodes, blocks, params.granularity)
+    hyracks::distribute_blocks(NODES, blocks, params.granularity)
 }
+
+/// Worker nodes of every Hyracks run (the paper's testbed has 10 slaves).
+pub const NODES: usize = 10;
+
+/// Cores per node.
+pub const CORES: usize = 8;
+
+/// Shuffle buckets: four per (node, core), so one bucket's aggregation
+/// state stays well under a node heap even on the largest datasets.
+pub const BUCKETS: u32 = (NODES * CORES * 4) as u32;
 
 /// Knobs common to every Hyracks run.
 #[derive(Clone, Debug)]
 pub struct HyracksParams {
-    /// Worker nodes (the paper's testbed has 10 slaves).
-    pub nodes: usize,
-    /// Cores per node.
-    pub cores: usize,
     /// Heap per node (paper default "12GB" → 12MiB).
     pub heap_per_node: ByteSize,
     /// Threads per node for the regular version (1–8 in Figure 9).
@@ -56,8 +62,6 @@ pub struct HyracksParams {
 impl Default for HyracksParams {
     fn default() -> Self {
         HyracksParams {
-            nodes: 10,
-            cores: 8,
             heap_per_node: ByteSize::mib(12),
             threads: 8,
             granularity: ByteSize::kib(32),
@@ -72,23 +76,14 @@ impl HyracksParams {
     /// (if any) on every node's substrate and on the fabric.
     pub fn cluster(&self) -> Cluster {
         let mut cluster = Cluster::new(ClusterConfig {
-            nodes: self.nodes,
-            cores: self.cores,
+            nodes: NODES,
+            cores: CORES,
             heap_per_node: self.heap_per_node,
-            disk_per_node: ByteSize::gib(4),
-            ..ClusterConfig::default()
         });
         if let Some(plan) = &self.fault_plan {
             cluster.install_faults(plan.clone());
         }
         cluster
-    }
-
-    /// Shuffle buckets: four per (node, core), so one bucket's
-    /// aggregation state stays well under a node heap even on the
-    /// largest datasets.
-    pub fn buckets(&self) -> u32 {
-        (self.nodes * self.cores * 4) as u32
     }
 }
 
@@ -103,15 +98,14 @@ pub fn run_regular_spec<S: AggSpec>(
         name: spec.name().into(),
         threads: params.threads,
         granularity: params.granularity,
-        buckets: params.buckets(),
+        buckets: BUCKETS,
     };
-    let buckets = params.buckets();
     let (report, result) = hyracks::run_regular(
         &mut cluster,
         inputs,
         &job,
-        || AggMapOp::new(spec.clone(), buckets),
-        || AggReduceOp::new(spec.clone(), buckets),
+        || AggMapOp::new(spec.clone(), BUCKETS),
+        || AggReduceOp::new(spec.clone(), BUCKETS),
     );
     RunSummary { report, result }
 }
@@ -126,13 +120,13 @@ pub fn run_itask_spec<S: AggSpec>(
     let job = ItaskJobSpec {
         name: spec.name().into(),
         irs: IrsConfig {
-            max_parallelism: params.cores,
+            max_parallelism: CORES,
             ..IrsConfig::default()
         },
         granularity: params.granularity,
-        buckets: params.buckets(),
+        buckets: BUCKETS,
     };
-    let factories = itask_factories(spec.clone(), params.buckets());
+    let factories = itask_factories(spec.clone(), BUCKETS);
     let (report, result) =
         hyracks::run_itask::<S::In, S::Mid, S::Out>(&mut cluster, inputs, &job, &factories);
     RunSummary { report, result }

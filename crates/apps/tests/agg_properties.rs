@@ -149,7 +149,7 @@ fn itask_map_flush_calls_bucket_at_most_twice_per_tuple() {
     const N: u64 = 4096;
     let calls = Rc::new(Cell::new(0));
     let params = HyracksParams::default();
-    let mut inputs = vec![Vec::new(); params.nodes];
+    let mut inputs = vec![Vec::new(); apps::hyracks_apps::NODES];
     // Scrambled so neither the fold nor the drain sees sorted keys.
     inputs[0].push(
         (0..N)

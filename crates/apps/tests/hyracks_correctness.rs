@@ -107,7 +107,7 @@ fn webmap_inputs_conserve_every_record() {
     use workloads::webmap::{WebmapConfig, WebmapSize};
     let p = ample();
     let inputs = apps::hyracks_apps::webmap_inputs(WebmapSize::G3, &p, |r| r);
-    assert_eq!(inputs.len(), p.nodes);
+    assert_eq!(inputs.len(), apps::hyracks_apps::NODES);
     let distributed: usize = inputs.iter().flatten().map(Vec::len).sum();
     let cfg = WebmapConfig::preset(WebmapSize::G3, p.seed);
     assert_eq!(distributed as u64, cfg.vertices);

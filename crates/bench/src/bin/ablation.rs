@@ -34,7 +34,7 @@ fn run_with(
     let spec = hyracks::ItaskJobSpec {
         name: "wc-ablation".into(),
         irs: IrsConfig {
-            max_parallelism: params.cores,
+            max_parallelism: apps::hyracks_apps::CORES,
             victim_policy: policy,
             interrupt_mode: mode,
             manager: ManagerConfig { mode: ser },
@@ -45,9 +45,9 @@ fn run_with(
             ..IrsConfig::default()
         },
         granularity: params.granularity,
-        buckets: params.buckets(),
+        buckets: apps::hyracks_apps::BUCKETS,
     };
-    let factories = itask_factories(WcSpec, params.buckets());
+    let factories = itask_factories(WcSpec, apps::hyracks_apps::BUCKETS);
     let inputs = apps::hyracks_apps::webmap_inputs(size, &params, |r| r);
     let (report, result) = hyracks::run_itask::<
         workloads::webmap::AdjRecord,

@@ -48,8 +48,14 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut threshold = DEFAULT_THRESHOLD;
     if let Some(i) = args.iter().position(|a| a == "--threshold") {
-        let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-            eprintln!("metricsctl: --threshold requires a number");
+        // `parse` accepts "NaN" and "inf"; a ratio of live to heap bytes
+        // is a finite number in [0, 1].
+        let Some(v) = args
+            .get(i + 1)
+            .and_then(|v| v.parse::<f64>().ok())
+            .filter(|v| (0.0..=1.0).contains(v))
+        else {
+            eprintln!("metricsctl: --threshold requires a number in [0, 1]");
             std::process::exit(2);
         };
         threshold = v;

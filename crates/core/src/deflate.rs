@@ -19,7 +19,7 @@
 //!   collection from current occupancy, so an election-aware runtime can
 //!   keep the leader's worst pause under its heartbeat timeout.
 
-use simcore::{ByteSize, CostModel, SimDuration};
+use simcore::{cost, ByteSize, CostModel, SimDuration};
 use simmem::{GcRecord, Heap};
 
 use crate::monitor::{MemSignal, Monitor, MonitorConfig};
@@ -117,20 +117,16 @@ impl StateGuard {
 /// occupancy. Election-aware runtimes compare this against their
 /// heartbeat timeout and deflate the leader pre-emptively when a
 /// collection could outlast it.
-pub fn predicted_full_pause(heap: &Heap, cost: &CostModel) -> SimDuration {
-    cost.full_gc_pause(heap.live(), heap.used())
+pub fn predicted_full_pause(heap: &Heap) -> SimDuration {
+    CostModel::full_gc_pause(heap.live(), heap.used())
 }
 
 /// Live bytes the heap may hold if the next full collection must stay
 /// under `budget`. Zero when even an empty heap would blow the budget.
-pub fn live_budget_for_pause(heap: &Heap, cost: &CostModel, budget: SimDuration) -> ByteSize {
-    let fixed = cost.full_gc_pause(ByteSize::ZERO, heap.used());
+pub fn live_budget_for_pause(heap: &Heap, budget: SimDuration) -> ByteSize {
+    let fixed = CostModel::full_gc_pause(ByteSize::ZERO, heap.used());
     let headroom = budget.saturating_sub(fixed).as_nanos();
-    let per_live = cost.gc_full_ns_per_live_byte;
-    if per_live <= 0.0 {
-        return heap.capacity();
-    }
-    ByteSize((headroom as f64 / per_live) as u64)
+    ByteSize((headroom as f64 / cost::GC_FULL_NS_PER_LIVE_BYTE) as u64)
 }
 
 #[cfg(test)]
@@ -200,19 +196,17 @@ mod tests {
     #[test]
     fn pause_prediction_shrinks_with_deflation() {
         let (mut heap, mut blob) = heap_with_blob(1000, 900);
-        let cost = CostModel::default();
-        let before = predicted_full_pause(&heap, &cost);
+        let before = predicted_full_pause(&heap);
         blob.deflate(&mut heap, ByteSize::kib(600));
-        assert!(predicted_full_pause(&heap, &cost) < before);
+        assert!(predicted_full_pause(&heap) < before);
     }
 
     #[test]
     fn live_budget_inverts_the_pause_model() {
         let (heap, _) = heap_with_blob(1000, 900);
-        let cost = CostModel::default();
         let budget = SimDuration::from_millis(2);
-        let allowed = live_budget_for_pause(&heap, &cost, budget);
-        let pause = cost.full_gc_pause(allowed, heap.used());
+        let allowed = live_budget_for_pause(&heap, budget);
+        let pause = CostModel::full_gc_pause(allowed, heap.used());
         assert!(pause <= budget + SimDuration::from_nanos(2));
     }
 }

@@ -7,7 +7,7 @@
 //! not enough does the scheduler start interrupting live instances.
 
 use simcluster::{NodeState, DEFAULT_IO_RETRIES};
-use simcore::{ByteSize, PartitionId, SimDuration, SimError, SimTime, TaskId};
+use simcore::{ByteSize, CostModel, PartitionId, SimDuration, SimError, SimTime, TaskId};
 
 use crate::graph::TaskGraph;
 use crate::partition::{Partition, PartitionState};
@@ -159,7 +159,7 @@ pub fn deserialize_partition_recovering(
                         // is still held by the partition, so re-encode,
                         // write a fresh spill file and read that instead.
                         node.disk.delete(file);
-                        cost += node.cost.serialize_cpu(ser_bytes);
+                        cost += CostModel::serialize_cpu(ser_bytes);
                         let (fresh, retries) = node
                             .disk_write_retried(&format!("{id}.ser"), ser_bytes, DEFAULT_IO_RETRIES)
                             .inspect_err(|_| {
@@ -176,7 +176,7 @@ pub fn deserialize_partition_recovering(
                     }
                 }
             }
-            cost += node.cost.deserialize_cpu(ser_bytes);
+            cost += CostModel::deserialize_cpu(ser_bytes);
             node.disk.delete(file);
             let meta = part.meta_mut();
             meta.state = PartitionState::InMemory(space);
@@ -191,7 +191,7 @@ pub fn deserialize_partition_recovering(
                 return Err(e);
             }
             node.heap.release_space(bytes_space);
-            let cost = node.cost.deserialize_cpu(ser_bytes);
+            let cost = CostModel::deserialize_cpu(ser_bytes);
             let meta = part.meta_mut();
             meta.state = PartitionState::InMemory(space);
             meta.last_deserialized = Some(node.now + cost);

@@ -89,11 +89,6 @@ impl<'a, 'b> TaskCx<'a, 'b> {
         self.work.now()
     }
 
-    /// The cost model in effect.
-    pub fn cost(&self) -> CostModel {
-        self.work.cost()
-    }
-
     /// The logical task this instance executes.
     pub fn task(&self) -> TaskId {
         self.task
@@ -301,7 +296,7 @@ impl<TT: TupleTask> ITask for Scale<TT> {
                 // CPU scales with the tuple's payload, not its
                 // managed-heap bloat.
                 let t = part.get(cursor);
-                cx.cost().tuple_cost(ByteSize(t.ser_bytes()))
+                CostModel::tuple_cost(ByteSize(t.ser_bytes()))
             };
             cx.charge(cost);
             {

@@ -16,7 +16,7 @@ use std::rc::Rc;
 use itask_core::Tuple;
 use simcluster::{NodeSim, NodeState, StepOutcome, Work, WorkCx};
 use simcore::{
-    ByteSize, FaultInjector, NodeId, SimDuration, SimError, SimResult, SimTime, SpaceId,
+    ByteSize, CostModel, FaultInjector, NodeId, SimDuration, SimError, SimResult, SimTime, SpaceId,
 };
 use simmem::Heap;
 
@@ -188,7 +188,7 @@ impl<R: Reducer + 'static> Side for ReduceSide<R> {
             written_ser: &mut self.written_ser,
         };
         self.reducer.close(&mut rcx)?;
-        cx.charge(cx.cost().disk_write(self.written_ser));
+        cx.charge(CostModel::disk_write(self.written_ser));
         Ok(())
     }
 
@@ -224,8 +224,8 @@ impl<S: Side> Attempt<S> {
                 let mem: u64 = frame.iter().map(Tuple::heap_bytes).sum();
                 let ser = ByteSize(frame.iter().map(Tuple::ser_bytes).sum());
                 let space = cx.create_space(format!("{}.frame", S::NAME));
-                cx.charge(cx.cost().disk_read(ser));
-                cx.charge(cx.cost().deserialize_cpu(ser));
+                cx.charge(CostModel::disk_read(ser));
+                cx.charge(CostModel::deserialize_cpu(ser));
                 if let Err(e) = cx.alloc(space, ByteSize(mem)) {
                     cx.node().heap.release_space(space);
                     return Err(e);
@@ -235,7 +235,7 @@ impl<S: Side> Attempt<S> {
             }
             while self.cursor < frame.len() && !cx.out_of_quantum() {
                 let t = &frame[self.cursor];
-                cx.charge(cx.cost().tuple_cost(ByteSize(t.ser_bytes())));
+                cx.charge(CostModel::tuple_cost(ByteSize(t.ser_bytes())));
                 self.side.tuple(cx, self.state, t)?;
                 self.cursor += 1;
             }

@@ -40,9 +40,6 @@ where
         nodes: cfg.nodes,
         cores: cfg.max_mappers.max(cfg.max_reducers),
         heap_per_node: cfg.pooled_heap(),
-        disk_per_node: ByteSize::gib(4),
-        block_size: cfg.split_size,
-        replication: 3,
     });
     let spec = ItaskJobSpec {
         name: "hadoop-itask".into(),

@@ -156,7 +156,6 @@ where
     M::In: Clone,
     M::Out: Clone,
 {
-    let cost = CostModel::default();
     let mut accounts = vec![NodeAccount::default(); cfg.nodes];
 
     // ---- Map stage: one task per split. OMEs are deterministic (the
@@ -203,7 +202,8 @@ where
             .flat_map(|v| v.iter())
             .map(Tuple::ser_bytes)
             .sum();
-        let base = map_span + cost.net_transfer(ByteSize(shuffle_bytes / cfg.nodes.max(1) as u64));
+        let base =
+            map_span + CostModel::net_transfer(ByteSize(shuffle_bytes / cfg.nodes.max(1) as u64));
 
         // ---- Reduce stage: one task per bucket.
         let mut reduce_outcomes = Vec::new();

@@ -15,11 +15,6 @@ pub struct MapCx<'a, 'b, Out: Tuple> {
 }
 
 impl<Out: Tuple> MapCx<'_, '_, Out> {
-    /// The cost model.
-    pub fn cost(&self) -> CostModel {
-        self.work.cost()
-    }
-
     /// Consumes CPU time.
     pub fn charge(&mut self, t: SimDuration) {
         self.work.charge(t);
@@ -83,7 +78,7 @@ impl<Out> SortBuffer<Out> {
             return Ok(());
         }
         // Sort cost before writing the run.
-        work.charge(work.cost().serialize_cpu(self.bytes));
+        work.charge(CostModel::serialize_cpu(self.bytes));
         let ser = self.bytes.mul_ratio(1, 3).max(ByteSize(1));
         work.node()
             .disk_write_async(format!("spill{}", self.spills), ser)?;
@@ -99,8 +94,8 @@ impl<Out> SortBuffer<Out> {
     pub(crate) fn close(&mut self, work: &mut WorkCx<'_>) -> SimResult<()> {
         self.spill(work)?;
         // Final merge of spill runs: read + write everything once.
-        work.charge(work.cost().disk_read(self.spilled_ser));
-        work.charge(work.cost().disk_write(self.spilled_ser));
+        work.charge(CostModel::disk_read(self.spilled_ser));
+        work.charge(CostModel::disk_write(self.spilled_ser));
         work.node().heap.release_space(self.space);
         Ok(())
     }
@@ -116,11 +111,6 @@ pub struct ReduceCx<'a, 'b, Out: Tuple> {
 }
 
 impl<Out: Tuple> ReduceCx<'_, '_, Out> {
-    /// The cost model.
-    pub fn cost(&self) -> CostModel {
-        self.work.cost()
-    }
-
     /// Consumes CPU time.
     pub fn charge(&mut self, t: SimDuration) {
         self.work.charge(t);
@@ -141,7 +131,7 @@ impl<Out: Tuple> ReduceCx<'_, '_, Out> {
     /// Writes a final record to HDFS (streamed out, no heap charge).
     pub fn write(&mut self, tuple: Out) -> SimResult<()> {
         let ser = ByteSize(tuple.ser_bytes());
-        self.work.charge(self.work.cost().serialize_cpu(ser));
+        self.work.charge(CostModel::serialize_cpu(ser));
         *self.written_ser += ser;
         self.out.push(tuple);
         Ok(())

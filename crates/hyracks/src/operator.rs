@@ -33,11 +33,6 @@ impl<'a, 'b, Out> OpCx<'a, 'b, Out> {
         self.work.now()
     }
 
-    /// The cost model.
-    pub fn cost(&self) -> CostModel {
-        self.work.cost()
-    }
-
     /// Consumes CPU time.
     pub fn charge(&mut self, t: SimDuration) {
         self.work.charge(t);
@@ -265,9 +260,9 @@ impl<O: Operator> OperatorWorker<O> {
                 let (mem, ser) = Self::frame_bytes(frame);
                 let space = cx.create_space(format!("{}.frame", self.label));
                 if self.charge_read {
-                    cx.charge(cx.cost().disk_read(ser));
+                    cx.charge(CostModel::disk_read(ser));
                 }
-                cx.charge(cx.cost().deserialize_cpu(ser));
+                cx.charge(CostModel::deserialize_cpu(ser));
                 if let Err(e) = cx.alloc(space, mem) {
                     cx.node().heap.release_space(space);
                     return Err(e);
@@ -286,7 +281,6 @@ impl<O: Operator> OperatorWorker<O> {
                 } = &mut *self;
                 let frame = frames.front().expect("frame present");
                 frame_len = frame.len();
-                let cost_model = cx.cost();
                 let _map_wall = prof::wall_timer(prof::Stage::Map);
                 let cursor_before = *cursor;
                 let mut map_vtime = SimDuration::ZERO;
@@ -297,7 +291,7 @@ impl<O: Operator> OperatorWorker<O> {
                 };
                 while *cursor < frame_len && !ocx.work.out_of_quantum() {
                     let t = &frame[*cursor];
-                    let tuple_cost = cost_model.tuple_cost(ByteSize(t.ser_bytes()));
+                    let tuple_cost = CostModel::tuple_cost(ByteSize(t.ser_bytes()));
                     ocx.work.charge(tuple_cost);
                     map_vtime += tuple_cost;
                     op.next(&mut ocx, t)?;

@@ -103,7 +103,6 @@ mod empty_and_skewed_inputs {
             nodes,
             cores: 2,
             heap_per_node: ByteSize::mib(8),
-            ..ClusterConfig::default()
         })
     }
 

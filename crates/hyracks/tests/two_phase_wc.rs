@@ -266,7 +266,6 @@ fn cluster(heap_kib: u64) -> Cluster {
         nodes: 3,
         cores: 4,
         heap_per_node: ByteSize::kib(heap_kib),
-        ..ClusterConfig::default()
     })
 }
 

@@ -22,7 +22,7 @@ fn lineitem_inputs(params: &HyracksParams) -> (Vec<Vec<Vec<LineItem>>>, Vec<Line
         k += 1_200;
     }
     (
-        hyracks::distribute_blocks(params.nodes, blocks, params.granularity),
+        hyracks::distribute_blocks(apps::hyracks_apps::NODES, blocks, params.granularity),
         all,
     )
 }
@@ -93,7 +93,7 @@ fn generated_pipeline_survives_pressure_the_regular_one_may_not() {
         .flatten()
         .map(|r| 1 + r.neighbors.len() as u64)
         .sum();
-    let inputs = hyracks::distribute_blocks(params.nodes, blocks, params.granularity);
+    let inputs = hyracks::distribute_blocks(apps::hyracks_apps::NODES, blocks, params.granularity);
 
     let q = Query::<AdjRecord>::named("token_count")
         .flat_map(|rec, out| {

@@ -1,5 +1,4 @@
-//! The cluster: a set of node simulators plus the shared fabric and
-//! block store.
+//! The cluster: a set of node simulators plus the shared fabric.
 //!
 //! Fault injection is *split by owner*: every node's disk owns a
 //! private [`FaultInjector`] instance, the fabric owns one, and the
@@ -12,16 +11,20 @@ use simcore::{
     ByteSize, CostModel, FaultInjector, FaultPlan, FaultStats, NodeId, SimDuration, SimTime,
 };
 use simnet::Fabric;
-use simstore::{BlockStore, BlockStoreConfig};
 
 use crate::node::NodeState;
 use crate::report::{JobOutcome, JobReport, NodeReport};
 use crate::sched::NodeSim;
 use crate::work::Work;
 
+/// Disk capacity per node. Generous on purpose: the paper's failures are
+/// heap failures, and no run comes near it (no cluster disk ever holds
+/// more than 64 MiB).
+const DISK_PER_NODE: ByteSize = ByteSize::mib(2048);
+
 /// Cluster sizing. Defaults mirror the paper's testbed at 1/1024 scale:
 /// 10 worker nodes (11 minus the master), 8 cores each, 12 GB heaps
-/// (12 MiB here), SSD storage and a 128 MB (128 KiB) block size.
+/// (12 MiB here) and SSD storage.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
@@ -30,12 +33,6 @@ pub struct ClusterConfig {
     pub cores: usize,
     /// Managed-heap capacity per node.
     pub heap_per_node: ByteSize,
-    /// Disk capacity per node.
-    pub disk_per_node: ByteSize,
-    /// Block size of the distributed store.
-    pub block_size: ByteSize,
-    /// Replication factor of the distributed store.
-    pub replication: usize,
 }
 
 impl Default for ClusterConfig {
@@ -44,9 +41,6 @@ impl Default for ClusterConfig {
             nodes: 10,
             cores: 8,
             heap_per_node: ByteSize::mib(12),
-            disk_per_node: ByteSize::mib(2048),
-            block_size: ByteSize::kib(128),
-            replication: 3,
         }
     }
 }
@@ -56,7 +50,6 @@ pub struct Cluster {
     cfg: ClusterConfig,
     sims: Vec<NodeSim>,
     fabric: Fabric,
-    store: BlockStore,
     injector: Option<FaultInjector>,
     /// Next per-node trace-stream sequence numbers (tracer stream `n+1`
     /// belongs to node `n`; stream 0 is the driver). The round runner
@@ -75,29 +68,22 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         assert!(cfg.nodes > 0, "cluster needs nodes");
         assert!(cfg.cores > 0, "nodes need cores");
-        let cost = CostModel::default();
         let sims = (0..cfg.nodes)
             .map(|i| {
                 NodeSim::new(NodeState::new(
                     NodeId(i as u32),
                     cfg.cores,
                     cfg.heap_per_node,
-                    cfg.disk_per_node,
+                    DISK_PER_NODE,
                 ))
             })
             .collect();
-        let fabric = Fabric::new(cfg.nodes, cost);
-        let store = BlockStore::new(BlockStoreConfig {
-            block_size: cfg.block_size,
-            replication: cfg.replication,
-            nodes: cfg.nodes,
-        });
+        let fabric = Fabric::new(cfg.nodes, CostModel);
         let nodes = cfg.nodes;
         Cluster {
             cfg,
             sims,
             fabric,
-            store,
             injector: None,
             stream_seqs: vec![0; nodes],
         }
@@ -212,11 +198,6 @@ impl Cluster {
     /// The network fabric.
     pub fn fabric(&mut self) -> &mut Fabric {
         &mut self.fabric
-    }
-
-    /// The distributed block store.
-    pub fn store(&mut self) -> &mut BlockStore {
-        &mut self.store
     }
 
     /// The cluster-wide clock: the slowest node's time.

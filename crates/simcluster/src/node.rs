@@ -1,14 +1,15 @@
 //! Per-node state and the context handed to simulated threads.
 
 use simcore::{
-    metrics, tracer, ByteSize, CostModel, FaultInjector, NodeId, SimDuration, SimError, SimResult,
-    SimTime, SpaceId,
+    cost, metrics, tracer, ByteSize, CostModel, FaultInjector, NodeId, SimDuration, SimError,
+    SimResult, SimTime, SpaceId,
 };
 use simmem::{GcRecord, Heap, HeapConfig};
 use simstore::{Disk, FileId};
 
-/// Default bound on transient-I/O retries. One above the injector's
-/// default burst cap, so a default plan can never exhaust the budget.
+/// Default bound on transient-I/O retries. Above the injector's burst
+/// cap ([`simcore::fault::MAX_TRANSIENT_BURST`]), so no plan can exhaust
+/// the budget.
 pub const DEFAULT_IO_RETRIES: u32 = 5;
 
 /// The state of one cluster node: clock, heap, disk, accounting.
@@ -24,8 +25,6 @@ pub struct NodeState {
     pub heap: Heap,
     /// The simulated disk.
     pub disk: Disk,
-    /// Cost model shared with heap/disk.
-    pub cost: CostModel,
     /// Total stop-the-world GC time on this node.
     pub gc_time: SimDuration,
     /// Total wall-clock time spent computing (excludes GC pauses).
@@ -41,19 +40,14 @@ pub struct NodeState {
 impl NodeState {
     /// Creates a node with the given heap capacity and disk.
     pub fn new(id: NodeId, cores: usize, heap_capacity: ByteSize, disk_capacity: ByteSize) -> Self {
-        let cost = CostModel::default();
-        let mut heap = Heap::new(HeapConfig {
-            cost,
-            ..HeapConfig::with_capacity(heap_capacity)
-        });
+        let mut heap = Heap::new(HeapConfig::with_capacity(heap_capacity));
         heap.set_trace_node(id);
         NodeState {
             id,
             cores,
             now: SimTime::ZERO,
             heap,
-            disk: Disk::new(id, disk_capacity, cost),
-            cost,
+            disk: Disk::new(id, disk_capacity, CostModel),
             gc_time: SimDuration::ZERO,
             compute_time: SimDuration::ZERO,
             io_stall_time: SimDuration::ZERO,
@@ -177,7 +171,7 @@ impl NodeState {
                     .file(id)
                     .map(|f| f.bytes)
                     .unwrap_or(ByteSize::ZERO);
-                let io = self.cost.disk_read(bytes);
+                let io = CostModel::disk_read(bytes);
                 self.charge_disk_stall(io);
                 Err(SimError::CorruptPartition { node, file })
             }
@@ -213,8 +207,7 @@ impl NodeState {
     /// Exponential virtual-time backoff: `latency × 2^attempt`.
     fn io_backoff(&self, attempt: u32) -> SimDuration {
         SimDuration::from_nanos(
-            self.cost
-                .disk_op_latency
+            cost::DISK_OP_LATENCY
                 .as_nanos()
                 .saturating_mul(1u64 << attempt.min(16)),
         )
@@ -275,11 +268,6 @@ impl<'a> WorkCx<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.node.now
-    }
-
-    /// The cost model in effect.
-    pub fn cost(&self) -> CostModel {
-        self.node.cost
     }
 
     /// CPU time still available in this quantum.
@@ -367,8 +355,8 @@ mod tests {
         assert_eq!(bytes, ByteSize::mib(32));
         assert_eq!(n.now, before, "the node clock is the caller's to advance");
         // The read had to wait for the in-flight write plus its own time.
-        let write_t = n.cost.disk_write(ByteSize::mib(32));
-        let read_t = n.cost.disk_read(ByteSize::mib(32));
+        let write_t = CostModel::disk_write(ByteSize::mib(32));
+        let read_t = CostModel::disk_read(ByteSize::mib(32));
         assert_eq!(stall, write_t + read_t);
         assert_eq!(n.io_stall_time, write_t + read_t);
     }

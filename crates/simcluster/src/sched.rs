@@ -401,7 +401,7 @@ impl NodeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{ByteSize, NodeId, SpaceId};
+    use simcore::{ByteSize, CostModel, NodeId, SpaceId};
 
     /// A thread that burns CPU to process `tuples` synthetic tuples,
     /// allocating `bytes_per_tuple` each.
@@ -421,7 +421,7 @@ mod tests {
                     s
                 }
             };
-            let per_tuple = cx.cost().tuple_cost(ByteSize(64));
+            let per_tuple = CostModel::tuple_cost(ByteSize(64));
             while self.tuples > 0 && !cx.out_of_quantum() {
                 cx.charge(per_tuple);
                 if let Err(e) = cx.alloc(space, ByteSize(self.bytes_per_tuple)) {

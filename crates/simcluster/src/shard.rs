@@ -145,8 +145,6 @@ mod tests {
             nodes,
             cores: 2,
             heap_per_node: ByteSize::mib(8),
-            disk_per_node: ByteSize::mib(64),
-            ..Default::default()
         })
     }
 

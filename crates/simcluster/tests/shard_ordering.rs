@@ -21,7 +21,7 @@
 //! races it.
 
 use simcluster::{run_round, Cluster, ClusterConfig, StepOutcome, Work, WorkCx};
-use simcore::{tracer, ByteSize, NodeId, SimDuration, SimError, SpaceId};
+use simcore::{tracer, ByteSize, CostModel, NodeId, SimDuration, SimError, SpaceId};
 
 /// Deterministic splitmix-style generator for the property cases.
 struct Rng(u64);
@@ -61,7 +61,7 @@ impl Work for Chatter {
                 s
             }
         };
-        let per_tuple = cx.cost().tuple_cost(ByteSize(64));
+        let per_tuple = CostModel::tuple_cost(ByteSize(64));
         while self.tuples > 0 && !cx.out_of_quantum() {
             if self.fail_after.is_some_and(|n| self.processed >= n) {
                 return StepOutcome::Failed(SimError::Internal("planned failure".into()));
@@ -122,8 +122,6 @@ fn run_case(case_seed: u64, visit: Visit, stop: Option<(usize, NodeId)>) -> Outc
         nodes,
         cores: rng.range(1, 4) as usize,
         heap_per_node: ByteSize::mib(rng.range(4, 16)),
-        disk_per_node: ByteSize::mib(64),
-        ..Default::default()
     };
     let mut c = Cluster::new(cfg);
     let failing = (case_seed % 2 == 1).then(|| rng.range(0, nodes as u64 - 1) as usize);

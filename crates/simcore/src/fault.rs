@@ -67,12 +67,17 @@ pub struct NodeCrash {
     pub at: SimTime,
 }
 
+/// Upper bound on *consecutive* transient failures of one kind on one
+/// node. Retry loops with a budget above this bound always converge, so
+/// bounded-retry recovery is guaranteed to terminate.
+pub const MAX_TRANSIENT_BURST: u16 = 3;
+
 /// A complete, seeded description of everything that will go wrong.
 ///
 /// The default plan is fault-free; builder methods opt into each fault
 /// class. Rates are per-mille per operation so integer plans hash
 /// deterministically (no floats in the schedule itself).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every injection decision.
     pub seed: u64,
@@ -82,28 +87,10 @@ pub struct FaultPlan {
     pub write_transient_permille: u16,
     /// Per-mille chance a disk write silently corrupts the file.
     pub corrupt_permille: u16,
-    /// Upper bound on *consecutive* transient failures of one kind on
-    /// one node. Retry loops with a budget above this bound always
-    /// converge, so bounded-retry recovery is guaranteed to terminate.
-    pub max_transient_burst: u16,
     /// Scheduled network disturbances.
     pub net: Vec<NetFault>,
     /// Scheduled node crashes.
     pub crashes: Vec<NodeCrash>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            read_transient_permille: 0,
-            write_transient_permille: 0,
-            corrupt_permille: 0,
-            max_transient_burst: 3,
-            net: Vec::new(),
-            crashes: Vec::new(),
-        }
-    }
 }
 
 impl FaultPlan {
@@ -125,13 +112,6 @@ impl FaultPlan {
     /// Sets the silent-corruption rate for disk writes (per-mille).
     pub fn with_corruption(mut self, permille: u16) -> Self {
         self.corrupt_permille = permille;
-        self
-    }
-
-    /// Caps consecutive transient failures (see
-    /// [`FaultPlan::max_transient_burst`]).
-    pub fn with_max_burst(mut self, burst: u16) -> Self {
-        self.max_transient_burst = burst;
         self
     }
 
@@ -307,11 +287,11 @@ impl FaultInjector {
                 .wrapping_add(count.wrapping_mul(0x6C62_272E_07BB_0142)),
         );
         let fires = (h % 1000) < permille as u64;
-        // Burst cap: force success once `max_transient_burst` faults of
+        // Burst cap: force success once `MAX_TRANSIENT_BURST` faults of
         // this kind have fired back-to-back on this node, so bounded
         // retry loops always converge.
         let run = self.bursts.entry(key).or_insert(0);
-        if fires && *run < self.plan.max_transient_burst {
+        if fires && *run < MAX_TRANSIENT_BURST {
             *run += 1;
             true
         } else {
@@ -474,16 +454,14 @@ mod tests {
 
     #[test]
     fn burst_cap_bounds_consecutive_failures() {
-        let plan = FaultPlan::new(3)
-            .with_disk_transients(1000)
-            .with_max_burst(3);
+        let plan = FaultPlan::new(3).with_disk_transients(1000);
         let mut inj = FaultInjector::new(plan);
         let mut run = 0u16;
         for _ in 0..200 {
             match inj.on_disk_read(NodeId(0)) {
                 ReadFault::Transient => {
                     run += 1;
-                    assert!(run <= 3, "burst cap violated");
+                    assert!(run <= MAX_TRANSIENT_BURST, "burst cap violated");
                 }
                 ReadFault::Ok => run = 0,
             }
@@ -562,8 +540,7 @@ mod tests {
     fn per_node_split_replays_the_shared_schedule() {
         let plan = FaultPlan::new(42)
             .with_disk_transients(250)
-            .with_corruption(125)
-            .with_max_burst(3);
+            .with_corruption(125);
         const NODES: u32 = 4;
         const OPS: usize = 200;
 

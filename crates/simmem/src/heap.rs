@@ -16,19 +16,16 @@ pub struct HeapConfig {
     /// `M`: a full GC leaving free memory below `M%` of capacity is
     /// recorded as useless (the paper's LUGC signal, §5.2; default 10).
     pub lugc_free_pct: u8,
-    /// Cost model for collection pauses.
-    pub cost: CostModel,
 }
 
 impl HeapConfig {
     /// A conventional configuration: young generation = 1/3 of the heap
-    /// (HotSpot's default `NewRatio=2`), `M = 10%`, default cost model.
+    /// (HotSpot's default `NewRatio=2`), `M = 10%`.
     pub fn with_capacity(capacity: ByteSize) -> Self {
         HeapConfig {
             capacity,
             young_capacity: ByteSize(capacity.as_u64() / 3),
             lugc_free_pct: 10,
-            cost: CostModel::default(),
         }
     }
 
@@ -416,7 +413,7 @@ impl Heap {
         let used_before = self.used();
         let survivors = self.young0_live + self.young1_live;
         let promoted = self.young1_live;
-        let pause = self.cfg.cost.minor_gc_pause(survivors);
+        let pause = CostModel::minor_gc_pause(survivors);
         for s in self.spaces.iter_mut().flatten() {
             s.old_live += s.young1_live;
             s.young1_live = s.young0_live;
@@ -450,7 +447,7 @@ impl Heap {
     fn full_gc(&mut self, now: SimTime, out: &mut AllocOutcome) {
         let used_before = self.used();
         let live = self.live();
-        let pause = self.cfg.cost.full_gc_pause(live, used_before);
+        let pause = CostModel::full_gc_pause(live, used_before);
         for s in self.spaces.iter_mut().flatten() {
             s.old_live += s.young_live();
             s.young0_live = ByteSize::ZERO;

@@ -39,7 +39,7 @@ pub mod service;
 pub mod workload;
 
 pub use admission::{AdmissionConfig, AdmissionController, ClusterView, PolicyKind, QueuedJob};
-pub use job::{EngineKind, JobDriver, JobParams, ServiceJob};
+pub use job::{EngineKind, JobDriver, ServiceJob};
 pub use overload::{
     classify, Breaker, BreakerConfig, BreakerState, BreakerTransition, BrownoutConfig,
     BrownoutState, FailureClass, OverloadConfig, RetryBudget, RetryPolicy, ShedReason, ShedRecord,

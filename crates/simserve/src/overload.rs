@@ -83,21 +83,23 @@ pub struct RetryBudget {
 /// Retry policy: how many attempts each failure class deserves, how
 /// retries back off, and the optional per-tenant token budget.
 ///
-/// [`RetryPolicy::flat`] reproduces the historical behavior exactly —
-/// a single retry counter, immediate requeue, no budget — which is what
-/// keeps the pre-existing service tables byte-identical.
+/// A policy is one of two presets. [`RetryPolicy::flat`] reproduces the
+/// historical behavior exactly — a single retry counter, immediate
+/// requeue, no budget — which is what keeps the pre-existing service
+/// tables byte-identical; [`RetryPolicy::budgeted`] is the
+/// overload-hardened one.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Retries allowed after transient substrate faults.
-    pub max_attempts_transient: u32,
+    max_attempts_transient: u32,
     /// Retries allowed after deterministic OMEs (typically smaller:
     /// fail fast instead of re-burning scarce heap).
-    pub max_attempts_ome: u32,
+    max_attempts_ome: u32,
     /// First backoff delay (`ZERO` = immediate requeue, the legacy
     /// behavior). Doubles per attempt up to `max_backoff`.
-    pub base_backoff: SimDuration,
+    base_backoff: SimDuration,
     /// Backoff ceiling.
-    pub max_backoff: SimDuration,
+    max_backoff: SimDuration,
     /// Optional per-tenant retry token bucket.
     pub budget: Option<RetryBudget>,
 }

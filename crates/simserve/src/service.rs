@@ -29,7 +29,7 @@ use simcore::{
 };
 
 use crate::admission::{AdmissionConfig, AdmissionController, ClusterView, QueuedJob};
-use crate::job::{EngineKind, JobDriver, JobParams, ServiceJob};
+use crate::job::{EngineKind, JobDriver, ServiceJob};
 use crate::overload::{
     classify, Breaker, BreakerTransition, BrownoutState, OverloadConfig, RetryPolicy, ShedReason,
     TokenBucket,
@@ -43,15 +43,22 @@ use crate::workload::{
 /// the clock instead of spinning).
 const MAX_ROUNDS: u64 = 2_000_000;
 
+/// Cores per node.
+const CORES: usize = 2;
+
+/// Managed-heap capacity per node (the contended resource): sized so one
+/// job of any kind runs comfortably but co-located heavy jobs genuinely
+/// pressure each other.
+const HEAP_PER_NODE: ByteSize = ByteSize::kib(512);
+
+/// Input block granularity for generated datasets.
+const BLOCK_SIZE: ByteSize = ByteSize::kib(8);
+
 /// Full configuration of one service run.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Cluster shape.
     pub nodes: usize,
-    /// Cores per node.
-    pub cores: usize,
-    /// Managed-heap capacity per node (the contended resource).
-    pub heap_per_node: ByteSize,
     /// Which engine executes every job.
     pub engine: EngineKind,
     /// Admission policy and limits.
@@ -70,10 +77,6 @@ pub struct ServiceConfig {
     pub overload: OverloadConfig,
     /// Optional deterministic fault plan (node crashes, disk faults).
     pub fault_plan: Option<FaultPlan>,
-    /// Per-job sizing knobs.
-    pub params: JobParams,
-    /// Input block granularity for generated datasets.
-    pub block_size: ByteSize,
     /// Scale mode: a lazily generated tenant population with sharded
     /// admission, replacing `tenants` (which must then be empty).
     /// `None` (the default) admits `tenants` through one shard.
@@ -96,14 +99,10 @@ pub struct ScaleSpec {
 }
 
 impl ServiceConfig {
-    /// The calibrated standard configuration used by benches and tests:
-    /// heaps sized so one job of any kind runs comfortably but
-    /// co-located heavy jobs genuinely pressure each other.
+    /// The calibrated standard configuration used by benches and tests.
     pub fn standard(engine: EngineKind, tenant_count: u32, seed: u64) -> Self {
         ServiceConfig {
             nodes: 4,
-            cores: 2,
-            heap_per_node: ByteSize::kib(512),
             engine,
             admission: AdmissionConfig::default(),
             seed,
@@ -114,13 +113,6 @@ impl ServiceConfig {
             retry: RetryPolicy::flat(2),
             overload: OverloadConfig::default(),
             fault_plan: None,
-            params: JobParams {
-                threads: 2,
-                max_parallelism: 2,
-                granularity: ByteSize::kib(8),
-                buckets: 16,
-            },
-            block_size: ByteSize::kib(8),
             scale: None,
         }
     }
@@ -294,9 +286,8 @@ impl Service {
     pub fn new(cfg: ServiceConfig) -> Self {
         let mut cluster = Cluster::new(ClusterConfig {
             nodes: cfg.nodes,
-            cores: cfg.cores,
-            heap_per_node: cfg.heap_per_node,
-            ..ClusterConfig::default()
+            cores: CORES,
+            heap_per_node: HEAP_PER_NODE,
         });
         if let Some(plan) = cfg.fault_plan.clone() {
             cluster.install_faults(plan);
@@ -563,9 +554,7 @@ impl Service {
             job.kind,
             self.cfg.engine,
             scope,
-            self.cfg.params,
             job.dataset_seed,
-            self.cfg.block_size,
             targets,
             &mut self.cluster,
         );
@@ -1046,18 +1035,15 @@ impl Service {
 /// `AggSpec`, so the match is where the types are erased). Inputs land
 /// round-robin on `targets` (live minus quarantined nodes); an empty
 /// slice falls back to every live node.
-#[allow(clippy::too_many_arguments)]
 fn build_driver(
     kind: JobKind,
     engine: EngineKind,
     scope: u64,
-    params: JobParams,
     dataset_seed: u64,
-    block_size: ByteSize,
     targets: &[NodeId],
     cluster: &mut Cluster,
 ) -> Box<dyn JobDriver> {
-    let blocks = dataset_blocks(kind, dataset_seed, block_size);
+    let blocks = dataset_blocks(kind, dataset_seed, BLOCK_SIZE);
     let live = if targets.is_empty() {
         cluster.live_nodes()
     } else {
@@ -1075,21 +1061,18 @@ fn build_driver(
             JobKind::degree_count_query(),
             engine,
             scope,
-            params,
             inputs,
         )),
         JobKind::WordCount => Box::new(ServiceJob::new(
             apps::hyracks_apps::wc::WcSpec,
             engine,
             scope,
-            params,
             inputs,
         )),
         JobKind::LinkCollect => Box::new(ServiceJob::new(
             JobKind::link_collect_query(),
             engine,
             scope,
-            params,
             inputs,
         )),
     }
@@ -1135,16 +1118,7 @@ mod tests {
     /// without starting it.
     fn inject(svc: &mut Service, engine: EngineKind) {
         let job = queued(JobKind::DegreeCount, 77);
-        let driver = build_driver(
-            job.kind,
-            engine,
-            1,
-            svc.cfg.params,
-            job.dataset_seed,
-            svc.cfg.block_size,
-            &[],
-            &mut svc.cluster,
-        );
+        let driver = build_driver(job.kind, engine, 1, job.dataset_seed, &[], &mut svc.cluster);
         svc.active.push(ActiveJob {
             driver,
             queued: job,

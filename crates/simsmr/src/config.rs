@@ -32,6 +32,44 @@ impl RuntimeMode {
     }
 }
 
+/// In-heap expansion factor of an applied entry: each commit grows the
+/// aggregation state by `payload * EXPANSION` live bytes (the paper's
+/// "memory-hungry aggregation" — pointer-rich deserialized form, §2).
+pub const EXPANSION: u64 = 4;
+
+/// Transient-garbage factor: applying an entry also allocates and
+/// immediately drops `payload * CHURN` young bytes (parse buffers,
+/// temporaries), which sets the minor-GC cadence.
+pub(crate) const CHURN: u64 = 24;
+
+/// Max proposals in flight (leader window).
+pub(crate) const WINDOW: usize = 8;
+
+/// Leader heartbeat period.
+pub(crate) const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(1);
+
+/// Follower election timeout: a follower that has not seen a heartbeat
+/// for this long starts a view change.
+pub(crate) const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(6);
+
+/// Fixed cost of a view change on top of the announcement RPCs.
+pub(crate) const ELECTION_OVERHEAD: SimDuration = SimDuration::from_millis(1);
+
+/// IRS thresholds for the deflation guard (ITask modes). The
+/// `serialize_free_pct` hover target doubles as the live-set ceiling:
+/// latency-SLO machines hover much higher than batch jobs (free ≥ 80% vs
+/// the paper's 40%) because commit tails scale with the live set, not
+/// with throughput.
+pub(crate) const MONITOR: MonitorConfig = MonitorConfig {
+    grow_free_pct: 20,
+    reduce_target_pct: 10,
+    serialize_free_pct: 80,
+};
+
+/// Minimum deflation request; smaller hover deficits are deferred so
+/// serialization happens in batched, accountable chunks.
+pub(crate) const DEFLATE_CHUNK: ByteSize = ByteSize::kib(256);
+
 /// Configuration of one SMR run.
 #[derive(Clone, Debug)]
 pub struct SmrConfig {
@@ -41,37 +79,10 @@ pub struct SmrConfig {
     pub entries: u64,
     /// Serialized (wire) bytes of one log entry.
     pub payload: ByteSize,
-    /// In-heap expansion factor of an applied entry: each commit grows
-    /// the aggregation state by `payload * expansion` live bytes (the
-    /// paper's "memory-hungry aggregation" — pointer-rich deserialized
-    /// form, §2).
-    pub expansion: u64,
-    /// Transient-garbage factor: applying an entry also allocates and
-    /// immediately drops `payload * churn` young bytes (parse buffers,
-    /// temporaries), which sets the minor-GC cadence.
-    pub churn: u64,
     /// Managed-heap capacity per node.
     pub heap_per_node: ByteSize,
-    /// Max proposals in flight (leader window).
-    pub window: usize,
-    /// Leader heartbeat period.
-    pub heartbeat_every: SimDuration,
-    /// Follower election timeout: a follower that has not seen a
-    /// heartbeat for this long starts a view change.
-    pub election_timeout: SimDuration,
-    /// Fixed cost of a view change on top of the announcement RPCs.
-    pub election_overhead: SimDuration,
     /// Runtime policy.
     pub mode: RuntimeMode,
-    /// IRS thresholds for the deflation guard (ITask modes). The
-    /// `serialize_free_pct` hover target doubles as the live-set
-    /// ceiling: latency-SLO machines hover much higher than batch jobs
-    /// (free ≥ 80% vs the paper's 40%) because commit tails scale with
-    /// the live set, not with throughput.
-    pub monitor: MonitorConfig,
-    /// Minimum deflation request; smaller hover deficits are deferred so
-    /// serialization happens in batched, accountable chunks.
-    pub deflate_chunk: ByteSize,
     /// Scheduled faults (node crashes) to install, if any.
     pub faults: Option<FaultPlan>,
     /// Seed for the deterministic per-index payload digests.
@@ -90,20 +101,8 @@ impl SmrConfig {
             nodes,
             entries: 400,
             payload: ByteSize::kib(8),
-            expansion: 4,
-            churn: 24,
             heap_per_node: ByteSize::mib(32),
-            window: 8,
-            heartbeat_every: SimDuration::from_millis(1),
-            election_timeout: SimDuration::from_millis(6),
-            election_overhead: SimDuration::from_millis(1),
             mode,
-            monitor: MonitorConfig {
-                grow_free_pct: 20,
-                reduce_target_pct: 10,
-                serialize_free_pct: 80,
-            },
-            deflate_chunk: ByteSize::kib(256),
             faults: None,
             seed: 0x5acb_909d,
             shards: 0,
@@ -111,9 +110,9 @@ impl SmrConfig {
     }
 
     /// Live bytes the aggregation state reaches once the whole log is
-    /// applied: `entries * payload * expansion`.
+    /// applied: `entries * payload * EXPANSION`.
     pub fn live_total(&self) -> ByteSize {
-        self.payload * self.expansion * self.entries
+        self.payload * EXPANSION * self.entries
     }
 
     /// Sizes the per-node heap so the fully-applied state occupies

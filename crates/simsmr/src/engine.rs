@@ -18,8 +18,8 @@
 //!
 //! # Elections
 //!
-//! The leader heartbeats every `heartbeat_every`; a follower that sees
-//! no heartbeat for `election_timeout` starts a deterministic view
+//! The leader heartbeats every `HEARTBEAT_EVERY`; a follower that sees
+//! no heartbeat for `ELECTION_TIMEOUT` starts a deterministic view
 //! change: the leadership rotates to the next live replica, a
 //! view-change RPC fans out, and every uncommitted entry is
 //! re-replicated by the new leader (replicas that already applied one
@@ -39,7 +39,10 @@ use simcore::tracer::{self, EventId, TraceData};
 use simcore::{metrics, ByteSize, NodeId, SimDuration, SimError, SimResult, SimTime};
 use simnet::rpc;
 
-use crate::config::{RuntimeMode, SmrConfig};
+use crate::config::{
+    RuntimeMode, SmrConfig, DEFLATE_CHUNK, ELECTION_OVERHEAD, ELECTION_TIMEOUT, HEARTBEAT_EVERY,
+    MONITOR, WINDOW,
+};
 use crate::replica::{Ack, Cmd, ReplicaWork};
 
 /// What one SMR run produced.
@@ -140,7 +143,7 @@ impl Follower {
 }
 
 /// The leader's proposal window. Uncommitted indices are contiguous —
-/// `committed + 1 .. next_propose`, at most `cfg.window` of them — so
+/// `committed + 1 .. next_propose`, at most `WINDOW` of them — so
 /// the entry for `index` sits at `index - (committed + 1)` and commits
 /// leave from the front. A committed entry's follower slots are kept
 /// for the next proposal, which makes proposing allocation-free once
@@ -214,7 +217,6 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
         nodes: cfg.nodes,
         cores: 2,
         heap_per_node: cfg.heap_per_node,
-        ..ClusterConfig::default()
     });
     if let Some(plan) = &cfg.faults {
         cluster.install_faults(plan.clone());
@@ -240,9 +242,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     let mut arrivals: Vec<SimTime> = Vec::with_capacity(cfg.nodes);
 
     let majority = cfg.majority();
-    let mut guards: Vec<StateGuard> = (0..cfg.nodes)
-        .map(|_| StateGuard::new(cfg.monitor))
-        .collect();
+    let mut guards: Vec<StateGuard> = (0..cfg.nodes).map(|_| StateGuard::new(MONITOR)).collect();
     let mut view = 0u64;
     let mut leader = NodeId(0);
     let mut next_propose = 1u64;
@@ -290,7 +290,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
 
         // 1. Leader fills its proposal window.
         if !cluster.sim(leader).is_crashed() {
-            while window.inflight.len() < cfg.window && next_propose <= cfg.entries {
+            while window.inflight.len() < WINDOW && next_propose <= cfg.entries {
                 let index = next_propose;
                 next_propose += 1;
                 let ev = tracer::emit(
@@ -375,17 +375,17 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                 guards[ni].poll(&records, heap)
             };
             if let Some(ask) = ask {
-                if ask >= cfg.deflate_chunk {
+                if ask >= DEFLATE_CHUNK {
                     staged[ni].push(Cmd::Deflate { target: ask });
                 }
             }
             if cfg.mode == RuntimeMode::ItaskElect && n == leader {
                 // Election awareness: never let the next full collection
                 // outlast half the election timeout.
-                let budget = cfg.election_timeout / 2;
+                let budget = ELECTION_TIMEOUT / 2;
                 let node = cluster.sim(n).node();
-                if predicted_full_pause(&node.heap, &node.cost) > budget {
-                    let target = live_budget_for_pause(&node.heap, &node.cost, budget * 3 / 4);
+                if predicted_full_pause(&node.heap) > budget {
+                    let target = live_budget_for_pause(&node.heap, budget * 3 / 4);
                     let ask = node.heap.live().saturating_sub(target);
                     if !ask.is_zero() {
                         staged[ni].push(Cmd::Deflate { target: ask });
@@ -518,9 +518,8 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                 continue;
             }
             let gap = now.since(last_hb[f.as_usize()]);
-            min_margin =
-                min_margin.min(cfg.election_timeout.as_nanos() as i64 - gap.as_nanos() as i64);
-            if gap > cfg.election_timeout {
+            min_margin = min_margin.min(ELECTION_TIMEOUT.as_nanos() as i64 - gap.as_nanos() as i64);
+            if gap > ELECTION_TIMEOUT {
                 timed_out = true;
             }
         }
@@ -555,14 +554,14 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                 Some(leader),
                 None,
                 now,
-                cfg.election_overhead,
+                ELECTION_OVERHEAD,
                 TraceData::ViewChange {
                     view,
                     leader: leader.0,
                     cause: EventId::NONE,
                 },
             );
-            let mut done_at = now + cfg.election_overhead;
+            let mut done_at = now + ELECTION_OVERHEAD;
             for &f in &live {
                 if f == leader || cluster.sim(f).is_crashed() {
                     continue;
@@ -625,7 +624,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
             for &f in &live {
                 last_hb[f.as_usize()] = done_at;
             }
-            next_hb_due = done_at + cfg.heartbeat_every;
+            next_hb_due = done_at + HEARTBEAT_EVERY;
         } else if !leader_crashed && now >= next_hb_due {
             // 9. Heartbeats.
             for &f in &live {
@@ -643,7 +642,7 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
                     }
                 }
             }
-            next_hb_due = now + cfg.heartbeat_every;
+            next_hb_due = now + HEARTBEAT_EVERY;
         }
     }
 

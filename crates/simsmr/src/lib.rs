@@ -42,6 +42,6 @@ pub mod config;
 pub mod engine;
 pub mod replica;
 
-pub use config::{RuntimeMode, SmrConfig};
+pub use config::{RuntimeMode, SmrConfig, EXPANSION};
 pub use engine::{run, SmrOutcome};
 pub use replica::{payload_digest, Ack, Cmd, Mailbox, ReplicaWork};

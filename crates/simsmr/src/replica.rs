@@ -25,10 +25,10 @@ use std::rc::Rc;
 use itask_core::Deflatable;
 use simcluster::{StepOutcome, Work, WorkCx};
 use simcore::rng::stable_hash64;
-use simcore::{metrics, ByteSize, NodeId, SimResult, SimTime, SpaceId};
+use simcore::{metrics, ByteSize, CostModel, NodeId, SimResult, SimTime, SpaceId};
 use simmem::Heap;
 
-use crate::config::SmrConfig;
+use crate::config::{SmrConfig, CHURN, EXPANSION};
 
 /// Deterministic digest of the payload proposed at `index` (the log's
 /// contents are synthetic; only identity matters for safety checks).
@@ -145,8 +145,6 @@ struct Applier {
     node: NodeId,
     state: AppliedState,
     payload: ByteSize,
-    expansion: u64,
-    churn: u64,
     seed: u64,
     /// Counters so far; published to the mailbox when a step ends.
     stats: ReplicaStats,
@@ -183,8 +181,6 @@ impl ReplicaWork {
                     digests: Vec::with_capacity(cfg.entries as usize),
                 },
                 payload: cfg.payload,
-                expansion: cfg.expansion,
-                churn: cfg.churn,
                 seed: cfg.seed,
                 stats: ReplicaStats::default(),
                 acks: Vec::new(),
@@ -205,11 +201,10 @@ impl Applier {
     }
 
     fn apply(&mut self, cx: &mut WorkCx<'_>, index: u64) -> SimResult<()> {
-        let cost = cx.cost();
         if index <= self.state.last_applied {
             // Re-replication after a view change: the entry is already
             // in the state; acknowledge without re-executing.
-            cx.charge(cost.tuple_cost(ByteSize::ZERO));
+            cx.charge(CostModel::tuple_cost(ByteSize::ZERO));
             self.stats.dupes += 1;
             self.ack(index, cx.now());
             return Ok(());
@@ -219,13 +214,13 @@ impl Applier {
             self.state.last_applied + 1,
             "log entries arrive in order"
         );
-        cx.charge(cost.tuple_cost(self.payload));
-        let churn = self.payload * self.churn;
+        cx.charge(CostModel::tuple_cost(self.payload));
+        let churn = self.payload * CHURN;
         if !churn.is_zero() {
             cx.alloc(self.state.space, churn)?;
             cx.free(self.state.space, churn);
         }
-        let grow = self.payload * self.expansion;
+        let grow = self.payload * EXPANSION;
         cx.alloc(self.state.space, grow)?;
         self.state.live += grow;
         self.state.last_applied = index;
@@ -243,11 +238,10 @@ impl Applier {
         if freed.is_zero() {
             return;
         }
-        let cost = cx.cost();
-        cx.charge(cost.serialize_cpu(freed));
+        cx.charge(CostModel::serialize_cpu(freed));
         // The serialized form sheds the in-heap expansion; write it
         // behind like the paper's background serialization threads.
-        let serialized = freed.mul_ratio(1, self.expansion.max(1));
+        let serialized = freed.mul_ratio(1, EXPANSION);
         let label = format!("smr.deflate.n{}", self.node.as_usize());
         let _ = cx.node().disk_write_async(label, serialized);
         self.stats.deflations += 1;

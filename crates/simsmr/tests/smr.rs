@@ -225,7 +225,7 @@ impl Rig {
 
     /// Live bytes one applied entry adds to the state.
     fn grow(&self) -> ByteSize {
-        self.cfg.payload * self.cfg.expansion
+        self.cfg.payload * simsmr::EXPANSION
     }
 }
 

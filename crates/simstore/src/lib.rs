@@ -1,14 +1,15 @@
 #![warn(missing_docs)]
 
-//! Simulated storage: per-node disks with a bandwidth/latency cost model
-//! and an HDFS-like replicated block store.
+//! Simulated storage: per-node disks priced by the cost model's disk
+//! terms.
 //!
-//! Stands in for the paper's SSD RAID-0 volumes and HDFS (128 MB blocks).
-//! The ITask partition manager serializes partitions here; the MapReduce
-//! engine spills map buffers and reads input splits from the block store.
+//! Stands in for the paper's SSD RAID-0 volumes. The ITask partition
+//! manager serializes partitions here and the MapReduce engine spills
+//! map buffers here. There is no distributed block store: input blocks
+//! are generated in memory and handed to nodes by their callers
+//! (`hadoop_apps::wikipedia_splits` for Hadoop, `hyracks::distribute_blocks`
+//! for Hyracks).
 
-pub mod blockstore;
 pub mod disk;
 
-pub use blockstore::{Block, BlockStore, BlockStoreConfig, Dataset, DatasetId};
 pub use disk::{Disk, DiskFile, DiskStats, FileId};

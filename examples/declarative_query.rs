@@ -36,7 +36,7 @@ fn main() {
         blocks.push(cfg.lineitem_block(k, 1_200));
         k += 1_200;
     }
-    let inputs = hyracks::distribute_blocks(params.nodes, blocks, params.granularity);
+    let inputs = hyracks::distribute_blocks(apps::hyracks_apps::NODES, blocks, params.granularity);
 
     let mut run = q.run_itask(&params, inputs);
     let outs = std::mem::replace(&mut run.result, Ok(Vec::new()))
