@@ -179,6 +179,18 @@ fn golden_smr_quick() {
     check_golden(env!("CARGO_BIN_EXE_smr"), &["--quick"], "smr_quick.txt");
 }
 
+/// The dataset tables: generator counts for every webmap size and every
+/// TPC-H scale, beside the paper's (fast enough for debug builds).
+#[test]
+fn golden_table3() {
+    check_golden(env!("CARGO_BIN_EXE_table3"), &[], "table3.txt");
+}
+
+#[test]
+fn golden_table4() {
+    check_golden(env!("CARGO_BIN_EXE_table4"), &[], "table4.txt");
+}
+
 #[test]
 fn golden_table5_quick_wc() {
     // ~10s in release but minutes in debug; the CI golden job runs the
