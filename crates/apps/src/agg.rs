@@ -37,8 +37,11 @@ pub trait AggSpec: Clone + 'static {
     /// Final output record type.
     type Out: Tuple + 'static;
 
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
+    /// Short name, the prefix of a Hyracks job's heap-space labels.
+    /// Hadoop jobs label their spaces by task and never read it.
+    fn name(&self) -> &'static str {
+        std::any::type_name::<Self>()
+    }
 
     /// Decomposes one input record into keyed contributions (map side).
     fn explode(&self, rec: &Self::In, out: &mut Vec<Self::Mid>);

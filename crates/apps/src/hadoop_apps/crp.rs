@@ -16,7 +16,7 @@ use crate::summary::RunSummary;
 use super::{itask, regular, wikipedia_splits, wikipedia_word_total, NODES};
 
 /// Lemmatizer scratch per sentence character (the paper reports three
-/// orders of magnitude over the sentence; 250 x the UTF-16 string puts
+/// orders of magnitude over the sentence; 140 x the UTF-16 string puts
 /// the longest sentences near a whole task heap).
 const LEMMA_FACTOR: u64 = 140;
 
@@ -41,10 +41,6 @@ impl AggSpec for CrpSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "crp"
-    }
-
     fn explode(&self, rec: &Article, out: &mut Vec<CountMid>) {
         for &w in &rec.words {
             out.push(CountMid::one(w as u64, CountMid::STRING_LONG_ENTRY));
@@ -52,10 +48,7 @@ impl AggSpec for CrpSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 
     fn scratch_bytes(&self, rec: &Article) -> u64 {

@@ -27,10 +27,6 @@ impl AggSpec for IibSpec {
     type Mid = ListMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "iib"
-    }
-
     fn explode(&self, rec: &Article, out: &mut Vec<ListMid>) {
         let mut distinct: Vec<u32> = rec.words.clone();
         distinct.sort_unstable();

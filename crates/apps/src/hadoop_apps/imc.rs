@@ -26,10 +26,6 @@ impl AggSpec for ImcSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "imc"
-    }
-
     fn explode(&self, rec: &Article, out: &mut Vec<CountMid>) {
         for &w in &rec.words {
             out.push(CountMid::one(w as u64, IMC_ENTRY));
@@ -37,10 +33,7 @@ impl AggSpec for ImcSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 
     /// The studied bug: the in-map combiner never flushes.
@@ -63,10 +56,6 @@ impl AggSpec for ImcTunedSpec {
     type In = Article;
     type Mid = CountMid;
     type Out = OutKv;
-
-    fn name(&self) -> &'static str {
-        "imc-tuned"
-    }
 
     fn explode(&self, rec: &Article, out: &mut Vec<CountMid>) {
         ImcSpec.explode(rec, out);

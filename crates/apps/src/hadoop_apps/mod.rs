@@ -1,8 +1,8 @@
-//! The five reproduced Hadoop problems of Table 1 (§6.1). Each module
-//! exposes the Table 1 configuration (the one the problem was reported
-//! under — the CTime run), the StackOverflow-recommended fix (the PTime
-//! run) and the ITask version under the *original* configuration (the
-//! ITime run).
+//! The 13 reproduced Hadoop problems of §6.1, as one table:
+//! [`PROBLEMS`]. Each of the five Table 1 details has a module with its
+//! reported configuration (CTime), the StackOverflow-recommended fix
+//! (PTime) and the ITask run under the reported configuration (ITime);
+//! the other eight live in [`more_problems`].
 
 pub mod crp;
 pub mod iib;
@@ -12,12 +12,17 @@ pub mod msa;
 pub mod wcm;
 
 use hadoop::HadoopConfig;
+use simcluster::JobReport;
 use simcore::ByteSize;
 use workloads::stackoverflow::{Post, StackOverflowConfig};
 use workloads::wikipedia::{Article, WikipediaConfig};
 
 use crate::agg::{itask_factories, AggMapper, AggReducer, AggSpec};
 use crate::summary::RunSummary;
+use more_problems::{
+    fav_config, fav_splits, lsb_config, reported_config, tfr_splits, FavSpec, HjdSpec, LsbSpec,
+    RhmSpec, SbaSpec, SpiSpec, TfrSpec, WppSpec,
+};
 
 /// Worker nodes of the paper's testbed.
 pub const NODES: usize = 10;
@@ -84,8 +89,13 @@ pub fn regular<S: AggSpec>(
         || AggMapper::new(spec.clone(), buckets),
         || AggReducer::new(spec.clone()),
     );
-    let attempts = report.counter("hadoop.map_attempts") + report.counter("hadoop.reduce_attempts");
-    (RunSummary { report, result }, attempts as u32)
+    let attempts = attempts(&report);
+    (RunSummary { report, result }, attempts)
+}
+
+/// The task attempts a regular job made, retries included.
+pub fn attempts(report: &JobReport) -> u32 {
+    (report.counter("hadoop.map_attempts") + report.counter("hadoop.reduce_attempts")) as u32
 }
 
 /// Runs a spec's ITask Hadoop job and wraps it uniformly.
@@ -100,3 +110,194 @@ pub fn itask<S: AggSpec>(
     let (report, result) = hadoop::run_itask_job::<S::In, S::Mid, S::Out>(cfg, splits, &factories);
     RunSummary { report, result }
 }
+
+/// One run of a problem with its outputs dropped: the report, and
+/// whether the job completed or the error that killed it.
+pub type Run = RunSummary<()>;
+
+fn erase<T>(run: RunSummary<T>) -> Run {
+    RunSummary {
+        report: run.report,
+        result: run.result.map(|_| Vec::new()),
+    }
+}
+
+/// The regular job of `spec` under `cfg`, as a [`Run`].
+fn ctime<S: AggSpec>(spec: &S, cfg: HadoopConfig, splits: Vec<Vec<S::In>>) -> Run {
+    erase(regular(spec, &cfg, splits).0)
+}
+
+/// The ITask job of `spec` under `cfg`, as a [`Run`].
+fn itime<S: AggSpec>(spec: &S, cfg: HadoopConfig, splits: Vec<Vec<S::In>>) -> Run {
+    erase(itask(spec, &cfg, splits))
+}
+
+/// One reproduced StackOverflow problem.
+pub struct Problem {
+    /// Command-line selector, e.g. `"msa"`.
+    pub key: &'static str,
+    /// Table name, e.g. `"MSA"`.
+    pub name: &'static str,
+    /// The paper's reference, e.g. `"[13]"`.
+    pub citation: &'static str,
+    /// The root cause, in a few words.
+    pub story: &'static str,
+    /// The regular job under the reported configuration.
+    pub crash: fn(u64) -> Run,
+    /// The ITask job under the same configuration.
+    pub itask: fn(u64) -> Run,
+    /// Table 1's columns, for the five problems the paper details.
+    pub detail: Option<Detail>,
+}
+
+/// What Table 1 adds for a detailed problem.
+pub struct Detail {
+    /// The dataset, as Table 1 names it.
+    pub data: &'static str,
+    /// The configuration the problem was reported under.
+    pub config: fn() -> HadoopConfig,
+    /// The regular job under the StackOverflow-recommended fix.
+    pub tuned: fn(u64) -> Run,
+}
+
+/// The 13 problems in paper order: the five detailed ones, then the
+/// other eight.
+pub static PROBLEMS: [Problem; 13] = [
+    Problem {
+        key: "msa",
+        name: "MSA",
+        citation: "[13]",
+        story: "map-side aggregation",
+        crash: |seed| erase(msa::run_ctime(seed).0),
+        itask: |seed| erase(msa::run_itask(seed)),
+        detail: Some(Detail {
+            data: "StackOverflow FD 29GB",
+            config: msa::table1_config,
+            tuned: |seed| erase(msa::run_tuned(seed).0),
+        }),
+    },
+    Problem {
+        key: "imc",
+        name: "IMC",
+        citation: "[16]",
+        story: "in-map combiner",
+        crash: |seed| erase(imc::run_ctime(seed).0),
+        itask: |seed| erase(imc::run_itask(seed)),
+        detail: Some(Detail {
+            data: "Wikipedia FD 49GB",
+            config: imc::table1_config,
+            tuned: |seed| erase(imc::run_tuned(seed).0),
+        }),
+    },
+    Problem {
+        key: "iib",
+        name: "IIB",
+        citation: "[8]",
+        story: "inverted-index building",
+        crash: |seed| erase(iib::run_ctime(seed).0),
+        itask: |seed| erase(iib::run_itask(seed)),
+        detail: Some(Detail {
+            data: "Wikipedia FD 49GB",
+            config: iib::table1_config,
+            tuned: |seed| erase(iib::run_tuned(seed).0),
+        }),
+    },
+    Problem {
+        key: "wcm",
+        name: "WCM",
+        citation: "[15]",
+        story: "co-occurrence matrix",
+        crash: |seed| erase(wcm::run_ctime(seed).0),
+        itask: |seed| erase(wcm::run_itask(seed)),
+        detail: Some(Detail {
+            data: "Wikipedia FD 49GB",
+            config: wcm::table1_config,
+            tuned: |seed| erase(wcm::run_tuned(seed).0),
+        }),
+    },
+    Problem {
+        key: "crp",
+        name: "CRP",
+        citation: "[10]",
+        story: "review lemmatizer",
+        crash: |seed| erase(crp::run_ctime(seed).0),
+        itask: |seed| erase(crp::run_itask(seed)),
+        detail: Some(Detail {
+            data: "Wikipedia SP 5GB",
+            config: crp::table1_config,
+            tuned: |seed| erase(crp::run_tuned(seed).0),
+        }),
+    },
+    Problem {
+        key: "sba",
+        name: "SBA",
+        citation: "[5]",
+        story: "StringBuilder append per key",
+        crash: |seed| ctime(&SbaSpec, reported_config(), stackoverflow_splits(seed)),
+        itask: |seed| itime(&SbaSpec, reported_config(), stackoverflow_splits(seed)),
+        detail: None,
+    },
+    Problem {
+        key: "lsb",
+        name: "LSB",
+        citation: "[6]",
+        story: "oversized spill buffer",
+        crash: |seed| ctime(&LsbSpec, lsb_config(), wikipedia_splits(true, seed)),
+        itask: |seed| itime(&LsbSpec, lsb_config(), wikipedia_splits(true, seed)),
+        detail: None,
+    },
+    Problem {
+        key: "wpp",
+        name: "WPP",
+        citation: "[7]",
+        story: "web parser 30x scratch",
+        crash: |seed| ctime(&WppSpec, reported_config(), stackoverflow_splits(seed)),
+        itask: |seed| itime(&WppSpec, reported_config(), stackoverflow_splits(seed)),
+        detail: None,
+    },
+    Problem {
+        key: "fav",
+        name: "FAV",
+        citation: "[9]",
+        story: "attribute-value frequencies",
+        crash: |seed| ctime(&FavSpec, fav_config(), fav_splits(seed)),
+        itask: |seed| itime(&FavSpec, fav_config(), fav_splits(seed)),
+        detail: None,
+    },
+    Problem {
+        key: "spi",
+        name: "SPI",
+        citation: "[11]",
+        story: "positional index postings",
+        crash: |seed| ctime(&SpiSpec, reported_config(), wikipedia_splits(true, seed)),
+        itask: |seed| itime(&SpiSpec, reported_config(), wikipedia_splits(true, seed)),
+        detail: None,
+    },
+    Problem {
+        key: "hjd",
+        name: "HJD",
+        citation: "[12]",
+        story: "distributed-cache hash join",
+        crash: |seed| ctime(&HjdSpec, reported_config(), stackoverflow_splits(seed)),
+        itask: |seed| itime(&HjdSpec, reported_config(), stackoverflow_splits(seed)),
+        detail: None,
+    },
+    Problem {
+        key: "tfr",
+        name: "TFR",
+        citation: "[14]",
+        story: "whole file as one record",
+        crash: |seed| ctime(&TfrSpec, reported_config(), tfr_splits(seed)),
+        itask: |seed| itime(&TfrSpec, reported_config(), tfr_splits(seed)),
+        detail: None,
+    },
+    Problem {
+        key: "rhm",
+        name: "RHM",
+        citation: "[17]",
+        story: "reducer merge-step blowup",
+        crash: |seed| ctime(&RhmSpec, reported_config(), wikipedia_splits(true, seed)),
+        itask: |seed| itime(&RhmSpec, reported_config(), wikipedia_splits(true, seed)),
+        detail: None,
+    },
+];

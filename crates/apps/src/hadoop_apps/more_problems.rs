@@ -1,9 +1,9 @@
 //! The other eight of the paper's 13 reproduced StackOverflow problems
 //! (§6.1 details five — MSA, IMC, IIB, WCM, CRP — and reports that the
 //! ITask versions of *all 13* survived their memory pressure; paper
-//! references \[5\]–\[17\]). Each reproduction here pairs the
-//! configuration under which the problem crashes with the ITask run
-//! that survives it untouched.
+//! references \[5\]–\[17\]). Each is a spec, a dataset and the
+//! configuration it crashes under; [`super::PROBLEMS`] runs them regular
+//! and as ITasks.
 //!
 //! Root causes follow the paper's §2 taxonomy — hot keys or large
 //! intermediate results — expressed through the same levers as the
@@ -18,34 +18,21 @@ use workloads::wikipedia::Article;
 
 use crate::agg::AggSpec;
 use crate::mids::{CountMid, ListMid, OutKv, StripeMid};
-use crate::summary::RunSummary;
 
-use super::{itask, regular, stackoverflow_splits, wikipedia_splits, NODES};
+use super::{wikipedia_splits, NODES};
 
-/// A uniform row for the survival table: the problem's name, the
-/// crashing run and the surviving ITask run.
-pub struct Survival {
-    /// Short name (paper reference number).
-    pub name: &'static str,
-    /// What the problem is.
-    pub story: &'static str,
-    /// The regular run under the reported configuration.
-    pub crash: RunSummary<OutKv>,
-    /// Attempts burned by the crash.
-    pub attempts: u32,
-    /// The ITask run under the same configuration.
-    pub survive: RunSummary<OutKv>,
+/// The configuration SBA, WPP, SPI, HJD, TFR and RHM were reported
+/// under: MH=RH=1GB, MM=MR=6.
+pub fn reported_config() -> HadoopConfig {
+    HadoopConfig::table1(NODES, 1024, 1024, 6, 6)
 }
-
-// ----------------------------------------------------------------
-// [5] StringBuilder append: concatenating every value of a key into
-// one ever-growing string — hot keys build megabyte strings.
-// ----------------------------------------------------------------
 
 /// Mean heap cost of one appended value inside the string builder.
 const SBA_APPEND_BYTES: u32 = 620;
 
-/// Spec for problem \[5\].
+/// Spec for problem \[5\], StringBuilder append: concatenating every
+/// value of a key into one ever-growing string — hot keys build
+/// megabyte strings.
 #[derive(Clone, Debug, Default)]
 pub struct SbaSpec;
 
@@ -53,10 +40,6 @@ impl AggSpec for SbaSpec {
     type In = Post;
     type Mid = ListMid;
     type Out = OutKv;
-
-    fn name(&self) -> &'static str {
-        "sba"
-    }
 
     fn explode(&self, rec: &Post, out: &mut Vec<ListMid>) {
         // Group by a coarse key; every appended value retains ~600B of
@@ -78,27 +61,10 @@ impl AggSpec for SbaSpec {
     }
 }
 
-/// Runs problem \[5\]: crash + ITask survival.
-pub fn sba(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&SbaSpec, &cfg, stackoverflow_splits(seed));
-    let survive = itask(&SbaSpec, &cfg, stackoverflow_splits(seed));
-    Survival {
-        name: "SBA [5]",
-        story: "StringBuilder append per key",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-// ----------------------------------------------------------------
-// [6] Large spill buffer: io.sort.mb misconfigured to nearly the whole
-// map heap — the framework buffer leaves no room for anything else.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[6\]: an ordinary word count; the bug is pure
-/// configuration.
+/// Spec for problem \[6\], large spill buffer: io.sort.mb misconfigured
+/// to nearly the whole map heap — the framework buffer leaves no room
+/// for anything else. The spec is an ordinary word count; the bug is
+/// pure configuration.
 #[derive(Clone, Debug, Default)]
 pub struct LsbSpec;
 
@@ -107,10 +73,6 @@ impl AggSpec for LsbSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "lsb"
-    }
-
     fn explode(&self, rec: &Article, out: &mut Vec<CountMid>) {
         for &w in &rec.words {
             out.push(CountMid::one(w as u64, 136));
@@ -118,38 +80,22 @@ impl AggSpec for LsbSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 }
 
-/// Runs problem \[6\].
-pub fn lsb(seed: u64) -> Survival {
+/// Problem \[6\]'s configuration: the reported misconfiguration, a
+/// spill buffer nearly the size of the map heap. The ITask runtime does
+/// not use the per-task sort buffer at all — its partitions are managed
+/// by the IRS — so the same setting is harmless there.
+pub fn lsb_config() -> HadoopConfig {
     let mut cfg = HadoopConfig::table1(NODES, 512, 1024, 13, 6);
-    // The reported misconfiguration: a spill buffer nearly the size of
-    // the map heap.
     cfg.sort_buffer = ByteSize::kib(440);
-    let (crash, attempts) = regular(&LsbSpec, &cfg, wikipedia_splits(true, seed));
-    // The ITask runtime does not use the per-task sort buffer at all —
-    // its partitions are managed by the IRS — so the same setting is
-    // harmless.
-    let survive = itask(&LsbSpec, &cfg, wikipedia_splits(true, seed));
-    Survival {
-        name: "LSB [6]",
-        story: "oversized spill buffer",
-        crash,
-        attempts,
-        survive,
-    }
+    cfg
 }
 
-// ----------------------------------------------------------------
-// [7] Web parser: a DOM parse whose scratch memory is ~30x the page.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[7\].
+/// Spec for problem \[7\], web parser: a DOM parse whose scratch memory
+/// is ~30x the page.
 #[derive(Clone, Debug, Default)]
 pub struct WppSpec;
 
@@ -158,20 +104,13 @@ impl AggSpec for WppSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "wpp"
-    }
-
     fn explode(&self, rec: &Post, out: &mut Vec<CountMid>) {
         // Count pages per score bucket once parsed.
         out.push(CountMid::one((rec.score.unsigned_abs() % 64) as u64, 136));
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 
     fn scratch_bytes(&self, rec: &Post) -> u64 {
@@ -180,27 +119,9 @@ impl AggSpec for WppSpec {
     }
 }
 
-/// Runs problem \[7\].
-pub fn wpp(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&WppSpec, &cfg, stackoverflow_splits(seed));
-    let survive = itask(&WppSpec, &cfg, stackoverflow_splits(seed));
-    Survival {
-        name: "WPP [7]",
-        story: "web parser 30x scratch",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-// ----------------------------------------------------------------
-// [9] Frequencies of attribute values: counting every distinct
-// (attribute, value) pair — the reduce-side table spans the cross
-// product.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[9\].
+/// Spec for problem \[9\], frequencies of attribute values: counting
+/// every distinct (attribute, value) pair — the reduce-side table spans
+/// the cross product.
 #[derive(Clone, Debug, Default)]
 pub struct FavSpec;
 
@@ -208,10 +129,6 @@ impl AggSpec for FavSpec {
     type In = LineItem;
     type Mid = CountMid;
     type Out = OutKv;
-
-    fn name(&self) -> &'static str {
-        "fav"
-    }
 
     fn explode(&self, rec: &LineItem, out: &mut Vec<CountMid>) {
         // (supplier, quantity) and (supplier, line number) value pairs.
@@ -226,45 +143,27 @@ impl AggSpec for FavSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 }
 
 /// Problem \[9\]'s dataset: TPC-H 100x lineitems as splits.
-fn fav_splits(seed: u64) -> Vec<Vec<LineItem>> {
+pub fn fav_splits(seed: u64) -> Vec<Vec<LineItem>> {
     let cfg = TpchConfig::preset(TpchScale::X100, seed);
-    let mut splits = Vec::new();
-    let mut k = 0;
-    while k < cfg.lineitems {
-        splits.push(cfg.lineitem_block(k, 1_100));
-        k += 1_100;
-    }
-    splits
+    (0..cfg.lineitems)
+        .step_by(1_100)
+        .map(|k| cfg.lineitem_block(k, 1_100))
+        .collect()
 }
 
-/// Runs problem \[9\].
-pub fn fav(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 512, 6, 6);
-    let (crash, attempts) = regular(&FavSpec, &cfg, fav_splits(seed));
-    let survive = itask(&FavSpec, &cfg, fav_splits(seed));
-    Survival {
-        name: "FAV [9]",
-        story: "attribute-value frequencies",
-        crash,
-        attempts,
-        survive,
-    }
+/// Problem \[9\]'s configuration: MH=1GB, RH=0.5GB, MM=MR=6.
+pub fn fav_config() -> HadoopConfig {
+    HadoopConfig::table1(NODES, 1024, 512, 6, 6)
 }
 
-// ----------------------------------------------------------------
-// [11] Sharded positional indexer: IIB with per-posting position
-// payloads — the heaviest reduce-side state of the set.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[11\].
+/// Spec for problem \[11\], sharded positional indexer: IIB with
+/// per-posting position payloads — the heaviest reduce-side state of
+/// the set.
 #[derive(Clone, Debug, Default)]
 pub struct SpiSpec;
 
@@ -272,10 +171,6 @@ impl AggSpec for SpiSpec {
     type In = Article;
     type Mid = ListMid;
     type Out = OutKv;
-
-    fn name(&self) -> &'static str {
-        "spi"
-    }
 
     fn explode(&self, rec: &Article, out: &mut Vec<ListMid>) {
         let mut distinct: Vec<u32> = rec.words.clone();
@@ -295,26 +190,8 @@ impl AggSpec for SpiSpec {
     }
 }
 
-/// Runs problem \[11\].
-pub fn spi(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&SpiSpec, &cfg, wikipedia_splits(true, seed));
-    let survive = itask(&SpiSpec, &cfg, wikipedia_splits(true, seed));
-    Survival {
-        name: "SPI [11]",
-        story: "positional index postings",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-// ----------------------------------------------------------------
-// [12] Hash join using distributed cache: every mapper deserializes
-// the cached build table into its own heap.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[12\].
+/// Spec for problem \[12\], hash join using distributed cache: every
+/// mapper deserializes the cached build table into its own heap.
 #[derive(Clone, Debug, Default)]
 pub struct HjdSpec;
 
@@ -323,10 +200,6 @@ impl AggSpec for HjdSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "hjd"
-    }
-
     fn explode(&self, rec: &Post, out: &mut Vec<CountMid>) {
         // Join each post against the cached table; count matches per
         // shard.
@@ -334,10 +207,7 @@ impl AggSpec for HjdSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 
     fn init_bytes(&self) -> u64 {
@@ -350,26 +220,8 @@ impl AggSpec for HjdSpec {
     }
 }
 
-/// Runs problem \[12\].
-pub fn hjd(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&HjdSpec, &cfg, stackoverflow_splits(seed));
-    let survive = itask(&HjdSpec, &cfg, stackoverflow_splits(seed));
-    Survival {
-        name: "HJD [12]",
-        story: "distributed-cache hash join",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-// ----------------------------------------------------------------
-// [14] Text file as a record: whole multi-hundred-KB files handed to
-// the mapper as single records.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[14\]: one record = one file.
+/// Spec for problem \[14\], text file as a record: whole
+/// multi-hundred-KB files handed to the mapper as single records.
 #[derive(Clone, Debug, Default)]
 pub struct TfrSpec;
 
@@ -397,10 +249,6 @@ impl AggSpec for TfrSpec {
     type Mid = CountMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "tfr"
-    }
-
     fn explode(&self, rec: &WholeFile, out: &mut Vec<CountMid>) {
         out.push(CountMid {
             key: rec.id % 32,
@@ -410,16 +258,13 @@ impl AggSpec for TfrSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 }
 
 /// Problem \[14\]'s dataset: the Wikipedia sample regrouped into whole
 /// files of ~0.5MB each.
-fn tfr_splits(seed: u64) -> Vec<Vec<WholeFile>> {
+pub fn tfr_splits(seed: u64) -> Vec<Vec<WholeFile>> {
     let articles = wikipedia_splits(false, seed);
     let mut files = Vec::new();
     let mut acc = 0u64;
@@ -440,26 +285,8 @@ fn tfr_splits(seed: u64) -> Vec<Vec<WholeFile>> {
     files
 }
 
-/// Runs problem \[14\].
-pub fn tfr(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&TfrSpec, &cfg, tfr_splits(seed));
-    let survive = itask(&TfrSpec, &cfg, tfr_splits(seed));
-    Survival {
-        name: "TFR [14]",
-        story: "whole file as one record",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-// ----------------------------------------------------------------
-// [17] Reducer hang at the merge step: co-occurrence stripes with
-// outsized merge buffers on the reduce side.
-// ----------------------------------------------------------------
-
-/// Spec for problem \[17\].
+/// Spec for problem \[17\], reducer hang at the merge step:
+/// co-occurrence stripes with outsized merge buffers on the reduce side.
 #[derive(Clone, Debug, Default)]
 pub struct RhmSpec;
 
@@ -467,10 +294,6 @@ impl AggSpec for RhmSpec {
     type In = Article;
     type Mid = StripeMid;
     type Out = OutKv;
-
-    fn name(&self) -> &'static str {
-        "rhm"
-    }
 
     fn explode(&self, rec: &Article, out: &mut Vec<StripeMid>) {
         for w in rec.words.windows(2) {
@@ -485,32 +308,4 @@ impl AggSpec for RhmSpec {
             value: pairs,
         }
     }
-}
-
-/// Runs problem \[17\].
-pub fn rhm(seed: u64) -> Survival {
-    let cfg = HadoopConfig::table1(NODES, 1024, 1024, 6, 6);
-    let (crash, attempts) = regular(&RhmSpec, &cfg, wikipedia_splits(true, seed));
-    let survive = itask(&RhmSpec, &cfg, wikipedia_splits(true, seed));
-    Survival {
-        name: "RHM [17]",
-        story: "reducer merge-step blowup",
-        crash,
-        attempts,
-        survive,
-    }
-}
-
-/// Runs all eight remaining problems.
-pub fn all(seed: u64) -> Vec<Survival> {
-    vec![
-        sba(seed),
-        lsb(seed),
-        wpp(seed),
-        fav(seed),
-        spi(seed),
-        hjd(seed),
-        tfr(seed),
-        rhm(seed),
-    ]
 }

@@ -30,10 +30,6 @@ impl AggSpec for MsaSpec {
     type Mid = SortMid;
     type Out = SortMid;
 
-    fn name(&self) -> &'static str {
-        "msa"
-    }
-
     fn explode(&self, rec: &Post, out: &mut Vec<SortMid>) {
         out.push(SortMid {
             key: rec.id,

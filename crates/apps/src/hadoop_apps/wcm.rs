@@ -27,10 +27,6 @@ impl AggSpec for WcmSpec {
     type Mid = StripeMid;
     type Out = OutKv;
 
-    fn name(&self) -> &'static str {
-        "wcm"
-    }
-
     fn explode(&self, rec: &Article, out: &mut Vec<StripeMid>) {
         for w in rec.words.windows(2) {
             out.push(StripeMid::pair(w[0] as u64, w[1], WCM_ENTRY, WCM_CELL));

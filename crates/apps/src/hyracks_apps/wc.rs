@@ -37,10 +37,7 @@ impl AggSpec for WcSpec {
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
-        OutKv {
-            key: mid.key,
-            value: mid.count,
-        }
+        mid.into()
     }
 }
 

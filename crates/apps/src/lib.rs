@@ -5,10 +5,11 @@
 //!
 //! * Hyracks programs (§6.2): word count (WC), heap sort (HS), inverted
 //!   index (II), hash join (HJ), group-by (GR) — [`hyracks_apps`];
-//! * Hadoop programs (§6.1, Table 1): map-side aggregation (MSA),
-//!   in-map combiner (IMC), inverted-index building (IIB), word
-//!   co-occurrence matrix (WCM), customer review processing (CRP) —
-//!   [`hadoop_apps`].
+//! * Hadoop programs (§6.1): the 13 reproduced StackOverflow problems,
+//!   [`hadoop_apps::PROBLEMS`], five of them detailed in Table 1 —
+//!   map-side aggregation (MSA), in-map combiner (IMC), inverted-index
+//!   building (IIB), word co-occurrence matrix (WCM), customer review
+//!   processing (CRP).
 //!
 //! Most programs are keyed aggregations and instantiate the generic
 //! machinery in [`agg`]: a `Mid` tuple type that is both the shuffled

@@ -291,6 +291,16 @@ pub struct OutKv {
     pub value: u64,
 }
 
+/// A counter's final record: its key and count.
+impl From<CountMid> for OutKv {
+    fn from(mid: CountMid) -> Self {
+        OutKv {
+            key: mid.key,
+            value: mid.count,
+        }
+    }
+}
+
 impl Tuple for OutKv {
     fn heap_bytes(&self) -> u64 {
         32

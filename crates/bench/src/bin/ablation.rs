@@ -100,7 +100,7 @@ const CONFIGS: [(InterruptMode, VictimPolicy, SerializeMode, u8, &str); 5] = [
 
 fn main() {
     let mut h = sweep::harness("ablation");
-    h.end_flags();
+    h.end_flags(&[]);
 
     let sizes = [
         (WebmapSize::G10, 3u64),

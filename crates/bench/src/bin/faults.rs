@@ -204,9 +204,8 @@ fn ablate<T: Ord + std::fmt::Debug + Send>(
 
 fn main() {
     let mut h = sweep::harness("faults");
-    let wc_only = h.flag("--wc-only");
-    let ii_only = h.flag("--ii-only");
-    h.end_flags();
+    let (wc_only, ii_only) = h.exclusive("--wc-only", "--ii-only");
+    h.end_flags(&[]);
     if !ii_only {
         ablate(
             &mut h,

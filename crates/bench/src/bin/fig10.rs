@@ -68,7 +68,7 @@ fn main() {
     let mut h = sweep::harness("fig10");
     // `--csv <dir>`: also write one machine-readable file per program.
     let csv = h.value("--csv");
-    h.end_flags();
+    h.end_flags(&PROGRAMS.each_ref().map(|p| p.key));
     let progs: Vec<&Program> = PROGRAMS.iter().filter(|p| h.wants(p.key)).collect();
 
     // Per program and dataset: thread sweep then the ITask run, all

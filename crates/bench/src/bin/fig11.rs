@@ -81,7 +81,7 @@ fn render_heap_sweep(name: &str, cells: &mut impl Iterator<Item = Cell>) {
 
 fn main() {
     let mut h = sweep::harness("fig11");
-    h.end_flags();
+    h.end_flags(&[]);
     // (c) is read off its run's trace stream.
     tracer::enable();
     let [wc, _, ii, _, _] = &PROGRAMS;

@@ -55,7 +55,7 @@ fn paper_secs(d: SimDuration) -> f64 {
 
 fn main() {
     let mut h = sweep::harness("fig3");
-    h.end_flags();
+    h.end_flags(&[]);
     tracer::enable();
 
     let size = WebmapSize::G27; // regular WC dies here; ITask survives

@@ -54,7 +54,7 @@ fn main() {
     let quick = h.flag("--quick");
     // `--csv <dir>`: also write one machine-readable file per program.
     let csv = h.value("--csv");
-    h.end_flags();
+    h.end_flags(&PROGRAMS.each_ref().map(|p| p.key));
     let progs: Vec<&Program> = PROGRAMS.iter().filter(|p| h.wants(p.key)).collect();
     let n_for = |p: &Program| if quick { 2 } else { p.datasets.len() };
 

@@ -177,7 +177,7 @@ fn main() {
         // Scale mode keeps its own profile sidecars.
         h.bin.push_str("-scale");
     }
-    h.end_flags();
+    h.end_flags(&[]);
 
     let (tenants, loads): (u32, &[u64]) = match (scale, quick) {
         (false, true) => (4, &[1, 2, 4]),

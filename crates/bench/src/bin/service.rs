@@ -266,7 +266,7 @@ fn main() {
         // Scale mode keeps its own profile sidecars.
         h.bin.push_str("-scale");
     }
-    h.end_flags();
+    h.end_flags(&[]);
     if scale {
         // Quick keeps the population and offered load CI-sized; full
         // mode is the 10^5-tenant, ~500k jobs/s regime of

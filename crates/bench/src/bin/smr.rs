@@ -172,7 +172,7 @@ fn crash_sweep(h: &mut Harness, quick: bool) {
 fn main() {
     let mut h = sweep::harness("smr");
     let quick = h.flag("--quick");
-    h.end_flags();
+    h.end_flags(&[]);
     pressure_sweep(&mut h, 3, quick);
     if !quick {
         pressure_sweep(&mut h, 5, quick);

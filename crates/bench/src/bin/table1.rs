@@ -5,120 +5,63 @@
 //!
 //! Usage: `table1 [--jobs N] [problem ...]`, problems ∈ {msa, imc, iib, wcm, crp}.
 
-use apps::hadoop_apps::{crp, iib, imc, msa, wcm};
-use apps::RunSummary;
-use itask_bench::sweep::{self, RunSpec};
-use itask_bench::{cols, print_table};
-use simcore::SCALE;
+use apps::hadoop_apps::{attempts, Detail, Problem, Run, PROBLEMS};
+use itask_bench::{cols, print_table, sweep};
 
 const SEED: u64 = 42;
 
-fn secs<T>(s: &RunSummary<T>) -> f64 {
-    s.report.elapsed.as_secs_f64() * SCALE as f64
-}
-
-fn show_crash<T>(s: &RunSummary<T>, attempts: u32) -> String {
-    if s.ok() {
-        format!("{:.0}s (no crash!)", secs(s))
+/// One table row from a problem's CTime, PTime and ITime runs.
+fn row(p: &Problem, d: &Detail, runs: &[Run]) -> Vec<String> {
+    let [ctime, ptime, itime] = runs else {
+        panic!("three runs per problem")
+    };
+    let secs = |r: &Run| format!("{:.0}s", r.paper_seconds());
+    let done = |r: &Run| format!("{}{}", if r.ok() { "" } else { "FAILED@" }, secs(r));
+    let crash = if ctime.ok() {
+        "no crash!".to_string()
     } else {
-        format!("{:.0}s ({} attempts)", secs(s), attempts)
-    }
-}
-
-fn show_ok<T>(s: &RunSummary<T>) -> String {
-    if s.ok() {
-        format!("{:.0}s", secs(s))
-    } else {
-        format!("FAILED@{:.0}s", secs(s))
-    }
-}
-
-fn config_col(cfg: &hadoop::HadoopConfig) -> String {
-    format!(
-        "MH={}K RH={}K MM={} MR={}",
-        cfg.map_heap.as_u64() / 1024,
-        cfg.reduce_heap.as_u64() / 1024,
-        cfg.max_mappers,
-        cfg.max_reducers
-    )
-}
-
-/// The three timed cells of one problem row, as independent sweep jobs.
-macro_rules! problem_specs {
-    ($specs:ident, $name:expr, $module:ident) => {{
-        $specs.push(sweep::spec(concat!("table1 ", $name, " ctime"), || {
-            let (s, attempts) = $module::run_ctime(SEED);
-            show_crash(&s, attempts)
-        }));
-        $specs.push(sweep::spec(concat!("table1 ", $name, " ptime"), || {
-            let (s, _) = $module::run_tuned(SEED);
-            show_ok(&s)
-        }));
-        $specs.push(sweep::spec(concat!("table1 ", $name, " itime"), || {
-            show_ok(&$module::run_itask(SEED))
-        }));
-    }};
+        format!("{} attempts", attempts(&ctime.report))
+    };
+    let cfg = (d.config)();
+    vec![
+        p.name.into(),
+        d.data.into(),
+        format!(
+            "MH={}K RH={}K MM={} MR={}",
+            cfg.map_heap.as_u64() / 1024,
+            cfg.reduce_heap.as_u64() / 1024,
+            cfg.max_mappers,
+            cfg.max_reducers
+        ),
+        format!("{} ({crash})", secs(ctime)),
+        done(ptime),
+        done(itime),
+    ]
 }
 
 fn main() {
     let mut h = sweep::harness("table1");
-    h.end_flags();
+    let detailed = PROBLEMS
+        .iter()
+        .filter_map(|p| Some((p, p.detail.as_ref()?)));
+    h.end_flags(&detailed.clone().map(|(p, _)| p.key).collect::<Vec<_>>());
+    let chosen: Vec<_> = detailed.filter(|(p, _)| h.wants(p.key)).collect();
 
-    // (Name, Data, Config) in table order; each contributes 3 jobs.
-    let mut meta: Vec<(&str, &str, String)> = Vec::new();
-    let mut specs: Vec<RunSpec<String>> = Vec::new();
-    if h.wants("msa") {
-        meta.push((
-            "MSA",
-            "StackOverflow FD 29GB",
-            config_col(&msa::table1_config()),
-        ));
-        problem_specs!(specs, "MSA", msa);
-    }
-    if h.wants("imc") {
-        meta.push((
-            "IMC",
-            "Wikipedia FD 49GB",
-            config_col(&imc::table1_config()),
-        ));
-        problem_specs!(specs, "IMC", imc);
-    }
-    if h.wants("iib") {
-        meta.push((
-            "IIB",
-            "Wikipedia FD 49GB",
-            config_col(&iib::table1_config()),
-        ));
-        problem_specs!(specs, "IIB", iib);
-    }
-    if h.wants("wcm") {
-        meta.push((
-            "WCM",
-            "Wikipedia FD 49GB",
-            config_col(&wcm::table1_config()),
-        ));
-        problem_specs!(specs, "WCM", wcm);
-    }
-    if h.wants("crp") {
-        meta.push(("CRP", "Wikipedia SP 5GB", config_col(&crp::table1_config())));
-        problem_specs!(specs, "CRP", crp);
-    }
-
-    let mut cells = h.run(specs).into_iter();
-
-    let table: Vec<Vec<String>> = meta
-        .into_iter()
-        .map(|(name, data, config)| {
-            vec![
-                name.into(),
-                data.into(),
-                config,
-                cells.next().expect("ctime cell"),
-                cells.next().expect("ptime cell"),
-                cells.next().expect("itime cell"),
-            ]
+    let specs = chosen
+        .iter()
+        .flat_map(|&(p, d)| {
+            [("ctime", p.crash), ("ptime", d.tuned), ("itime", p.itask)].map(|(col, run)| {
+                sweep::spec(format!("table1 {} {col}", p.name), move || run(SEED))
+            })
         })
         .collect();
+    let runs = h.run(specs);
+    let rows: Vec<Vec<String>> = chosen
+        .iter()
+        .zip(runs.chunks(3))
+        .map(|(&(p, d), runs)| row(p, d, runs))
+        .collect();
+
     let header = cols(&[
         "Name",
         "Data",
@@ -130,7 +73,7 @@ fn main() {
     print_table(
         "Table 1: Hadoop problems — crash / tuned / ITask times",
         &header,
-        &table,
+        &rows,
     );
     h.finish();
 }

@@ -4,61 +4,38 @@
 //!
 //! Usage: `table2 [--jobs N] [problem ...]`.
 
-use apps::hadoop_apps::{crp, iib, imc, msa, wcm};
-use apps::RunSummary;
-use itask_bench::sweep::{self, RunSpec};
-use itask_bench::{cols, print_table};
+use apps::hadoop_apps::{Problem, Run, PROBLEMS};
+use itask_bench::{cols, print_table, sweep};
 use simcore::{ByteSize, SCALE};
 
 const SEED: u64 = 42;
 
-fn fmt_paper(bytes: f64) -> String {
-    // Report at paper scale: simulated bytes × 1024.
-    format!("{}", ByteSize((bytes * SCALE as f64) as u64))
-}
-
-fn row<T>(name: &str, s: &RunSummary<T>) -> Vec<String> {
+/// One table row from a problem's ITask run, in paper-scale bytes
+/// (simulated bytes × 1024).
+fn row(p: &Problem, run: &Run) -> Vec<String> {
+    let paper = |counter| ByteSize((run.report.counter(counter) * SCALE as f64) as u64).to_string();
     vec![
-        name.to_string(),
-        fmt_paper(s.report.counter("reclaim.processed_input")),
-        fmt_paper(s.report.counter("reclaim.final_results")),
-        fmt_paper(s.report.counter("reclaim.intermediate_results")),
-        fmt_paper(s.report.counter("reclaim.lazy_serialized")),
-        if s.ok() { "ok".into() } else { "FAILED".into() },
+        p.name.into(),
+        paper("reclaim.processed_input"),
+        paper("reclaim.final_results"),
+        paper("reclaim.intermediate_results"),
+        paper("reclaim.lazy_serialized"),
+        if run.ok() { "ok" } else { "FAILED" }.into(),
     ]
 }
 
 fn main() {
     let mut h = sweep::harness("table2");
-    h.end_flags();
+    let detailed = PROBLEMS.iter().filter(|p| p.detail.is_some());
+    h.end_flags(&detailed.clone().map(|p| p.key).collect::<Vec<_>>());
+    let chosen: Vec<&Problem> = detailed.filter(|p| h.wants(p.key)).collect();
 
-    let mut specs: Vec<RunSpec<Vec<String>>> = Vec::new();
-    if h.wants("msa") {
-        specs.push(sweep::spec("table2 MSA itask", || {
-            row("MSA", &msa::run_itask(SEED))
-        }));
-    }
-    if h.wants("imc") {
-        specs.push(sweep::spec("table2 IMC itask", || {
-            row("IMC", &imc::run_itask(SEED))
-        }));
-    }
-    if h.wants("iib") {
-        specs.push(sweep::spec("table2 IIB itask", || {
-            row("IIB", &iib::run_itask(SEED))
-        }));
-    }
-    if h.wants("wcm") {
-        specs.push(sweep::spec("table2 WCM itask", || {
-            row("WCM", &wcm::run_itask(SEED))
-        }));
-    }
-    if h.wants("crp") {
-        specs.push(sweep::spec("table2 CRP itask", || {
-            row("CRP", &crp::run_itask(SEED))
-        }));
-    }
-    let rows = h.run(specs);
+    let specs = chosen
+        .iter()
+        .map(|&p| sweep::spec(format!("table2 {} itask", p.name), || (p.itask)(SEED)))
+        .collect();
+    let runs = h.run(specs);
+    let rows: Vec<Vec<String>> = chosen.iter().zip(&runs).map(|(p, r)| row(p, r)).collect();
 
     let header = cols(&[
         "Name",

@@ -75,7 +75,7 @@ fn scalability(h: &mut Harness, p: &'static Program, grans: &[u64]) -> Vec<Strin
 fn main() {
     let mut h = sweep::harness("table5");
     let quick = h.flag("--quick");
-    h.end_flags();
+    h.end_flags(&PROGRAMS.each_ref().map(|p| p.key));
     let grans: &[u64] = if quick { &[16, 32] } else { &GRANS_KIB };
 
     let mut rows = Vec::new();

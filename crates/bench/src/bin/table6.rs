@@ -85,7 +85,7 @@ fn summarize(p: &Program, n_sets: usize, cells: &mut impl Iterator<Item = Cell>)
 fn main() {
     let mut h = sweep::harness("table6");
     let quick = h.flag("--quick");
-    h.end_flags();
+    h.end_flags(&PROGRAMS.each_ref().map(|p| p.key));
     let progs: Vec<&Program> = PROGRAMS.iter().filter(|p| h.wants(p.key)).collect();
     let n_for = |p: &Program| if quick { 3 } else { p.datasets.len() };
 

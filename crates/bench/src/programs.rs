@@ -44,7 +44,8 @@ impl Dataset {
         }
     }
 
-    fn tpch(self) -> TpchScale {
+    /// The TPC-H scale; panics on a webmap dataset.
+    pub fn tpch(self) -> TpchScale {
         match self {
             Dataset::Tpch(scale) => scale,
             Dataset::Webmap(_) => panic!("{} is not a TPC-H dataset", self.label()),
@@ -63,7 +64,7 @@ const WEBMAP: [(Dataset, f64); 6] = [
 ];
 
 /// Table 4's TPC-H scales, smallest first, with their paper sizes in GB.
-const TPCH: [(Dataset, f64); 6] = [
+pub const TPCH: [(Dataset, f64); 6] = [
     (Dataset::Tpch(TpchScale::X10), 9.8),
     (Dataset::Tpch(TpchScale::X20), 19.7),
     (Dataset::Tpch(TpchScale::X30), 29.7),

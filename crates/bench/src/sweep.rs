@@ -194,7 +194,8 @@ pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
 /// registry as a side effect). Binary-specific flags come off with
 /// [`flag`](Self::flag) and [`value`](Self::value); whatever remains is
 /// positional. [`end_flags`](Self::end_flags) rejects any flag nobody
-/// consumed and opens the dump files; each [`run`](Self::run) streams
+/// consumed and any positional that is not one of the binary's keys,
+/// then opens the dump files; each [`run`](Self::run) streams
 /// its batch into them; [`finish`](Self::finish) closes them and writes
 /// the `--profile` sidecars (`<dir>/sweeps/<bin>.profile.{json,txt}`,
 /// `<dir>` = `bench_results`, overridable via `ITASK_BENCH_RESULTS`).
@@ -256,6 +257,16 @@ impl Harness {
         take_value(&mut self.args, name)
     }
 
+    /// Consumes two boolean flags that exclude each other, returning
+    /// whether each was present; both given exits 2 with the usage line.
+    pub fn exclusive(&mut self, a: &str, b: &str) -> (bool, bool) {
+        let (has_a, has_b) = (self.flag(a), self.flag(b));
+        if has_a && has_b {
+            self.fail(&format!("{a} and {b} exclude each other"));
+        }
+        (has_a, has_b)
+    }
+
     /// Whether the positional arguments select `name`; with none given,
     /// every name is selected.
     pub fn wants(&self, name: &str) -> bool {
@@ -283,20 +294,35 @@ impl Harness {
         line
     }
 
+    /// Reports a usage error on stderr, with the usage line, and exits 2.
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}\n{}", self.bin, self.usage());
+        std::process::exit(2);
+    }
+
     /// Ends flag parsing. Call after every [`flag`](Self::flag) and
-    /// [`value`](Self::value) and before printing anything: a `--…`
-    /// argument still present is unknown and exits 2 with the usage
-    /// line (`--help` prints it and exits 0), so a typo never launches
-    /// a sweep. Then opens the `--trace` / `--metrics` files; one that
-    /// cannot be created is reported on stderr and disarmed.
-    pub fn end_flags(&mut self) {
+    /// [`value`](Self::value) and before printing anything, with the
+    /// positional keys the binary selects by (`&[]` for none): a `--…`
+    /// argument still present is unknown, and so is any other
+    /// positional; either exits 2 with the usage line (`--help` prints
+    /// it and exits 0), so a typo never launches a sweep or prints an
+    /// empty table. Then opens the `--trace` / `--metrics` files; one
+    /// that cannot be created is reported on stderr and disarmed.
+    pub fn end_flags(&mut self, keys: &[&str]) {
         if let Some(flag) = self.leftover_flag() {
             if flag == "--help" {
                 println!("{}", self.usage());
                 std::process::exit(0);
             }
-            eprintln!("{}: unknown flag {flag}\n{}", self.bin, self.usage());
-            std::process::exit(2);
+            self.fail(&format!("unknown flag {flag}"));
+        }
+        if let Some(arg) = self.args.iter().find(|a| !keys.contains(&a.as_str())) {
+            let known = if keys.is_empty() {
+                "none".into()
+            } else {
+                keys.join(", ")
+            };
+            self.fail(&format!("unknown argument {arg} (known: {known})"));
         }
         self.trace = self.trace_path.take().and_then(|path| {
             TraceStream::open(&path)
@@ -573,7 +599,7 @@ mod tests {
     /// with its dump files open.
     fn armed(bin: &str, flags: &[String]) -> Harness {
         let mut h = parse_harness(bin, &mut flags.to_vec());
-        h.end_flags();
+        h.end_flags(&[]);
         h
     }
 
@@ -724,9 +750,10 @@ mod tests {
         assert!(!h.flag("--quick"), "flag consumed on first take");
         assert_eq!(h.args, vec!["wc".to_string()]);
         assert_eq!(h.leftover_flag(), None);
-        assert!(h.wants("wc") && !h.wants("hs"));
+        let [wc, hs] = ["wc", "hs"];
+        assert!(h.wants(wc) && !h.wants(hs));
         h.args.clear();
-        assert!(h.wants("hs"), "no positional argument selects everything");
+        assert!(h.wants(hs), "no positional argument selects everything");
     }
 
     #[test]

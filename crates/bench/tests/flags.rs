@@ -43,6 +43,68 @@ fn unknown_flags_exit_2_on_every_harness_binary() {
     }
 }
 
+/// Runs `bin args`, asserting that it exits 2 with nothing on stdout
+/// and an error naming `what` above the usage line on stderr.
+fn assert_usage_error(name: &str, bin: &str, args: &[&str], what: &str) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} {args:?} printed a table");
+    assert!(
+        stderr.starts_with(&format!("{name}: {what}")),
+        "{name} {args:?}: {stderr}"
+    );
+    assert!(stderr.contains(&format!("usage: {name} [--jobs N]")));
+}
+
+/// A positional that selects nothing — a misspelt problem or program,
+/// or any positional to a binary that takes none — used to print an
+/// empty table (or ignore the argument) and exit 0.
+#[test]
+fn unknown_positionals_exit_2_on_every_harness_binary() {
+    for (name, bin) in HARNESS_BINS {
+        assert_usage_error(name, bin, &["mas"], "unknown argument mas");
+    }
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    assert_usage_error("table1", table1, &["imc", "mas"], "unknown argument mas");
+    // A Hyracks program is not a Hadoop problem.
+    assert_usage_error(
+        "table2",
+        env!("CARGO_BIN_EXE_table2"),
+        &["wc"],
+        "unknown argument wc",
+    );
+    // The eight undetailed problems are not Table 1 rows.
+    assert_usage_error("table1", table1, &["sba"], "unknown argument sba");
+}
+
+/// Two filters that exclude each other used to print an empty table.
+#[test]
+fn exclusive_filters_exit_2() {
+    let pairs = [
+        (
+            "survival13",
+            env!("CARGO_BIN_EXE_survival13"),
+            "--five-only",
+            "--eight-only",
+        ),
+        (
+            "faults",
+            env!("CARGO_BIN_EXE_faults"),
+            "--wc-only",
+            "--ii-only",
+        ),
+    ];
+    for (name, bin, a, b) in pairs {
+        let what = format!("{a} and {b} exclude each other");
+        assert_usage_error(name, bin, &[a, b], &what);
+        assert_usage_error(name, bin, &[b, a], &what);
+    }
+}
+
 #[test]
 fn help_prints_usage_and_exits_0() {
     let out = Command::new(env!("CARGO_BIN_EXE_table5"))
