@@ -161,6 +161,17 @@ fn golden_overload_quick() {
     );
 }
 
+/// The only output that runs the breaker and brownout defaults in scale
+/// mode: quarantines and brownout rounds under a 10^4-tenant ramp.
+#[test]
+fn golden_overload_scale_quick() {
+    check_golden(
+        env!("CARGO_BIN_EXE_overload"),
+        &["--scale", "--quick"],
+        "overload_scale_quick.txt",
+    );
+}
+
 #[test]
 fn golden_service_scale_quick() {
     // The million-tenant admission plane's snapshot: lazy 10^4-tenant
