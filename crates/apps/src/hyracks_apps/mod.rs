@@ -98,7 +98,6 @@ pub fn run_regular_spec<S: AggSpec>(
         name: spec.name().into(),
         threads: params.threads,
         granularity: params.granularity,
-        buckets: BUCKETS,
     };
     let (report, result) = hyracks::run_regular(
         &mut cluster,
@@ -124,7 +123,6 @@ pub fn run_itask_spec<S: AggSpec>(
             ..IrsConfig::default()
         },
         granularity: params.granularity,
-        buckets: BUCKETS,
     };
     let factories = itask_factories(spec.clone(), BUCKETS);
     let (report, result) =

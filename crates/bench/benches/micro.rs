@@ -163,8 +163,9 @@ fn bench_irs(c: &mut Criterion) {
 
 fn bench_service(c: &mut Criterion) {
     use simcore::sketch::QuantileSketch;
-    use simserve::{AdmissionConfig, AdmissionController, Arrival, ClusterView, PolicyKind};
-    use std::collections::BTreeMap;
+    use simserve::{
+        AdmissionConfig, AdmissionController, Arrival, ClusterView, PolicyKind, WeightRule,
+    };
 
     // The admission controller's steady-state loop: enqueue a wave of
     // arrivals across tenants, drain under the policy, credit service.
@@ -184,7 +185,7 @@ fn bench_service(c: &mut Criterion) {
                         max_active: usize::MAX,
                         ..AdmissionConfig::default()
                     };
-                    let mut ctl = AdmissionController::new(cfg, BTreeMap::new());
+                    let mut ctl = AdmissionController::with_weight_rule(cfg, WeightRule::uniform());
                     for i in 0..256u32 {
                         let at = SimTime::from_nanos(i as u64);
                         ctl.enqueue_arrival(
@@ -217,7 +218,6 @@ fn bench_service(c: &mut Criterion) {
     // up as 10^4x growth from 1e2 to 1e6 instead of log-factor growth.
     for n in [100u32, 10_000, 1_000_000] {
         c.bench_function(&format!("service/admission_pop_wfair_{n}t"), |b| {
-            use simserve::WeightRule;
             let cfg = AdmissionConfig {
                 policy: PolicyKind::WeightedFair,
                 max_active: usize::MAX,

@@ -9,9 +9,7 @@ use apps::agg::itask_factories;
 use apps::hyracks_apps::wc::WcSpec;
 use apps::hyracks_apps::HyracksParams;
 use itask_bench::{cols, print_table, sweep, Cell};
-use itask_core::{
-    InterruptMode, IrsConfig, ManagerConfig, MonitorConfig, SerializeMode, VictimPolicy,
-};
+use itask_core::{InterruptMode, IrsConfig, SerializeMode, VictimPolicy};
 use simcore::ByteSize;
 use workloads::webmap::WebmapSize;
 
@@ -37,15 +35,11 @@ fn run_with(
             max_parallelism: apps::hyracks_apps::CORES,
             victim_policy: policy,
             interrupt_mode: mode,
-            manager: ManagerConfig { mode: ser },
-            monitor: MonitorConfig {
-                serialize_free_pct: hover_pct,
-                ..MonitorConfig::default()
-            },
+            serialize_mode: ser,
+            serialize_free_pct: hover_pct,
             ..IrsConfig::default()
         },
         granularity: params.granularity,
-        buckets: apps::hyracks_apps::BUCKETS,
     };
     let factories = itask_factories(WcSpec, apps::hyracks_apps::BUCKETS);
     let inputs = apps::hyracks_apps::webmap_inputs(size, &params, |r| r);

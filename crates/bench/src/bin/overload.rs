@@ -99,14 +99,8 @@ fn run_config_scale(config: Config, population: u32, load: u64) -> ServiceReport
         cfg.admission.queue_cap = Some(QUEUE_CAP);
         cfg.retry = RetryPolicy::budgeted();
         cfg.overload = OverloadConfig {
-            breaker: Some(simserve::BreakerConfig {
-                trip_score: 12,
-                ..Default::default()
-            }),
-            brownout: Some(simserve::BrownoutConfig {
-                max_active: 1, // per shard
-                ..Default::default()
-            }),
+            breaker: Some(simserve::BreakerConfig { trip_score: 12 }),
+            brownout: Some(simserve::BrownoutConfig { max_active: 1 }), // per shard
         };
     }
     cfg.scale = Some(ScaleSpec {
@@ -140,14 +134,8 @@ fn run_config(config: Config, tenants: u32, load: u64) -> ServiceReport {
         // regular engine; on ITask heaps full collections are routine,
         // so require a hotter window before quarantining a node.
         cfg.overload = OverloadConfig {
-            breaker: Some(simserve::BreakerConfig {
-                trip_score: 12,
-                ..Default::default()
-            }),
-            brownout: Some(simserve::BrownoutConfig {
-                max_active: 3,
-                ..Default::default()
-            }),
+            breaker: Some(simserve::BreakerConfig { trip_score: 12 }),
+            brownout: Some(simserve::BrownoutConfig { max_active: 3 }),
         };
     }
     Service::new(cfg).run()

@@ -154,11 +154,10 @@ pub fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
     path
 }
 
-/// Extracts `--metrics <path>` / `--metrics=<path>` and the optional
-/// `--metrics-cadence-ms N` / `--metrics-cadence-ms=N` from an argument
-/// list (mutating it). When a path is present, arms the global
-/// [`metrics`] registry (and installs the cadence if one was given);
-/// the executor then folds each run's metric stream on its worker,
+/// Extracts `--metrics <path>` / `--metrics=<path>` from an argument
+/// list (mutating it). When present, arms the global [`metrics`]
+/// registry; the executor then folds each run's metric stream on its
+/// worker at the fixed [`metrics::cadence_ns`],
 /// [`Harness::run`] streams JSONL samples to `<path>`, and
 /// [`Harness::finish`] writes an OpenMetrics-style final snapshot to
 /// `<path>.om`.
@@ -168,18 +167,7 @@ pub fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
 /// byte-identical at any `--jobs`.
 pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
     let path = take_value(args, "--metrics");
-    let cadence_ms =
-        take_value(args, "--metrics-cadence-ms").map(|value| match value.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("invalid --metrics-cadence-ms value: {value}");
-                std::process::exit(2);
-            }
-        });
     if path.is_some() {
-        if let Some(ms) = cadence_ms {
-            metrics::set_cadence_ns(ms.saturating_mul(1_000_000));
-        }
         metrics::enable();
     }
     path
@@ -189,7 +177,7 @@ pub fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
 /// executor and its instrument sinks.
 ///
 /// [`harness`] consumes the common flags — `--jobs`, `--profile`,
-/// `--trace`, `--metrics`, `--metrics-cadence-ms` — with identical
+/// `--trace`, `--metrics` — with identical
 /// semantics everywhere (arming the profiler, tracer, and metrics
 /// registry as a side effect). Binary-specific flags come off with
 /// [`flag`](Self::flag) and [`value`](Self::value); whatever remains is
@@ -283,8 +271,7 @@ impl Harness {
     /// One-line usage: the common flags, then this binary's own.
     fn usage(&self) -> String {
         let mut line = format!(
-            "usage: {} [--jobs N] [--profile] [--trace PATH] [--metrics PATH] \
-             [--metrics-cadence-ms N]",
+            "usage: {} [--jobs N] [--profile] [--trace PATH] [--metrics PATH]",
             self.bin
         );
         for flag in &self.known {
@@ -307,7 +294,8 @@ impl Harness {
     /// positional; either exits 2 with the usage line (`--help` prints
     /// it and exits 0), so a typo never launches a sweep or prints an
     /// empty table. Then opens the `--trace` / `--metrics` files; one
-    /// that cannot be created is reported on stderr and disarmed.
+    /// that cannot be created is reported on stderr and its plane
+    /// disarmed, so no run buffers events nobody writes.
     pub fn end_flags(&mut self, keys: &[&str]) {
         if let Some(flag) = self.leftover_flag() {
             if flag == "--help" {
@@ -326,12 +314,18 @@ impl Harness {
         }
         self.trace = self.trace_path.take().and_then(|path| {
             TraceStream::open(&path)
-                .map_err(|e| eprintln!("[sweep] could not open trace files, disarming: {e}"))
+                .map_err(|e| {
+                    eprintln!("[sweep] could not open trace files, disarming: {e}");
+                    tracer::disable();
+                })
                 .ok()
         });
         self.metrics = self.metrics_path.take().and_then(|path| {
             MetricsStream::open(&path)
-                .map_err(|e| eprintln!("[sweep] could not open metrics file, disarming: {e}"))
+                .map_err(|e| {
+                    eprintln!("[sweep] could not open metrics file, disarming: {e}");
+                    metrics::disable();
+                })
                 .ok()
         });
     }
@@ -718,18 +712,11 @@ mod tests {
         // Note: a hit arms the global registry; disarm before leaving
         // so other tests in this binary see the default-off state.
         let _arming = arming_lock();
-        let mut args = vec![
-            "--quick".to_string(),
-            "--metrics".into(),
-            "m.jsonl".into(),
-            "--metrics-cadence-ms=5".into(),
-        ];
+        let mut args = vec!["--quick".to_string(), "--metrics".into(), "m.jsonl".into()];
         assert_eq!(take_metrics_flag(&mut args).as_deref(), Some("m.jsonl"));
         assert_eq!(args, vec!["--quick".to_string()]);
         assert!(metrics::is_enabled());
-        assert_eq!(metrics::cadence_ns(), 5_000_000);
         metrics::disable();
-        metrics::set_cadence_ns(metrics::DEFAULT_CADENCE_NS);
         let mut args = vec!["--metrics=x/y.jsonl".to_string(), "wc".into()];
         assert_eq!(take_metrics_flag(&mut args).as_deref(), Some("x/y.jsonl"));
         assert_eq!(args, vec!["wc".to_string()]);
@@ -737,6 +724,36 @@ mod tests {
         let mut args = vec!["wc".to_string()];
         assert_eq!(take_metrics_flag(&mut args), None);
         assert!(!metrics::is_enabled());
+    }
+
+    /// A dump file that cannot be created disarms its plane: no run
+    /// buffers events for a sink that is gone.
+    #[test]
+    fn unopenable_dump_disarms_its_plane() {
+        let _arming = arming_lock();
+        let mut h = armed(
+            "sinkless",
+            &[
+                "--trace".into(),
+                "/dev/null/t.json".into(),
+                "--metrics".into(),
+                "/dev/null/m.jsonl".into(),
+            ],
+        );
+        assert!(!tracer::is_enabled(), "tracer left armed");
+        assert!(!metrics::is_enabled(), "metrics left armed");
+        let out = h.run_outcomes(vec![spec("run0", || {
+            tracer::emit(
+                None,
+                None,
+                simcore::SimTime::ZERO,
+                simcore::SimDuration::ZERO,
+                tracer::TraceData::NodeCrash,
+            );
+        })]);
+        h.finish();
+        assert!(out[0].trace.as_ref().is_none_or(|t| t.is_empty()));
+        assert!(out[0].metrics.is_none());
     }
 
     #[test]

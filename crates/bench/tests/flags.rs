@@ -81,6 +81,17 @@ fn unknown_positionals_exit_2_on_every_harness_binary() {
     assert_usage_error("table1", table1, &["sba"], "unknown argument sba");
 }
 
+/// The metrics cadence is fixed at 10ms: `--metrics-cadence-ms` was a
+/// flag once, and a stale one fails like any unknown flag.
+#[test]
+fn metrics_cadence_flag_exits_2() {
+    for (name, bin) in HARNESS_BINS {
+        let args = ["--metrics-cadence-ms", "5"];
+        let what = "unknown flag --metrics-cadence-ms";
+        assert_usage_error(name, bin, &args, what);
+    }
+}
+
 /// Two filters that exclude each other used to print an empty table.
 #[test]
 fn exclusive_filters_exit_2() {

@@ -22,7 +22,7 @@
 use simcore::{cost, ByteSize, CostModel, SimDuration};
 use simmem::{GcRecord, Heap};
 
-use crate::monitor::{MemSignal, Monitor, MonitorConfig};
+use crate::monitor::{MemSignal, Monitor};
 
 /// Long-lived state a runtime can deflate under memory pressure.
 ///
@@ -55,16 +55,17 @@ pub struct StateGuard {
 }
 
 impl StateGuard {
-    /// Creates a guard with the given monitor thresholds.
+    /// Creates a guard whose monitor hovers at `serialize_free_pct`
+    /// percent free.
     ///
     /// For latency-SLO state machines, `serialize_free_pct` doubles as
     /// the *hover* target: the guard asks for deflation whenever
     /// effective free memory sinks below it, which bounds the live set
     /// — and with it the worst full-collection pause — long before the
     /// LUGC detector would fire.
-    pub fn new(cfg: MonitorConfig) -> Self {
+    pub fn new(serialize_free_pct: u8) -> Self {
         StateGuard {
-            monitor: Monitor::new(cfg),
+            monitor: Monitor::new(serialize_free_pct),
             stats: DeflateStats::default(),
         }
     }
@@ -132,6 +133,7 @@ pub fn live_budget_for_pause(heap: &Heap, budget: SimDuration) -> ByteSize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::SERIALIZE_FREE_PCT;
     use simcore::SimTime;
     use simmem::HeapConfig;
 
@@ -168,14 +170,14 @@ mod tests {
     #[test]
     fn slack_heap_asks_for_nothing() {
         let (heap, _) = heap_with_blob(1000, 100);
-        let mut g = StateGuard::new(MonitorConfig::default());
+        let mut g = StateGuard::new(SERIALIZE_FREE_PCT);
         assert_eq!(g.poll(&[], &heap), None);
     }
 
     #[test]
     fn hover_deficit_requests_the_shortfall() {
         let (heap, _) = heap_with_blob(1000, 700); // 30% free < 40% hover
-        let mut g = StateGuard::new(MonitorConfig::default());
+        let mut g = StateGuard::new(SERIALIZE_FREE_PCT);
         let ask = g.poll(&[], &heap).expect("hover deficit");
         assert_eq!(ask, ByteSize::kib(100));
     }
@@ -183,7 +185,7 @@ mod tests {
     #[test]
     fn deflating_restores_the_hover_target() {
         let (mut heap, mut blob) = heap_with_blob(1000, 700);
-        let mut g = StateGuard::new(MonitorConfig::default());
+        let mut g = StateGuard::new(SERIALIZE_FREE_PCT);
         let ask = g.poll(&[], &heap).unwrap();
         let freed = blob.deflate(&mut heap, ask);
         g.note_deflated(freed);

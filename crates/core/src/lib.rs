@@ -50,8 +50,8 @@ pub use deflate::{
 };
 pub use graph::TaskGraph;
 pub use input::{offer_in_memory, offer_serialized};
-pub use manager::{DeserRecovery, ManagerConfig, SerializeMode};
-pub use monitor::{MemSignal, Monitor, MonitorConfig};
+pub use manager::{DeserRecovery, SerializeMode};
+pub use monitor::{MemSignal, Monitor};
 pub use partition::{
     Partition, PartitionBox, PartitionMeta, PartitionState, Tag, Tuple, VecPartition,
 };

@@ -25,31 +25,16 @@ pub enum SerializeMode {
     MemoryBytes,
 }
 
-/// Partition-manager policy parameters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ManagerConfig {
-    /// Disk or in-memory byte arrays.
-    pub mode: SerializeMode,
-}
-
 /// A partition deserialized within this window is protected from
 /// re-serialization while alternatives exist (anti-thrashing).
 const THRASH_WINDOW: SimDuration = SimDuration::from_millis(5);
 
 /// Serializes one partition: the object form becomes garbage and the
-/// byte form goes to the node disk via a background write (default
-/// mode). Returns the *net* heap bytes released (they become
+/// byte form goes to `mode`'s target (paper §5.3: the node disk via a
+/// background write, or a large in-memory byte array for I/O-averse
+/// applications). Returns the *net* heap bytes released (they become
 /// reclaimable at the next collection).
 pub fn serialize_partition(
-    part: &mut dyn Partition,
-    node: &mut NodeState,
-) -> simcore::SimResult<ByteSize> {
-    serialize_partition_mode(part, node, SerializeMode::Disk)
-}
-
-/// [`serialize_partition`] with an explicit target (paper §5.3: disk,
-/// or large in-memory byte arrays for I/O-averse applications).
-pub fn serialize_partition_mode(
     part: &mut dyn Partition,
     node: &mut NodeState,
     mode: SerializeMode,
@@ -106,27 +91,21 @@ pub struct DeserRecovery {
 }
 
 /// Deserializes one partition for activation: disk read, decode CPU,
-/// heap allocation. Returns the heap bytes charged and the duration the
-/// activating thread must charge for the I/O and decoding.
+/// heap allocation. Returns the heap bytes charged, the duration the
+/// activating thread must charge for the I/O and decoding, and what it
+/// had to recover from.
 ///
 /// On an allocation failure the partition is left serialized and the
 /// error is returned (the caller counts a failed activation).
-pub fn deserialize_partition(
-    part: &mut dyn Partition,
-    node: &mut NodeState,
-) -> simcore::SimResult<(ByteSize, SimDuration)> {
-    deserialize_partition_recovering(part, node).map(|(bytes, cost, _rec)| (bytes, cost))
-}
-
-/// [`deserialize_partition`] that also reports what it had to recover
-/// from. Reads are checksum-verified; a corrupt spill file is deleted
+///
+/// Reads are checksum-verified; a corrupt spill file is deleted
 /// and rebuilt from the partition's retained object form (its lineage —
 /// [`crate::partition::VecPartition`] keeps the tuples across
 /// serialization), paying the encode CPU and a fresh write, then the
 /// read is retried. Both the rebuild loop and the per-I/O transient
 /// retries are bounded, so a hostile injector cannot live-lock the
 /// activation: when the budget runs out the underlying error surfaces.
-pub fn deserialize_partition_recovering(
+pub fn deserialize_partition(
     part: &mut dyn Partition,
     node: &mut NodeState,
 ) -> simcore::SimResult<(ByteSize, SimDuration, DeserRecovery)> {
@@ -323,7 +302,7 @@ mod tests {
         let mut n = node();
         let mut p = in_memory_partition(&mut n, 0, 0, 1000, 10);
         let heap_before = n.heap.live();
-        let freed = serialize_partition(p.as_mut(), &mut n).unwrap();
+        let freed = serialize_partition(p.as_mut(), &mut n, SerializeMode::Disk).unwrap();
         assert_eq!(freed, ByteSize(10_000));
         assert_eq!(n.heap.live(), heap_before - ByteSize(10_000));
         assert!(!p.meta().in_memory());
@@ -331,11 +310,11 @@ mod tests {
         assert_eq!(n.disk.file_count(), 1);
         // Serializing again is a no-op.
         assert_eq!(
-            serialize_partition(p.as_mut(), &mut n).unwrap(),
+            serialize_partition(p.as_mut(), &mut n, SerializeMode::Disk).unwrap(),
             ByteSize::ZERO
         );
 
-        let (charged, cost) = deserialize_partition(p.as_mut(), &mut n).unwrap();
+        let (charged, cost, _) = deserialize_partition(p.as_mut(), &mut n).unwrap();
         assert_eq!(charged, ByteSize(10_000));
         assert!(cost > SimDuration::ZERO);
         assert!(p.meta().in_memory());
@@ -344,7 +323,7 @@ mod tests {
         // The spill file was consumed.
         assert_eq!(n.disk.file_count(), 0);
         // Deserializing again is a no-op.
-        let (again, _) = deserialize_partition(p.as_mut(), &mut n).unwrap();
+        let (again, _, _) = deserialize_partition(p.as_mut(), &mut n).unwrap();
         assert_eq!(again, ByteSize::ZERO);
     }
 
@@ -352,7 +331,7 @@ mod tests {
     fn deserialize_failure_leaves_partition_serialized() {
         let mut n = NodeState::new(NodeId(0), 8, ByteSize::kib(64), ByteSize::mib(64));
         let mut p = in_memory_partition(&mut n, 0, 0, 1000, 10);
-        serialize_partition(p.as_mut(), &mut n).unwrap();
+        serialize_partition(p.as_mut(), &mut n, SerializeMode::Disk).unwrap();
         // Fill the heap so rematerialization cannot fit.
         let hog = n.heap.create_space("hog");
         while n.alloc(hog, ByteSize::kib(4)).is_ok() {}
@@ -407,7 +386,7 @@ mod tests {
         let a = g.add_task("a", || Box::new(Nop));
         let mut n = node();
         let mut p = in_memory_partition(&mut n, 0, a.as_u32(), 10, 1);
-        serialize_partition(p.as_mut(), &mut n).unwrap();
+        serialize_partition(p.as_mut(), &mut n, SerializeMode::Disk).unwrap();
         let mut q = PartitionQueue::new();
         q.push(p);
         let order = serialization_order(&q, &g, &[a], SimTime::ZERO);
@@ -454,7 +433,7 @@ mod memory_bytes_tests {
     fn memory_bytes_mode_compacts_without_disk() {
         let mut n = node(4096);
         let mut p = partition(&mut n, 900, 10); // 9000B object form, 3000B bytes
-        let net = serialize_partition_mode(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
+        let net = serialize_partition(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
         assert_eq!(net, ByteSize(9000 - 3000), "net release = bloat - bytes");
         assert!(!p.meta().in_memory());
         assert!(matches!(
@@ -466,7 +445,7 @@ mod memory_bytes_tests {
         assert_eq!(n.heap.live(), ByteSize(3000));
 
         // Deserialization restores the object form with no disk stall.
-        let (charged, cost) = deserialize_partition(p.as_mut(), &mut n).unwrap();
+        let (charged, cost, _) = deserialize_partition(p.as_mut(), &mut n).unwrap();
         assert_eq!(charged, ByteSize(9000));
         assert!(cost > SimDuration::ZERO); // decode CPU only
         assert!(p.meta().in_memory());
@@ -478,10 +457,9 @@ mod memory_bytes_tests {
     fn serialized_in_memory_partitions_are_not_reserialization_candidates() {
         let mut n = node(4096);
         let mut p = partition(&mut n, 900, 10);
-        serialize_partition_mode(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
+        serialize_partition(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
         // A second serialization is a no-op.
-        let again =
-            serialize_partition_mode(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
+        let again = serialize_partition(p.as_mut(), &mut n, SerializeMode::MemoryBytes).unwrap();
         assert_eq!(again, ByteSize::ZERO);
     }
 }

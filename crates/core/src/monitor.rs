@@ -3,7 +3,7 @@
 //! running task instances.
 
 use simcore::ByteSize;
-use simmem::{GcRecord, Heap};
+use simmem::{GcRecord, Heap, LUGC_FREE_PCT};
 
 /// A signal from the monitor to the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,30 +17,13 @@ pub enum MemSignal {
     Steady,
 }
 
-/// Monitor configuration (paper defaults: `N = 20`, `M = 10`).
-#[derive(Clone, Copy, Debug)]
-pub struct MonitorConfig {
-    /// Grow when free heap ≥ `grow_free_pct`% of capacity.
-    pub grow_free_pct: u8,
-    /// Target free fraction a REDUCE tries to restore (`M`). The LUGC
-    /// *detection* threshold itself lives in the heap config.
-    pub reduce_target_pct: u8,
-    /// Background-serialization hover target: parked intermediate
-    /// partitions are written behind until effective free memory reaches
-    /// this fraction, keeping the old generation slack so full
-    /// collections stay rare (the "safe zone" of the paper's Figure 3).
-    pub serialize_free_pct: u8,
-}
+/// `N`: grow when free heap is at least this percentage of capacity
+/// (the paper's value, 20).
+const GROW_FREE_PCT: u64 = 20;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            grow_free_pct: 20,
-            reduce_target_pct: 10,
-            serialize_free_pct: 40,
-        }
-    }
-}
+/// The batch jobs' background-serialization hover target, percent of
+/// capacity effectively free.
+pub(crate) const SERIALIZE_FREE_PCT: u8 = 40;
 
 /// Monitor statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -53,10 +36,17 @@ pub struct MonitorStats {
     pub lugcs_seen: u64,
 }
 
-/// The monitor itself.
-#[derive(Clone, Debug, Default)]
+/// The monitor itself. The paper's thresholds are fixed: grow at `N` =
+/// 20% free, and a REDUCE restores `M` = [`LUGC_FREE_PCT`], the same
+/// line below which the heap records a full collection as useless.
+#[derive(Clone, Debug)]
 pub struct Monitor {
-    cfg: MonitorConfig,
+    /// Background-serialization hover target: parked intermediate
+    /// partitions are written behind until effective free memory reaches
+    /// this percentage of capacity, keeping the old generation slack so
+    /// full collections stay rare (the "safe zone" of the paper's
+    /// Figure 3).
+    serialize_free_pct: u8,
     stats: MonitorStats,
     /// Set when the partition manager reports (de)serialization
     /// thrashing; forces a REDUCE at the next observation (§5.3).
@@ -68,10 +58,10 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    /// Creates a monitor with the given thresholds.
-    pub fn new(cfg: MonitorConfig) -> Self {
+    /// Creates a monitor hovering at `serialize_free_pct` percent free.
+    pub fn new(serialize_free_pct: u8) -> Self {
         Monitor {
-            cfg,
+            serialize_free_pct,
             stats: MonitorStats::default(),
             thrashing_reported: false,
             last_signal: None,
@@ -81,11 +71,6 @@ impl Monitor {
     /// The most recent signal emitted, if any observation has happened.
     pub fn last_signal(&self) -> Option<MemSignal> {
         self.last_signal
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> MonitorConfig {
-        self.cfg
     }
 
     /// Statistics so far.
@@ -101,20 +86,18 @@ impl Monitor {
 
     /// The absolute free-byte target a REDUCE aims for (`M%`).
     pub fn reduce_target(&self, heap: &Heap) -> ByteSize {
-        heap.capacity()
-            .mul_ratio(self.cfg.reduce_target_pct as u64, 100)
+        heap.capacity().mul_ratio(LUGC_FREE_PCT, 100)
     }
 
     /// The absolute free-byte threshold for growth (`N%`).
     pub fn grow_threshold(&self, heap: &Heap) -> ByteSize {
-        heap.capacity()
-            .mul_ratio(self.cfg.grow_free_pct as u64, 100)
+        heap.capacity().mul_ratio(GROW_FREE_PCT, 100)
     }
 
     /// The background-serialization hover target.
     pub fn serialize_target(&self, heap: &Heap) -> ByteSize {
         heap.capacity()
-            .mul_ratio(self.cfg.serialize_free_pct as u64, 100)
+            .mul_ratio(self.serialize_free_pct as u64, 100)
     }
 
     /// Digests the GC records observed since the last call plus the
@@ -166,7 +149,7 @@ mod tests {
 
     #[test]
     fn lugc_triggers_reduce() {
-        let mut m = Monitor::new(MonitorConfig::default());
+        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = heap_with_live(100, 95);
         assert_eq!(m.observe(&[lugc()], &heap), MemSignal::Reduce);
         assert_eq!(m.stats().reduce_signals, 1);
@@ -175,7 +158,7 @@ mod tests {
 
     #[test]
     fn ample_free_memory_triggers_grow() {
-        let mut m = Monitor::new(MonitorConfig::default());
+        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = heap_with_live(100, 10); // 90% free >= 20%
         assert_eq!(m.observe(&[], &heap), MemSignal::Grow);
         assert_eq!(m.stats().grow_signals, 1);
@@ -183,14 +166,14 @@ mod tests {
 
     #[test]
     fn middling_occupancy_is_steady() {
-        let mut m = Monitor::new(MonitorConfig::default());
+        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = heap_with_live(100, 85); // 15% free: between M and N
         assert_eq!(m.observe(&[], &heap), MemSignal::Steady);
     }
 
     #[test]
     fn last_signal_mirrors_the_latest_observation() {
-        let mut m = Monitor::new(MonitorConfig::default());
+        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
         assert_eq!(m.last_signal(), None);
         let tight = heap_with_live(100, 95);
         m.observe(&[lugc()], &tight);
@@ -202,7 +185,7 @@ mod tests {
 
     #[test]
     fn thrashing_report_forces_one_reduce() {
-        let mut m = Monitor::new(MonitorConfig::default());
+        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = heap_with_live(100, 10);
         m.report_thrashing();
         assert_eq!(m.observe(&[], &heap), MemSignal::Reduce);
@@ -212,7 +195,7 @@ mod tests {
 
     #[test]
     fn thresholds_scale_with_capacity() {
-        let m = Monitor::new(MonitorConfig::default());
+        let m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = heap_with_live(1000, 0);
         assert_eq!(m.reduce_target(&heap), ByteSize::kib(100));
         assert_eq!(m.grow_threshold(&heap), ByteSize::kib(200));
@@ -226,7 +209,7 @@ mod target_tests {
 
     #[test]
     fn serialize_target_sits_between_m_and_capacity() {
-        let m = Monitor::new(MonitorConfig::default());
+        let m = Monitor::new(SERIALIZE_FREE_PCT);
         let heap = Heap::new(HeapConfig::with_capacity(ByteSize::kib(1000)));
         let reduce = m.reduce_target(&heap);
         let grow = m.grow_threshold(&heap);
@@ -238,14 +221,10 @@ mod target_tests {
 
     #[test]
     fn custom_thresholds_are_respected() {
-        let m = Monitor::new(MonitorConfig {
-            grow_free_pct: 30,
-            reduce_target_pct: 15,
-            serialize_free_pct: 55,
-        });
+        let m = Monitor::new(55);
         let heap = Heap::new(HeapConfig::with_capacity(ByteSize::kib(200)));
-        assert_eq!(m.grow_threshold(&heap), ByteSize::kib(60));
-        assert_eq!(m.reduce_target(&heap), ByteSize::kib(30));
+        assert_eq!(m.grow_threshold(&heap), ByteSize::kib(40));
+        assert_eq!(m.reduce_target(&heap), ByteSize::kib(20));
         assert_eq!(m.serialize_target(&heap), ByteSize::kib(110));
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! | paper construct | here |
 //! |---|---|
-//! | `DataPartition` abstract class (tag, cursor, `hasNext`/`next`, `serialize`/`deserialize`) | [`crate::partition::Partition`] + [`crate::partition::PartitionMeta`]; `(de)serialize` are [`crate::manager::serialize_partition_mode`] / [`crate::manager::deserialize_partition`] |
+//! | `DataPartition` abstract class (tag, cursor, `hasNext`/`next`, `serialize`/`deserialize`) | [`crate::partition::Partition`] + [`crate::partition::PartitionMeta`]; `(de)serialize` are [`crate::manager::serialize_partition`] / [`crate::manager::deserialize_partition`] |
 //! | `ITask` abstract class (`initialize`/`process`/`interrupt`/`cleanup`) | [`crate::task::TupleTask`] |
 //! | `scaleLoop` (Figure 4, lines 20–35: per-tuple loop with memory safe points) | [`crate::task::Scale`]'s `process_batch` |
 //! | `MITask` (multi-partition aggregation over a tag group, lazy `PartitionIterator`) | [`crate::task::TaskKind::Multi`] vertices; the worker feeds the tag group partition-by-partition, deserializing lazily |
@@ -19,13 +19,13 @@
 //!
 //! | paper construct | here |
 //! |---|---|
-//! | Monitor (LUGC → `REDUCE`, free ≥ N% → `GROW`) | [`crate::monitor::Monitor`] |
-//! | Partition manager (`SCANANDDUMP`, retention rules, anti-thrashing timestamps) | [`crate::manager`] + [`crate::queue::PartitionQueue`] |
+//! | Monitor (LUGC → `REDUCE`, free ≥ N% → `GROW`; N = 20, M = 10) | [`crate::monitor::Monitor`]; N is the monitor's constant, M is [`simmem::LUGC_FREE_PCT`] |
+//! | Partition manager (`SCANANDDUMP`, retention rules, anti-thrashing timestamps) | [`crate::manager`] + [`crate::queue::PartitionQueue`]; `SCANANDDUMP` is one loop in [`crate::runtime::Irs`], serializing in [`crate::manager::serialization_order`] until a free-memory target, run by a REDUCE and by steady-state growth alike |
 //! | Scheduler (`INTERRUPTTASKINSTANCE`, `INCREASETASKINSTANCE`, the five priority rules) | [`crate::scheduler`] |
 //! | the controller loop tying them together | [`crate::runtime::Irs::tick`] |
 //! | slow-start warm-up (§5.1) | the GROW ramp in [`crate::runtime::Irs`] (one instance per tick under pressure, burst when >50% free) |
 //! | Figure 1's staged reclamation (components 1–4) | the worker's interrupt path ([`crate::worker::ItaskWorker`]): local space released, processed prefix dropped, finals pushed, intermediates tagged and queued, remainder left for lazy serialization |
-//! | LUGC definition (§5.2: GC that cannot raise free memory above M%) | `simmem`'s `GcRecord::useless`, thresholds in the heap config |
+//! | LUGC definition (§5.2: GC that cannot raise free memory above M%) | `simmem`'s `GcRecord::useless`, against [`simmem::LUGC_FREE_PCT`] |
 //!
 //! # Where this reproduction deliberately differs
 //!

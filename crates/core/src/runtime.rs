@@ -26,8 +26,8 @@ use simcore::{
 };
 
 use crate::graph::TaskGraph;
-use crate::manager::{serialization_order, serialize_partition_mode, ManagerConfig, SerializeMode};
-use crate::monitor::{MemSignal, Monitor, MonitorConfig};
+use crate::manager::{serialization_order, serialize_partition, SerializeMode};
+use crate::monitor::{MemSignal, Monitor, SERIALIZE_FREE_PCT};
 use crate::partition::PartitionBox;
 use crate::queue::PartitionQueue;
 use crate::scheduler::{pick_activation, pick_victim, Activation, RunningInstance, VictimPolicy};
@@ -62,10 +62,12 @@ pub enum InterruptMode {
 /// IRS configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct IrsConfig {
-    /// Monitor thresholds (`N`, `M`).
-    pub monitor: MonitorConfig,
-    /// Partition-manager policy.
-    pub manager: ManagerConfig,
+    /// Background-serialization hover target, percent of capacity
+    /// effectively free (see [`Monitor`]).
+    pub serialize_free_pct: u8,
+    /// Where the partition manager serializes to (disk, or in-memory
+    /// byte arrays).
+    pub serialize_mode: SerializeMode,
     /// Maximum concurrently running instances (defaults to the node's
     /// core count — the paper's optimal point under an ample heap).
     pub max_parallelism: usize,
@@ -81,8 +83,8 @@ pub struct IrsConfig {
 impl Default for IrsConfig {
     fn default() -> Self {
         IrsConfig {
-            monitor: MonitorConfig::default(),
-            manager: ManagerConfig::default(),
+            serialize_free_pct: SERIALIZE_FREE_PCT,
+            serialize_mode: SerializeMode::Disk,
             max_parallelism: 8,
             victim_policy: VictimPolicy::Rules,
             interrupt_mode: InterruptMode::Cooperative,
@@ -145,7 +147,7 @@ impl IrsShared {
             stats: IrsStats::default(),
             activation_failures: BTreeMap::new(),
             pressure_hint: None,
-            serialize_free_pct: 40,
+            serialize_free_pct: SERIALIZE_FREE_PCT,
             serialize_mode: SerializeMode::Disk,
             origin: (None, None),
             last_signal: EventId::NONE,
@@ -351,12 +353,12 @@ impl Irs {
     /// Creates an IRS over a task graph.
     pub fn new(graph: TaskGraph, cfg: IrsConfig) -> Self {
         let mut shared = IrsShared::new(0);
-        shared.serialize_free_pct = cfg.monitor.serialize_free_pct;
-        shared.serialize_mode = cfg.manager.mode;
+        shared.serialize_free_pct = cfg.serialize_free_pct;
+        shared.serialize_mode = cfg.serialize_mode;
         Irs {
             handle: IrsHandle(Rc::new(RefCell::new(shared))),
             graph: Rc::new(graph),
-            monitor: Monitor::new(cfg.monitor),
+            monitor: Monitor::new(cfg.serialize_free_pct),
             cfg,
         }
     }
@@ -504,31 +506,8 @@ impl Irs {
             .serialize_target(&sim.node().heap)
             .max(needed.mul_ratio(5, 2));
         // Stage 1: lazy serialization of queued partitions.
-        let order = {
-            let s = self.handle.0.borrow();
-            let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
-            serialization_order(&s.queue, &self.graph, &running_tasks, sim.node().now)
-        };
-        // All policy arithmetic uses *effective* free (capacity − live):
-        // serialization and interrupts turn live bytes into garbage, and
-        // the next allocation-triggered collection reclaims it — forcing
-        // collections here would only add pauses.
-        for pid in order {
-            if sim.node().heap.effective_free() >= target {
-                break;
-            }
-            let freed = {
-                let mut s = self.handle.0.borrow_mut();
-                let Some(part) = s.queue.get_mut(pid) else {
-                    continue;
-                };
-                serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
-            };
-            if !freed.is_zero() {
-                let cause = self.handle.0.borrow().last_signal;
-                self.note_lazy_serialized(sim, pid, freed, cause);
-            }
-        }
+        let cause = self.handle.0.borrow().last_signal;
+        self.serialize_until(sim, target, cause)?;
         // Stage 2: if still under the emergency line (`M%`, or the
         // blocked allocation), mark one victim for interrupt.
         let victim_line = self
@@ -562,27 +541,52 @@ impl Irs {
         Ok(())
     }
 
-    /// Accounts and traces one lazy serialization of a queued partition
-    /// (`cause`: the REDUCE signal that drove it, none in steady state).
-    fn note_lazy_serialized(
-        &self,
-        sim: &NodeSim,
-        pid: PartitionId,
-        freed: ByteSize,
+    /// Lazily serializes queued partitions in retention order (§5.3)
+    /// until effective free memory reaches `target`. All policy
+    /// arithmetic uses *effective* free (capacity − live): serialization
+    /// turns live bytes into garbage, and the next allocation-triggered
+    /// collection reclaims it — forcing collections here would only add
+    /// pauses. `cause` is the REDUCE signal that drove it, none in
+    /// steady state.
+    fn serialize_until(
+        &mut self,
+        sim: &mut NodeSim,
+        target: ByteSize,
         cause: EventId,
-    ) {
-        self.handle.stats_mut(|st| {
-            st.serializations += 1;
-            st.reclaim.lazy_serialized += freed;
-        });
-        self.handle.emit(
-            sim.node().now,
-            TraceData::Serialized {
-                partition: pid.as_u32(),
-                freed: freed.as_u64(),
-                cause,
-            },
-        );
+    ) -> SimResult<()> {
+        let order = {
+            let s = self.handle.0.borrow();
+            let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
+            serialization_order(&s.queue, &self.graph, &running_tasks, sim.node().now)
+        };
+        for pid in order {
+            if sim.node().heap.effective_free() >= target {
+                break;
+            }
+            let freed = {
+                let mut s = self.handle.0.borrow_mut();
+                let Some(part) = s.queue.get_mut(pid) else {
+                    continue;
+                };
+                serialize_partition(part.as_mut(), sim.node_mut(), self.cfg.serialize_mode)?
+            };
+            if freed.is_zero() {
+                continue;
+            }
+            self.handle.stats_mut(|st| {
+                st.serializations += 1;
+                st.reclaim.lazy_serialized += freed;
+            });
+            self.handle.emit(
+                sim.node().now,
+                TraceData::Serialized {
+                    partition: pid.as_u32(),
+                    freed: freed.as_u64(),
+                    cause,
+                },
+            );
+        }
+        Ok(())
     }
 
     /// Steady-state unjamming: when growth is blocked only because
@@ -604,26 +608,7 @@ impl Irs {
                 return Ok(());
             }
         }
-        let order = {
-            let s = self.handle.0.borrow();
-            let running_tasks: Vec<TaskId> = s.running.values().map(|r| r.task).collect();
-            serialization_order(&s.queue, &self.graph, &running_tasks, sim.node().now)
-        };
-        for pid in order {
-            if sim.node().heap.effective_free() >= threshold {
-                break;
-            }
-            let freed = {
-                let mut s = self.handle.0.borrow_mut();
-                let Some(part) = s.queue.get_mut(pid) else {
-                    continue;
-                };
-                serialize_partition_mode(part.as_mut(), sim.node_mut(), self.cfg.manager.mode)?
-            };
-            if !freed.is_zero() {
-                self.note_lazy_serialized(sim, pid, freed, EventId::NONE);
-            }
-        }
+        self.serialize_until(sim, threshold, EventId::NONE)?;
         if sim.node().heap.effective_free() >= grow_gate {
             self.handle_grow(sim)?;
         }

@@ -109,8 +109,7 @@ impl<'a, 'b> TaskCx<'a, 'b> {
     /// when this turns true so the IRS can act before an OME.
     pub fn low_memory(&mut self) -> bool {
         let heap = &self.work.node().heap;
-        let m = heap.config().lugc_free_pct as u64;
-        heap.effective_free() < heap.capacity().mul_ratio(m, 100)
+        heap.effective_free() < heap.capacity().mul_ratio(simmem::LUGC_FREE_PCT, 100)
     }
 
     /// Allocates into the instance's local-structures space.
@@ -171,8 +170,7 @@ impl<'a, 'b> TaskCx<'a, 'b> {
                 .mul_ratio(self.shared.serialize_free_pct() as u64, 100);
         if tight {
             let mode = self.shared.serialize_mode();
-            let freed =
-                crate::manager::serialize_partition_mode(&mut part, self.work.node(), mode)?;
+            let freed = crate::manager::serialize_partition(&mut part, self.work.node(), mode)?;
             if !freed.is_zero() {
                 self.shared.note_serialized_at_birth(freed);
             }

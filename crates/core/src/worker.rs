@@ -7,7 +7,7 @@ use simcluster::{StepOutcome, Work, WorkCx};
 use simcore::tracer::TraceData;
 use simcore::{SimError, TaskId};
 
-use crate::manager::deserialize_partition_recovering;
+use crate::manager::deserialize_partition;
 use crate::partition::{PartitionBox, Tag};
 use crate::runtime::{InterruptMode, IrsHandle};
 use crate::task::{ITask, InstanceSpaces, TaskCx, TaskKind};
@@ -251,7 +251,7 @@ impl Work for ItaskWorker {
         if let Some(front) = self.inputs.front_mut() {
             if !front.meta().in_memory() {
                 let pid = front.meta().id;
-                match deserialize_partition_recovering(front.as_mut(), cx.node()) {
+                match deserialize_partition(front.as_mut(), cx.node()) {
                     Ok((bytes, io_cost, rec)) => {
                         cx.charge(io_cost);
                         if !bytes.is_zero() {

@@ -20,7 +20,7 @@ use simcore::{
 };
 use simmem::Heap;
 
-use crate::config::HadoopConfig;
+use crate::config::{HadoopConfig, MAX_ATTEMPTS};
 use crate::task::{MapCx, Mapper, ReduceCx, Reducer, SortBuffer};
 
 /// How an attempt ended.
@@ -353,7 +353,6 @@ fn run_attempt_retrying<S: Side>(
 where
     S::In: Clone,
 {
-    let budget = cfg.max_attempts.max(1);
     let mut wasted = SimDuration::ZERO;
     let mut wasted_gc = SimDuration::ZERO;
     let mut peak = ByteSize::ZERO;
@@ -363,7 +362,7 @@ where
         let (mut outcome, out) = run_attempt::<S>(cfg, frames.clone(), task(), salt);
         let relaunchable = matches!(&outcome.result,
             AttemptResult::Failed(e) if e.is_substrate() && !e.is_oom());
-        if relaunchable && extra + 1 < budget {
+        if relaunchable && extra + 1 < MAX_ATTEMPTS {
             wasted += outcome.duration;
             wasted_gc += outcome.gc_time;
             peak = peak.max(outcome.peak_heap);

@@ -2,6 +2,9 @@
 
 use simcore::{ByteSize, FaultPlan};
 
+/// YARN attempt budget per task (Hadoop's default, 4).
+pub const MAX_ATTEMPTS: u32 = 4;
+
 /// The knobs the paper's Table 1 reports per problem (scaled 1/1024).
 #[derive(Clone, Debug)]
 pub struct HadoopConfig {
@@ -20,8 +23,6 @@ pub struct HadoopConfig {
     pub sort_buffer: ByteSize,
     /// Input split size (the HDFS block size: 128MB → 128KiB scaled).
     pub split_size: ByteSize,
-    /// YARN attempt budget per task (Hadoop default 4).
-    pub max_attempts: u32,
     /// Reduce-side hash buckets (number of reduce tasks).
     pub reduce_tasks: u32,
     /// Fault schedule armed on every attempt JVM's substrate (chaos
@@ -43,7 +44,6 @@ impl HadoopConfig {
             max_reducers: mr,
             sort_buffer: ByteSize::kib(100),
             split_size: ByteSize::kib(128),
-            max_attempts: 4,
             reduce_tasks: (nodes * mr) as u32,
             fault_plan: None,
         }

@@ -17,7 +17,8 @@ use crate::config::HadoopConfig;
 /// How much finer the ITask runtime's shuffle tags are than the regular
 /// job's reduce-task count: the IRS manages its own partitions, and
 /// finer tags keep one group's aggregate well under the pooled heap.
-/// Map-task factories must bucket with the same figure.
+/// The caller's map-task factories bucket into `reduce_tasks` times
+/// this many tags.
 pub const ITASK_BUCKET_MULTIPLIER: u32 = 16;
 
 /// Runs the ITask version of a Hadoop job under the *same* framework
@@ -48,7 +49,6 @@ where
             ..IrsConfig::default()
         },
         granularity: ByteSize::kib(32),
-        buckets: cfg.reduce_tasks * ITASK_BUCKET_MULTIPLIER,
     };
     let inputs = distribute_blocks(cfg.nodes, splits, spec.granularity);
     hyracks::run_itask::<MIn, Mid, Out>(&mut cluster, inputs, &spec, factories)

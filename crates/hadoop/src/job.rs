@@ -10,7 +10,7 @@ use simcore::{ByteSize, CostModel, NodeId, SimDuration, SimError};
 use crate::attempt::{
     run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
 };
-use crate::config::HadoopConfig;
+use crate::config::{HadoopConfig, MAX_ATTEMPTS};
 use crate::task::{Mapper, Reducer};
 
 /// Greedy list scheduler: place each task's attempt chain on the
@@ -76,7 +76,6 @@ fn schedule_stage(
     outcomes: &[AttemptOutcome],
     slots: usize,
     nodes: usize,
-    max_attempts: u32,
     accounts: &mut [NodeAccount],
 ) -> (SimDuration, Option<(SimDuration, SimError)>, u32) {
     let mut sched = SlotSchedule::new(slots);
@@ -86,7 +85,7 @@ fn schedule_stage(
         let tries = if outcome.result.ok() {
             1
         } else {
-            max_attempts.saturating_sub(outcome.extra_attempts).max(1)
+            MAX_ATTEMPTS.saturating_sub(outcome.extra_attempts).max(1)
         };
         let mut starts = 1 + outcome.extra_attempts;
         let mut span = outcome.wasted + outcome.duration;
@@ -185,7 +184,6 @@ where
         &map_outcomes,
         cfg.nodes * cfg.max_mappers,
         cfg.nodes,
-        cfg.max_attempts,
         &mut accounts,
     );
 
@@ -220,7 +218,6 @@ where
             &reduce_outcomes,
             cfg.nodes * cfg.max_reducers,
             cfg.nodes,
-            cfg.max_attempts,
             &mut accounts,
         );
         match reduce_fail {

@@ -12,7 +12,7 @@
 //!   and spilled to disk, so framework buffers never OME; the crashes
 //!   come from *user* state, exactly as in the studied problems;
 //! * **YARN-style retries** — an attempt that dies with an OME is
-//!   rescheduled until `max_attempts` is exhausted, which is why the
+//!   rescheduled until [`MAX_ATTEMPTS`] is exhausted, which is why the
 //!   paper's CTime (time to the final crash) dwarfs PTime; relaunches
 //!   after a transient substrate fault count against the same budget,
 //!   once per task;
@@ -36,7 +36,7 @@ pub mod task;
 pub use attempt::{
     run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
 };
-pub use config::HadoopConfig;
+pub use config::{HadoopConfig, MAX_ATTEMPTS};
 pub use itask::{run_itask_job, ITASK_BUCKET_MULTIPLIER};
 pub use job::run_regular_job;
 pub use task::{MapCx, Mapper, ReduceCx, Reducer};

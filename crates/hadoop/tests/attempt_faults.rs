@@ -96,7 +96,7 @@ fn hard_substrate_fault_burns_the_whole_attempt_budget() {
     assert!(!outcome.result.ok(), "all relaunches must fail");
     assert_eq!(
         outcome.extra_attempts,
-        cfg.max_attempts - 1,
+        hadoop::MAX_ATTEMPTS - 1,
         "the wrapper folds the whole YARN budget into one outcome"
     );
     assert!(out.is_empty(), "a dead attempt contributes no shuffle data");
@@ -185,13 +185,13 @@ fn relaunch_then_ome_spends_the_attempt_budget_once() {
     // final attempt's own duration.
     assert_eq!(
         report.counter("hadoop.map_attempts"),
-        cfg.max_attempts as f64,
+        hadoop::MAX_ATTEMPTS as f64,
         "the chain must stay within the YARN budget"
     );
-    let tries = (cfg.max_attempts - outcome.extra_attempts) as u64;
+    let tries = (hadoop::MAX_ATTEMPTS - outcome.extra_attempts) as u64;
     let startup = SimDuration::from_millis(10);
     assert_eq!(
         report.elapsed,
-        outcome.wasted + outcome.duration * tries + startup * cfg.max_attempts as u64
+        outcome.wasted + outcome.duration * tries + startup * hadoop::MAX_ATTEMPTS as u64
     );
 }

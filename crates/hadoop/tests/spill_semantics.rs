@@ -145,7 +145,7 @@ fn failed_tasks_exhaust_the_retry_budget() {
     // One clean task + one task burning its full YARN budget.
     assert_eq!(
         report.counter("hadoop.map_attempts"),
-        (1 + cfg.max_attempts) as f64
+        (1 + hadoop::MAX_ATTEMPTS) as f64
     );
 }
 

@@ -22,19 +22,15 @@ pub struct JobSpec {
     /// Frame/task granularity in serialized bytes (the paper sweeps
     /// 8–128KB).
     pub granularity: ByteSize,
-    /// Number of hash buckets for the shuffle.
-    pub buckets: u32,
 }
 
 impl JobSpec {
-    /// A conventional spec: `threads` per node, 32KB frames, one bucket
-    /// per (node, thread) pair.
-    pub fn new(name: impl Into<String>, nodes: usize, threads: usize) -> Self {
+    /// A conventional spec: `threads` per node, 32KB frames.
+    pub fn new(name: impl Into<String>, threads: usize) -> Self {
         JobSpec {
             name: name.into(),
             threads,
             granularity: ByteSize::kib(32),
-            buckets: (nodes * threads.max(1)) as u32,
         }
     }
 }
@@ -49,13 +45,11 @@ pub struct ItaskJobSpec {
     pub irs: IrsConfig,
     /// Input partition granularity in serialized bytes.
     pub granularity: ByteSize,
-    /// Number of hash buckets for the shuffle.
-    pub buckets: u32,
 }
 
 impl ItaskJobSpec {
     /// Defaults mirroring [`JobSpec::new`] with the stock IRS config.
-    pub fn new(name: impl Into<String>, nodes: usize, cores: usize) -> Self {
+    pub fn new(name: impl Into<String>, cores: usize) -> Self {
         ItaskJobSpec {
             name: name.into(),
             irs: IrsConfig {
@@ -63,7 +57,6 @@ impl ItaskJobSpec {
                 ..IrsConfig::default()
             },
             granularity: ByteSize::kib(32),
-            buckets: (nodes * cores) as u32,
         }
     }
 }

@@ -845,7 +845,7 @@ mod tests {
             reduce: never(),
             merge: never(),
         };
-        let spec = ItaskJobSpec::new("rehome", c.node_count(), 2);
+        let spec = ItaskJobSpec::new("rehome", 2);
         let inputs = (0..c.node_count()).map(|_| Vec::new()).collect();
         let mut job = TwoPhaseJob::itask(&spec, ShuffleClocks::Barrier, inputs, &factories);
         job.start(c).unwrap();

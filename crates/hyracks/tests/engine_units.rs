@@ -109,7 +109,7 @@ mod empty_and_skewed_inputs {
     #[test]
     fn job_with_no_input_completes_empty() {
         let mut c = cluster(2);
-        let spec = JobSpec::new("empty", 2, 2);
+        let spec = JobSpec::new("empty", 2);
         let inputs: Vec<Vec<Vec<T>>> = vec![Vec::new(), Vec::new()];
         let (report, result) = run_regular(&mut c, inputs, &spec, Sum::default, Sum::default);
         assert!(report.outcome.ok());
@@ -121,7 +121,7 @@ mod empty_and_skewed_inputs {
     #[test]
     fn fully_skewed_input_is_handled() {
         let mut c = cluster(3);
-        let spec = JobSpec::new("skew", 3, 2);
+        let spec = JobSpec::new("skew", 2);
         let frames: Vec<Vec<T>> = (0..6).map(|_| (1..=50).map(T).collect()).collect();
         let inputs = vec![frames, Vec::new(), Vec::new()];
         let (report, result) = run_regular(&mut c, inputs, &spec, Sum::default, Sum::default);

@@ -313,7 +313,7 @@ fn regular_job_is_correct_with_ample_heap() {
     let (blocks, truth) = input_blocks(60_000, 4_000, 1);
     let mut c = cluster(8_192);
     let inputs = distribute_blocks(3, blocks, ByteSize::kib(32));
-    let spec = JobSpec::new("wc", 3, 4);
+    let spec = JobSpec::new("wc", 4);
     let (report, result) = run_regular(&mut c, inputs, &spec, CountOp::default, SumOp::default);
     assert!(report.outcome.ok());
     assert_eq!(as_map(result.unwrap()), truth);
@@ -325,7 +325,7 @@ fn itask_job_is_correct_with_ample_heap() {
     let (blocks, truth) = input_blocks(60_000, 4_000, 1);
     let mut c = cluster(8_192);
     let inputs = distribute_blocks(3, blocks, ByteSize::kib(32));
-    let spec = ItaskJobSpec::new("wc-itask", 3, 4);
+    let spec = ItaskJobSpec::new("wc-itask", 4);
     let (report, result) =
         run_itask::<WordT, CountT, CountT>(&mut c, inputs, &spec, &itask_factories());
     assert!(report.outcome.ok(), "{:?}", report.outcome);
@@ -340,7 +340,7 @@ fn regular_job_omes_where_itask_survives() {
 
     let mut c_reg = cluster(512);
     let inputs = distribute_blocks(3, blocks.clone(), ByteSize::kib(32));
-    let spec = JobSpec::new("wc", 3, 4);
+    let spec = JobSpec::new("wc", 4);
     let (report_reg, result_reg) =
         run_regular(&mut c_reg, inputs, &spec, CountOp::default, SumOp::default);
     assert!(result_reg.is_err(), "regular job should OME");
@@ -348,7 +348,7 @@ fn regular_job_omes_where_itask_survives() {
 
     let mut c_itask = cluster(512);
     let inputs = distribute_blocks(3, blocks, ByteSize::kib(32));
-    let ispec = ItaskJobSpec::new("wc-itask", 3, 4);
+    let ispec = ItaskJobSpec::new("wc-itask", 4);
     let (report, result) =
         run_itask::<WordT, CountT, CountT>(&mut c_itask, inputs, &ispec, &itask_factories());
     assert!(
@@ -381,7 +381,7 @@ fn regular_job_omes_where_itask_survives() {
 fn itask_and_regular_agree() {
     let (blocks, _) = input_blocks(40_000, 2_000, 3);
     let mut c1 = cluster(8_192);
-    let spec = JobSpec::new("wc", 3, 4);
+    let spec = JobSpec::new("wc", 4);
     let (_, r1) = run_regular(
         &mut c1,
         distribute_blocks(3, blocks.clone(), ByteSize::kib(32)),
@@ -390,7 +390,7 @@ fn itask_and_regular_agree() {
         SumOp::default,
     );
     let mut c2 = cluster(8_192);
-    let ispec = ItaskJobSpec::new("wc-itask", 3, 4);
+    let ispec = ItaskJobSpec::new("wc-itask", 4);
     let (_, r2) = run_itask::<WordT, CountT, CountT>(
         &mut c2,
         distribute_blocks(3, blocks, ByteSize::kib(32)),

@@ -29,7 +29,7 @@
 //! load, exactly like the tracer and profiler.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ids::NodeId;
 use crate::sketch::{QuantileSketch, SketchSnapshot};
@@ -150,10 +150,8 @@ pub enum MetricOp {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Default sampling cadence: one gridpoint every 10ms of virtual time.
-pub const DEFAULT_CADENCE_NS: u64 = 10_000_000;
-
-static CADENCE_NS: AtomicU64 = AtomicU64::new(DEFAULT_CADENCE_NS);
+/// The sampling cadence: one gridpoint every 10ms of virtual time.
+const CADENCE_NS: u64 = 10_000_000;
 
 /// Turns metric recording on process-wide. Updates still require the
 /// tracer's per-run buffer installed around the run closure.
@@ -173,14 +171,9 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Sets the sampling cadence in virtual nanoseconds (min 1).
-pub fn set_cadence_ns(ns: u64) {
-    CADENCE_NS.store(ns.max(1), Ordering::Relaxed);
-}
-
-/// The current sampling cadence in virtual nanoseconds.
+/// The sampling cadence in virtual nanoseconds (10ms).
 pub fn cadence_ns() -> u64 {
-    CADENCE_NS.load(Ordering::Relaxed)
+    CADENCE_NS
 }
 
 /// The cadence cell a virtual time falls in (`t / cadence`). Update
@@ -188,7 +181,7 @@ pub fn cadence_ns() -> u64 {
 /// this against their last-flushed cell.
 #[inline]
 pub fn cell_of(at: SimTime) -> u64 {
-    at.as_nanos() / cadence_ns().max(1)
+    at.as_nanos() / CADENCE_NS
 }
 
 #[inline]

@@ -5,7 +5,11 @@ use simcore::{metrics, prof, tracer, ByteSize, CostModel, NodeId, SimDuration, S
 use crate::gc::{GcKind, GcRecord, GcStats};
 use crate::space::SpaceInfo;
 
-/// Heap sizing and collector parameters.
+/// `M`: a full GC leaving free memory below this percentage of capacity
+/// is recorded as useless (the paper's LUGC signal, §5.2).
+pub const LUGC_FREE_PCT: u64 = 10;
+
+/// Heap sizing parameters.
 #[derive(Clone, Debug)]
 pub struct HeapConfig {
     /// Total heap capacity (the `-Xmx` of the simulated JVM).
@@ -13,24 +17,20 @@ pub struct HeapConfig {
     /// Young-generation size; allocations land here and a minor
     /// collection runs when it fills.
     pub young_capacity: ByteSize,
-    /// `M`: a full GC leaving free memory below `M%` of capacity is
-    /// recorded as useless (the paper's LUGC signal, §5.2; default 10).
-    pub lugc_free_pct: u8,
 }
 
 impl HeapConfig {
     /// A conventional configuration: young generation = 1/3 of the heap
-    /// (HotSpot's default `NewRatio=2`), `M = 10%`.
+    /// (HotSpot's default `NewRatio=2`).
     pub fn with_capacity(capacity: ByteSize) -> Self {
         HeapConfig {
             capacity,
             young_capacity: ByteSize(capacity.as_u64() / 3),
-            lugc_free_pct: 10,
         }
     }
 
     fn lugc_threshold(&self) -> ByteSize {
-        self.capacity.mul_ratio(self.lugc_free_pct as u64, 100)
+        self.capacity.mul_ratio(LUGC_FREE_PCT, 100)
     }
 
     /// Allocations at or above this size bypass the young generation

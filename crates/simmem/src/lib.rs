@@ -29,5 +29,5 @@ pub mod heap;
 pub mod space;
 
 pub use gc::{GcKind, GcRecord, GcStats};
-pub use heap::{AllocOutcome, Heap, HeapConfig, HeapError};
+pub use heap::{AllocOutcome, Heap, HeapConfig, HeapError, LUGC_FREE_PCT};
 pub use space::SpaceInfo;

@@ -205,31 +205,18 @@ pub struct AdmissionController {
     delayed: BTreeMap<(SimTime, u64), QueuedJob>,
     /// Shed decisions since the last [`AdmissionController::take_shed`].
     shed: Vec<ShedRecord>,
-    /// Tenant weights (weighted-fair).
-    weights: BTreeMap<u32, u64>,
-    /// Procedural weights for populations too large for a weight table;
-    /// takes precedence over `weights` when set.
-    weight_rule: Option<WeightRule>,
+    /// Weighted-fair shares, derived from the tenant id.
+    weight_rule: WeightRule,
     /// Served busy-nanos per tenant (weighted-fair virtual time).
     served: KeyMap<u32, u64>,
     next_stamp: u64,
 }
 
 impl AdmissionController {
-    /// Creates a controller; `weights` maps tenant → weighted-fair
-    /// share (tenants absent from the map default to weight 1).
-    pub fn new(cfg: AdmissionConfig, weights: BTreeMap<u32, u64>) -> Self {
-        Self::build(cfg, weights, None)
-    }
-
     /// Creates a controller whose weights derive procedurally from the
     /// tenant id — no per-tenant table, so a million-tenant population
     /// costs nothing until tenants actually queue.
     pub fn with_weight_rule(cfg: AdmissionConfig, rule: WeightRule) -> Self {
-        Self::build(cfg, BTreeMap::new(), Some(rule))
-    }
-
-    fn build(cfg: AdmissionConfig, weights: BTreeMap<u32, u64>, rule: Option<WeightRule>) -> Self {
         AdmissionController {
             cfg,
             queues: KeyMap::default(),
@@ -240,7 +227,6 @@ impl AdmissionController {
             deadlines: BinaryHeap::new(),
             delayed: BTreeMap::new(),
             shed: Vec::new(),
-            weights,
             weight_rule: rule,
             served: KeyMap::default(),
             next_stamp: 0,
@@ -569,16 +555,6 @@ impl AdmissionController {
         }
     }
 
-    /// The tenant's weighted-fair share: the procedural rule when one
-    /// is set, else the weight table (absent tenants default to 1).
-    fn weight_of(&self, tenant: u32) -> u64 {
-        match self.weight_rule {
-            Some(rule) => rule.weight_of(tenant),
-            None => self.weights.get(&tenant).copied().unwrap_or(1),
-        }
-        .max(1)
-    }
-
     /// The tenant's current fair-index key. Weights are immutable per
     /// controller, so a key built here always matches the entry
     /// inserted earlier for the same tenant unless `served` moved — and
@@ -586,7 +562,7 @@ impl AdmissionController {
     fn fair_key(&self, tenant: u32) -> FairKey {
         FairKey {
             served: self.served.get(&tenant).copied().unwrap_or(0),
-            weight: self.weight_of(tenant),
+            weight: self.weight_rule.weight_of(tenant),
             tenant,
         }
     }
@@ -618,34 +594,19 @@ pub mod reference {
         queues: BTreeMap<u32, VecDeque<QueuedJob>>,
         delayed: BTreeMap<(SimTime, u64), QueuedJob>,
         shed: Vec<ShedRecord>,
-        weights: BTreeMap<u32, u64>,
-        weight_rule: Option<WeightRule>,
+        weight_rule: WeightRule,
         served: BTreeMap<u32, u64>,
         next_stamp: u64,
     }
 
     impl NaiveController {
-        /// Mirror of [`super::AdmissionController::new`].
-        pub fn new(cfg: AdmissionConfig, weights: BTreeMap<u32, u64>) -> Self {
-            Self::build(cfg, weights, None)
-        }
-
         /// Mirror of [`super::AdmissionController::with_weight_rule`].
         pub fn with_weight_rule(cfg: AdmissionConfig, rule: WeightRule) -> Self {
-            Self::build(cfg, BTreeMap::new(), Some(rule))
-        }
-
-        fn build(
-            cfg: AdmissionConfig,
-            weights: BTreeMap<u32, u64>,
-            rule: Option<WeightRule>,
-        ) -> Self {
             NaiveController {
                 cfg,
                 queues: BTreeMap::new(),
                 delayed: BTreeMap::new(),
                 shed: Vec::new(),
-                weights,
                 weight_rule: rule,
                 served: BTreeMap::new(),
                 next_stamp: 0,
@@ -795,14 +756,6 @@ pub mod reference {
             }
         }
 
-        fn weight_of(&self, tenant: u32) -> u64 {
-            match self.weight_rule {
-                Some(rule) => rule.weight_of(tenant),
-                None => self.weights.get(&tenant).copied().unwrap_or(1),
-            }
-            .max(1)
-        }
-
         fn pop_fifo(&mut self) -> Option<QueuedJob> {
             let tenant = self
                 .queues
@@ -819,7 +772,7 @@ pub mod reference {
                 if q.is_empty() {
                     continue;
                 }
-                let w = self.weight_of(t) as u128;
+                let w = self.weight_rule.weight_of(t) as u128;
                 let served = self.served.get(&t).copied().unwrap_or(0) as u128;
                 // Ascending tenant order + strict inequality keeps the
                 // lowest tenant id on vtime ties.
@@ -865,6 +818,11 @@ mod tests {
         }
     }
 
+    /// A controller with every tenant at weight 1.
+    fn uniform(cfg: AdmissionConfig) -> AdmissionController {
+        AdmissionController::with_weight_rule(cfg, WeightRule::uniform())
+    }
+
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
@@ -896,7 +854,7 @@ mod tests {
             max_active: 2,
             ..AdmissionConfig::default()
         };
-        let mut c = AdmissionController::new(cfg, BTreeMap::new());
+        let mut c = uniform(cfg);
         enq(&mut c, &arrival(1, 0, 10));
         enq(&mut c, &arrival(0, 0, 20));
         enq(&mut c, &arrival(1, 1, 30));
@@ -918,27 +876,29 @@ mod tests {
             max_active: 8,
             ..AdmissionConfig::default()
         };
-        let mut weights = BTreeMap::new();
-        weights.insert(0u32, 1u64);
-        weights.insert(1u32, 3u64);
-        let mut c = AdmissionController::new(cfg, weights);
+        // Tenant 2 is premium (weight 3), tenant 1 is not (weight 1).
+        let rule = WeightRule {
+            premium_every: 2,
+            premium_weight: 3,
+        };
+        let mut c = AdmissionController::with_weight_rule(cfg, rule);
         for seq in 0..3 {
-            enq(&mut c, &arrival(0, seq, seq as u64));
             enq(&mut c, &arrival(1, seq, seq as u64));
+            enq(&mut c, &arrival(2, seq, seq as u64));
         }
         // Equal served time: tie on vtime 0 broken by tenant id.
         let first = c.next(calm(0)).unwrap();
-        assert_eq!(first.tenant, 0);
-        // Tenant 0 has now been served heavily; weight-3 tenant 1 has a
+        assert_eq!(first.tenant, 1);
+        // Tenant 1 has now been served heavily; weight-3 tenant 2 has a
         // 3x smaller vtime per unit served, so it gets the next slots.
-        c.credit_served(0, 9_000);
         c.credit_served(1, 9_000);
+        c.credit_served(2, 9_000);
         let second = c.next(calm(1)).unwrap();
-        assert_eq!(second.tenant, 1);
-        c.credit_served(1, 12_000);
-        // vtime(0) = 9000/1 > vtime(1) = 21000/3 = 7000: tenant 1 again.
+        assert_eq!(second.tenant, 2);
+        c.credit_served(2, 12_000);
+        // vtime(1) = 9000/1 > vtime(2) = 21000/3 = 7000: tenant 2 again.
         let third = c.next(calm(2)).unwrap();
-        assert_eq!(third.tenant, 1);
+        assert_eq!(third.tenant, 2);
     }
 
     #[test]
@@ -949,7 +909,7 @@ mod tests {
             min_free_ratio: 0.5,
             queue_cap: None,
         };
-        let mut c = AdmissionController::new(cfg, BTreeMap::new());
+        let mut c = uniform(cfg);
         enq(&mut c, &arrival(0, 0, 1));
         enq(&mut c, &arrival(0, 1, 2));
         enq(&mut c, &arrival(0, 2, 3));
@@ -985,7 +945,7 @@ mod tests {
 
     #[test]
     fn requeue_rejoins_at_the_back_with_retry_count() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         enq(&mut c, &arrival(0, 0, 1));
         enq(&mut c, &arrival(0, 1, 2));
         let failed = c.next(calm(0)).unwrap();
@@ -1012,16 +972,19 @@ mod tests {
             max_active: 8,
             ..AdmissionConfig::default()
         };
-        // Both tenants' scaled vtimes would quantize to the same value
-        // under `served * 1e6 / w`; cross-multiplication must still see
-        // that tenant 1 (weight 3M, served 1) is the less-served one.
-        let mut weights = BTreeMap::new();
-        weights.insert(0u32, 2_000_000u64);
-        weights.insert(1u32, 3_000_000u64);
-        let mut c = AdmissionController::new(cfg, weights);
+        // Both tenants' scaled vtimes quantize to the same value under
+        // `served * 1e6 / w`, where the tie would go to tenant 0;
+        // cross-multiplication must still see that tenant 1 (weight 1,
+        // served 1) is less served than tenant 0 (weight 3M, served
+        // 3M + 1).
+        let rule = WeightRule {
+            premium_every: 2,
+            premium_weight: 3_000_000,
+        };
+        let mut c = AdmissionController::with_weight_rule(cfg, rule);
         enq(&mut c, &arrival(0, 0, 1));
         enq(&mut c, &arrival(1, 0, 2));
-        c.credit_served(0, 1);
+        c.credit_served(0, 3_000_001);
         c.credit_served(1, 1);
         let first = c.next(calm(0)).unwrap();
         assert_eq!(first.tenant, 1, "sub-resolution vtime gap lost");
@@ -1033,7 +996,7 @@ mod tests {
             queue_cap: Some(2),
             ..AdmissionConfig::default()
         };
-        let mut c = AdmissionController::new(cfg, BTreeMap::new());
+        let mut c = uniform(cfg);
         enq(&mut c, &arrival(0, 0, 1));
         enq(&mut c, &arrival(0, 1, 2));
         enq(&mut c, &arrival(0, 2, 3)); // over tenant 0's cap
@@ -1049,7 +1012,7 @@ mod tests {
 
     #[test]
     fn deadlines_shed_at_enqueue_and_at_pop() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         // Arrives already past its deadline: shed on the spot.
         c.enqueue_arrival(&deadlined(0, 0, 10, 5), t(10));
         // Alive at enqueue, expires while queued: shed at pop.
@@ -1068,7 +1031,7 @@ mod tests {
 
     #[test]
     fn deadline_exactly_now_still_runs() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         c.enqueue_arrival(&deadlined(0, 0, 5, 30), t(5));
         let popped = c.next(calm_at(0, 30));
         assert!(popped.is_some(), "deadline == now is not yet expired");
@@ -1077,7 +1040,7 @@ mod tests {
 
     #[test]
     fn requeue_after_parks_until_release() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         enq(&mut c, &arrival(0, 0, 1));
         let failed = c.next(calm(0)).unwrap();
         c.requeue_after(failed, t(10), SimDuration::from_millis(5));
@@ -1097,7 +1060,7 @@ mod tests {
 
     #[test]
     fn requeue_after_zero_delay_is_plain_requeue() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         enq(&mut c, &arrival(0, 0, 1));
         let failed = c.next(calm(0)).unwrap();
         c.requeue_after(failed, t(9), SimDuration::ZERO);
@@ -1108,7 +1071,7 @@ mod tests {
 
     #[test]
     fn delayed_releases_in_release_then_stamp_order() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         enq(&mut c, &arrival(0, 0, 1));
         enq(&mut c, &arrival(0, 1, 2));
         let a = c.next(calm(0)).unwrap();
@@ -1127,7 +1090,7 @@ mod tests {
     fn tenant_queues_prune_under_churn() {
         // Regression: requeue/enqueue/expire cycles must never leave
         // tombstone (empty) per-tenant queues behind.
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         assert!(c.queued_tenants().is_empty());
         enq(&mut c, &arrival(3, 0, 1));
         enq(&mut c, &arrival(7, 0, 2));
@@ -1176,7 +1139,7 @@ mod tests {
             max_active: usize::MAX,
             ..AdmissionConfig::default()
         };
-        let mut c = AdmissionController::new(cfg, BTreeMap::new());
+        let mut c = uniform(cfg);
         for tid in 0..TENANTS {
             c.enqueue_arrival(&deadlined(tid, 0, 100, 101), t(100));
         }
@@ -1207,7 +1170,7 @@ mod tests {
 
     #[test]
     fn expiry_sheds_across_tenants_in_deadline_then_stamp_order() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         // Stamps 0..5 in enqueue order; deadlines deliberately out of
         // both stamp and tenant order.
         c.enqueue_arrival(&deadlined(5, 0, 1, 20), t(1)); // stamp 0
@@ -1228,7 +1191,7 @@ mod tests {
 
     #[test]
     fn admitted_job_leaves_no_shed_when_its_stale_entry_comes_due() {
-        let mut c = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut c = uniform(AdmissionConfig::default());
         c.enqueue_arrival(&deadlined(2, 0, 1, 20), t(1));
         c.enqueue_arrival(&deadlined(2, 1, 1, 25), t(1));
         let job = c
@@ -1254,7 +1217,7 @@ mod tests {
                 policy,
                 ..AdmissionConfig::default()
             };
-            let mut c = AdmissionController::new(cfg, BTreeMap::new());
+            let mut c = uniform(cfg);
             c.enqueue_arrival(&deadlined(4, 0, 1, 20), t(1));
             let job = c.next(calm_at(0, 5)).expect("admitted");
             // Fails and rejoins under a fresh stamp, keeping its
@@ -1268,39 +1231,5 @@ mod tests {
             assert!(c.queued_tenants().is_empty());
             assert!(c.deadlines.is_empty());
         }
-    }
-
-    #[test]
-    fn weight_rule_matches_equivalent_weight_table() {
-        // A procedural premium tier must order pops identically to the
-        // same weights spelled out in a table.
-        let cfg = AdmissionConfig {
-            policy: PolicyKind::WeightedFair,
-            max_active: usize::MAX,
-            ..AdmissionConfig::default()
-        };
-        let rule = WeightRule {
-            premium_every: 4,
-            premium_weight: 6,
-        };
-        let mut table = BTreeMap::new();
-        for tid in 0..12u32 {
-            table.insert(tid, rule.weight_of(tid));
-        }
-        let mut by_rule = AdmissionController::with_weight_rule(cfg, rule);
-        let mut by_table = AdmissionController::new(cfg, table);
-        for tid in 0..12u32 {
-            enq(&mut by_rule, &arrival(tid, 0, 1));
-            enq(&mut by_table, &arrival(tid, 0, 1));
-            by_rule.credit_served(tid, 1_000 + tid as u64);
-            by_table.credit_served(tid, 1_000 + tid as u64);
-        }
-        for _ in 0..12 {
-            let a = by_rule.next(calm_at(0, 2)).expect("rule pop");
-            let b = by_table.next(calm_at(0, 2)).expect("table pop");
-            assert_eq!((a.tenant, a.seq), (b.tenant, b.seq));
-        }
-        assert!(by_rule.next(calm_at(0, 2)).is_none());
-        assert!(by_table.next(calm_at(0, 2)).is_none());
     }
 }

@@ -126,7 +126,6 @@ impl<S: AggSpec> ServiceJob<S> {
                     name,
                     threads: THREADS,
                     granularity: GRANULARITY,
-                    buckets: BUCKETS,
                 };
                 let (map_spec, reduce_spec) = (spec.clone(), spec);
                 TwoPhaseJob::regular(
@@ -147,7 +146,6 @@ impl<S: AggSpec> ServiceJob<S> {
                         ..IrsConfig::default()
                     },
                     granularity: GRANULARITY,
-                    buckets: BUCKETS,
                 };
                 TwoPhaseJob::itask(&job_spec, clocks, inputs, &itask_factories(spec, BUCKETS))
             }

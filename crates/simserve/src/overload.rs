@@ -76,9 +76,10 @@ pub struct ShedRecord {
 pub struct RetryBudget {
     /// Maximum banked retry tokens (also the initial balance).
     pub capacity: u32,
-    /// One token refills per this much virtual time.
-    pub refill_every: SimDuration,
 }
+
+/// One retry token refills per this much virtual time.
+const REFILL_EVERY: SimDuration = SimDuration::from_millis(4);
 
 /// Retry policy: how many attempts each failure class deserves, how
 /// retries back off, and the optional per-tenant token budget.
@@ -126,10 +127,7 @@ impl RetryPolicy {
             max_attempts_ome: 1,
             base_backoff: SimDuration::from_millis(1),
             max_backoff: SimDuration::from_millis(8),
-            budget: Some(RetryBudget {
-                capacity: 4,
-                refill_every: SimDuration::from_millis(4),
-            }),
+            budget: Some(RetryBudget { capacity: 4 }),
         }
     }
 
@@ -187,15 +185,15 @@ impl TokenBucket {
 
     /// Current balance after refilling up to `now`.
     pub fn balance(&mut self, cfg: &RetryBudget, now: SimTime) -> u32 {
-        if !cfg.refill_every.is_zero() && now > self.last_refill {
-            let periods = now.since(self.last_refill).as_nanos() / cfg.refill_every.as_nanos();
+        if now > self.last_refill {
+            let periods = now.since(self.last_refill).as_nanos() / REFILL_EVERY.as_nanos();
             if periods > 0 {
                 self.tokens = self
                     .tokens
                     .saturating_add(periods.min(u32::MAX as u64) as u32)
                     .min(cfg.capacity);
                 self.last_refill +=
-                    SimDuration::from_nanos(periods.saturating_mul(cfg.refill_every.as_nanos()));
+                    SimDuration::from_nanos(periods.saturating_mul(REFILL_EVERY.as_nanos()));
             }
         }
         self.tokens
@@ -214,35 +212,28 @@ impl TokenBucket {
 /// Per-node OME-storm circuit breaker configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
-    /// Sliding window over which storm scores accumulate.
-    pub window: SimDuration,
     /// Windowed score at which the breaker opens.
     pub trip_score: u64,
-    /// How long an open breaker quarantines the node before probing.
-    pub cooldown: SimDuration,
-    /// How long the half-open probe must stay storm-free to close.
-    pub probe: SimDuration,
-    /// Score per OutOfMemoryError charged to the node.
-    pub ome_weight: u64,
-    /// Score per full collection.
-    pub full_gc_weight: u64,
-    /// Score per long-and-useless collection.
-    pub useless_gc_weight: u64,
 }
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig {
-            window: SimDuration::from_millis(4),
-            trip_score: 6,
-            cooldown: SimDuration::from_millis(4),
-            probe: SimDuration::from_millis(2),
-            ome_weight: 3,
-            full_gc_weight: 1,
-            useless_gc_weight: 2,
-        }
+        BreakerConfig { trip_score: 6 }
     }
 }
+
+/// Sliding window over which storm scores accumulate.
+const BREAKER_WINDOW: SimDuration = SimDuration::from_millis(4);
+/// How long an open breaker quarantines the node before probing.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(4);
+/// How long the half-open probe must stay storm-free to close.
+const BREAKER_PROBE: SimDuration = SimDuration::from_millis(2);
+/// Score per OutOfMemoryError charged to the node.
+const OME_SCORE: u64 = 3;
+/// Score per full collection.
+const FULL_GC_SCORE: u64 = 1;
+/// Score per long-and-useless collection.
+const USELESS_GC_SCORE: u64 = 2;
 
 /// Breaker state: closed (healthy) → open (quarantined, drained) →
 /// half-open (probing) → closed, re-opening on any storm during the
@@ -298,10 +289,10 @@ impl Default for Breaker {
 
 impl Breaker {
     /// Scores one round's storm contribution.
-    pub fn score(cfg: &BreakerConfig, omes: u64, full_gcs: u64, useless_gcs: u64) -> u64 {
-        omes.saturating_mul(cfg.ome_weight)
-            + full_gcs.saturating_mul(cfg.full_gc_weight)
-            + useless_gcs.saturating_mul(cfg.useless_gc_weight)
+    pub fn score(omes: u64, full_gcs: u64, useless_gcs: u64) -> u64 {
+        omes.saturating_mul(OME_SCORE)
+            + full_gcs.saturating_mul(FULL_GC_SCORE)
+            + useless_gcs.saturating_mul(USELESS_GC_SCORE)
     }
 
     /// Records a non-zero storm sample.
@@ -316,7 +307,7 @@ impl Breaker {
     /// quarantine always lasts at least one scheduling round.
     pub fn step(&mut self, cfg: &BreakerConfig, now: SimTime) -> Option<BreakerTransition> {
         while let Some(&(at, _)) = self.samples.front() {
-            if now.since(at) > cfg.window {
+            if now.since(at) > BREAKER_WINDOW {
                 self.samples.pop_front();
             } else {
                 break;
@@ -326,7 +317,7 @@ impl Breaker {
             BreakerState::Closed => {
                 let sum: u64 = self.samples.iter().map(|&(_, s)| s).sum();
                 if sum >= cfg.trip_score {
-                    self.state = BreakerState::Open(now + cfg.cooldown);
+                    self.state = BreakerState::Open(now + BREAKER_COOLDOWN);
                     self.samples.clear();
                     Some(BreakerTransition::Opened)
                 } else {
@@ -335,7 +326,7 @@ impl Breaker {
             }
             BreakerState::Open(until) => {
                 if now >= until {
-                    self.state = BreakerState::HalfOpen(now + cfg.probe);
+                    self.state = BreakerState::HalfOpen(now + BREAKER_PROBE);
                     self.samples.clear();
                     Some(BreakerTransition::HalfOpened)
                 } else {
@@ -345,7 +336,7 @@ impl Breaker {
             BreakerState::HalfOpen(until) => {
                 if !self.samples.is_empty() {
                     // The probe stormed: straight back to quarantine.
-                    self.state = BreakerState::Open(now + cfg.cooldown);
+                    self.state = BreakerState::Open(now + BREAKER_COOLDOWN);
                     self.samples.clear();
                     Some(BreakerTransition::Opened)
                 } else if now >= until {
@@ -360,10 +351,10 @@ impl Breaker {
 
     /// Sum of the storm samples still inside the sliding window at
     /// `now`, without mutating the sample queue.
-    pub fn windowed_score(&self, cfg: &BreakerConfig, now: SimTime) -> u64 {
+    pub fn windowed_score(&self, now: SimTime) -> u64 {
         self.samples
             .iter()
-            .filter(|&&(at, _)| now.since(at) <= cfg.window)
+            .filter(|&&(at, _)| now.since(at) <= BREAKER_WINDOW)
             .map(|&(_, s)| s)
             .sum()
     }
@@ -385,28 +376,24 @@ impl Breaker {
 /// before the full-GC cliff, instead of waiting for OMEs.
 #[derive(Clone, Copy, Debug)]
 pub struct BrownoutConfig {
-    /// Enter brownout after the worst node's free-heap ratio stays
-    /// below this for `sustain_rounds` consecutive rounds.
-    pub enter_free_ratio: f64,
-    /// Leave brownout once the worst ratio recovers above this
-    /// (hysteresis: strictly larger than `enter_free_ratio`).
-    pub exit_free_ratio: f64,
-    /// Consecutive low-pressure rounds required to enter.
-    pub sustain_rounds: u32,
     /// Active-job ceiling while browned out (tightens `max_active`).
     pub max_active: usize,
 }
 
 impl Default for BrownoutConfig {
     fn default() -> Self {
-        BrownoutConfig {
-            enter_free_ratio: 0.25,
-            exit_free_ratio: 0.45,
-            sustain_rounds: 3,
-            max_active: 2,
-        }
+        BrownoutConfig { max_active: 2 }
     }
 }
+
+/// Enter brownout after the worst node's free-heap ratio stays below
+/// this for [`SUSTAIN_ROUNDS`] consecutive rounds.
+const ENTER_FREE_RATIO: f64 = 0.25;
+/// Leave brownout once the worst ratio recovers to this (hysteresis:
+/// strictly above [`ENTER_FREE_RATIO`]).
+const EXIT_FREE_RATIO: f64 = 0.45;
+/// Consecutive low-pressure rounds required to enter.
+const SUSTAIN_ROUNDS: u32 = 3;
 
 /// Brownout state machine: a low-ratio streak counter with hysteresis.
 #[derive(Clone, Copy, Debug, Default)]
@@ -421,20 +408,15 @@ pub struct BrownoutState {
 impl BrownoutState {
     /// Observes one round's worst free-heap ratio; returns `true` on
     /// the activation edge and `Some((since, rounds))` on deactivation.
-    pub fn observe(
-        &mut self,
-        cfg: &BrownoutConfig,
-        min_free_ratio: f64,
-        now: SimTime,
-    ) -> (bool, Option<(SimTime, u64)>) {
+    pub fn observe(&mut self, min_free_ratio: f64, now: SimTime) -> (bool, Option<(SimTime, u64)>) {
         match self.since {
             None => {
-                if min_free_ratio < cfg.enter_free_ratio {
+                if min_free_ratio < ENTER_FREE_RATIO {
                     self.streak += 1;
                 } else {
                     self.streak = 0;
                 }
-                if self.streak >= cfg.sustain_rounds {
+                if self.streak >= SUSTAIN_ROUNDS {
                     self.since = Some(now);
                     self.rounds = 0;
                     self.streak = 0;
@@ -445,7 +427,7 @@ impl BrownoutState {
             }
             Some(since) => {
                 self.rounds += 1;
-                if min_free_ratio >= cfg.exit_free_ratio {
+                if min_free_ratio >= EXIT_FREE_RATIO {
                     let window = (since, self.rounds);
                     self.since = None;
                     self.rounds = 0;
@@ -529,53 +511,40 @@ mod tests {
 
     #[test]
     fn token_bucket_spends_and_refills_on_virtual_time() {
-        let cfg = RetryBudget {
-            capacity: 2,
-            refill_every: SimDuration::from_millis(10),
-        };
+        let cfg = RetryBudget { capacity: 2 };
         let mut b = TokenBucket::new(&cfg, t(0));
         assert!(b.try_take(&cfg, t(0)));
         assert!(b.try_take(&cfg, t(0)));
         assert!(!b.try_take(&cfg, t(0)), "empty");
-        assert!(!b.try_take(&cfg, t(9)), "not yet refilled");
-        assert!(b.try_take(&cfg, t(10)), "one period banked one token");
-        assert!(!b.try_take(&cfg, t(10)));
+        assert!(!b.try_take(&cfg, t(3)), "not yet refilled");
+        assert!(b.try_take(&cfg, t(4)), "one period banked one token");
+        assert!(!b.try_take(&cfg, t(4)));
         // Long idle refills to capacity, never beyond.
         assert_eq!(b.balance(&cfg, t(1_000)), 2);
     }
 
     #[test]
     fn breaker_walks_open_half_open_closed() {
-        let cfg = BreakerConfig {
-            window: SimDuration::from_millis(5),
-            trip_score: 4,
-            cooldown: SimDuration::from_millis(3),
-            probe: SimDuration::from_millis(2),
-            ome_weight: 2,
-            full_gc_weight: 1,
-            useless_gc_weight: 1,
-        };
+        let cfg = BreakerConfig::default();
         let mut b = Breaker::default();
-        assert_eq!(Breaker::score(&cfg, 1, 1, 1), 4);
-        b.record(t(1), 2);
+        assert_eq!(Breaker::score(1, 1, 1), 6);
+        b.record(t(1), 3);
         assert_eq!(b.step(&cfg, t(1)), None, "below threshold");
         assert!(!b.quarantined());
-        b.record(t(2), 2);
+        b.record(t(2), 3);
         assert_eq!(b.step(&cfg, t(2)), Some(BreakerTransition::Opened));
         assert!(b.quarantined());
-        assert_eq!(b.step(&cfg, t(3)), None, "still cooling down");
-        assert_eq!(b.step(&cfg, t(5)), Some(BreakerTransition::HalfOpened));
+        assert_eq!(b.step(&cfg, t(5)), None, "still cooling down");
+        assert_eq!(b.step(&cfg, t(6)), Some(BreakerTransition::HalfOpened));
         assert!(!b.quarantined(), "half-open admits probes");
-        assert_eq!(b.step(&cfg, t(7)), Some(BreakerTransition::Closed));
+        assert_eq!(b.step(&cfg, t(7)), None, "still probing");
+        assert_eq!(b.step(&cfg, t(8)), Some(BreakerTransition::Closed));
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn breaker_reopens_when_probe_storms() {
-        let cfg = BreakerConfig {
-            trip_score: 2,
-            ..BreakerConfig::default()
-        };
+        let cfg = BreakerConfig { trip_score: 2 };
         let mut b = Breaker::default();
         b.record(t(0), 2);
         assert_eq!(b.step(&cfg, t(0)), Some(BreakerTransition::Opened));
@@ -594,11 +563,7 @@ mod tests {
 
     #[test]
     fn breaker_window_forgets_old_storms() {
-        let cfg = BreakerConfig {
-            window: SimDuration::from_millis(2),
-            trip_score: 4,
-            ..BreakerConfig::default()
-        };
+        let cfg = BreakerConfig { trip_score: 4 };
         let mut b = Breaker::default();
         b.record(t(0), 3);
         assert_eq!(b.step(&cfg, t(0)), None);
@@ -611,41 +576,33 @@ mod tests {
 
     #[test]
     fn windowed_score_sums_only_fresh_samples_without_mutating() {
-        let cfg = BreakerConfig {
-            window: SimDuration::from_millis(2),
-            trip_score: 100,
-            ..BreakerConfig::default()
-        };
         let mut b = Breaker::default();
         b.record(t(0), 3);
         b.record(t(1), 2);
-        assert_eq!(b.windowed_score(&cfg, t(1)), 5);
-        // The t(0) sample is outside the window at t(4); the query must
-        // not drop it from the queue either (repeat reads agree).
-        assert_eq!(b.windowed_score(&cfg, t(4)), 0);
-        assert_eq!(b.windowed_score(&cfg, t(1)), 5);
+        assert_eq!(b.windowed_score(t(1)), 5);
+        assert_eq!(b.windowed_score(t(4)), 5, "the window is 4ms, inclusive");
+        assert_eq!(b.windowed_score(t(5)), 2);
+        // Both samples are outside the window at t(6); the query must
+        // not drop them from the queue either (repeat reads agree).
+        assert_eq!(b.windowed_score(t(6)), 0);
+        assert_eq!(b.windowed_score(t(1)), 5);
     }
 
     #[test]
     fn brownout_requires_sustained_pressure_and_exits_on_hysteresis() {
-        let cfg = BrownoutConfig {
-            enter_free_ratio: 0.3,
-            exit_free_ratio: 0.5,
-            sustain_rounds: 2,
-            max_active: 1,
-        };
         let mut s = BrownoutState::default();
-        assert_eq!(s.observe(&cfg, 0.2, t(1)), (false, None), "one low round");
-        assert_eq!(s.observe(&cfg, 0.8, t(2)), (false, None), "streak resets");
-        assert_eq!(s.observe(&cfg, 0.2, t(3)), (false, None));
-        assert_eq!(s.observe(&cfg, 0.1, t(4)), (true, None), "sustained: on");
+        assert_eq!(s.observe(0.2, t(1)), (false, None), "one low round");
+        assert_eq!(s.observe(0.8, t(2)), (false, None), "streak resets");
+        assert_eq!(s.observe(0.2, t(3)), (false, None));
+        assert_eq!(s.observe(0.1, t(4)), (false, None));
+        assert_eq!(s.observe(0.2, t(5)), (true, None), "sustained: on");
         assert!(s.active());
         // 0.4 is above enter but below exit: stays browned out.
-        assert_eq!(s.observe(&cfg, 0.4, t(5)), (false, None));
+        assert_eq!(s.observe(0.4, t(6)), (false, None));
         assert!(s.active());
-        let (on, off) = s.observe(&cfg, 0.6, t(6));
+        let (on, off) = s.observe(0.45, t(7));
         assert!(!on);
-        assert_eq!(off, Some((t(4), 2)), "window reports entry and rounds");
+        assert_eq!(off, Some((t(5), 2)), "window reports entry and rounds");
         assert!(!s.active());
     }
 }

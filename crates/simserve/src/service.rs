@@ -36,6 +36,7 @@ use crate::overload::{
 };
 use crate::workload::{
     dataset_blocks, generate_arrivals, Arrival, ArrivalGen, JobKind, TenantModel, TenantSpec,
+    WeightRule,
 };
 
 /// Safety valve: a service run that exceeds this many scheduling rounds
@@ -298,10 +299,12 @@ impl Service {
                 for t in &cfg.tenants {
                     slos.insert(t.id, TenantSlo::default());
                 }
-                let weights = cfg.tenants.iter().map(|t| (t.id, t.weight)).collect();
                 let fixed = generate_arrivals(cfg.seed, &cfg.tenants, cfg.horizon);
                 (
-                    vec![AdmissionController::new(cfg.admission, weights)],
+                    vec![AdmissionController::with_weight_rule(
+                        cfg.admission,
+                        WeightRule::uniform(),
+                    )],
                     Box::new(fixed.into_iter()),
                 )
             }
@@ -793,9 +796,9 @@ impl Service {
                             self.last_storm_any = id;
                         }
                     }
-                    scores[n] = Breaker::score(&bcfg, omes, d_full, d_useless);
+                    scores[n] = Breaker::score(omes, d_full, d_useless);
                 }
-                effective[n] = self.breakers[n].windowed_score(&bcfg, now) + scores[n];
+                effective[n] = self.breakers[n].windowed_score(now) + scores[n];
                 live_scores.push(effective[n]);
             }
             // Quarantine shifts load off a sick node onto its peers,
@@ -865,9 +868,9 @@ impl Service {
                 }
             }
         }
-        if let Some(bcfg) = self.cfg.overload.brownout {
+        if self.cfg.overload.brownout.is_some() {
             let ratio = self.cluster.min_free_heap_ratio();
-            let (entered, exited) = self.brownout.observe(&bcfg, ratio, now);
+            let (entered, exited) = self.brownout.observe(ratio, now);
             if entered {
                 metrics::gauge_set(None, metrics::Metric::ServeBrownout, now, 1);
             }
@@ -1093,7 +1096,10 @@ mod tests {
 
     /// One job of `kind`, as a controller hands it to `launch`.
     fn queued(kind: JobKind, dataset_seed: u64) -> QueuedJob {
-        let mut ctl = AdmissionController::new(AdmissionConfig::default(), BTreeMap::new());
+        let mut ctl = AdmissionController::with_weight_rule(
+            AdmissionConfig::default(),
+            WeightRule::uniform(),
+        );
         ctl.enqueue_arrival(
             &Arrival {
                 at: SimTime::ZERO,

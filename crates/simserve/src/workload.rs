@@ -101,18 +101,37 @@ impl WeightRule {
     }
 }
 
-/// One tenant's traffic profile.
+/// Every tenant's weighted job mix `(kind, weight)`: the light and
+/// medium kinds twice as often as the heavy collect.
+const MIX: [(JobKind, u32); 3] = [
+    (JobKind::DegreeCount, 2),
+    (JobKind::WordCount, 2),
+    (JobKind::LinkCollect, 1),
+];
+
+/// Draws one job kind from [`MIX`].
+fn draw_kind(rng: &mut DetRng) -> JobKind {
+    let total: u32 = MIX.iter().map(|&(_, w)| w).sum();
+    let mut pick = rng.below(total as u64) as u32;
+    for (kind, w) in MIX {
+        if pick < w {
+            return kind;
+        }
+        pick -= w;
+    }
+    unreachable!("a pick below the total lands in some kind")
+}
+
+/// One tenant's traffic profile. Every tenant weighs 1 in the
+/// weighted-fair order and draws its jobs from one fixed 2:2:1 mix of
+/// degree counts, word counts and link collects.
 #[derive(Clone, Debug)]
 pub struct TenantSpec {
     /// Tenant id (also the weighted-fair tie-break).
     pub id: u32,
-    /// Weighted-fair share.
-    pub weight: u64,
     /// Mean time between submissions (open loop: arrivals do not wait
     /// for completions).
     pub mean_interarrival: SimDuration,
-    /// Weighted job mix `(kind, weight)`.
-    pub mix: Vec<(JobKind, u32)>,
     /// Relative submit deadline: a job still queued this long after its
     /// arrival is shed instead of run. `None` (the default) disables
     /// deadline shedding for the tenant.
@@ -120,17 +139,11 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A uniform tenant: equal shares, the default mixed workload.
+    /// A tenant submitting every `mean_interarrival` on average.
     pub fn uniform(id: u32, mean_interarrival: SimDuration) -> Self {
         TenantSpec {
             id,
-            weight: 1,
             mean_interarrival,
-            mix: vec![
-                (JobKind::DegreeCount, 2),
-                (JobKind::WordCount, 2),
-                (JobKind::LinkCollect, 1),
-            ],
             deadline: None,
         }
     }
@@ -165,7 +178,7 @@ pub struct Arrival {
 /// one deterministic schedule (sorted by instant, tenant, sequence).
 ///
 /// Interarrival gaps are the tenant's mean scaled by a seeded jitter in
-/// `[0.5, 1.5)`; job kinds are drawn from the tenant's weighted mix.
+/// `[0.5, 1.5)`; job kinds are drawn from the fixed 2:2:1 mix.
 /// Everything derives from `seed` via forked [`DetRng`] streams, so the
 /// same `(seed, tenants, horizon)` always yields the same schedule.
 pub fn generate_arrivals(seed: u64, tenants: &[TenantSpec], horizon: SimDuration) -> Vec<Arrival> {
@@ -173,8 +186,6 @@ pub fn generate_arrivals(seed: u64, tenants: &[TenantSpec], horizon: SimDuration
     let mut root = DetRng::new(seed);
     for t in tenants {
         let mut rng = root.fork(t.id as u64 + 1);
-        let total_mix: u32 = t.mix.iter().map(|(_, w)| w).sum();
-        assert!(total_mix > 0, "tenant {} has an empty job mix", t.id);
         let mut at = SimTime::ZERO;
         let mut seq = 0u32;
         loop {
@@ -186,15 +197,7 @@ pub fn generate_arrivals(seed: u64, tenants: &[TenantSpec], horizon: SimDuration
             if at.since(SimTime::ZERO) > horizon {
                 break;
             }
-            let mut pick = rng.below(total_mix as u64) as u32;
-            let mut kind = t.mix[0].0;
-            for &(k, w) in &t.mix {
-                if pick < w {
-                    kind = k;
-                    break;
-                }
-                pick -= w;
-            }
+            let kind = draw_kind(&mut rng);
             all.push(Arrival {
                 at,
                 tenant: t.id,
@@ -306,8 +309,6 @@ pub struct TenantModel {
     pub mean_gap: SimDuration,
     /// Time-varying rate modulation.
     pub shape: LoadShape,
-    /// Weighted job mix `(kind, weight)`, shared by every tenant.
-    pub mix: Vec<(JobKind, u32)>,
     /// Relative submit deadline applied to every arrival, if armed.
     pub deadline: Option<SimDuration>,
     /// Procedural weighted-fair shares.
@@ -315,18 +316,13 @@ pub struct TenantModel {
 }
 
 impl TenantModel {
-    /// A uniform population: the default mixed workload, equal weights,
-    /// no deadlines, steady rate.
+    /// A uniform population: equal weights, no deadlines, steady rate
+    /// (every tenant draws from the fixed 2:2:1 job mix).
     pub fn uniform(population: u32, mean_gap: SimDuration) -> Self {
         TenantModel {
             population,
             mean_gap,
             shape: LoadShape::Steady,
-            mix: vec![
-                (JobKind::DegreeCount, 2),
-                (JobKind::WordCount, 2),
-                (JobKind::LinkCollect, 1),
-            ],
             deadline: None,
             weights: WeightRule::uniform(),
         }
@@ -354,7 +350,6 @@ pub struct ArrivalGen {
     horizon: SimDuration,
     seed: u64,
     at: SimTime,
-    total_mix: u32,
     /// Next per-tenant sequence number, allocated on a tenant's first
     /// arrival only. Accessed strictly by key (never iterated), so the
     /// hash map's order cannot leak into the schedule.
@@ -366,15 +361,12 @@ impl ArrivalGen {
     /// Creates the stream; no per-tenant work happens here.
     pub fn new(seed: u64, model: TenantModel, horizon: SimDuration) -> Self {
         assert!(model.population > 0, "empty tenant population");
-        let total_mix: u32 = model.mix.iter().map(|(_, w)| w).sum();
-        assert!(total_mix > 0, "tenant model has an empty job mix");
         ArrivalGen {
             rng: DetRng::new(seed),
             model,
             horizon,
             seed,
             at: SimTime::ZERO,
-            total_mix,
             seqs: KeyMap::default(),
             done: false,
         }
@@ -406,15 +398,7 @@ impl ArrivalGen {
             return None;
         }
         let tenant = self.rng.below(self.model.population as u64) as u32;
-        let mut pick = self.rng.below(self.total_mix as u64) as u32;
-        let mut kind = self.model.mix[0].0;
-        for &(k, w) in &self.model.mix {
-            if pick < w {
-                kind = k;
-                break;
-            }
-            pick -= w;
-        }
+        let kind = draw_kind(&mut self.rng);
         let slot = self.seqs.entry(tenant).or_insert(0);
         let seq = *slot;
         *slot += 1;

@@ -63,10 +63,7 @@ fn config(engine: EngineKind, scenario: Scenario) -> ServiceConfig {
             cfg.retry = RetryPolicy::budgeted();
             cfg.overload = OverloadConfig {
                 breaker: Some(BreakerConfig::default()),
-                brownout: Some(BrownoutConfig {
-                    max_active: 3,
-                    ..Default::default()
-                }),
+                brownout: Some(BrownoutConfig { max_active: 3 }),
             };
         }
     }

@@ -1,6 +1,5 @@
 //! Quorum, workload and runtime-policy knobs for one SMR run.
 
-use itask_core::MonitorConfig;
 use simcore::{ByteSize, FaultPlan, SimDuration};
 
 /// Which runtime drives the replicas' memory behaviour.
@@ -55,16 +54,11 @@ pub(crate) const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(6);
 /// Fixed cost of a view change on top of the announcement RPCs.
 pub(crate) const ELECTION_OVERHEAD: SimDuration = SimDuration::from_millis(1);
 
-/// IRS thresholds for the deflation guard (ITask modes). The
-/// `serialize_free_pct` hover target doubles as the live-set ceiling:
-/// latency-SLO machines hover much higher than batch jobs (free ≥ 80% vs
-/// the paper's 40%) because commit tails scale with the live set, not
-/// with throughput.
-pub(crate) const MONITOR: MonitorConfig = MonitorConfig {
-    grow_free_pct: 20,
-    reduce_target_pct: 10,
-    serialize_free_pct: 80,
-};
+/// The deflation guard's hover target, percent free (ITask modes). It
+/// doubles as the live-set ceiling: latency-SLO machines hover much
+/// higher than batch jobs (free ≥ 80% vs the batch 40%) because commit
+/// tails scale with the live set, not with throughput.
+pub(crate) const SERIALIZE_FREE_PCT: u8 = 80;
 
 /// Minimum deflation request; smaller hover deficits are deferred so
 /// serialization happens in batched, accountable chunks.

@@ -41,7 +41,7 @@ use simnet::rpc;
 
 use crate::config::{
     RuntimeMode, SmrConfig, DEFLATE_CHUNK, ELECTION_OVERHEAD, ELECTION_TIMEOUT, HEARTBEAT_EVERY,
-    MONITOR, WINDOW,
+    SERIALIZE_FREE_PCT, WINDOW,
 };
 use crate::replica::{Ack, Cmd, ReplicaWork};
 
@@ -242,7 +242,9 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
     let mut arrivals: Vec<SimTime> = Vec::with_capacity(cfg.nodes);
 
     let majority = cfg.majority();
-    let mut guards: Vec<StateGuard> = (0..cfg.nodes).map(|_| StateGuard::new(MONITOR)).collect();
+    let mut guards: Vec<StateGuard> = (0..cfg.nodes)
+        .map(|_| StateGuard::new(SERIALIZE_FREE_PCT))
+        .collect();
     let mut view = 0u64;
     let mut leader = NodeId(0);
     let mut next_propose = 1u64;
