@@ -1,6 +1,8 @@
 //! Generic keyed-aggregation machinery: one spec type per application,
 //! four executions for free (Hyracks regular/ITask, Hadoop
-//! regular/ITask).
+//! regular/ITask) from two sets of adapters. The regular operators run
+//! on Hyracks pool threads and in Hadoop task attempts alike; the
+//! ITasks run under either framework's IRS.
 //!
 //! The central idea: the `Mid` tuple is simultaneously the unit that
 //! travels through the shuffle *and* the mergeable per-key accumulator
@@ -9,7 +11,6 @@
 
 use std::rc::Rc;
 
-use hadoop::{MapCx, Mapper, ReduceCx, Reducer};
 use hyracks::{ItaskFactories, OpCx, Operator, ShuffleBatch};
 use itask_core::{ITask, Scale, TaskCx, Tuple, TupleTask};
 use simcore::{prof, ByteSize, KeyMap, SimResult, TaskId};
@@ -140,16 +141,18 @@ impl<M: MergeableTuple> AggState<M> {
     /// nothing from grouping, and moving any of the simulated ones
     /// moves a digest:
     ///
-    /// * regular Hyracks map/reduce ([`AggMapOp`], [`AggReduceOp`]):
-    ///   `OpCx::emit` is an arena push with no simulated side effect,
-    ///   so only the per-bucket order matters — host-only, but map
-    ///   flushes are capped at [`AggSpec::map_cache_bytes`] and the
-    ///   grouped drain measured no gain there (EXPERIMENTS.md, PR 22);
-    /// * Hadoop map ([`AggMapper`]): `MapCx::write` charges the heap
-    ///   per tuple and spills at a threshold, so emission order is
-    ///   simulated;
-    /// * reduce and merge partials ([`AggReduceTask`], [`AggMergeTask`],
-    ///   [`AggReducer`]): re-folded downstream in arrival order, which
+    /// * the regular operators ([`AggMapOp`], [`AggReduceOp`]) on a
+    ///   Hyracks connector: `OpCx::emit` is an arena push with no
+    ///   simulated side effect, so only the per-bucket order matters —
+    ///   host-only, but map flushes are capped at
+    ///   [`AggSpec::map_cache_bytes`] and the grouped drain measured no
+    ///   gain there (EXPERIMENTS.md, PR 22);
+    /// * the same operators in a Hadoop attempt: the map side's sort
+    ///   buffer charges the heap per tuple and spills at a threshold,
+    ///   so emission order is simulated, and the reduce side's is the
+    ///   job's output order;
+    /// * ITask reduce and merge partials ([`AggReduceTask`],
+    ///   [`AggMergeTask`]): re-folded downstream in arrival order, which
     ///   charges allocations in that order — simulated.
     pub fn drain(&mut self) -> Vec<M> {
         let _wall = prof::wall_timer(prof::Stage::AggDrain);
@@ -250,31 +253,12 @@ fn charge_out(cx: &mut TaskCx<'_, '_>, delta: i64) -> SimResult<()> {
     }
 }
 
-/// Signed charge against a Hadoop attempt's user-state space.
-fn charge_reduce_state<Out: Tuple>(cx: &mut ReduceCx<'_, '_, Out>, delta: i64) -> SimResult<()> {
-    if delta >= 0 {
-        cx.alloc_state(ByteSize(delta as u64))
-    } else {
-        cx.free_state(ByteSize((-delta) as u64));
-        Ok(())
-    }
-}
-
-/// Signed charge against a Hadoop mapper's user-state space.
-fn charge_map_state<Out: Tuple>(cx: &mut MapCx<'_, '_, Out>, delta: i64) -> SimResult<()> {
-    if delta >= 0 {
-        cx.alloc_state(ByteSize(delta as u64))
-    } else {
-        cx.free_state(ByteSize((-delta) as u64));
-        Ok(())
-    }
-}
-
 // ====================================================================
-// Regular Hyracks operators
+// Regular operators (Hyracks pool threads and Hadoop task attempts)
 // ====================================================================
 
-/// Map-side operator: explode + local combining; emits at close.
+/// Map-side operator: explode + local combining; emits when the cache
+/// passes [`AggSpec::map_cache_bytes`] and at close.
 pub struct AggMapOp<S: AggSpec> {
     spec: S,
     buckets: u32,
@@ -297,15 +281,16 @@ impl<S: AggSpec> AggMapOp<S> {
         }
     }
 
-    fn flush(&mut self, cx: &mut OpCx<'_, '_, S::Mid>) {
+    fn flush(&mut self, cx: &mut OpCx<'_, '_, S::Mid>) -> SimResult<()> {
         for item in self.state.drain() {
             let bucket = self.spec.bucket(item.key(), self.buckets);
-            cx.emit(bucket, item);
+            cx.emit(bucket, item)?;
         }
         if self.held > 0 {
             cx.free_state(ByteSize(self.held as u64));
         }
         self.held = 0;
+        Ok(())
     }
 }
 
@@ -313,16 +298,16 @@ impl<S: AggSpec> Operator for AggMapOp<S> {
     type In = S::In;
     type Out = S::Mid;
 
-    fn open(&mut self, cx: &mut OpCx<'_, '_, S::Mid>) -> SimResult<()> {
-        let init = self.spec.init_bytes();
-        if init > 0 && !self.initialized {
-            cx.alloc_state(ByteSize(init))?;
+    fn next(&mut self, cx: &mut OpCx<'_, '_, S::Mid>, rec: &S::In) -> SimResult<()> {
+        // The long-lived structures load with the first record, after
+        // its frame is on the heap.
+        if !self.initialized {
+            let init = self.spec.init_bytes();
+            if init > 0 {
+                cx.alloc_state(ByteSize(init))?;
+            }
             self.initialized = true;
         }
-        Ok(())
-    }
-
-    fn next(&mut self, cx: &mut OpCx<'_, '_, S::Mid>, rec: &S::In) -> SimResult<()> {
         let scratch = self.spec.scratch_bytes(rec);
         if scratch > 0 {
             cx.alloc_state(ByteSize(scratch))?;
@@ -340,14 +325,13 @@ impl<S: AggSpec> Operator for AggMapOp<S> {
             cx.free_state(ByteSize(scratch));
         }
         if self.held > 0 && self.held as u64 > self.spec.map_cache_bytes() {
-            self.flush(cx);
+            self.flush(cx)?;
         }
         Ok(())
     }
 
     fn close(&mut self, cx: &mut OpCx<'_, '_, S::Mid>) -> SimResult<()> {
-        self.flush(cx);
-        Ok(())
+        self.flush(cx)
     }
 }
 
@@ -373,10 +357,6 @@ impl<S: AggSpec> Operator for AggReduceOp<S> {
     type In = S::Mid;
     type Out = S::Out;
 
-    fn open(&mut self, _cx: &mut OpCx<'_, '_, S::Out>) -> SimResult<()> {
-        Ok(())
-    }
-
     fn next(&mut self, cx: &mut OpCx<'_, '_, S::Out>, item: &S::Mid) -> SimResult<()> {
         self.state.add(item.clone(), &mut |d| charge_state(cx, d))
     }
@@ -385,7 +365,7 @@ impl<S: AggSpec> Operator for AggReduceOp<S> {
         for item in self.state.drain() {
             let bucket = self.spec.bucket(item.key(), self.buckets);
             let out = self.spec.finish(item);
-            cx.emit(bucket, out);
+            cx.emit(bucket, out)?;
         }
         Ok(())
     }
@@ -574,119 +554,5 @@ pub fn itask_factories<S: AggSpec>(spec: S, buckets: u32) -> ItaskFactories {
         }),
         reduce: Rc::new(move || Box::new(Scale(AggReduceTask::new(s2.clone()))) as Box<dyn ITask>),
         merge: Rc::new(move || Box::new(Scale(AggMergeTask::new(s3.clone()))) as Box<dyn ITask>),
-    }
-}
-
-// ====================================================================
-// Hadoop versions
-// ====================================================================
-
-/// Hadoop mapper: explode + in-task combining; emissions at close go
-/// through the spill-managed sort buffer.
-pub struct AggMapper<S: AggSpec> {
-    spec: S,
-    buckets: u32,
-    state: AggState<S::Mid>,
-    scratch: Vec<S::Mid>,
-    held: i64,
-    initialized: bool,
-}
-
-impl<S: AggSpec> AggMapper<S> {
-    /// Creates the mapper.
-    pub fn new(spec: S, buckets: u32) -> Self {
-        AggMapper {
-            spec,
-            buckets,
-            state: AggState::new(),
-            scratch: Vec::new(),
-            held: 0,
-            initialized: false,
-        }
-    }
-
-    fn flush(&mut self, cx: &mut MapCx<'_, '_, S::Mid>) -> SimResult<()> {
-        for item in self.state.drain() {
-            let bucket = self.spec.bucket(item.key(), self.buckets);
-            cx.write(bucket, item)?;
-        }
-        if self.held > 0 {
-            cx.free_state(ByteSize(self.held as u64));
-        }
-        self.held = 0;
-        Ok(())
-    }
-}
-
-impl<S: AggSpec> Mapper for AggMapper<S> {
-    type In = S::In;
-    type Out = S::Mid;
-
-    fn map(&mut self, cx: &mut MapCx<'_, '_, S::Mid>, rec: &S::In) -> SimResult<()> {
-        if !self.initialized {
-            let init = self.spec.init_bytes();
-            if init > 0 {
-                cx.alloc_state(ByteSize(init))?;
-            }
-            self.initialized = true;
-        }
-        let scratch = self.spec.scratch_bytes(rec);
-        if scratch > 0 {
-            cx.alloc_state(ByteSize(scratch))?;
-        }
-        self.scratch.clear();
-        self.spec.explode(rec, &mut self.scratch);
-        let held = &mut self.held;
-        for item in self.scratch.drain(..) {
-            self.state.add(item, &mut |d| {
-                *held += d;
-                charge_map_state(cx, d)
-            })?;
-        }
-        if scratch > 0 {
-            cx.free_state(ByteSize(scratch));
-        }
-        if self.held > 0 && self.held as u64 > self.spec.map_cache_bytes() {
-            self.flush(cx)?;
-        }
-        Ok(())
-    }
-
-    fn close(&mut self, cx: &mut MapCx<'_, '_, S::Mid>) -> SimResult<()> {
-        self.flush(cx)
-    }
-}
-
-/// Hadoop reducer: fold, finalize at close.
-pub struct AggReducer<S: AggSpec> {
-    spec: S,
-    state: AggState<S::Mid>,
-}
-
-impl<S: AggSpec> AggReducer<S> {
-    /// Creates the reducer.
-    pub fn new(spec: S) -> Self {
-        AggReducer {
-            spec,
-            state: AggState::new(),
-        }
-    }
-}
-
-impl<S: AggSpec> Reducer for AggReducer<S> {
-    type In = S::Mid;
-    type Out = S::Out;
-
-    fn reduce(&mut self, cx: &mut ReduceCx<'_, '_, S::Out>, item: &S::Mid) -> SimResult<()> {
-        self.state
-            .add(item.clone(), &mut |d| charge_reduce_state(cx, d))
-    }
-
-    fn close(&mut self, cx: &mut ReduceCx<'_, '_, S::Out>) -> SimResult<()> {
-        for item in self.state.drain() {
-            let out = self.spec.finish(item);
-            cx.write(out)?;
-        }
-        Ok(())
     }
 }

@@ -17,7 +17,7 @@ use simcore::ByteSize;
 use workloads::stackoverflow::{Post, StackOverflowConfig};
 use workloads::wikipedia::{Article, WikipediaConfig};
 
-use crate::agg::{itask_factories, AggMapper, AggReducer, AggSpec};
+use crate::agg::{itask_factories, AggMapOp, AggReduceOp, AggSpec};
 use crate::summary::RunSummary;
 use more_problems::{
     fav_config, fav_splits, lsb_config, reported_config, tfr_splits, FavSpec, HjdSpec, LsbSpec,
@@ -86,8 +86,8 @@ pub fn regular<S: AggSpec>(
     let (report, result) = hadoop::run_regular_job(
         cfg,
         splits,
-        || AggMapper::new(spec.clone(), buckets),
-        || AggReducer::new(spec.clone()),
+        || AggMapOp::new(spec.clone(), buckets),
+        || AggReduceOp::new(spec.clone(), buckets),
     );
     let attempts = attempts(&report);
     (RunSummary { report, result }, attempts)

@@ -1,7 +1,8 @@
 //! The ITask version of a Hadoop job (paper §4.2): the caller's ITask
-//! factories (map, reduce, merge) stand in for the `Mapper`/`Reducer`
-//! pair, and each node's task memory (`MM × MH`) is pooled under one
-//! IRS instead of being fenced into per-task JVMs.
+//! factories (map, reduce, merge) stand in for the regular job's map
+//! and reduce [`hyracks::Operator`]s, and each node's task memory
+//! (`MM × MH`) is pooled under one IRS instead of being fenced into
+//! per-task JVMs.
 //!
 //! The job driver itself is shared with the Hyracks engine — "the
 //! majority of the IRS code can be reused across frameworks" (§4.2) —

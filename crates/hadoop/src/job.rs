@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use hyracks::Operator;
 use itask_core::Tuple;
 use simcluster::{JobOutcome, JobReport, NodeReport};
 use simcore::{ByteSize, CostModel, NodeId, SimDuration, SimError};
@@ -11,7 +12,6 @@ use crate::attempt::{
     run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
 };
 use crate::config::{HadoopConfig, MAX_ATTEMPTS};
-use crate::task::{Mapper, Reducer};
 
 /// Greedy list scheduler: place each task's attempt chain on the
 /// earliest-free slot. Returns `(makespan, fail_time)` where `fail_time`
@@ -150,8 +150,8 @@ pub fn run_regular_job<M, R>(
     reduce_factory: impl Fn() -> R,
 ) -> (JobReport, Result<Vec<R::Out>, SimError>)
 where
-    M: Mapper + 'static,
-    R: Reducer<In = M::Out> + 'static,
+    M: Operator + 'static,
+    R: Operator<In = M::Out> + 'static,
     M::In: Clone,
     M::Out: Clone,
 {

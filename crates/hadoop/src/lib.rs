@@ -20,18 +20,21 @@
 //!   under one IRS instead of fencing it per task, which is where its
 //!   advantage over manual tuning comes from.
 //!
-//! Map and reduce attempts are one piece of code ([`attempt`]): one
-//! frame loop in one task JVM, with what differs between the two — the
-//! heap, the per-record call, the end-of-input epilogue and the output —
-//! behind a private trait. [`job`] places the attempt outcomes on slots
-//! and reports attempts and spills as the `hadoop.map_attempts`,
-//! `hadoop.reduce_attempts` and `hadoop.spills` counters.
+//! There is no Hadoop operator API: user code is a
+//! [`hyracks::Operator`], and an attempt ([`attempt`]) runs it on the
+//! one regular frame loop, [`hyracks::OperatorWorker`], in its own task
+//! JVM. Map and reduce differ only in the task heap and the
+//! [`hyracks::Sink`] the worker emits into — the map side's
+//! spill-managed sort buffer or the reduce side's HDFS writer. [`job`]
+//! places the attempt outcomes on slots and reports attempts and spills
+//! as the `hadoop.map_attempts`, `hadoop.reduce_attempts` and
+//! `hadoop.spills` counters.
 
 pub mod attempt;
 pub mod config;
 pub mod itask;
 pub mod job;
-pub mod task;
+mod task;
 
 pub use attempt::{
     run_map_attempt_retrying, run_reduce_attempt_retrying, AttemptOutcome, AttemptResult,
@@ -39,4 +42,3 @@ pub use attempt::{
 pub use config::{HadoopConfig, MAX_ATTEMPTS};
 pub use itask::{run_itask_job, ITASK_BUCKET_MULTIPLIER};
 pub use job::run_regular_job;
-pub use task::{MapCx, Mapper, ReduceCx, Reducer};

@@ -4,10 +4,8 @@
 //! transient substrate faults are relaunch-worthy — a re-salted attempt
 //! sees different injection decisions and can succeed.
 
-use hadoop::{
-    run_map_attempt_retrying, run_regular_job, AttemptResult, HadoopConfig, MapCx, Mapper,
-    ReduceCx, Reducer,
-};
+use hadoop::{run_map_attempt_retrying, run_regular_job, AttemptResult, HadoopConfig};
+use hyracks::{OpCx, Operator};
 use itask_core::Tuple;
 use simcore::{ByteSize, FaultPlan, SimDuration, SimResult};
 
@@ -25,15 +23,15 @@ impl Tuple for KvT {
 #[derive(Default)]
 struct SpillyMapper;
 
-impl Mapper for SpillyMapper {
+impl Operator for SpillyMapper {
     type In = KvT;
     type Out = KvT;
 
-    fn map(&mut self, cx: &mut MapCx<'_, '_, KvT>, t: &KvT) -> SimResult<()> {
-        cx.write(t.0 % 4, *t)
+    fn next(&mut self, cx: &mut OpCx<'_, '_, KvT>, t: &KvT) -> SimResult<()> {
+        cx.emit(t.0 % 4, *t)
     }
 
-    fn close(&mut self, _cx: &mut MapCx<'_, '_, KvT>) -> SimResult<()> {
+    fn close(&mut self, _cx: &mut OpCx<'_, '_, KvT>) -> SimResult<()> {
         Ok(())
     }
 }
@@ -43,16 +41,16 @@ impl Mapper for SpillyMapper {
 #[derive(Default)]
 struct HoarderMapper;
 
-impl Mapper for HoarderMapper {
+impl Operator for HoarderMapper {
     type In = KvT;
     type Out = KvT;
 
-    fn map(&mut self, cx: &mut MapCx<'_, '_, KvT>, t: &KvT) -> SimResult<()> {
+    fn next(&mut self, cx: &mut OpCx<'_, '_, KvT>, t: &KvT) -> SimResult<()> {
         cx.alloc_state(ByteSize::kib(4))?;
-        cx.write(t.0 % 4, *t)
+        cx.emit(t.0 % 4, *t)
     }
 
-    fn close(&mut self, _cx: &mut MapCx<'_, '_, KvT>) -> SimResult<()> {
+    fn close(&mut self, _cx: &mut OpCx<'_, '_, KvT>) -> SimResult<()> {
         Ok(())
     }
 }
@@ -61,15 +59,15 @@ impl Mapper for HoarderMapper {
 #[derive(Default)]
 struct Discard;
 
-impl Reducer for Discard {
+impl Operator for Discard {
     type In = KvT;
     type Out = KvT;
 
-    fn reduce(&mut self, _cx: &mut ReduceCx<'_, '_, KvT>, _t: &KvT) -> SimResult<()> {
+    fn next(&mut self, _cx: &mut OpCx<'_, '_, KvT>, _t: &KvT) -> SimResult<()> {
         Ok(())
     }
 
-    fn close(&mut self, _cx: &mut ReduceCx<'_, '_, KvT>) -> SimResult<()> {
+    fn close(&mut self, _cx: &mut OpCx<'_, '_, KvT>) -> SimResult<()> {
         Ok(())
     }
 }

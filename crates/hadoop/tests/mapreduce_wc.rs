@@ -5,8 +5,8 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use hadoop::{run_itask_job, run_regular_job, HadoopConfig, MapCx, Mapper, ReduceCx, Reducer};
-use hyracks::{ItaskFactories, ShuffleBatch};
+use hadoop::{run_itask_job, run_regular_job, HadoopConfig};
+use hyracks::{ItaskFactories, OpCx, Operator, ShuffleBatch};
 use itask_core::{ITask, Scale, TaskCx, Tuple, TupleTask};
 use simcore::{ByteSize, DetRng, SimResult, TaskId};
 
@@ -37,11 +37,11 @@ struct WcMapper {
     counts: BTreeMap<u32, u64>,
 }
 
-impl Mapper for WcMapper {
+impl Operator for WcMapper {
     type In = WordT;
     type Out = CountT;
 
-    fn map(&mut self, cx: &mut MapCx<'_, '_, CountT>, t: &WordT) -> SimResult<()> {
+    fn next(&mut self, cx: &mut OpCx<'_, '_, CountT>, t: &WordT) -> SimResult<()> {
         if let std::collections::btree_map::Entry::Vacant(v) = self.counts.entry(t.0) {
             cx.alloc_state(ByteSize(ENTRY))?;
             v.insert(0);
@@ -50,9 +50,9 @@ impl Mapper for WcMapper {
         Ok(())
     }
 
-    fn close(&mut self, cx: &mut MapCx<'_, '_, CountT>) -> SimResult<()> {
+    fn close(&mut self, cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
         for (w, c) in std::mem::take(&mut self.counts) {
-            cx.write(w % 16, CountT(w, c))?;
+            cx.emit(w % 16, CountT(w, c))?;
         }
         Ok(())
     }
@@ -63,11 +63,11 @@ struct WcReducer {
     counts: BTreeMap<u32, u64>,
 }
 
-impl Reducer for WcReducer {
+impl Operator for WcReducer {
     type In = CountT;
     type Out = CountT;
 
-    fn reduce(&mut self, cx: &mut ReduceCx<'_, '_, CountT>, t: &CountT) -> SimResult<()> {
+    fn next(&mut self, cx: &mut OpCx<'_, '_, CountT>, t: &CountT) -> SimResult<()> {
         if let std::collections::btree_map::Entry::Vacant(v) = self.counts.entry(t.0) {
             cx.alloc_state(ByteSize(ENTRY))?;
             v.insert(0);
@@ -76,9 +76,9 @@ impl Reducer for WcReducer {
         Ok(())
     }
 
-    fn close(&mut self, cx: &mut ReduceCx<'_, '_, CountT>) -> SimResult<()> {
+    fn close(&mut self, cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
         for (w, c) in std::mem::take(&mut self.counts) {
-            cx.write(CountT(w, c))?;
+            cx.emit(0, CountT(w, c))?;
         }
         Ok(())
     }

@@ -4,9 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use hadoop::{
-    run_map_attempt_retrying, run_regular_job, HadoopConfig, MapCx, Mapper, ReduceCx, Reducer,
-};
+use hadoop::{run_map_attempt_retrying, run_regular_job, HadoopConfig};
+use hyracks::{OpCx, Operator};
 use itask_core::Tuple;
 use simcore::{ByteSize, SimResult};
 
@@ -23,15 +22,15 @@ impl Tuple for Rec {
 #[derive(Default)]
 struct Emit;
 
-impl Mapper for Emit {
+impl Operator for Emit {
     type In = Rec;
     type Out = Rec;
 
-    fn map(&mut self, cx: &mut MapCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
-        cx.write((t.0 % 8) as u32, *t)
+    fn next(&mut self, cx: &mut OpCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
+        cx.emit((t.0 % 8) as u32, *t)
     }
 
-    fn close(&mut self, _cx: &mut MapCx<'_, '_, Rec>) -> SimResult<()> {
+    fn close(&mut self, _cx: &mut OpCx<'_, '_, Rec>) -> SimResult<()> {
         Ok(())
     }
 }
@@ -39,16 +38,16 @@ impl Mapper for Emit {
 /// State-hoarding mapper: retains `bytes_per_record` forever.
 struct Hoard(u64);
 
-impl Mapper for Hoard {
+impl Operator for Hoard {
     type In = Rec;
     type Out = Rec;
 
-    fn map(&mut self, cx: &mut MapCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
+    fn next(&mut self, cx: &mut OpCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
         cx.alloc_state(ByteSize(self.0))?;
-        cx.write(0, *t)
+        cx.emit(0, *t)
     }
 
-    fn close(&mut self, _cx: &mut MapCx<'_, '_, Rec>) -> SimResult<()> {
+    fn close(&mut self, _cx: &mut OpCx<'_, '_, Rec>) -> SimResult<()> {
         Ok(())
     }
 }
@@ -58,11 +57,11 @@ struct Sum {
     by_key: BTreeMap<u64, u64>,
 }
 
-impl Reducer for Sum {
+impl Operator for Sum {
     type In = Rec;
     type Out = Rec;
 
-    fn reduce(&mut self, cx: &mut ReduceCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
+    fn next(&mut self, cx: &mut OpCx<'_, '_, Rec>, t: &Rec) -> SimResult<()> {
         if !self.by_key.contains_key(&t.0) {
             cx.alloc_state(ByteSize(32))?;
         }
@@ -70,9 +69,9 @@ impl Reducer for Sum {
         Ok(())
     }
 
-    fn close(&mut self, cx: &mut ReduceCx<'_, '_, Rec>) -> SimResult<()> {
+    fn close(&mut self, cx: &mut OpCx<'_, '_, Rec>) -> SimResult<()> {
         for (_k, v) in std::mem::take(&mut self.by_key) {
-            cx.write(Rec(v))?;
+            cx.emit(0, Rec(v))?;
         }
         Ok(())
     }
@@ -166,13 +165,13 @@ mod chunk_properties {
 
     /// A mapper that forwards everything, used to observe framing.
     struct Fwd;
-    impl hadoop::Mapper for Fwd {
+    impl hyracks::Operator for Fwd {
         type In = Rec;
         type Out = Rec;
-        fn map(&mut self, cx: &mut hadoop::MapCx<'_, '_, Rec>, t: &Rec) -> simcore::SimResult<()> {
-            cx.write(0, *t)
+        fn next(&mut self, cx: &mut hyracks::OpCx<'_, '_, Rec>, t: &Rec) -> simcore::SimResult<()> {
+            cx.emit(0, *t)
         }
-        fn close(&mut self, _cx: &mut hadoop::MapCx<'_, '_, Rec>) -> simcore::SimResult<()> {
+        fn close(&mut self, _cx: &mut hyracks::OpCx<'_, '_, Rec>) -> simcore::SimResult<()> {
             Ok(())
         }
     }

@@ -29,4 +29,4 @@ pub use engine::{
     JobSpec, ShuffleBatch,
 };
 pub use job::{salvage_crashed_workers, Phase, ShuffleClocks, TwoPhaseJob};
-pub use operator::{BucketArena, OpCx, Operator, OperatorWorker, OutputSink};
+pub use operator::{BucketArena, OpCx, Operator, OperatorWorker, OutputSink, Sink};

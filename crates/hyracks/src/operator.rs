@@ -1,5 +1,6 @@
 //! The regular (non-interruptible) operator model: Hyracks'
-//! `nextFrame`-style push operators, executed by a fixed thread pool.
+//! `nextFrame`-style push operators, executed by a fixed thread pool,
+//! and — with a different [`Sink`] — by Hadoop's task attempts.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -10,22 +11,20 @@ use simcluster::{StepOutcome, Work, WorkCx};
 use simcore::{prof, ByteSize, CostModel, SimDuration, SimResult, SimTime, SpaceId};
 
 /// Context handed to operator callbacks: cost charging, the operator's
-/// state space on the simulated heap, and streaming emission toward the
-/// downstream connector.
+/// state space on the simulated heap, and streaming emission into the
+/// worker's [`Sink`].
 pub struct OpCx<'a, 'b, Out> {
     work: &'a mut WorkCx<'b>,
     state_space: SpaceId,
-    sink: &'a mut BucketArena<Out>,
+    sink: &'a mut dyn Sink<Out>,
 }
 
 impl<'a, 'b, Out> OpCx<'a, 'b, Out> {
-    /// Pushes one tuple to the connector (Hyracks hands full frames to
-    /// the next operator, so emitted data does not stay on this
-    /// operator's heap). The tuple lands directly in the node sink's
-    /// per-bucket arena; batch bookkeeping happens when the worker's
-    /// quantum ends ([`BucketArena::seal_batches`]).
-    pub fn emit(&mut self, bucket: u32, tuple: Out) {
-        self.sink.push_grow(bucket, tuple);
+    /// Hands one tuple to the worker's sink: a Hyracks connector's
+    /// arena, a Hadoop map attempt's sort buffer (which can OME or spill
+    /// here) or a reduce attempt's HDFS writer.
+    pub fn emit(&mut self, bucket: u32, tuple: Out) -> SimResult<()> {
+        self.sink.put(self.work, bucket, tuple)
     }
 
     /// Current virtual time.
@@ -61,15 +60,27 @@ pub trait Operator {
     /// Output tuple type (keyed by shuffle bucket).
     type Out: Tuple;
 
-    /// Called once before the first tuple.
-    fn open(&mut self, cx: &mut OpCx<'_, '_, Self::Out>) -> SimResult<()>;
-
     /// Processes one tuple (Hyracks pushes frames; the worker iterates
     /// the frame's tuples through this).
     fn next(&mut self, cx: &mut OpCx<'_, '_, Self::Out>, tuple: &Self::In) -> SimResult<()>;
 
     /// Called once after the last tuple (flush aggregates).
     fn close(&mut self, cx: &mut OpCx<'_, '_, Self::Out>) -> SimResult<()>;
+}
+
+/// Where a worker's emissions go. The worker hands every
+/// [`OpCx::emit`] to [`Self::put`], calls [`Self::end_quantum`] when a
+/// quantum ends with input left, and [`Self::end_input`] after the
+/// operator's close, before its state space is released.
+pub trait Sink<T> {
+    /// Takes one emitted tuple.
+    fn put(&mut self, cx: &mut WorkCx<'_>, bucket: u32, tuple: T) -> SimResult<()>;
+
+    /// The worker's quantum ended with input left.
+    fn end_quantum(&mut self) {}
+
+    /// The operator has closed: nothing more will be put.
+    fn end_input(&mut self, cx: &mut WorkCx<'_>) -> SimResult<()>;
 }
 
 /// A connector's staged output: flush-ordered batches stored as dense
@@ -178,21 +189,47 @@ impl<T> BucketArena<T> {
     }
 }
 
+/// A Hyracks connector: a push is an arena append with no simulated
+/// cost (Hyracks hands full frames to the next operator, so emitted
+/// data does not stay on this operator's heap), and every quantum end
+/// seals what the worker pushed into one batch per touched bucket
+/// ([`BucketArena::seal_batches`]).
+impl<T> Sink<T> for BucketArena<T> {
+    fn put(&mut self, _cx: &mut WorkCx<'_>, bucket: u32, tuple: T) -> SimResult<()> {
+        self.push_grow(bucket, tuple);
+        Ok(())
+    }
+
+    fn end_quantum(&mut self) {
+        let _wall = prof::wall_timer(prof::Stage::EmitFlush);
+        let sealed = self.seal_batches();
+        if sealed > 0 {
+            prof::count(prof::Stage::EmitFlush, 1, sealed);
+        }
+    }
+
+    fn end_input(&mut self, _cx: &mut WorkCx<'_>) -> SimResult<()> {
+        self.end_quantum();
+        Ok(())
+    }
+}
+
 /// Where a worker's outputs are collected (per node, shared by its
 /// threads). Workers and the driver touch it at disjoint times — worker
 /// quanta during rounds, shuffle drains at barriers.
 pub type OutputSink<T> = Rc<RefCell<BucketArena<T>>>;
 
-/// A fixed-pool worker executing one [`Operator`] instance over a queue
-/// of frames.
-pub struct OperatorWorker<O: Operator> {
+/// The one regular frame loop: a worker executing one [`Operator`]
+/// instance over a queue of frames, its emissions going to a [`Sink`]
+/// of type `K` — a Hyracks pool thread's node arena, or a Hadoop task
+/// attempt's sort buffer or HDFS writer.
+pub struct OperatorWorker<O: Operator, K> {
     op: O,
     frames: VecDeque<Vec<O::In>>,
-    sink: OutputSink<O::Out>,
+    sink: Rc<RefCell<K>>,
     state_space: Option<SpaceId>,
     frame_space: Option<SpaceId>,
     cursor: usize,
-    opened: bool,
     /// Whether loading a frame charges a disk read + decode (map phase
     /// reading HDFS blocks) or just decode (reduce phase consuming
     /// staged shuffle output).
@@ -200,12 +237,13 @@ pub struct OperatorWorker<O: Operator> {
     label: String,
 }
 
-impl<O: Operator> OperatorWorker<O> {
-    /// Creates a worker over `frames`.
+impl<O: Operator, K: Sink<O::Out>> OperatorWorker<O, K> {
+    /// Creates a worker over `frames`; `label` names the thread and
+    /// prefixes its heap spaces (`<label>.state`, `<label>.frame`).
     pub fn new(
         op: O,
         frames: VecDeque<Vec<O::In>>,
-        sink: OutputSink<O::Out>,
+        sink: Rc<RefCell<K>>,
         charge_read: bool,
         label: impl Into<String>,
     ) -> Self {
@@ -216,7 +254,6 @@ impl<O: Operator> OperatorWorker<O> {
             state_space: None,
             frame_space: None,
             cursor: 0,
-            opened: false,
             charge_read,
             label: label.into(),
         }
@@ -238,19 +275,10 @@ impl<O: Operator> OperatorWorker<O> {
             }
         };
         // One sink borrow per quantum: emissions land directly in the
-        // shared arena and are sealed into batches before returning
+        // sink, which hears of the quantum's end before returning
         // (single-threaded simulation — nothing else reads it mid-run).
         let sink_rc = self.sink.clone();
         let mut sink = sink_rc.borrow_mut();
-        if !self.opened {
-            let mut ocx = OpCx {
-                work: cx,
-                state_space,
-                sink: &mut sink,
-            };
-            self.op.open(&mut ocx)?;
-            self.opened = true;
-        }
         while !cx.out_of_quantum() {
             // Ensure a loaded frame.
             let Some(frame) = self.frames.front() else {
@@ -287,7 +315,7 @@ impl<O: Operator> OperatorWorker<O> {
                 let mut ocx = OpCx {
                     work: cx,
                     state_space,
-                    sink: &mut sink,
+                    sink: &mut *sink,
                 };
                 while *cursor < frame_len && !ocx.work.out_of_quantum() {
                     let t = &frame[*cursor];
@@ -312,33 +340,21 @@ impl<O: Operator> OperatorWorker<O> {
             let mut ocx = OpCx {
                 work: cx,
                 state_space,
-                sink: &mut sink,
+                sink: &mut *sink,
             };
             self.op.close(&mut ocx)?;
-            Self::seal_sink(&mut sink);
+            sink.end_input(cx)?;
             if let Some(s) = self.state_space.take() {
                 cx.node().heap.release_space(s);
             }
             return Ok(true);
         }
-        Self::seal_sink(&mut sink);
+        sink.end_quantum();
         Ok(false)
-    }
-
-    /// Ends the quantum's emission window: everything this worker
-    /// pushed since the previous seal becomes one batch per touched
-    /// bucket (ascending) — the same grouping the old buffer-then-flush
-    /// path produced, without staging tuples in an intermediate vector.
-    fn seal_sink(sink: &mut BucketArena<O::Out>) {
-        let _wall = prof::wall_timer(prof::Stage::EmitFlush);
-        let sealed = sink.seal_batches();
-        if sealed > 0 {
-            prof::count(prof::Stage::EmitFlush, 1, sealed);
-        }
     }
 }
 
-impl<O: Operator> Work for OperatorWorker<O> {
+impl<O: Operator, K: Sink<O::Out>> Work for OperatorWorker<O, K> {
     fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome {
         match self.run(cx) {
             Ok(true) => StepOutcome::Finished,
@@ -356,7 +372,7 @@ impl<O: Operator> Work for OperatorWorker<O> {
 mod tests {
     use super::*;
     use simcluster::{NodeSim, NodeState};
-    use simcore::NodeId;
+    use simcore::{NodeId, SimError};
 
     struct W(u64);
 
@@ -375,10 +391,6 @@ mod tests {
         type In = W;
         type Out = W;
 
-        fn open(&mut self, _cx: &mut OpCx<'_, '_, W>) -> SimResult<()> {
-            Ok(())
-        }
-
         fn next(&mut self, cx: &mut OpCx<'_, '_, W>, _t: &W) -> SimResult<()> {
             cx.alloc_state(ByteSize(64))?;
             self.n += 1;
@@ -386,7 +398,22 @@ mod tests {
         }
 
         fn close(&mut self, cx: &mut OpCx<'_, '_, W>) -> SimResult<()> {
-            cx.emit(0, W(self.n));
+            cx.emit(0, W(self.n))
+        }
+    }
+
+    /// Refuses every tuple with a full disk.
+    struct FullDisk;
+
+    impl Sink<W> for FullDisk {
+        fn put(&mut self, cx: &mut WorkCx<'_>, _bucket: u32, _t: W) -> SimResult<()> {
+            Err(SimError::DiskFull {
+                node: cx.node().id,
+                requested: ByteSize(7),
+            })
+        }
+
+        fn end_input(&mut self, _cx: &mut WorkCx<'_>) -> SimResult<()> {
             Ok(())
         }
     }
@@ -453,5 +480,33 @@ mod tests {
         }
         assert!(failed.expect("must fail").is_oom());
         assert!(sink.borrow().is_empty());
+    }
+
+    #[test]
+    fn a_failing_put_fails_the_worker_with_its_error() {
+        let mut s = sim(4096);
+        let frames: VecDeque<Vec<W>> = (0..2).map(|_| (0..10).map(|_| W(50)).collect()).collect();
+        s.spawn(Box::new(OperatorWorker::new(
+            Count { n: 0 },
+            frames,
+            Rc::new(RefCell::new(FullDisk)),
+            true,
+            "count",
+        )));
+        let mut failed = Vec::new();
+        for _ in 0..100_000 {
+            if s.live_count() == 0 {
+                break;
+            }
+            failed.extend(s.run_round().failed);
+        }
+        let errors: Vec<SimError> = failed.into_iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            errors,
+            [SimError::DiskFull {
+                node: NodeId(0),
+                requested: ByteSize(7),
+            }]
+        );
     }
 }

@@ -81,10 +81,6 @@ mod empty_and_skewed_inputs {
         type In = T;
         type Out = T;
 
-        fn open(&mut self, _cx: &mut OpCx<'_, '_, T>) -> SimResult<()> {
-            Ok(())
-        }
-
         fn next(&mut self, _cx: &mut OpCx<'_, '_, T>, t: &T) -> SimResult<()> {
             self.0 += t.0;
             Ok(())
@@ -92,7 +88,7 @@ mod empty_and_skewed_inputs {
 
         fn close(&mut self, cx: &mut OpCx<'_, '_, T>) -> SimResult<()> {
             if self.0 > 0 {
-                cx.emit(0, T(self.0));
+                cx.emit(0, T(self.0))?;
             }
             Ok(())
         }

@@ -62,10 +62,6 @@ impl Operator for CountOp {
     type In = WordT;
     type Out = CountT;
 
-    fn open(&mut self, _cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
-        Ok(())
-    }
-
     fn next(&mut self, cx: &mut OpCx<'_, '_, CountT>, t: &WordT) -> SimResult<()> {
         if let std::collections::btree_map::Entry::Vacant(v) = self.counts.entry(t.0) {
             cx.alloc_state(ByteSize(ENTRY))?;
@@ -77,7 +73,7 @@ impl Operator for CountOp {
 
     fn close(&mut self, cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
         for (w, c) in std::mem::take(&mut self.counts) {
-            cx.emit(bucket_of(w), CountT(w, c));
+            cx.emit(bucket_of(w), CountT(w, c))?;
         }
         Ok(())
     }
@@ -93,10 +89,6 @@ impl Operator for SumOp {
     type In = CountT;
     type Out = CountT;
 
-    fn open(&mut self, _cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
-        Ok(())
-    }
-
     fn next(&mut self, cx: &mut OpCx<'_, '_, CountT>, t: &CountT) -> SimResult<()> {
         if let std::collections::btree_map::Entry::Vacant(v) = self.counts.entry(t.0) {
             cx.alloc_state(ByteSize(ENTRY))?;
@@ -108,7 +100,7 @@ impl Operator for SumOp {
 
     fn close(&mut self, cx: &mut OpCx<'_, '_, CountT>) -> SimResult<()> {
         for (w, c) in std::mem::take(&mut self.counts) {
-            cx.emit(bucket_of(w), CountT(w, c));
+            cx.emit(bucket_of(w), CountT(w, c))?;
         }
         Ok(())
     }
