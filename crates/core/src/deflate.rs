@@ -37,21 +37,11 @@ pub trait Deflatable {
     fn deflate(&mut self, heap: &mut Heap, target: ByteSize) -> ByteSize;
 }
 
-/// Cumulative deflation statistics for one guarded state.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeflateStats {
-    /// Deflation rounds performed.
-    pub deflations: u64,
-    /// Total live bytes released.
-    pub freed: ByteSize,
-}
-
 /// Per-node deflation guard: wraps the IRS [`Monitor`] and turns its
 /// signals into deflation targets for applied state.
 #[derive(Clone, Debug)]
 pub struct StateGuard {
     monitor: Monitor,
-    stats: DeflateStats,
 }
 
 impl StateGuard {
@@ -66,24 +56,13 @@ impl StateGuard {
     pub fn new(serialize_free_pct: u8) -> Self {
         StateGuard {
             monitor: Monitor::new(serialize_free_pct),
-            stats: DeflateStats::default(),
         }
-    }
-
-    /// The wrapped monitor.
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
-    }
-
-    /// Deflation statistics so far.
-    pub fn stats(&self) -> DeflateStats {
-        self.stats
     }
 
     /// Observes a window's GC records and the current heap state;
     /// returns the bytes of applied state to deflate, if any.
     ///
-    /// A REDUCE signal (LUGC or reported thrashing) asks for enough to
+    /// A REDUCE signal (an LUGC) asks for enough to
     /// lift effective free memory to the hover target; otherwise a
     /// hover-target deficit alone asks for the shortfall. `None` means
     /// the heap has slack and the state should be left inflated.
@@ -103,14 +82,6 @@ impl StateGuard {
         self.monitor
             .serialize_target(heap)
             .saturating_sub(heap.effective_free())
-    }
-
-    /// Records a completed deflation round of `freed` bytes.
-    pub fn note_deflated(&mut self, freed: ByteSize) {
-        if !freed.is_zero() {
-            self.stats.deflations += 1;
-            self.stats.freed += freed;
-        }
     }
 }
 
@@ -188,10 +159,8 @@ mod tests {
         let mut g = StateGuard::new(SERIALIZE_FREE_PCT);
         let ask = g.poll(&[], &heap).unwrap();
         let freed = blob.deflate(&mut heap, ask);
-        g.note_deflated(freed);
         assert_eq!(freed, ask);
-        assert!(heap.effective_free() >= g.monitor().serialize_target(&heap));
-        assert_eq!(g.stats().deflations, 1);
+        assert_eq!(g.hover_deficit(&heap), ByteSize::ZERO);
         assert_eq!(g.poll(&[], &heap), None);
     }
 

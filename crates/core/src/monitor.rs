@@ -48,9 +48,6 @@ pub struct Monitor {
     /// Figure 3).
     serialize_free_pct: u8,
     stats: MonitorStats,
-    /// Set when the partition manager reports (de)serialization
-    /// thrashing; forces a REDUCE at the next observation (§5.3).
-    thrashing_reported: bool,
     /// The most recent signal emitted by [`Monitor::observe`]. External
     /// policies (e.g. a service admission controller) read this without
     /// perturbing the stats.
@@ -63,7 +60,6 @@ impl Monitor {
         Monitor {
             serialize_free_pct,
             stats: MonitorStats::default(),
-            thrashing_reported: false,
             last_signal: None,
         }
     }
@@ -76,12 +72,6 @@ impl Monitor {
     /// Statistics so far.
     pub fn stats(&self) -> MonitorStats {
         self.stats
-    }
-
-    /// The partition manager reports thrashing; the next observation
-    /// yields `Reduce` regardless of GC activity.
-    pub fn report_thrashing(&mut self) {
-        self.thrashing_reported = true;
     }
 
     /// The absolute free-byte target a REDUCE aims for (`M%`).
@@ -105,8 +95,7 @@ impl Monitor {
     pub fn observe(&mut self, records: &[GcRecord], heap: &Heap) -> MemSignal {
         let lugcs = records.iter().filter(|r| r.useless).count() as u64;
         self.stats.lugcs_seen += lugcs;
-        let thrashing = std::mem::take(&mut self.thrashing_reported);
-        let signal = if lugcs > 0 || thrashing {
+        let signal = if lugcs > 0 {
             self.stats.reduce_signals += 1;
             MemSignal::Reduce
         } else if heap.effective_free() >= self.grow_threshold(heap) {
@@ -181,16 +170,6 @@ mod tests {
         let roomy = heap_with_live(100, 10);
         m.observe(&[], &roomy);
         assert_eq!(m.last_signal(), Some(MemSignal::Grow));
-    }
-
-    #[test]
-    fn thrashing_report_forces_one_reduce() {
-        let mut m = Monitor::new(SERIALIZE_FREE_PCT);
-        let heap = heap_with_live(100, 10);
-        m.report_thrashing();
-        assert_eq!(m.observe(&[], &heap), MemSignal::Reduce);
-        // Consumed: next observation reverts to the heap state.
-        assert_eq!(m.observe(&[], &heap), MemSignal::Grow);
     }
 
     #[test]
