@@ -21,12 +21,13 @@ pub trait MergeableTuple: Tuple + Clone {
     /// The aggregation key.
     fn key(&self) -> u64;
 
-    /// Merges `other` (same key) into `self`; returns the simulated heap
-    /// byte *delta* now held — positive when the accumulator grows
+    /// Merges `other` (same key) into `self`. What the merge costs is
+    /// the change in [`Tuple::heap_bytes`] across it, which
+    /// [`AggState::add`] charges: positive when the accumulator grows
     /// (postings, collected groups), zero when the merge collapses
     /// (adding counters), negative when it releases memory (a hash join
     /// resolving pending probes).
-    fn merge(&mut self, other: Self) -> i64;
+    fn merge(&mut self, other: Self);
 }
 
 /// One application's aggregation semantics.
@@ -107,7 +108,9 @@ impl<M: MergeableTuple> AggState<M> {
     }
 
     /// Folds one tuple in; `charge` receives the byte delta (positive:
-    /// allocate, negative: free).
+    /// allocate, negative: free): a new entry's `heap_bytes()`, or an
+    /// occupied entry's `heap_bytes()` after the merge minus before it.
+    /// A zero delta is not charged.
     pub fn add(&mut self, item: M, charge: &mut impl FnMut(i64) -> SimResult<()>) -> SimResult<()> {
         use std::collections::hash_map::Entry;
         match self.map.entry(item.key()) {
@@ -116,7 +119,10 @@ impl<M: MergeableTuple> AggState<M> {
                 v.insert(item);
             }
             Entry::Occupied(mut o) => {
-                let delta = o.get_mut().merge(item);
+                let acc = o.get_mut();
+                let before = acc.heap_bytes() as i64;
+                acc.merge(item);
+                let delta = acc.heap_bytes() as i64 - before;
                 if delta != 0 {
                     charge(delta)?;
                 }

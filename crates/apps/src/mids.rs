@@ -47,9 +47,8 @@ impl MergeableTuple for CountMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) -> i64 {
+    fn merge(&mut self, other: Self) {
         self.count += other.count;
-        0
     }
 }
 
@@ -94,10 +93,8 @@ impl MergeableTuple for ListMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) -> i64 {
-        let added = other.items.len() as i64;
+    fn merge(&mut self, other: Self) {
         self.items.extend(other.items);
-        added * self.item_bytes as i64
     }
 }
 
@@ -143,19 +140,10 @@ impl MergeableTuple for StripeMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) -> i64 {
-        let mut added = 0i64;
+    fn merge(&mut self, other: Self) {
         for (n, c) in other.neighbors {
-            use std::collections::btree_map::Entry;
-            match self.neighbors.entry(n) {
-                Entry::Vacant(v) => {
-                    v.insert(c);
-                    added += self.cell_bytes as i64;
-                }
-                Entry::Occupied(mut o) => *o.get_mut() += c,
-            }
+            *self.neighbors.entry(n).or_insert(0) += c;
         }
-        added
     }
 }
 
@@ -186,7 +174,7 @@ impl MergeableTuple for SortMid {
         self.key
     }
 
-    fn merge(&mut self, _other: Self) -> i64 {
+    fn merge(&mut self, _other: Self) {
         unreachable!("sort keys are unique by construction")
     }
 }
@@ -271,14 +259,12 @@ impl MergeableTuple for JoinMid {
         self.custkey
     }
 
-    fn merge(&mut self, other: Self) -> i64 {
-        let before = self.heap_bytes() as i64;
+    fn merge(&mut self, other: Self) {
         self.nation = self.nation.or(other.nation);
         self.pending.extend(other.pending);
         self.joined += other.joined;
         self.revenue += other.revenue;
         self.settle();
-        self.heap_bytes() as i64 - before
     }
 }
 
@@ -315,10 +301,18 @@ impl Tuple for OutKv {
 mod tests {
     use super::*;
 
+    /// Merges `other` into `acc` and returns the change in `acc`'s heap
+    /// bytes: the delta `AggState::add` charges.
+    fn merge_delta<M: MergeableTuple>(acc: &mut M, other: M) -> i64 {
+        let before = acc.heap_bytes() as i64;
+        acc.merge(other);
+        acc.heap_bytes() as i64 - before
+    }
+
     #[test]
     fn count_merge_collapses() {
         let mut a = CountMid::one(3, 136);
-        let delta = a.merge(CountMid::one(3, 136));
+        let delta = merge_delta(&mut a, CountMid::one(3, 136));
         assert_eq!(delta, 0);
         assert_eq!(a.count, 2);
         assert_eq!(a.heap_bytes(), 136);
@@ -327,7 +321,7 @@ mod tests {
     #[test]
     fn list_merge_grows() {
         let mut a = ListMid::one(1, 10, 176, 40);
-        let d = a.merge(ListMid::one(1, 11, 176, 40));
+        let d = merge_delta(&mut a, ListMid::one(1, 11, 176, 40));
         assert_eq!(d, 40);
         assert_eq!(a.items, vec![10, 11]);
         assert_eq!(a.heap_bytes(), 176 + 2 * 40);
@@ -336,8 +330,8 @@ mod tests {
     #[test]
     fn stripe_merge_counts_new_cells_only() {
         let mut a = StripeMid::pair(1, 7, 200, 28);
-        assert_eq!(a.merge(StripeMid::pair(1, 7, 200, 28)), 0);
-        assert_eq!(a.merge(StripeMid::pair(1, 8, 200, 28)), 28);
+        assert_eq!(merge_delta(&mut a, StripeMid::pair(1, 7, 200, 28)), 0);
+        assert_eq!(merge_delta(&mut a, StripeMid::pair(1, 8, 200, 28)), 28);
         assert_eq!(a.neighbors[&7], 2);
         assert_eq!(a.neighbors[&8], 1);
     }
@@ -346,17 +340,16 @@ mod tests {
     fn join_settles_when_build_row_arrives() {
         let sizes = (200, 64, 450);
         let mut cell = JoinMid::order(5, 100, sizes);
-        let d = cell.merge(JoinMid::order(5, 200, sizes));
+        let d = merge_delta(&mut cell, JoinMid::order(5, 200, sizes));
         assert_eq!(d, 64); // one more pending probe
-        let before = cell.heap_bytes() as i64;
-        let d = cell.merge(JoinMid::customer(5, 3, sizes));
+        let d = merge_delta(&mut cell, JoinMid::customer(5, 3, sizes));
         // Pending released, joined rows retained.
         assert_eq!(cell.joined, 2);
         assert_eq!(cell.revenue, 300);
         assert!(cell.pending.is_empty());
-        assert_eq!(d, cell.heap_bytes() as i64 - before);
+        assert_eq!(d, 2 * 450 - 2 * 64);
         // Further probes join immediately.
-        let d2 = cell.merge(JoinMid::order(5, 50, sizes));
+        let d2 = merge_delta(&mut cell, JoinMid::order(5, 50, sizes));
         assert_eq!(cell.joined, 3);
         assert_eq!(d2, 450); // net: one joined row added, nothing pends
     }

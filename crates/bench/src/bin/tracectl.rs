@@ -5,23 +5,18 @@
 //!                             latency distributions, Figure-3-style
 //!                             sequencing, per-tenant breakdowns
 //! tracectl diff <a> <b>       A/B event-count and latency deltas
-//! tracectl perfetto <trace> [out]
-//!                             re-export as a Perfetto-compatible
-//!                             Chrome trace with causal async spans
-//!                             (stdout when no output path is given)
 //! ```
 //!
 //! Paths may point at either the Chrome JSON (`foo.json`) or its
 //! compact JSONL twin (`foo.json.jsonl`); analysis always reads the
 //! JSONL form, falling back to the `<path>.jsonl` sibling when given
-//! the Chrome file.
+//! the Chrome file. The Chrome file itself needs no conversion: it
+//! opens as is in Perfetto or `chrome://tracing`, causal spans included.
 
 use itask_bench::tracefmt;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: tracectl report <trace> | tracectl diff <a> <b> | tracectl perfetto <trace> [out]"
-    );
+    eprintln!("usage: tracectl report <trace> | tracectl diff <a> <b>");
     std::process::exit(2);
 }
 
@@ -60,16 +55,6 @@ fn main() {
         }
         Some("diff") if args.len() == 3 => {
             print!("{}", tracefmt::diff(&load(&args[1]), &load(&args[2])));
-        }
-        Some("perfetto") if args.len() == 2 || args.len() == 3 => {
-            let doc = tracefmt::perfetto(&load(&args[1]));
-            match args.get(2) {
-                Some(out) => std::fs::write(out, &doc).unwrap_or_else(|e| {
-                    eprintln!("tracectl: cannot write {out}: {e}");
-                    std::process::exit(1);
-                }),
-                None => print!("{doc}"),
-            }
         }
         _ => usage(),
     }

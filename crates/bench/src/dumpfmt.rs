@@ -12,6 +12,10 @@
 
 use std::fmt::Write as _;
 
+/// `node3`, or `cluster` for the cluster-wide `-1`: the tracer's lane
+/// names, so reports name nodes the way the Chrome dump does.
+pub use simcore::tracer::lane_name as node_name;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -299,15 +303,6 @@ pub fn header_label(header: &Json) -> String {
         .and_then(Json::as_str)
         .unwrap_or_default()
         .to_string()
-}
-
-/// `node3`, or `cluster` for the cluster-wide `-1`.
-pub fn node_name(node: i64) -> String {
-    if node < 0 {
-        "cluster".to_string()
-    } else {
-        format!("node{node}")
-    }
 }
 
 /// Renders a two-dump A/B diff. Runs are matched by *label* (first

@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use simcore::sketch::{fmt_ms, QuantileSketch};
-use simcore::tracer::json_escape;
 
 use crate::dumpfmt::{diff_runs, for_each_record, header_label, node_name, Json};
 
@@ -506,110 +505,9 @@ pub fn diff(a: &[TraceRun], b: &[TraceRun]) -> String {
     diff_runs(a, b, "traces", |r| &r.label, diff_pair)
 }
 
-/// Renders a loaded trace as a Perfetto-compatible Chrome trace-event
-/// document with *causal async spans*.
-///
-/// Besides the regular instant/duration rows, every causal link
-/// `cause → event` becomes a nestable async span — `ph:"b"` at the
-/// cause's timestamp, `ph:"e"` at the dependent event's end — in
-/// category `"causal"`, so Perfetto draws interrupt chains, breaker
-/// trips, and retry cascades as spans with extent instead of
-/// disconnected instants. Span ids are the dependent event's
-/// stream-namespaced id (unique within a run, so every link pairs its
-/// own begin/end), and the span name is `"{cause.kind}->{event.kind}"`.
-///
-/// Output is deterministic: events are walked in the trace's canonical
-/// merged order and timestamps are virtual nanoseconds, so the bytes
-/// are identical across hosts and `--jobs`.
-pub fn perfetto(runs: &[TraceRun]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-    for (pid, run) in runs.iter().enumerate() {
-        push(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(&run.label)
-            ),
-            &mut out,
-        );
-        let mut nodes: Vec<i64> = run.events.iter().map(|e| e.node).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        for n in nodes {
-            let name = if n < 0 {
-                "cluster".to_string()
-            } else {
-                format!("node{n}")
-            };
-            push(
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{n},\"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-                &mut out,
-            );
-        }
-        let by_id: BTreeMap<u64, &TraceEvent> = run.events.iter().map(|e| (e.id, e)).collect();
-        for e in &run.events {
-            let row = if e.dur == 0 {
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"args\":{{\"id\":{}}}}}",
-                    json_escape(&e.kind),
-                    e.node,
-                    e.ts,
-                    e.id,
-                )
-            } else {
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"id\":{}}}}}",
-                    json_escape(&e.kind),
-                    e.node,
-                    e.ts,
-                    e.dur,
-                    e.id,
-                )
-            };
-            push(row, &mut out);
-            let cause = e.cause();
-            if cause == 0 {
-                continue;
-            }
-            let Some(c) = by_id.get(&cause) else {
-                continue;
-            };
-            let name = json_escape(&format!("{}->{}", c.kind, e.kind));
-            push(
-                format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"b\",\"id\":\"0x{:x}\",\"pid\":{pid},\"tid\":{},\"ts\":{}}}",
-                    e.id, c.node, c.ts,
-                ),
-                &mut out,
-            );
-            push(
-                format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"e\",\"id\":\"0x{:x}\",\"pid\":{pid},\"tid\":{},\"ts\":{}}}",
-                    e.id,
-                    e.node,
-                    e.ts + e.dur,
-                ),
-                &mut out,
-            );
-        }
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dumpfmt::parse;
 
     fn sample_jsonl() -> String {
         concat!(
@@ -637,32 +535,6 @@ mod tests {
     fn loader_rejects_orphan_events() {
         let text = "{\"run\":0,\"id\":1,\"kind\":\"gc\",\"ts\":1,\"dur\":1}\n";
         assert!(load_jsonl(text).is_err());
-    }
-
-    #[test]
-    fn perfetto_emits_balanced_causal_spans() {
-        let runs = load_jsonl(&sample_jsonl()).unwrap();
-        let doc = perfetto(&runs);
-        // The document itself parses as JSON.
-        let v = parse(&doc).expect("perfetto output parses");
-        let events = v.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let phase = |ph: &str| {
-            events
-                .iter()
-                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
-                .count()
-        };
-        // sample_jsonl has 3 causal links (victim->1, interrupt->2,
-        // activate->3): each becomes exactly one begin/end pair.
-        assert_eq!(phase("b"), 3);
-        assert_eq!(phase("e"), 3);
-        // Regular rows survive: 4 instants + 1 duration span.
-        assert_eq!(phase("i"), 4);
-        assert_eq!(phase("X"), 1);
-        assert!(doc.contains("\"name\":\"interrupt->activate\""));
-        assert!(doc.contains("\"cat\":\"causal\""));
-        // Same input, same bytes.
-        assert_eq!(doc, perfetto(&runs));
     }
 
     #[test]

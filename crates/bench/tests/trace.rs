@@ -70,12 +70,13 @@ fn trace_identical_across_jobs_table5_quick_wc() {
     assert_jobs_invariant(env!("CARGO_BIN_EXE_table5"), &["--quick", "wc"], "table5");
 }
 
-/// Chrome JSON schema: parses, has the trace-event envelope, every
-/// event row carries the required members with the right shapes.
-#[test]
-fn trace_chrome_schema_is_valid() {
-    let (chrome, jsonl) = traced_run(env!("CARGO_BIN_EXE_faults"), &["--wc-only"], 2, "schema");
-    let doc = dumpfmt::parse(std::str::from_utf8(&chrome).expect("utf-8"))
+/// Checks a Chrome dump and its JSONL twin: the dump parses, has the
+/// trace-event envelope, every event row carries the required members
+/// with the right shapes, and the causal async rows (`b` / `e`,
+/// category `causal` only) pair up by `id` within a run, begin before
+/// end. Returns the number of causal spans.
+fn check_chrome_schema(chrome: &[u8], jsonl: &[u8]) -> u64 {
+    let doc = dumpfmt::parse(std::str::from_utf8(chrome).expect("utf-8"))
         .expect("chrome trace parses as JSON");
     assert_eq!(
         doc.get("displayTimeUnit").and_then(Json::as_str),
@@ -88,9 +89,12 @@ fn trace_chrome_schema_is_valid() {
     assert!(!events.is_empty(), "trace has events");
     let mut spans = 0u64;
     let mut instants = 0u64;
+    // (pid, id) -> (name, begin ts) of each causal span still open.
+    let mut open: std::collections::BTreeMap<(i64, String), (String, u64)> = Default::default();
+    let mut causal = 0u64;
     for e in events {
         let ph = e.get("ph").and_then(Json::as_str).expect("ph member");
-        assert!(e.get("pid").and_then(Json::as_i64).is_some(), "pid member");
+        let pid = e.get("pid").and_then(Json::as_i64).expect("pid member");
         assert!(e.get("tid").and_then(Json::as_i64).is_some(), "tid member");
         match ph {
             "M" => continue, // process/thread name metadata
@@ -102,6 +106,24 @@ fn trace_chrome_schema_is_valid() {
                 instants += 1;
                 assert_eq!(e.get("s").and_then(Json::as_str), Some("t"));
             }
+            "b" | "e" => {
+                assert_eq!(e.get("cat").and_then(Json::as_str), Some("causal"));
+                let id = e.get("id").and_then(Json::as_str).expect("id member");
+                let name = e.get("name").and_then(Json::as_str).expect("name member");
+                let ts = e.get("ts").and_then(Json::as_u64).expect("ts member");
+                let key = (pid, id.to_string());
+                if ph == "b" {
+                    let prev = open.insert(key, (name.to_string(), ts));
+                    assert!(prev.is_none(), "causal span {id} begins twice");
+                } else {
+                    let (begin_name, begin_ts) = open
+                        .remove(&key)
+                        .unwrap_or_else(|| panic!("causal span {id} ends before it begins"));
+                    assert_eq!(begin_name, name, "causal span {id} renamed");
+                    assert!(begin_ts <= ts, "causal span {id} ends before its cause");
+                    causal += 1;
+                }
+            }
             other => panic!("unexpected phase {other:?}"),
         }
         assert!(e.get("ts").and_then(Json::as_u64).is_some(), "ts member");
@@ -111,17 +133,31 @@ fn trace_chrome_schema_is_valid() {
         );
     }
     assert!(instants > 0, "expected instant events");
-    // faults wc traces contain at least the shuffle spans.
+    // Batch and service traces contain at least the shuffle spans.
     assert!(spans > 0, "expected duration spans");
+    assert!(open.is_empty(), "unpaired causal spans: {open:?}");
 
-    // Cross-check: the jsonl twin describes the same events.
-    let runs = tracefmt::load_jsonl(std::str::from_utf8(&jsonl).unwrap()).expect("jsonl loads");
+    // Cross-check: the jsonl twin describes the same events, and every
+    // link whose cause is in the run drew one causal span.
+    let runs = tracefmt::load_jsonl(std::str::from_utf8(jsonl).unwrap()).expect("jsonl loads");
     let jsonl_events: usize = runs.iter().map(|r| r.events.len()).sum();
-    let chrome_events = events
+    assert_eq!(jsonl_events as u64, spans + instants);
+    let links: usize = runs
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
-        .count();
-    assert_eq!(jsonl_events, chrome_events);
+        .map(|r| {
+            let ids: std::collections::BTreeSet<u64> = r.events.iter().map(|e| e.id).collect();
+            r.events.iter().filter(|e| ids.contains(&e.cause())).count()
+        })
+        .sum();
+    assert_eq!(links as u64, causal);
+    causal
+}
+
+/// The Chrome dump of a batch sweep is schema-valid.
+#[test]
+fn trace_chrome_schema_is_valid() {
+    let (chrome, jsonl) = traced_run(env!("CARGO_BIN_EXE_faults"), &["--wc-only"], 2, "schema");
+    check_chrome_schema(&chrome, &jsonl);
 }
 
 /// The overload bench arms the full control stack, so its trace must
@@ -161,7 +197,8 @@ fn trace_overload_controls_emit_linked_events() {
 }
 
 /// Every causal link resolves to an event in the same run that happened
-/// no later in virtual time, and ids are unique within a run.
+/// no later in virtual time, ids are unique within a run, and the
+/// Chrome dump draws one causal span per link.
 ///
 /// Ids are stream-namespaced (`stream << 32 | seq`, stream 0 = driver,
 /// stream n+1 = node n) so a driver event may legitimately link to a
@@ -169,7 +206,7 @@ fn trace_overload_controls_emit_linked_events() {
 /// time, not by raw id.
 #[test]
 fn trace_causal_links_resolve() {
-    let (_, jsonl) = traced_run(env!("CARGO_BIN_EXE_service"), &["--quick"], 2, "causal");
+    let (chrome, jsonl) = traced_run(env!("CARGO_BIN_EXE_service"), &["--quick"], 2, "causal");
     let runs = tracefmt::load_jsonl(std::str::from_utf8(&jsonl).unwrap()).expect("jsonl loads");
     assert!(!runs.is_empty());
     let mut linked = 0u64;
@@ -203,4 +240,5 @@ fn trace_causal_links_resolve() {
         }
     }
     assert!(linked > 0, "expected causal links in service trace");
+    assert_eq!(check_chrome_schema(&chrome, &jsonl), linked);
 }

@@ -24,19 +24,6 @@ use simmem::{GcRecord, Heap};
 
 use crate::monitor::{MemSignal, Monitor};
 
-/// Long-lived state a runtime can deflate under memory pressure.
-///
-/// `deflate` frees up to `target` live bytes from `heap` (turning them
-/// into collectible garbage / serialized form) and returns the bytes
-/// actually released. Implementations track their own live total so
-/// [`Deflatable::live_bytes`] stays consistent with the heap space.
-pub trait Deflatable {
-    /// Live heap bytes currently held by the state.
-    fn live_bytes(&self) -> ByteSize;
-    /// Releases up to `target` live bytes; returns the bytes freed.
-    fn deflate(&mut self, heap: &mut Heap, target: ByteSize) -> ByteSize;
-}
-
 /// Per-node deflation guard: wraps the IRS [`Monitor`] and turns its
 /// signals into deflation targets for applied state.
 #[derive(Clone, Debug)]
@@ -108,34 +95,13 @@ mod tests {
     use simcore::SimTime;
     use simmem::HeapConfig;
 
-    struct Blob {
-        space: simcore::SpaceId,
-        live: ByteSize,
-    }
-
-    impl Deflatable for Blob {
-        fn live_bytes(&self) -> ByteSize {
-            self.live
-        }
-        fn deflate(&mut self, heap: &mut Heap, target: ByteSize) -> ByteSize {
-            let freed = heap.free(self.space, target);
-            self.live = self.live.saturating_sub(freed);
-            freed
-        }
-    }
-
-    fn heap_with_blob(cap_kib: u64, live_kib: u64) -> (Heap, Blob) {
+    /// A heap holding `live_kib` of applied state in one space.
+    fn heap_with_blob(cap_kib: u64, live_kib: u64) -> (Heap, simcore::SpaceId) {
         let mut h = Heap::new(HeapConfig::with_capacity(ByteSize::kib(cap_kib)));
-        let space = h.create_space("blob");
-        h.alloc(space, ByteSize::kib(live_kib), SimTime::ZERO)
+        let blob = h.create_space("blob");
+        h.alloc(blob, ByteSize::kib(live_kib), SimTime::ZERO)
             .unwrap();
-        (
-            h,
-            Blob {
-                space,
-                live: ByteSize::kib(live_kib),
-            },
-        )
+        (h, blob)
     }
 
     #[test]
@@ -155,10 +121,10 @@ mod tests {
 
     #[test]
     fn deflating_restores_the_hover_target() {
-        let (mut heap, mut blob) = heap_with_blob(1000, 700);
+        let (mut heap, blob) = heap_with_blob(1000, 700);
         let mut g = StateGuard::new(SERIALIZE_FREE_PCT);
         let ask = g.poll(&[], &heap).unwrap();
-        let freed = blob.deflate(&mut heap, ask);
+        let freed = heap.free(blob, ask);
         assert_eq!(freed, ask);
         assert_eq!(g.hover_deficit(&heap), ByteSize::ZERO);
         assert_eq!(g.poll(&[], &heap), None);
@@ -166,9 +132,9 @@ mod tests {
 
     #[test]
     fn pause_prediction_shrinks_with_deflation() {
-        let (mut heap, mut blob) = heap_with_blob(1000, 900);
+        let (mut heap, blob) = heap_with_blob(1000, 900);
         let before = predicted_full_pause(&heap);
-        blob.deflate(&mut heap, ByteSize::kib(600));
+        heap.free(blob, ByteSize::kib(600));
         assert!(predicted_full_pause(&heap) < before);
     }
 

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod task;
 pub mod worker;
 
-pub use deflate::{live_budget_for_pause, predicted_full_pause, Deflatable, StateGuard};
+pub use deflate::{live_budget_for_pause, predicted_full_pause, StateGuard};
 pub use graph::TaskGraph;
 pub use input::{offer_in_memory, offer_serialized};
 pub use manager::{DeserRecovery, SerializeMode};

@@ -112,13 +112,11 @@ pub(crate) struct IrsShared {
     /// LUGC record is pending. Carries the bytes the failed allocation
     /// needed, so the REDUCE can aim above the default `M%` target.
     pub(crate) pressure_hint: Option<ByteSize>,
-    /// Copy of the monitor's hover threshold, used by `emit_to_task` to
-    /// serialize intermediate partitions at birth when memory is tight
-    /// (write-behind flavour of the partition manager's lazy
-    /// serialization).
-    pub(crate) serialize_free_pct: u8,
-    /// Copy of the partition manager's serialization target.
-    pub(crate) serialize_mode: SerializeMode,
+    /// The runtime's configuration, read by the controller and by
+    /// `emit_to_task`, which serializes intermediate partitions at birth
+    /// when memory is tight (write-behind flavour of the partition
+    /// manager's lazy serialization).
+    pub(crate) cfg: IrsConfig,
     /// The `(node, scope)` origin stamped onto emitted events (the IRS
     /// refreshes it every tick, so decisions are attributed to the node
     /// the runtime is driving).
@@ -137,7 +135,7 @@ pub(crate) struct IrsShared {
 }
 
 impl IrsShared {
-    fn new(first_partition_id: u32) -> Self {
+    fn new(cfg: IrsConfig) -> Self {
         IrsShared {
             queue: PartitionQueue::new(),
             running: BTreeMap::new(),
@@ -147,13 +145,12 @@ impl IrsShared {
             stats: IrsStats::default(),
             activation_failures: BTreeMap::new(),
             pressure_hint: None,
-            serialize_free_pct: SERIALIZE_FREE_PCT,
-            serialize_mode: SerializeMode::Disk,
+            cfg,
             origin: (None, None),
             last_signal: EventId::NONE,
             victim_marks: BTreeMap::new(),
             interrupt_origin: BTreeMap::new(),
-            next_partition: first_partition_id,
+            next_partition: 0,
             next_instance: 0,
         }
     }
@@ -187,16 +184,6 @@ impl IrsHandle {
     /// Records intermediate-result bytes for the Table 2 breakdown.
     pub fn note_intermediate(&self, bytes: ByteSize) {
         self.0.borrow_mut().stats.reclaim.intermediate_results += bytes;
-    }
-
-    /// The monitor's hover threshold (for write-behind decisions).
-    pub(crate) fn serialize_free_pct(&self) -> u8 {
-        self.0.borrow().serialize_free_pct
-    }
-
-    /// The partition manager's serialization target.
-    pub(crate) fn serialize_mode(&self) -> SerializeMode {
-        self.0.borrow().serialize_mode
     }
 
     /// Records a write-behind serialization.
@@ -346,21 +333,21 @@ pub struct Irs {
     handle: IrsHandle,
     graph: Rc<TaskGraph>,
     monitor: Monitor,
-    cfg: IrsConfig,
 }
 
 impl Irs {
     /// Creates an IRS over a task graph.
     pub fn new(graph: TaskGraph, cfg: IrsConfig) -> Self {
-        let mut shared = IrsShared::new(0);
-        shared.serialize_free_pct = cfg.serialize_free_pct;
-        shared.serialize_mode = cfg.serialize_mode;
         Irs {
-            handle: IrsHandle(Rc::new(RefCell::new(shared))),
+            handle: IrsHandle(Rc::new(RefCell::new(IrsShared::new(cfg)))),
             graph: Rc::new(graph),
             monitor: Monitor::new(cfg.serialize_free_pct),
-            cfg,
         }
+    }
+
+    /// The configuration the runtime was built with.
+    fn cfg(&self) -> IrsConfig {
+        self.handle.0.borrow().cfg
     }
 
     /// The shared handle (what tasks and engines use to enqueue work).
@@ -439,7 +426,7 @@ impl Irs {
         let mut signal = self.monitor.observe(&records, &sim.node().heap);
         let hint = {
             let mut s = self.handle.0.borrow_mut();
-            s.origin = (Some(sim.node().id), self.cfg.scope);
+            s.origin = (Some(sim.node().id), s.cfg.scope);
             s.pressure_hint.take()
         };
         if hint.is_some() {
@@ -523,7 +510,7 @@ impl Irs {
                     .filter(|(t, _)| !s.terminate.contains(t))
                     .map(|(t, r)| (*t, r.clone()))
                     .collect();
-                pick_victim(&candidates, &self.graph, self.cfg.victim_policy).map(|victim| {
+                pick_victim(&candidates, &self.graph, s.cfg.victim_policy).map(|victim| {
                     s.terminate.insert(victim);
                     (victim, candidates[&victim].task.as_u32(), s.last_signal)
                 })
@@ -565,10 +552,11 @@ impl Irs {
             }
             let freed = {
                 let mut s = self.handle.0.borrow_mut();
+                let mode = s.cfg.serialize_mode;
                 let Some(part) = s.queue.get_mut(pid) else {
                     continue;
                 };
-                serialize_partition(part.as_mut(), sim.node_mut(), self.cfg.serialize_mode)?
+                serialize_partition(part.as_mut(), sim.node_mut(), mode)?
             };
             if freed.is_zero() {
                 continue;
@@ -621,15 +609,16 @@ impl Irs {
         // one instance per 100us tick would dominate short jobs.
         let heap = &sim.node().heap;
         let roomy = heap.effective_free() >= heap.capacity().mul_ratio(1, 2);
+        let max_parallelism = self.cfg().max_parallelism;
         let burst = if roomy {
-            self.cfg.max_parallelism
+            max_parallelism
         } else {
             GROW_PER_TICK
         };
         for _ in 0..burst {
             {
                 let s = self.handle.0.borrow();
-                if s.running.len() >= self.cfg.max_parallelism {
+                if s.running.len() >= max_parallelism {
                     return Ok(());
                 }
             }
@@ -674,6 +663,7 @@ impl Irs {
         let desc = self.graph.desc(task_id);
         let n_parts = parts.len();
         let now = sim.node().now;
+        let cfg = self.cfg();
         let worker = ItaskWorker::new(
             self.handle.clone(),
             task_id,
@@ -681,11 +671,11 @@ impl Irs {
             tag,
             desc.instantiate(),
             parts,
-            self.cfg.interrupt_mode,
+            cfg.interrupt_mode,
         );
         let instance = worker.instance_id();
         let kind = desc.kind;
-        let thread = sim.spawn_scoped(Box::new(worker), self.cfg.scope);
+        let thread = sim.spawn_scoped(Box::new(worker), cfg.scope);
         self.handle.emit(
             now,
             TraceData::Activated {

@@ -163,13 +163,14 @@ impl<'a, 'b> TaskCx<'a, 'b> {
         // Write-behind: when memory is tight, the partition manager's
         // lazy serialization happens at birth — the queue must not pin
         // the live set (paper §5.3's background serialization).
+        let cfg = self.shared.0.borrow().cfg;
         let heap = &self.work.node().heap;
         let tight = heap.effective_free()
             < heap
                 .capacity()
-                .mul_ratio(self.shared.serialize_free_pct() as u64, 100);
+                .mul_ratio(cfg.serialize_free_pct as u64, 100);
         if tight {
-            let mode = self.shared.serialize_mode();
+            let mode = cfg.serialize_mode;
             let freed = crate::manager::serialize_partition(&mut part, self.work.node(), mode)?;
             if !freed.is_zero() {
                 self.shared.note_serialized_at_birth(freed);

@@ -34,6 +34,7 @@
 //! when disabled, cheap enough for simulator hot paths.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ids::NodeId;
@@ -669,6 +670,16 @@ pub const CHROME_HEADER: &str = "{\"traceEvents\":[\n";
 /// Closing bytes of a Chrome trace-event JSON document.
 pub const CHROME_FOOTER: &str = "\n],\"displayTimeUnit\":\"ns\"}\n";
 
+/// The trace lane of a node: `node3`, or `cluster` for the cluster-wide
+/// `-1`. Chrome thread names and the dump analyzers both use it.
+pub fn lane_name(node: i64) -> String {
+    if node < 0 {
+        "cluster".to_string()
+    } else {
+        format!("node{node}")
+    }
+}
+
 /// Renders one run's slice of the Chrome `traceEvents` array: process
 /// and thread name metadata followed by every event row. `first` is
 /// shared across runs so the comma separation stays valid when runs are
@@ -678,6 +689,15 @@ pub const CHROME_FOOTER: &str = "\n],\"displayTimeUnit\":\"ns\"}\n";
 /// thread per node (`tid` = node id; `-1` holds cluster-wide events).
 /// Timestamps and durations are *virtual nanoseconds* written as
 /// integers, so output is byte-identical across hosts and `--jobs`.
+///
+/// Every causal link `cause -> event` whose cause is in the same run
+/// also becomes a nestable async span right after the event's row, in
+/// category `"causal"`: `ph:"b"` at the cause's start on the cause's
+/// lane, `ph:"e"` at the event's end on the event's lane, `id` the
+/// event's id in hex (unique within a run, so each begin pairs with its
+/// own end) and name `"{cause kind}->{event kind}"`. Perfetto draws
+/// interrupt chains, breaker trips and replication rounds as spans with
+/// extent instead of disconnected instants.
 pub fn chrome_run(run: usize, label: &str, events: &RunTrace, first: &mut bool) -> String {
     let mut out = String::new();
     let push = |line: String, out: &mut String, first: &mut bool| {
@@ -699,19 +719,16 @@ pub fn chrome_run(run: usize, label: &str, events: &RunTrace, first: &mut bool) 
     nodes.sort_unstable();
     nodes.dedup();
     for n in nodes {
-        let name = if n < 0 {
-            "cluster".to_string()
-        } else {
-            format!("node{n}")
-        };
         push(
             format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{run},\"tid\":{n},\"args\":{{\"name\":\"{name}\"}}}}"
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{run},\"tid\":{n},\"args\":{{\"name\":\"{}\"}}}}",
+                lane_name(n)
             ),
             &mut out,
             first,
         );
     }
+    let by_id: HashMap<EventId, &Event> = events.iter().map(|e| (e.id, e)).collect();
     for e in events {
         let args = e.data.args_json();
         let args = if args.is_empty() {
@@ -736,6 +753,23 @@ pub fn chrome_run(run: usize, label: &str, events: &RunTrace, first: &mut bool) 
             )
         };
         push(line, &mut out, first);
+        // No emitted event has the id `NONE`, so an absent link finds nothing.
+        let Some(c) = by_id.get(&e.data.cause()) else {
+            continue;
+        };
+        let name = format!("{}->{}", c.data.kind(), e.data.kind());
+        for (ph, node, ts) in [("b", c.node, c.at), ("e", e.node, e.at + e.dur)] {
+            push(
+                format!(
+                    "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"{ph}\",\"id\":\"0x{:x}\",\"pid\":{run},\"tid\":{},\"ts\":{}}}",
+                    e.id.0,
+                    node_i64(node),
+                    ts.as_nanos(),
+                ),
+                &mut out,
+                first,
+            );
+        }
     }
     out
 }
@@ -1039,6 +1073,104 @@ mod tests {
         assert!(chrome.contains("\"name\":\"breaker.open\""));
         assert!(chrome.contains("\"name\":\"shed.deadline\""));
         assert!(chrome.contains("\"name\":\"brownout\""));
+    }
+
+    #[test]
+    fn chrome_emits_balanced_causal_spans() {
+        let ev = |id: u64, node: Option<u32>, at: u64, dur: u64, data: TraceData| Event {
+            id: EventId(id),
+            node: node.map(NodeId),
+            scope: None,
+            at: SimTime::from_nanos(at),
+            dur: SimDuration::from_nanos(dur),
+            data,
+        };
+        let events = vec![
+            ev(1, Some(0), 100, 0, TraceData::Signal { reduce: true }),
+            ev(
+                2,
+                Some(0),
+                150,
+                0,
+                TraceData::VictimMarked {
+                    task: 1,
+                    cause: EventId(1),
+                },
+            ),
+            ev(
+                3,
+                Some(0),
+                400,
+                0,
+                TraceData::Interrupted {
+                    task: 1,
+                    emergency: false,
+                    cause: EventId(2),
+                },
+            ),
+            ev(
+                4,
+                Some(0),
+                500,
+                250,
+                TraceData::Gc {
+                    full: true,
+                    reclaimed: 10,
+                    free_after: 90,
+                    useless: false,
+                },
+            ),
+            ev(
+                5,
+                Some(1),
+                900,
+                30,
+                TraceData::Activated {
+                    task: 1,
+                    partitions: 2,
+                    cause: EventId(3),
+                },
+            ),
+            // A cause outside the run draws no span.
+            ev(
+                6,
+                None,
+                950,
+                0,
+                TraceData::Serialized {
+                    partition: 7,
+                    freed: 64,
+                    cause: EventId(99),
+                },
+            ),
+        ];
+        let runs = vec![("wc t4".to_string(), events)];
+        let doc = chrome_json(&runs);
+        let count = |pat: &str| doc.matches(pat).count();
+        // Three links (victim, interrupt, activate): one begin/end pair each.
+        assert_eq!(count("\"cat\":\"causal\""), 6);
+        assert_eq!(count("\"ph\":\"b\""), 3);
+        assert_eq!(count("\"ph\":\"e\""), 3);
+        // The regular rows are all still there: 4 instants, 2 spans.
+        assert_eq!(count("\"ph\":\"i\""), 4);
+        assert_eq!(count("\"ph\":\"X\""), 2);
+        // The pair follows its event's row: begin at the cause's start
+        // on the cause's lane, end at the event's end on its own lane.
+        let activate = doc
+            .lines()
+            .position(|l| l.starts_with("{\"name\":\"activate\""))
+            .unwrap();
+        let lines: Vec<&str> = doc.lines().collect();
+        assert_eq!(
+            lines[activate + 1],
+            "{\"name\":\"interrupt->activate\",\"cat\":\"causal\",\"ph\":\"b\",\"id\":\"0x5\",\"pid\":0,\"tid\":0,\"ts\":400},"
+        );
+        assert_eq!(
+            lines[activate + 2],
+            "{\"name\":\"interrupt->activate\",\"cat\":\"causal\",\"ph\":\"e\",\"id\":\"0x5\",\"pid\":0,\"tid\":1,\"ts\":930},"
+        );
+        // Same input, same bytes.
+        assert_eq!(doc, chrome_json(&runs));
     }
 
     #[test]

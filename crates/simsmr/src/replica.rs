@@ -14,7 +14,7 @@
 //!
 //! Under the ITask runtimes the driver also enqueues
 //! [`Cmd::Deflate`] commands; the replica then serializes a slice of
-//! its state ([`itask_core::Deflatable`]), writes it behind
+//! its state, writes it behind
 //! (async disk, like the paper's background serialization threads) and
 //! frees the heap bytes.
 
@@ -22,7 +22,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use itask_core::Deflatable;
 use simcluster::{StepOutcome, Work, WorkCx};
 use simcore::rng::stable_hash64;
 use simcore::{metrics, ByteSize, CostModel, NodeId, SimResult, SimTime, SpaceId};
@@ -127,11 +126,9 @@ struct AppliedState {
     digests: Vec<u64>,
 }
 
-impl Deflatable for AppliedState {
-    fn live_bytes(&self) -> ByteSize {
-        self.live
-    }
-
+impl AppliedState {
+    /// Releases up to `target` live bytes from `heap` (serialized and
+    /// freed); returns the bytes freed.
     fn deflate(&mut self, heap: &mut Heap, target: ByteSize) -> ByteSize {
         let freed = heap.free(self.space, target.min(self.live));
         self.live = self.live.saturating_sub(freed);
