@@ -9,6 +9,7 @@
 //! ([`MergeableTuple`]). Map-side combining, reduce-side aggregation and
 //! the ITask merge stage are then all the same fold.
 
+use std::borrow::Borrow;
 use std::rc::Rc;
 
 use hyracks::{ItaskFactories, OpCx, Operator, ShuffleBatch};
@@ -21,13 +22,37 @@ pub trait MergeableTuple: Tuple + Clone {
     /// The aggregation key.
     fn key(&self) -> u64;
 
-    /// Merges `other` (same key) into `self`. What the merge costs is
-    /// the change in [`Tuple::heap_bytes`] across it, which
-    /// [`AggState::add`] charges: positive when the accumulator grows
-    /// (postings, collected groups), zero when the merge collapses
-    /// (adding counters), negative when it releases memory (a hash join
-    /// resolving pending probes).
-    fn merge(&mut self, other: Self);
+    /// Merges `other` (same key) into `self`. `other` is borrowed: a
+    /// reduce or merge task folds the partial at its partition's cursor
+    /// where it lies, so no partial is cloned only to be merged and
+    /// dropped. What the merge costs is the change in
+    /// [`Tuple::heap_bytes`] across it, which [`AggState::add`]
+    /// charges: positive when the accumulator grows (postings, collected
+    /// groups), zero when the merge collapses (adding counters),
+    /// negative when it releases memory (a hash join resolving pending
+    /// probes).
+    fn merge(&mut self, other: &Self);
+}
+
+/// What [`AggState::add`] folds: an owned tuple (a map task's
+/// `explode` output), which moves into a new entry, or a borrowed one
+/// (a partial at a partition's cursor), which is cloned only when its
+/// key is new.
+pub trait Contribution<M>: Borrow<M> {
+    /// The tuple as a new entry's accumulator.
+    fn into_entry(self) -> M;
+}
+
+impl<M> Contribution<M> for M {
+    fn into_entry(self) -> M {
+        self
+    }
+}
+
+impl<M: Clone> Contribution<M> for &M {
+    fn into_entry(self) -> M {
+        self.clone()
+    }
 }
 
 /// One application's aggregation semantics.
@@ -111,17 +136,28 @@ impl<M: MergeableTuple> AggState<M> {
     /// allocate, negative: free): a new entry's `heap_bytes()`, or an
     /// occupied entry's `heap_bytes()` after the merge minus before it.
     /// A zero delta is not charged.
-    pub fn add(&mut self, item: M, charge: &mut impl FnMut(i64) -> SimResult<()>) -> SimResult<()> {
+    ///
+    /// `item` is owned or borrowed ([`Contribution`]). An owned tuple
+    /// moves into a new entry; a borrowed one is cloned for a new entry
+    /// only, since the map must own its accumulators. Either is merged
+    /// into an occupied entry by reference, so a fold that grows no
+    /// list allocates nothing on the host.
+    pub fn add(
+        &mut self,
+        item: impl Contribution<M>,
+        charge: &mut impl FnMut(i64) -> SimResult<()>,
+    ) -> SimResult<()> {
         use std::collections::hash_map::Entry;
-        match self.map.entry(item.key()) {
+        let tuple: &M = item.borrow();
+        match self.map.entry(tuple.key()) {
             Entry::Vacant(v) => {
-                charge(item.heap_bytes() as i64)?;
-                v.insert(item);
+                charge(tuple.heap_bytes() as i64)?;
+                v.insert(item.into_entry());
             }
             Entry::Occupied(mut o) => {
                 let acc = o.get_mut();
                 let before = acc.heap_bytes() as i64;
-                acc.merge(item);
+                acc.merge(tuple);
                 let delta = acc.heap_bytes() as i64 - before;
                 if delta != 0 {
                     charge(delta)?;
@@ -364,7 +400,7 @@ impl<S: AggSpec> Operator for AggReduceOp<S> {
     type Out = S::Out;
 
     fn next(&mut self, cx: &mut OpCx<'_, '_, S::Out>, item: &S::Mid) -> SimResult<()> {
-        self.state.add(item.clone(), &mut |d| charge_state(cx, d))
+        self.state.add(item, &mut |d| charge_state(cx, d))
     }
 
     fn close(&mut self, cx: &mut OpCx<'_, '_, S::Out>) -> SimResult<()> {
@@ -486,7 +522,7 @@ impl<S: AggSpec> TupleTask for AggReduceTask<S> {
     }
 
     fn process(&mut self, cx: &mut TaskCx<'_, '_>, item: &S::Mid) -> SimResult<()> {
-        self.state.add(item.clone(), &mut |d| charge_out(cx, d))
+        self.state.add(item, &mut |d| charge_out(cx, d))
     }
 
     fn interrupt(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()> {
@@ -524,7 +560,7 @@ impl<S: AggSpec> TupleTask for AggMergeTask<S> {
     }
 
     fn process(&mut self, cx: &mut TaskCx<'_, '_>, item: &S::Mid) -> SimResult<()> {
-        self.state.add(item.clone(), &mut |d| charge_out(cx, d))
+        self.state.add(item, &mut |d| charge_out(cx, d))
     }
 
     fn interrupt(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()> {

@@ -39,7 +39,7 @@ impl AggSpec for IibSpec {
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: mid.items.len() as u64,
+            value: mid.items().len() as u64,
         }
     }
 }

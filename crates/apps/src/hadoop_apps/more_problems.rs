@@ -56,7 +56,7 @@ impl AggSpec for SbaSpec {
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: mid.items.iter().sum(),
+            value: mid.items().iter().sum(),
         }
     }
 }
@@ -185,7 +185,7 @@ impl AggSpec for SpiSpec {
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: mid.items.len() as u64,
+            value: mid.items().len() as u64,
         }
     }
 }

@@ -40,7 +40,7 @@ impl AggSpec for GrSpec {
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: mid.items.iter().sum(),
+            value: mid.items().iter().sum(),
         }
     }
 }

@@ -41,7 +41,7 @@ impl AggSpec for IiSpec {
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: mid.items.len() as u64,
+            value: mid.items().len() as u64,
         }
     }
 }

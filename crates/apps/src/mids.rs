@@ -47,7 +47,7 @@ impl MergeableTuple for CountMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) {
+    fn merge(&mut self, other: &Self) {
         self.count += other.count;
     }
 }
@@ -58,12 +58,23 @@ impl MergeableTuple for CountMid {
 pub struct ListMid {
     /// Aggregation key.
     pub key: u64,
-    /// Collected values (postings, revenues, ...).
-    pub items: Vec<u64>,
+    /// Collected values (postings, revenues, ...); read them through
+    /// [`ListMid::items`].
+    items: Items,
     /// Entry base bytes (map node + key + list header).
     pub entry_bytes: u32,
     /// Bytes per collected item.
     pub item_bytes: u32,
+}
+
+/// A [`ListMid`]'s values. The map side emits one value per tuple, so
+/// a lone value stays inline and such a tuple owns no heap buffer; the
+/// first merge moves the values into a `Vec` (two or more of them),
+/// which from then on only grows.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Items {
+    One(u64),
+    Many(Vec<u64>),
 }
 
 impl ListMid {
@@ -71,20 +82,28 @@ impl ListMid {
     pub fn one(key: u64, item: u64, entry_bytes: u32, item_bytes: u32) -> Self {
         ListMid {
             key,
-            items: vec![item],
+            items: Items::One(item),
             entry_bytes,
             item_bytes,
+        }
+    }
+
+    /// The collected values, in merge order.
+    pub fn items(&self) -> &[u64] {
+        match &self.items {
+            Items::One(item) => std::slice::from_ref(item),
+            Items::Many(items) => items,
         }
     }
 }
 
 impl Tuple for ListMid {
     fn heap_bytes(&self) -> u64 {
-        self.entry_bytes as u64 + self.items.len() as u64 * self.item_bytes as u64
+        self.entry_bytes as u64 + self.items().len() as u64 * self.item_bytes as u64
     }
 
     fn ser_bytes(&self) -> u64 {
-        12 + 8 * self.items.len() as u64
+        12 + 8 * self.items().len() as u64
     }
 }
 
@@ -93,8 +112,20 @@ impl MergeableTuple for ListMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) {
-        self.items.extend(other.items);
+    fn merge(&mut self, other: &Self) {
+        match &mut self.items {
+            Items::Many(items) => items.extend_from_slice(other.items()),
+            Items::One(first) => {
+                // At least four slots, `Vec`'s own first growth: a list
+                // is allocated no more often than one that began as a
+                // one-slot `Vec`.
+                let more = other.items();
+                let mut items = Vec::with_capacity((1 + more.len()).max(4));
+                items.push(*first);
+                items.extend_from_slice(more);
+                self.items = Items::Many(items);
+            }
+        }
     }
 }
 
@@ -140,8 +171,8 @@ impl MergeableTuple for StripeMid {
         self.key
     }
 
-    fn merge(&mut self, other: Self) {
-        for (n, c) in other.neighbors {
+    fn merge(&mut self, other: &Self) {
+        for (&n, &c) in &other.neighbors {
             *self.neighbors.entry(n).or_insert(0) += c;
         }
     }
@@ -174,22 +205,26 @@ impl MergeableTuple for SortMid {
         self.key
     }
 
-    fn merge(&mut self, _other: Self) {
+    fn merge(&mut self, _other: &Self) {
         unreachable!("sort keys are unique by construction")
     }
 }
 
 /// A hash-join cell (`custkey → build row + pending probes + joined
 /// rows`): HJ. Pending probe rows buffer until the build row arrives,
-/// then collapse into retained joined rows.
+/// then collapse into retained joined rows. A probe is only ever
+/// counted and summed, so the cell keeps how many pend and their total
+/// price, not the rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinMid {
     /// The join key.
     pub custkey: u64,
     /// Build-side row (nation key), once seen.
     pub nation: Option<u32>,
-    /// Pending probe rows (order total prices).
-    pub pending: Vec<u64>,
+    /// Pending probe rows.
+    pub pending: u64,
+    /// Total price of the pending probe rows.
+    pub pending_revenue: u64,
     /// Joined row count.
     pub joined: u64,
     /// Joined revenue.
@@ -208,7 +243,8 @@ impl JoinMid {
         JoinMid {
             custkey,
             nation: Some(nation),
-            pending: Vec::new(),
+            pending: 0,
+            pending_revenue: 0,
             joined: 0,
             revenue: 0,
             cell_bytes: sizes.0,
@@ -222,7 +258,8 @@ impl JoinMid {
         JoinMid {
             custkey,
             nation: None,
-            pending: vec![totalprice],
+            pending: 1,
+            pending_revenue: totalprice,
             joined: 0,
             revenue: 0,
             cell_bytes: sizes.0,
@@ -233,11 +270,9 @@ impl JoinMid {
 
     /// Resolves pending probes against a present build row.
     fn settle(&mut self) {
-        if self.nation.is_some() && !self.pending.is_empty() {
-            for p in self.pending.drain(..) {
-                self.joined += 1;
-                self.revenue += p;
-            }
+        if self.nation.is_some() {
+            self.joined += std::mem::take(&mut self.pending);
+            self.revenue += std::mem::take(&mut self.pending_revenue);
         }
     }
 }
@@ -245,12 +280,12 @@ impl JoinMid {
 impl Tuple for JoinMid {
     fn heap_bytes(&self) -> u64 {
         self.cell_bytes as u64
-            + self.pending.len() as u64 * self.pending_bytes as u64
+            + self.pending * self.pending_bytes as u64
             + self.joined * self.joined_bytes as u64
     }
 
     fn ser_bytes(&self) -> u64 {
-        24 + 8 * self.pending.len() as u64 + 16 * self.joined
+        24 + 8 * self.pending + 16 * self.joined
     }
 }
 
@@ -259,9 +294,10 @@ impl MergeableTuple for JoinMid {
         self.custkey
     }
 
-    fn merge(&mut self, other: Self) {
+    fn merge(&mut self, other: &Self) {
         self.nation = self.nation.or(other.nation);
-        self.pending.extend(other.pending);
+        self.pending += other.pending;
+        self.pending_revenue += other.pending_revenue;
         self.joined += other.joined;
         self.revenue += other.revenue;
         self.settle();
@@ -303,7 +339,7 @@ mod tests {
 
     /// Merges `other` into `acc` and returns the change in `acc`'s heap
     /// bytes: the delta `AggState::add` charges.
-    fn merge_delta<M: MergeableTuple>(acc: &mut M, other: M) -> i64 {
+    fn merge_delta<M: MergeableTuple>(acc: &mut M, other: &M) -> i64 {
         let before = acc.heap_bytes() as i64;
         acc.merge(other);
         acc.heap_bytes() as i64 - before
@@ -312,7 +348,7 @@ mod tests {
     #[test]
     fn count_merge_collapses() {
         let mut a = CountMid::one(3, 136);
-        let delta = merge_delta(&mut a, CountMid::one(3, 136));
+        let delta = merge_delta(&mut a, &CountMid::one(3, 136));
         assert_eq!(delta, 0);
         assert_eq!(a.count, 2);
         assert_eq!(a.heap_bytes(), 136);
@@ -321,17 +357,17 @@ mod tests {
     #[test]
     fn list_merge_grows() {
         let mut a = ListMid::one(1, 10, 176, 40);
-        let d = merge_delta(&mut a, ListMid::one(1, 11, 176, 40));
+        let d = merge_delta(&mut a, &ListMid::one(1, 11, 176, 40));
         assert_eq!(d, 40);
-        assert_eq!(a.items, vec![10, 11]);
+        assert_eq!(a.items(), &[10, 11]);
         assert_eq!(a.heap_bytes(), 176 + 2 * 40);
     }
 
     #[test]
     fn stripe_merge_counts_new_cells_only() {
         let mut a = StripeMid::pair(1, 7, 200, 28);
-        assert_eq!(merge_delta(&mut a, StripeMid::pair(1, 7, 200, 28)), 0);
-        assert_eq!(merge_delta(&mut a, StripeMid::pair(1, 8, 200, 28)), 28);
+        assert_eq!(merge_delta(&mut a, &StripeMid::pair(1, 7, 200, 28)), 0);
+        assert_eq!(merge_delta(&mut a, &StripeMid::pair(1, 8, 200, 28)), 28);
         assert_eq!(a.neighbors[&7], 2);
         assert_eq!(a.neighbors[&8], 1);
     }
@@ -340,16 +376,16 @@ mod tests {
     fn join_settles_when_build_row_arrives() {
         let sizes = (200, 64, 450);
         let mut cell = JoinMid::order(5, 100, sizes);
-        let d = merge_delta(&mut cell, JoinMid::order(5, 200, sizes));
+        let d = merge_delta(&mut cell, &JoinMid::order(5, 200, sizes));
         assert_eq!(d, 64); // one more pending probe
-        let d = merge_delta(&mut cell, JoinMid::customer(5, 3, sizes));
+        let d = merge_delta(&mut cell, &JoinMid::customer(5, 3, sizes));
         // Pending released, joined rows retained.
         assert_eq!(cell.joined, 2);
         assert_eq!(cell.revenue, 300);
-        assert!(cell.pending.is_empty());
+        assert_eq!(cell.pending, 0);
         assert_eq!(d, 2 * 450 - 2 * 64);
         // Further probes join immediately.
-        let d2 = merge_delta(&mut cell, JoinMid::order(5, 50, sizes));
+        let d2 = merge_delta(&mut cell, &JoinMid::order(5, 50, sizes));
         assert_eq!(cell.joined, 3);
         assert_eq!(d2, 450); // net: one joined row added, nothing pends
     }

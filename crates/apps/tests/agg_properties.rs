@@ -3,9 +3,12 @@
 //! spec's explode/finish pair must conserve its invariant quantity.
 
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use apps::agg::{AggSpec, AggState, MergeableTuple};
 use apps::hyracks_apps::hj::JoinIn;
@@ -190,7 +193,7 @@ proptest! {
         let mids: Vec<ListMid> =
             pairs.iter().map(|&(k, v)| ListMid::one(k, v, 176, 40)).collect();
         let (folded, ledger) = fold_all(mids);
-        let total: usize = folded.iter().map(|m| m.items.len()).sum();
+        let total: usize = folded.iter().map(|m| m.items().len()).sum();
         prop_assert_eq!(total, pairs.len());
         let held: i64 = folded.iter().map(|m| m.heap_bytes() as i64).sum();
         prop_assert_eq!(ledger, held);
@@ -235,7 +238,7 @@ proptest! {
         let (folded, ledger) = fold_all(mids);
         let joined: u64 = folded.iter().map(|m| m.joined).sum();
         prop_assert_eq!(joined, probes.len() as u64);
-        let pending: usize = folded.iter().map(|m| m.pending.len()).sum();
+        let pending: u64 = folded.iter().map(|m| m.pending).sum();
         prop_assert_eq!(pending, 0, "all probes must settle");
         let revenue: u64 = folded.iter().map(|m| m.revenue).sum();
         let expected: u64 = probes.iter().map(|&(_, p)| p).sum();
@@ -269,7 +272,7 @@ proptest! {
         IiSpec.explode(&rec, &mut out);
         prop_assert_eq!(out.len(), neighbors.len());
         for m in &out {
-            prop_assert_eq!(m.items.as_slice(), &[vertex]);
+            prop_assert_eq!(m.items(), &[vertex]);
         }
     }
 
@@ -278,7 +281,7 @@ proptest! {
     fn gr_finish_sums_revenue(values in proptest::collection::vec(0u64..10_000, 1..100)) {
         let mut mid = ListMid::one(7, values[0], 176, 150);
         for &v in &values[1..] {
-            mid.merge(ListMid::one(7, v, 176, 150));
+            mid.merge(&ListMid::one(7, v, 176, 150));
         }
         let out = GrSpec.finish(mid);
         prop_assert_eq!(out.key, 7);
@@ -297,5 +300,176 @@ proptest! {
         let bo = HjSpec.bucket(out[1].key(), buckets);
         prop_assert_eq!(bc, bo);
         prop_assert!(bc < buckets);
+    }
+}
+
+/// Folds `steps`, each a contribution, its model and whether it is
+/// folded borrowed, two ways. Entry by entry with `merge`, `agree`
+/// compares each touched accumulator with its model after every step;
+/// through [`AggState::add`], owned or borrowed, each step's charge must
+/// equal the model's heap delta, and the drained state must equal the
+/// entry-by-entry one.
+fn fold_against_model<M, Model: Clone>(
+    steps: &[(M, Model, bool)],
+    merge_model: impl Fn(&mut Model, &Model),
+    heap_model: impl Fn(&Model) -> u64,
+    agree: impl Fn(&M, &Model) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError>
+where
+    M: MergeableTuple + PartialEq + std::fmt::Debug,
+{
+    let mut accs: BTreeMap<u64, (M, Model)> = BTreeMap::new();
+    let mut state = AggState::new();
+    for (c, model, borrowed) in steps {
+        let key = c.key();
+        let before = accs.get(&key).map_or(0, |(_, m)| heap_model(m)) as i64;
+        let (acc, m) = match accs.entry(key) {
+            Entry::Vacant(v) => v.insert((c.clone(), model.clone())),
+            Entry::Occupied(o) => {
+                let entry = o.into_mut();
+                entry.0.merge(c);
+                merge_model(&mut entry.1, model);
+                entry
+            }
+        };
+        agree(acc, m)?;
+        let mut charged = 0i64;
+        let mut ledger = |d| {
+            charged += d;
+            Ok(())
+        };
+        if *borrowed {
+            state.add(c, &mut ledger).unwrap();
+        } else {
+            state.add(c.clone(), &mut ledger).unwrap();
+        }
+        prop_assert_eq!(charged, heap_model(m) as i64 - before);
+    }
+    let drained = state.drain();
+    prop_assert_eq!(drained.len(), accs.len());
+    for (got, (acc, m)) in drained.iter().zip(accs.values()) {
+        prop_assert_eq!(got, acc);
+        agree(got, m)?;
+    }
+    Ok(())
+}
+
+/// The `JoinMid` of before probes became a count and a sum: a cell that
+/// kept every pending probe's price in a `Vec`.
+#[derive(Clone, Debug, Default)]
+struct VecProbeJoin {
+    nation: Option<u32>,
+    pending: Vec<u64>,
+    joined: u64,
+    revenue: u64,
+}
+
+impl VecProbeJoin {
+    const SIZES: (u32, u32, u32) = (200, 64, 450);
+
+    fn merge(&mut self, other: &Self) {
+        self.nation = self.nation.or(other.nation);
+        self.pending.extend(&other.pending);
+        self.joined += other.joined;
+        self.revenue += other.revenue;
+        if self.nation.is_some() {
+            for p in self.pending.drain(..) {
+                self.joined += 1;
+                self.revenue += p;
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        let (cell, pending, joined) = Self::SIZES;
+        cell as u64 + self.pending.len() as u64 * pending as u64 + self.joined * joined as u64
+    }
+
+    fn ser_bytes(&self) -> u64 {
+        24 + 8 * self.pending.len() as u64 + 16 * self.joined
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `ListMid` keeps a lone value inline and moves to a `Vec` on its
+    /// first merge; under any sequence of owned and borrowed folds of
+    /// one- and many-value partials its `items()`, `heap_bytes()` and
+    /// `ser_bytes()` are a plain `Vec<u64>`'s at every step.
+    #[test]
+    fn list_mid_matches_a_vec_model(
+        folds in proptest::collection::vec(
+            (0u64..6, proptest::collection::vec(0u64..1000, 1..5), any::<bool>()),
+            1..150,
+        ),
+    ) {
+        let (entry, item) = (176u32, 40u32);
+        let steps: Vec<(ListMid, Vec<u64>, bool)> = folds
+            .into_iter()
+            .map(|(key, values, borrowed)| {
+                let mut partial = ListMid::one(key, values[0], entry, item);
+                for &v in &values[1..] {
+                    partial.merge(&ListMid::one(key, v, entry, item));
+                }
+                (partial, values, borrowed)
+            })
+            .collect();
+        fold_against_model(
+            &steps,
+            |m, more| m.extend(more),
+            |m| entry as u64 + m.len() as u64 * item as u64,
+            |acc, m| {
+                prop_assert_eq!(acc.items(), m.as_slice());
+                prop_assert_eq!(acc.heap_bytes(), entry as u64 + m.len() as u64 * item as u64);
+                prop_assert_eq!(acc.ser_bytes(), 12 + 8 * m.len() as u64);
+                Ok(())
+            },
+        )?;
+    }
+
+    /// `JoinMid`'s pending probes are a count and a sum; under any
+    /// sequence of owned and borrowed folds of partials mixing probes
+    /// and build rows, its `joined`, `revenue`, `heap_bytes()` and
+    /// `ser_bytes()` are those of the cell that kept the probes in a
+    /// `Vec`, at every step.
+    #[test]
+    fn join_mid_matches_the_vec_of_probes_model(
+        folds in proptest::collection::vec(
+            (0u64..6, proptest::collection::vec((any::<bool>(), 1u64..1000), 1..4), any::<bool>()),
+            1..150,
+        ),
+    ) {
+        let sizes = VecProbeJoin::SIZES;
+        let atom = |key, (build, v): (bool, u64)| {
+            if build {
+                let nation = v as u32;
+                let row = VecProbeJoin { nation: Some(nation), ..Default::default() };
+                (JoinMid::customer(key, nation, sizes), row)
+            } else {
+                let row = VecProbeJoin { pending: vec![v], ..Default::default() };
+                (JoinMid::order(key, v, sizes), row)
+            }
+        };
+        let steps: Vec<(JoinMid, VecProbeJoin, bool)> = folds
+            .into_iter()
+            .map(|(key, atoms, borrowed)| {
+                let (mut partial, mut model) = atom(key, atoms[0]);
+                for &a in &atoms[1..] {
+                    let (more, more_model) = atom(key, a);
+                    partial.merge(&more);
+                    model.merge(&more_model);
+                }
+                (partial, model, borrowed)
+            })
+            .collect();
+        fold_against_model(&steps, VecProbeJoin::merge, VecProbeJoin::heap_bytes, |acc, m| {
+            prop_assert_eq!(acc.joined, m.joined);
+            prop_assert_eq!(acc.revenue, m.revenue);
+            prop_assert_eq!(acc.pending, m.pending.len() as u64);
+            prop_assert_eq!(acc.heap_bytes(), m.heap_bytes());
+            prop_assert_eq!(acc.ser_bytes(), m.ser_bytes());
+            Ok(())
+        })?;
     }
 }

@@ -5,6 +5,7 @@
 //! the finish-line and temporal-locality rules (§5.3–5.4) and to decide
 //! when an `MITask`'s tag groups are complete.
 
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use simcore::TaskId;
@@ -49,7 +50,16 @@ pub struct TaskGraph {
     /// Directed producer → consumer edges (self-loops allowed: an
     /// interrupted Merge feeds itself).
     edges: Vec<(TaskId, TaskId)>,
+    /// [`TaskGraph::distance_to_finish`] of every task. The scheduler
+    /// asks for it per comparison and per candidate, and the graph only
+    /// changes in `add` and `connect`, so both tables are rebuilt there.
+    finish: Vec<usize>,
+    /// [`TaskGraph::distance_between`] of every ordered pair, row-major.
+    between: Vec<usize>,
 }
+
+/// The hop count of "unreachable".
+const FAR: usize = usize::MAX / 2;
 
 impl TaskGraph {
     /// Creates an empty graph.
@@ -83,6 +93,7 @@ impl TaskGraph {
             kind,
             factory,
         });
+        self.reindex();
         id
     }
 
@@ -91,7 +102,48 @@ impl TaskGraph {
     pub fn connect(&mut self, producer: TaskId, consumer: TaskId) {
         if !self.edges.contains(&(producer, consumer)) {
             self.edges.push((producer, consumer));
+            self.reindex();
         }
+    }
+
+    /// Rebuilds the distance tables from the edges.
+    fn reindex(&mut self) {
+        let n = self.tasks.len();
+        let sinks: Vec<usize> = (0..n)
+            .filter(|&t| self.successors(TaskId(t as u32)).is_empty())
+            .collect();
+        self.finish = (0..n)
+            .map(|t| {
+                let hops = self.hops(t, false);
+                sinks.iter().map(|&s| hops[s]).min().unwrap_or(FAR)
+            })
+            .collect();
+        self.between = (0..n).flat_map(|t| self.hops(t, true)).collect();
+    }
+
+    /// Breadth-first hop counts from `from` along the edges, or along
+    /// them either way when `undirected`; [`FAR`] where unreachable.
+    fn hops(&self, from: usize, undirected: bool) -> Vec<usize> {
+        let mut dist = vec![FAR; self.tasks.len()];
+        dist[from] = 0;
+        let mut frontier = VecDeque::from([from]);
+        while let Some(u) = frontier.pop_front() {
+            for &(p, c) in &self.edges {
+                let (p, c) = (p.as_usize(), c.as_usize());
+                let v = if p == u {
+                    c
+                } else if undirected && c == u {
+                    p
+                } else {
+                    continue;
+                };
+                if dist[v] == FAR {
+                    dist[v] = dist[u] + 1;
+                    frontier.push_back(v);
+                }
+            }
+        }
+        dist
     }
 
     /// Number of tasks.
@@ -133,61 +185,17 @@ impl TaskGraph {
     }
 
     /// Hops from `id` to the nearest sink (a task with no successors):
-    /// the finish-line metric. Sinks score 0; unreachable tasks score
-    /// `usize::MAX / 2`.
+    /// the finish-line metric. Sinks score 0; a task no sink is
+    /// reachable from (a cyclic tail) scores `usize::MAX / 2`.
     pub fn distance_to_finish(&self, id: TaskId) -> usize {
-        // BFS over successor edges until a sink is found.
-        let far = usize::MAX / 2;
-        let mut dist = vec![far; self.tasks.len()];
-        let mut frontier = vec![id.as_usize()];
-        dist[id.as_usize()] = 0;
-        while let Some(u) = frontier.pop() {
-            let succ = self.successors(TaskId(u as u32));
-            if succ.is_empty() {
-                return dist[u];
-            }
-            for s in succ {
-                let v = s.as_usize();
-                if dist[v] > dist[u] + 1 {
-                    dist[v] = dist[u] + 1;
-                    frontier.insert(0, v);
-                }
-            }
-        }
-        // No sink reachable (cyclic tail): fall back to sink distances.
-        self.tasks
-            .iter()
-            .filter(|t| self.successors(t.id).is_empty())
-            .map(|t| dist[t.id.as_usize()])
-            .min()
-            .unwrap_or(far)
+        self.finish[id.as_usize()]
     }
 
     /// Undirected hop distance between two tasks (temporal locality
-    /// metric: how far a partition's consumer is from what's running).
+    /// metric: how far a partition's consumer is from what's running);
+    /// `usize::MAX / 2` when they are not connected.
     pub fn distance_between(&self, a: TaskId, b: TaskId) -> usize {
-        if a == b {
-            return 0;
-        }
-        let far = usize::MAX / 2;
-        let mut dist = vec![far; self.tasks.len()];
-        dist[a.as_usize()] = 0;
-        let mut frontier = std::collections::VecDeque::from([a]);
-        while let Some(u) = frontier.pop_front() {
-            let du = dist[u.as_usize()];
-            let mut neighbours = self.successors(u);
-            neighbours.extend(self.producers(u));
-            for v in neighbours {
-                if dist[v.as_usize()] > du + 1 {
-                    dist[v.as_usize()] = du + 1;
-                    if v == b {
-                        return du + 1;
-                    }
-                    frontier.push_back(v);
-                }
-            }
-        }
-        dist[b.as_usize()]
+        self.between[a.as_usize() * self.tasks.len() + b.as_usize()]
     }
 }
 
@@ -256,6 +264,50 @@ mod tests {
         assert_eq!(g.distance_between(map, merge), 2);
         assert_eq!(g.distance_between(merge, map), 2);
         assert_eq!(g.distance_between(map, map), 0);
+    }
+
+    /// Every `distance_to_finish` and `distance_between` of the Hyracks
+    /// map → reduce → merge shape, the merge's self-loop included.
+    #[test]
+    fn hyracks_shape_distance_tables() {
+        let (g, map, reduce, merge) = wc_graph();
+        let ids = [map, reduce, merge];
+        let finish: Vec<usize> = ids.iter().map(|&t| g.distance_to_finish(t)).collect();
+        assert_eq!(finish, [2, 1, 0]);
+        let between: Vec<Vec<usize>> = ids
+            .iter()
+            .map(|&a| ids.iter().map(|&b| g.distance_between(a, b)).collect())
+            .collect();
+        assert_eq!(between, [[0, 1, 2], [1, 0, 1], [2, 1, 0]]);
+    }
+
+    /// A chain grown one edge at a time: each `connect` moves the
+    /// tables, and a tail that loops without a sink is `usize::MAX / 2`
+    /// from the finish.
+    #[test]
+    fn chain_tables_follow_connect() {
+        let mut g = TaskGraph::new();
+        let t: Vec<TaskId> = (0..4)
+            .map(|i| g.add_task(format!("t{i}"), || Box::new(Nop)))
+            .collect();
+        // No edges: every task is its own sink, and strangers are far.
+        assert!(t.iter().all(|&x| g.distance_to_finish(x) == 0));
+        assert_eq!(g.distance_between(t[0], t[3]), FAR);
+        g.connect(t[0], t[1]);
+        g.connect(t[1], t[2]);
+        g.connect(t[2], t[3]);
+        let finish: Vec<usize> = t.iter().map(|&x| g.distance_to_finish(x)).collect();
+        assert_eq!(finish, [3, 2, 1, 0]);
+        assert_eq!(g.distance_between(t[0], t[3]), 3);
+        assert_eq!(g.distance_between(t[3], t[1]), 2);
+        // t3 feeds t2 back: no sink is left downstream of anything.
+        g.connect(t[3], t[2]);
+        assert!(t.iter().all(|&x| g.distance_to_finish(x) == FAR));
+        assert_eq!(
+            g.distance_between(t[3], t[0]),
+            3,
+            "a back edge is no shortcut"
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! // q.run_itask(&params, inputs) / q.run_regular(&params, inputs)
 //! ```
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use apps::agg::AggSpec;
@@ -80,6 +81,7 @@ impl<In: Tuple> KeyedQuery<In> {
             flat_map: self.flat_map,
             count_only: true,
             entry_bytes: FOLD_ENTRY,
+            kvs: RefCell::default(),
         }
     }
 
@@ -90,6 +92,7 @@ impl<In: Tuple> KeyedQuery<In> {
             flat_map: self.flat_map,
             count_only: false,
             entry_bytes: FOLD_ENTRY,
+            kvs: RefCell::default(),
         }
     }
 
@@ -103,6 +106,7 @@ impl<In: Tuple> KeyedQuery<In> {
             finish: Rc::new(finish),
             entry_bytes: COLLECT_ENTRY,
             item_bytes: COLLECT_ITEM,
+            kvs: RefCell::default(),
         }
     }
 }
@@ -114,6 +118,27 @@ const COLLECT_ENTRY: u32 = 176;
 /// Simulated footprint per collected value.
 const COLLECT_ITEM: u32 = 40;
 
+/// One record's `(key, value)` contributions, kept between records so
+/// `explode` allocates nothing once it has seen the widest record. Each
+/// clone of a plan gets its own, empty.
+type Contributions = RefCell<Vec<(u64, u64)>>;
+
+/// Runs `flat_map` on `rec` into the reused buffer and hands each
+/// contribution, in emission order, to `push`.
+fn contributions<In>(
+    flat_map: &FlatMapFn<In>,
+    kvs: &Contributions,
+    rec: &In,
+    mut push: impl FnMut(u64, u64),
+) {
+    let mut kvs = kvs.borrow_mut();
+    kvs.clear();
+    flat_map(rec, &mut kvs);
+    for &(k, v) in kvs.iter() {
+        push(k, v);
+    }
+}
+
 /// A compiled additive-aggregation plan (count / sum).
 pub struct FoldQuery<In> {
     name: &'static str,
@@ -121,6 +146,7 @@ pub struct FoldQuery<In> {
     count_only: bool,
     /// Simulated bytes per aggregation-table entry.
     pub entry_bytes: u32,
+    kvs: Contributions,
 }
 
 impl<In> Clone for FoldQuery<In> {
@@ -130,6 +156,7 @@ impl<In> Clone for FoldQuery<In> {
             flat_map: self.flat_map.clone(),
             count_only: self.count_only,
             entry_bytes: self.entry_bytes,
+            kvs: RefCell::default(),
         }
     }
 }
@@ -144,16 +171,14 @@ impl<In: Tuple + Clone> AggSpec for FoldQuery<In> {
     }
 
     fn explode(&self, rec: &In, out: &mut Vec<CountMid>) {
-        let mut kvs = Vec::new();
-        (self.flat_map)(rec, &mut kvs);
-        for (k, v) in kvs {
+        contributions(&self.flat_map, &self.kvs, rec, |k, v| {
             let count = if self.count_only { 1 } else { v };
             out.push(CountMid {
                 key: k,
                 count,
                 entry_bytes: self.entry_bytes,
             });
-        }
+        });
     }
 
     fn finish(&self, mid: CountMid) -> OutKv {
@@ -173,6 +198,7 @@ pub struct CollectQuery<In> {
     pub entry_bytes: u32,
     /// Simulated bytes per collected value.
     pub item_bytes: u32,
+    kvs: Contributions,
 }
 
 impl<In> Clone for CollectQuery<In> {
@@ -183,6 +209,7 @@ impl<In> Clone for CollectQuery<In> {
             finish: self.finish.clone(),
             entry_bytes: self.entry_bytes,
             item_bytes: self.item_bytes,
+            kvs: RefCell::default(),
         }
     }
 }
@@ -197,17 +224,15 @@ impl<In: Tuple + Clone> AggSpec for CollectQuery<In> {
     }
 
     fn explode(&self, rec: &In, out: &mut Vec<ListMid>) {
-        let mut kvs = Vec::new();
-        (self.flat_map)(rec, &mut kvs);
-        for (k, v) in kvs {
-            out.push(ListMid::one(k, v, self.entry_bytes, self.item_bytes));
-        }
+        contributions(&self.flat_map, &self.kvs, rec, |k, v| {
+            out.push(ListMid::one(k, v, self.entry_bytes, self.item_bytes))
+        });
     }
 
     fn finish(&self, mid: ListMid) -> OutKv {
         OutKv {
             key: mid.key,
-            value: (self.finish)(&mid.items),
+            value: (self.finish)(mid.items()),
         }
     }
 }
@@ -272,7 +297,7 @@ mod tests {
         let mut b = Vec::new();
         q.explode(&R(7), &mut b);
         let mut acc = a.pop().unwrap();
-        acc.merge(b.pop().unwrap());
+        acc.merge(&b.pop().unwrap());
         assert_eq!(q.finish(acc).value, 12);
     }
 
@@ -286,7 +311,7 @@ mod tests {
         let mut more = Vec::new();
         q.explode(&R(11), &mut more);
         let mut mid = acc.pop().unwrap();
-        mid.merge(more.pop().unwrap());
+        mid.merge(&more.pop().unwrap());
         let out = q.finish(mid);
         assert_eq!(out.value, 11);
     }
