@@ -10,6 +10,7 @@ use std::process::Command;
 
 use itask_bench::dumpfmt::{self, Json};
 use itask_bench::tracefmt;
+use simcore::rng::stable_hash_bytes;
 
 /// Runs `bin args --trace <scratch>/trace.json --jobs <jobs>` and
 /// returns the bytes of (chrome json, jsonl).
@@ -158,6 +159,41 @@ fn check_chrome_schema(chrome: &[u8], jsonl: &[u8]) -> u64 {
 fn trace_chrome_schema_is_valid() {
     let (chrome, jsonl) = traced_run(env!("CARGO_BIN_EXE_faults"), &["--wc-only"], 2, "schema");
     check_chrome_schema(&chrome, &jsonl);
+}
+
+/// A crash run's dumps, pinned to the byte. `faults --wc-only` fires
+/// node crashes mid-phase and salvages the dead nodes' ITask instances,
+/// so these digests fix the order of its `CrashSalvaged` and `Retired`
+/// events, and of the metrics they feed, not just their counts. Order:
+/// the Chrome trace, its JSONL twin, the metrics JSONL and its
+/// OpenMetrics snapshot.
+#[test]
+fn faults_wc_crash_dumps_are_pinned() {
+    let scratch = std::env::temp_dir().join(format!("itask-crash-dumps-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    let metrics = scratch.join("metrics.jsonl");
+    let (chrome, jsonl) = traced_run(
+        env!("CARGO_BIN_EXE_faults"),
+        &[
+            "--wc-only",
+            "--metrics",
+            metrics.to_str().expect("utf-8 path"),
+        ],
+        2,
+        "crash-dumps",
+    );
+    let metrics_jsonl = std::fs::read(&metrics).expect("metrics jsonl written");
+    let om = std::fs::read(format!("{}.om", metrics.display())).expect("openmetrics twin written");
+    let got = [&chrome, &jsonl, &metrics_jsonl, &om].map(|b| stable_hash_bytes(b));
+    assert_eq!(
+        got,
+        [
+            15042049191298580774,
+            8998051981094864294,
+            15699027632834361432,
+            2614696402471983973
+        ]
+    );
 }
 
 /// The overload bench arms the full control stack, so its trace must

@@ -11,6 +11,7 @@
 //! admission plane in the shed-heavy regime of the benchmark's
 //! `service_scale`, down to the order its `Shed` events fire in.
 
+use simcore::rng::stable_hash_bytes;
 use simcore::{tracer, FaultPlan, NodeId, SimDuration, SimTime};
 use simserve::{
     BreakerConfig, BrownoutConfig, EngineKind, LoadShape, OverloadConfig, PolicyKind, RetryPolicy,
@@ -242,10 +243,14 @@ const SCALE_PINS: [(PolicyKind, LoadShape, ScalePrint); 3] = [
     (PolicyKind::MemoryAware, LoadShape::Steady, ScalePrint { tenants: 8637, tenant_fold: 4761857268579148217, rounds: 115, peak_queued: 3050, outputs: 25548, latency: [17, 26135248, 96159662], queue_wait: [17, 3989997, 3999549], sheds: 20002, shed_fold: 1533261738581046706 }),
 ];
 
+/// The tracer's arming flag is process-wide: the tests that flip it
+/// take turns. The pinned-report test reads reports, which tracing
+/// never changes, so it runs alongside either.
+static TRACER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn scale_fingerprints_hold() {
-    // The only test in this binary that arms the tracer; the other one
-    // reads reports, which tracing never changes.
+    let _armed = TRACER.lock().unwrap_or_else(|e| e.into_inner());
     tracer::enable();
     let got: Vec<ScalePrint> = SCALE_PINS
         .iter()
@@ -255,4 +260,25 @@ fn scale_fingerprints_hold() {
     for (g, (policy, shape, want)) in got.iter().zip(&SCALE_PINS) {
         assert_eq!(g, want, "{} {}", policy.label(), shape.label());
     }
+}
+
+/// The crash scenario's whole trace, pinned to the byte, for both
+/// engines: the order the dead node's instances are salvaged and
+/// retired in, and every event the re-homing causes after it.
+#[test]
+fn crash_trace_jsonl_holds() {
+    let _armed = TRACER.lock().unwrap_or_else(|e| e.into_inner());
+    tracer::enable();
+    let got = [EngineKind::Regular, EngineKind::Itask].map(|engine| {
+        tracer::begin_run();
+        Service::new(config(engine, Scenario::Crash)).run();
+        let events = tracer::take_run().expect("tracer armed");
+        let jsonl = tracer::jsonl_run(0, engine.label(), &events);
+        (events.len(), stable_hash_bytes(jsonl.as_bytes()))
+    });
+    tracer::disable();
+    assert_eq!(
+        got,
+        [(1095, 3250697058475168263), (2982, 2977602688469700894)]
+    );
 }
