@@ -43,7 +43,7 @@ pub mod runtime;
 pub mod scheduler;
 pub mod stats;
 pub mod task;
-pub mod worker;
+mod worker;
 
 pub use deflate::{live_budget_for_pause, predicted_full_pause, StateGuard};
 pub use graph::TaskGraph;
@@ -57,4 +57,3 @@ pub use runtime::{FinalOutput, InterruptMode, Irs, IrsConfig, IrsHandle};
 pub use scheduler::VictimPolicy;
 pub use stats::{IrsStats, ReclaimBreakdown};
 pub use task::{ITask, InstanceSpaces, Scale, TaskCx, TaskKind, TupleTask};
-pub use worker::ItaskWorker;

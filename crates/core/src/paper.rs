@@ -24,7 +24,7 @@
 //! | Scheduler (`INTERRUPTTASKINSTANCE`, `INCREASETASKINSTANCE`, the five priority rules) | [`crate::scheduler`] |
 //! | the controller loop tying them together | [`crate::runtime::Irs::tick`] |
 //! | slow-start warm-up (§5.1) | the GROW ramp in [`crate::runtime::Irs`] (one instance per tick under pressure, burst when >50% free) |
-//! | Figure 1's staged reclamation (components 1–4) | the worker's interrupt path ([`crate::worker::ItaskWorker`]): local space released, processed prefix dropped, finals pushed, intermediates tagged and queued, remainder left for lazy serialization |
+//! | Figure 1's staged reclamation (components 1–4) | the worker's one interrupt path (`ItaskWorker::interrupt`, which a node crash takes too): local space released, processed prefix dropped, finals pushed, intermediates tagged and queued, remainder left for lazy serialization |
 //! | LUGC definition (§5.2: GC that cannot raise free memory above M%) | `simmem`'s `GcRecord::useless`, against [`simmem::LUGC_FREE_PCT`] |
 //!
 //! # Where this reproduction deliberately differs

@@ -1,11 +1,13 @@
 //! The simulated thread running one ITask instance: the state machine of
 //! the paper's Figure 5 (initialize → scale loop → interrupt | cleanup).
+//! A node crash takes the interrupt edge too, post-mortem, when the
+//! scheduler salvages the dead thread ([`Work::salvage`]).
 
 use std::collections::VecDeque;
 
 use simcluster::{StepOutcome, Work, WorkCx};
-use simcore::tracer::TraceData;
-use simcore::{SimError, TaskId};
+use simcore::tracer::{EventId, TraceData};
+use simcore::{SimError, SimResult, TaskId};
 
 use crate::manager::deserialize_partition;
 use crate::partition::{PartitionBox, Tag};
@@ -18,7 +20,7 @@ use crate::task::{ITask, InstanceSpaces, TaskCx, TaskKind};
 /// instance holds a tag group and iterates it lazily — serialized
 /// partitions are only deserialized when they reach the front (the
 /// paper's out-of-core `PartitionIterator`).
-pub struct ItaskWorker {
+pub(crate) struct ItaskWorker {
     instance: u64,
     handle: IrsHandle,
     task_id: TaskId,
@@ -33,6 +35,17 @@ pub struct ItaskWorker {
 
 /// Give up on a partition after this many failed activations.
 const MAX_ACTIVATION_FAILURES: u32 = 32;
+
+/// Why an instance leaves through [`ItaskWorker::interrupt`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cause {
+    /// The IRS marked it as a victim; it stopped at a safe point.
+    Scheduled,
+    /// An allocation failed mid-instance: a self-interrupt.
+    Emergency,
+    /// Its node died; the scheduler salvages it post-mortem.
+    Crash,
+}
 
 impl ItaskWorker {
     /// Builds a worker; the IRS spawns it as a simulated thread.
@@ -98,22 +111,35 @@ impl ItaskWorker {
         }
     }
 
-    /// The cooperative interrupt path (Figure 5, memory-pressure edge):
-    /// run the task's interrupt logic, release the processed input
-    /// prefix and local structures, push unprocessed inputs back to the
-    /// queue, and retire.
-    fn do_interrupt(&mut self, cx: &mut WorkCx<'_>, emergency: bool) -> StepOutcome {
-        if self.interrupt_mode == InterruptMode::KillRestart {
-            return self.do_kill_restart(cx, emergency);
+    /// The one interrupt path (Figure 5, memory-pressure edge): run the
+    /// task's interrupt logic, release the processed input prefix and
+    /// local structures, push unprocessed inputs back to the queue, and
+    /// retire. A failing interrupt logic is returned with the instance
+    /// not yet retired.
+    ///
+    /// A crash takes the same path post-mortem, and it works just as
+    /// well after the node died, because everything it relies on is
+    /// *already* off-node or deterministic: the processed prefix's
+    /// results have left the node (component 4(a) streams finals out as
+    /// they are produced; the in-object accumulation until
+    /// interrupt/cleanup is a simulation artifact), and the cursor
+    /// marks exactly where processing stopped. Flushing accumulated
+    /// state and requeueing the unprocessed remainder therefore
+    /// reproduces the instant-of-crash state with exactly-once
+    /// semantics: emitted outputs are never re-emitted, unprocessed
+    /// tuples are processed exactly once more, on whichever surviving
+    /// node the engine re-homes them to. The kill-restart baseline
+    /// salvages a crash this way too.
+    fn interrupt(&mut self, cx: &mut WorkCx<'_>, cause: Cause) -> SimResult<()> {
+        if cause != Cause::Crash && self.interrupt_mode == InterruptMode::KillRestart {
+            self.kill_restart(cx, cause);
+            return Ok(());
         }
         if self.initialized {
             let tag = self.current_tag();
             let spaces = self.spaces.as_mut().expect("initialized implies spaces");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, tag, spaces, true);
-            if let Err(e) = self.task.interrupt(&mut tcx) {
-                self.handle.retire(self.instance, cx.now());
-                return StepOutcome::Failed(e);
-            }
+            self.task.interrupt(&mut tcx)?;
         }
         // Component 2 of Figure 1: drop the processed prefix.
         for part in &mut self.inputs {
@@ -127,90 +153,78 @@ impl ItaskWorker {
         // partition can be tagged with this event as its origin (the
         // eventual re-activation links back through it). A scheduled
         // interrupt links to its victim-mark; emergencies are self-
-        // inflicted and have none.
-        let mark = self.handle.take_victim_mark(self.instance);
-        let interrupt = self.handle.emit(
-            cx.now(),
-            TraceData::Interrupted {
-                task: self.task_id.as_u32(),
-                emergency,
-                cause: mark,
-            },
-        );
+        // inflicted and have none. A crash is no interrupt origin.
+        let task = self.task_id.as_u32();
+        let origin = match cause {
+            Cause::Crash => {
+                self.handle
+                    .emit(cx.now(), TraceData::CrashSalvaged { task });
+                EventId::NONE
+            }
+            _ => {
+                let mark = self.handle.take_victim_mark(self.instance);
+                self.handle.emit(
+                    cx.now(),
+                    TraceData::Interrupted {
+                        task,
+                        emergency: cause == Cause::Emergency,
+                        cause: mark,
+                    },
+                )
+            }
+        };
         // Unprocessed inputs go back to the queue for resumption.
         while let Some(part) = self.inputs.pop_front() {
-            self.handle.note_interrupt_origin(part.meta().id, interrupt);
+            self.handle.note_interrupt_origin(part.meta().id, origin);
             self.handle.push_partition(part);
         }
-        self.handle.stats_mut(|st| {
-            if emergency {
-                st.emergency_interrupts += 1;
-            } else {
-                st.interrupts += 1;
-            }
-        });
+        self.count(cause);
         self.handle.retire(self.instance, cx.now());
-        StepOutcome::Finished
+        Ok(())
     }
 
     /// The naïve baseline (§6.1): the thread dies without interrupt
     /// logic — partial output is discarded, the cursor resets, and the
     /// whole partition is reprocessed from scratch later.
-    fn do_kill_restart(&mut self, cx: &mut WorkCx<'_>, emergency: bool) -> StepOutcome {
+    fn kill_restart(&mut self, cx: &mut WorkCx<'_>, cause: Cause) {
         self.release_spaces(cx);
         while let Some(mut part) = self.inputs.pop_front() {
             part.meta_mut().cursor = 0;
             self.handle.push_partition(part);
         }
-        self.handle.stats_mut(|st| {
-            if emergency {
-                st.emergency_interrupts += 1;
-            } else {
-                st.interrupts += 1;
-            }
-        });
+        self.count(cause);
         self.handle.retire(self.instance, cx.now());
-        StepOutcome::Finished
     }
 
-    /// Post-mortem salvage after a node crash (fault-injection runs).
-    ///
-    /// The paper's interrupt path works just as well after the node
-    /// died, because everything it relies on is *already* off-node or
-    /// deterministic: the processed prefix's results have left the node
-    /// (component 4(a) streams finals out as they are produced; the
-    /// in-object accumulation until interrupt/cleanup is a simulation
-    /// artifact), and the cursor marks exactly where processing stopped.
-    /// Flushing accumulated state through `interrupt` and requeueing the
-    /// unprocessed remainder therefore reproduces the instant-of-crash
-    /// state with exactly-once semantics: emitted outputs are never
-    /// re-emitted, unprocessed tuples are processed exactly once more,
-    /// on whichever surviving node the engine re-homes them to.
-    pub fn crash_salvage(&mut self, cx: &mut WorkCx<'_>) -> simcore::SimResult<()> {
-        if self.initialized {
-            let tag = self.current_tag();
-            let spaces = self.spaces.as_mut().expect("initialized implies spaces");
-            let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, tag, spaces, true);
-            self.task.interrupt(&mut tcx)?;
+    /// Counts an instance leaving through the interrupt path.
+    fn count(&self, cause: Cause) {
+        self.handle.stats_mut(|st| match cause {
+            Cause::Scheduled => st.interrupts += 1,
+            Cause::Emergency => st.emergency_interrupts += 1,
+            Cause::Crash => st.crash_salvaged_instances += 1,
+        });
+    }
+
+    /// A scheduled or emergency interrupt, as the step's outcome.
+    fn interrupted(&mut self, cx: &mut WorkCx<'_>, cause: Cause) -> StepOutcome {
+        match self.interrupt(cx, cause) {
+            Ok(()) => StepOutcome::Finished,
+            Err(e) => self.fail(cx, e),
         }
-        for part in &mut self.inputs {
-            let freed = part.release_processed(&mut cx.node().heap);
-            self.handle.note_processed_input(freed);
-        }
-        let local = self.release_spaces(cx);
-        self.handle.note_local(local);
-        while let Some(part) = self.inputs.pop_front() {
-            self.handle.push_partition(part);
-        }
-        self.handle.stats_mut(|st| st.crash_salvaged_instances += 1);
-        self.handle.emit(
-            cx.now(),
-            TraceData::CrashSalvaged {
-                task: self.task_id.as_u32(),
-            },
-        );
+    }
+
+    /// Retires the instance and dies with `err`.
+    fn fail(&mut self, cx: &mut WorkCx<'_>, err: SimError) -> StepOutcome {
         self.handle.retire(self.instance, cx.now());
-        Ok(())
+        StepOutcome::Failed(err)
+    }
+
+    /// Counts a failed activation of the front partition; whether it
+    /// has now failed too often to ever fit.
+    fn front_gives_up(&self) -> bool {
+        self.inputs.front().is_some_and(|p| {
+            self.handle.bump_activation_failure(p.meta().id) > MAX_ACTIVATION_FAILURES
+        })
     }
 
     /// Activation failed (input would not fit): requeue everything and
@@ -222,15 +236,10 @@ impl ItaskWorker {
             .map(|p| p.meta().mem_bytes)
             .unwrap_or(simcore::ByteSize::ZERO);
         self.handle.hint_pressure(needed);
-        let give_up = self
-            .inputs
-            .front()
-            .map(|p| self.handle.bump_activation_failure(p.meta().id) > MAX_ACTIVATION_FAILURES)
-            .unwrap_or(false);
+        let give_up = self.front_gives_up();
         self.release_spaces(cx);
         if give_up {
-            self.handle.retire(self.instance, cx.now());
-            return StepOutcome::Failed(err);
+            return self.fail(cx, err);
         }
         while let Some(part) = self.inputs.pop_front() {
             self.handle.push_partition(part);
@@ -244,7 +253,7 @@ impl Work for ItaskWorker {
     fn step(&mut self, cx: &mut WorkCx<'_>) -> StepOutcome {
         // Safe point: scheduler-requested interrupt.
         if self.handle.should_terminate(self.instance) {
-            return self.do_interrupt(cx, false);
+            return self.interrupted(cx, Cause::Scheduled);
         }
 
         // Lazily materialize the front partition before touching it.
@@ -276,15 +285,12 @@ impl Work for ItaskWorker {
                         return if self.initialized {
                             // Mid-group (MITask): accumulated state must
                             // be flushed, not dropped — interrupt.
-                            self.do_interrupt(cx, true)
+                            self.interrupted(cx, Cause::Emergency)
                         } else {
                             self.abort_activation(cx, e)
                         };
                     }
-                    Err(e) => {
-                        self.handle.retire(self.instance, cx.now());
-                        return StepOutcome::Failed(e);
-                    }
+                    Err(e) => return self.fail(cx, e),
                 }
             }
         }
@@ -295,8 +301,7 @@ impl Work for ItaskWorker {
             let spaces = self.spaces.as_mut().expect("just ensured");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, tag, spaces, false);
             if let Err(e) = self.task.initialize(&mut tcx) {
-                self.handle.retire(self.instance, cx.now());
-                return StepOutcome::Failed(e);
+                return self.fail(cx, e);
             }
             self.initialized = true;
         }
@@ -313,25 +318,13 @@ impl Work for ItaskWorker {
                     // emergency self-interrupt instead of dying — unless
                     // this partition keeps failing even with the rest of
                     // the heap cleared, which means it can never fit.
-                    let give_up = self
-                        .inputs
-                        .front()
-                        .map(|p| {
-                            self.handle.bump_activation_failure(p.meta().id)
-                                > MAX_ACTIVATION_FAILURES
-                        })
-                        .unwrap_or(false);
-                    if give_up {
-                        self.handle.retire(self.instance, cx.now());
-                        return StepOutcome::Failed(e);
+                    if self.front_gives_up() {
+                        return self.fail(cx, e);
                     }
                     self.handle.hint_pressure(simcore::ByteSize::ZERO);
-                    return self.do_interrupt(cx, true);
+                    return self.interrupted(cx, Cause::Emergency);
                 }
-                Err(e) => {
-                    self.handle.retire(self.instance, cx.now());
-                    return StepOutcome::Failed(e);
-                }
+                Err(e) => return self.fail(cx, e),
             }
             if front.meta().exhausted() {
                 // Fully consumed: its heap space dies here.
@@ -346,8 +339,7 @@ impl Work for ItaskWorker {
             let spaces = self.spaces.as_mut().expect("initialized implies spaces");
             let mut tcx = TaskCx::new(cx, &self.handle, self.task_id, self.tag, spaces, false);
             if let Err(e) = self.task.cleanup(&mut tcx) {
-                self.handle.retire(self.instance, cx.now());
-                return StepOutcome::Failed(e);
+                return self.fail(cx, e);
             }
             self.release_spaces(cx);
             self.handle.retire(self.instance, cx.now());
@@ -364,9 +356,7 @@ impl Work for ItaskWorker {
         )
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        // ITask workers carry salvageable state (cursor-tracked inputs,
-        // accumulated task state): expose it for crash recovery.
-        Some(self)
+    fn salvage(&mut self, cx: &mut WorkCx<'_>) -> SimResult<()> {
+        self.interrupt(cx, Cause::Crash)
     }
 }

@@ -1,6 +1,6 @@
 //! The simulated-thread interface.
 
-use simcore::SimError;
+use simcore::{SimError, SimResult};
 
 use crate::node::WorkCx;
 
@@ -34,11 +34,12 @@ pub trait Work {
     /// Debug label shown in reports (e.g. `"map[part3]"`).
     fn label(&self) -> String;
 
-    /// Downcast hook for crash recovery: implementations that carry
-    /// salvageable state (ITask workers with partially processed
-    /// partitions) return `Some(self)` so the engine can extract it
-    /// after a node crash. The default — no salvageable state.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
+    /// Post-mortem hook, run once by [`crate::NodeSim::crash`] on the
+    /// body of every thread that was live when its node died, on the
+    /// dead node's context. Bodies that carry recoverable state (ITask
+    /// instances with partially processed partitions) push it back to
+    /// their controller here. The default: nothing to salvage.
+    fn salvage(&mut self, _cx: &mut WorkCx<'_>) -> SimResult<()> {
+        Ok(())
     }
 }

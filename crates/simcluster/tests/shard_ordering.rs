@@ -1,9 +1,9 @@
 //! Property test: merged trace bytes and per-node state do not depend
 //! on the order a driver visits nodes within a round.
 //!
-//! A driver is free to reorder nodes — hyracks' batch `drive` runs a
-//! crash-pending node out of band, ahead of the rest of its window —
-//! and the trace must not notice: each node round emits under the
+//! A driver is free to reorder nodes — hyracks' batch `drive` runs
+//! each node's round on its own, between its controller tick and its
+//! crash poll — and the trace must not notice: each node round emits under the
 //! node's own stream, so an event's id says which node emitted it and
 //! how far along that node was, and the canonical `(time, node, id)`
 //! merge does the rest. Randomized workloads (seeded generator: node

@@ -230,8 +230,8 @@ const OP_CORRUPT: u64 = 3;
 /// The cluster exploits this to give every disk its own injector (a
 /// node simulator owns everything its round touches) while keeping the
 /// failure schedule identical to the old shared-`Rc` wiring.
-/// Crash scheduling (`crash_due`/`is_down`) *is* cross-node state and
-/// stays on a single driver-side instance.
+/// Crash scheduling (`crash_due`) *is* cross-node state and stays on a
+/// single driver-side instance.
 #[derive(Clone, Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -241,8 +241,6 @@ pub struct FaultInjector {
     bursts: BTreeMap<(u32, u64), u16>,
     /// Crash schedule entries already fired.
     fired: Vec<bool>,
-    /// Nodes currently down.
-    down: Vec<NodeId>,
     stats: FaultStats,
 }
 
@@ -255,7 +253,6 @@ impl FaultInjector {
             ops: BTreeMap::new(),
             bursts: BTreeMap::new(),
             fired,
-            down: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -360,7 +357,7 @@ impl FaultInjector {
     }
 
     /// If `node`'s clock has reached a scheduled crash that has not
-    /// fired yet, fires it: marks the node down and returns `true`.
+    /// fired yet, fires it and returns `true`.
     pub fn crash_due(&mut self, node: NodeId, now: SimTime) -> bool {
         let mut fire = false;
         for (i, c) in self.plan.crashes.iter().enumerate() {
@@ -371,29 +368,8 @@ impl FaultInjector {
         }
         if fire {
             self.stats.crashes += 1;
-            if !self.down.contains(&node) {
-                self.down.push(node);
-            }
         }
         fire
-    }
-
-    /// Whether `node` still has a scheduled crash that has not fired.
-    ///
-    /// Only a node with a pending crash needs a crash poll after its
-    /// round; for every other node (and this node again, once its
-    /// crashes have all fired) the poll would be a no-op.
-    pub fn crash_pending(&self, node: NodeId) -> bool {
-        self.plan
-            .crashes
-            .iter()
-            .enumerate()
-            .any(|(i, c)| !self.fired[i] && c.node == node)
-    }
-
-    /// Whether `node` has crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
     }
 }
 
@@ -523,9 +499,7 @@ mod tests {
         let plan = FaultPlan::new(0).with_crash(NodeId(2), SimTime::from_nanos(100));
         let mut inj = FaultInjector::new(plan);
         assert!(!inj.crash_due(NodeId(2), SimTime::from_nanos(99)));
-        assert!(!inj.is_down(NodeId(2)));
         assert!(inj.crash_due(NodeId(2), SimTime::from_nanos(100)));
-        assert!(inj.is_down(NodeId(2)));
         // Fires exactly once.
         assert!(!inj.crash_due(NodeId(2), SimTime::from_nanos(200)));
         assert_eq!(inj.stats().crashes, 1);

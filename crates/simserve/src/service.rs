@@ -717,11 +717,12 @@ impl Service {
         }
     }
 
-    /// Fires due crashes: salvages ITask workers through the interrupt
-    /// path, then lets every job react (re-home or fail).
+    /// Fires due crashes (the scheduler salvages the dead node's ITask
+    /// workers through their interrupt path as it fires), then lets
+    /// every job react (re-home or fail).
     ///
-    /// Jobs are notified on the crash *transition*, never on salvage
-    /// contents: a node can die with zero live threads (e.g. a job
+    /// Jobs are notified on the crash *transition*, never on what was
+    /// salvaged: a node can die with zero live threads (e.g. a job
     /// between `enter_reduce` offering partitions and the next pump
     /// spawning workers) and its queued state must still be re-homed —
     /// otherwise the job would quiesce over the survivors alone and
@@ -730,16 +731,12 @@ impl Service {
         for n in 0..self.cluster.node_count() {
             let node = NodeId(n as u32);
             let was_crashed = self.cluster.sim(node).is_crashed();
-            let salvaged = self.cluster.poll_crash(node);
+            // Salvage is best-effort; jobs that lost state will fail on
+            // their own and retry.
+            let _ = self.cluster.poll_crash(node);
             if was_crashed || !self.cluster.sim(node).is_crashed() {
-                // No crash fired this round (salvage is only ever
-                // non-empty when one does).
+                // No crash fired this round.
                 continue;
-            }
-            if !salvaged.is_empty() {
-                // Salvage is best-effort; jobs that lost state will
-                // fail on their own and retry.
-                let _ = hyracks::salvage_crashed_workers(&mut self.cluster, node, salvaged);
             }
             for job in &mut self.active {
                 if job.failure.is_some() {

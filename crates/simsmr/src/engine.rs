@@ -398,9 +398,10 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
 
         // 4. Scheduled crashes fire on the nodes' own clocks. Crashed
         //    replicas stay down: SMR availability comes from the quorum,
-        //    not from node recovery.
+        //    not from node recovery, and a replica thread has nothing
+        //    to salvage.
         for &n in &live {
-            let _orphans = cluster.poll_crash(n);
+            let _ = cluster.poll_crash(n);
         }
 
         // 5. Drain acks in node order, pricing the ack RPC to the leader.
