@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use hyracks::Operator;
+use hyracks::{chunk_by, Operator};
 use itask_core::Tuple;
 use simcluster::{JobOutcome, JobReport, NodeReport};
 use simcore::{ByteSize, CostModel, NodeId, SimDuration, SimError};
@@ -166,8 +166,9 @@ where
     for split in splits {
         // One split = one HDFS block, streamed through the mapper in
         // record-reader frames (Hadoop never materializes a whole block
-        // as objects).
-        let frames = chunk(split, ByteSize::kib(64));
+        // as objects). Frames are sized in *object-form* bytes, the form
+        // that occupies a task heap.
+        let frames = chunk_by(split, ByteSize::kib(64), M::In::heap_bytes);
         let (outcome, out) = run_map_attempt_retrying(cfg, frames, &map_factory);
         if outcome.result.ok() {
             for (bucket, tuples) in out {
@@ -207,7 +208,8 @@ where
         let mut reduce_outcomes = Vec::new();
         let mut outputs: Vec<R::Out> = Vec::new();
         for (_bucket, tuples) in shuffle_data {
-            let frames = chunk(tuples, cfg.split_size);
+            // A reduce attempt must hold one frame in its task heap.
+            let frames = chunk_by(tuples, cfg.split_size, M::Out::heap_bytes);
             let (outcome, out) = run_reduce_attempt_retrying(cfg, frames, &reduce_factory);
             if outcome.result.ok() {
                 outputs.extend(out);
@@ -237,28 +239,6 @@ where
     }
     report.bump_counter("hadoop.spills", spills as f64);
     (report, result)
-}
-
-/// Splits tuples into frames of at most `granularity` *object-form*
-/// bytes: a reduce attempt must be able to hold one frame in its task
-/// heap, and the deserialized form is what occupies it.
-fn chunk<T: Tuple>(tuples: Vec<T>, granularity: ByteSize) -> Vec<Vec<T>> {
-    let mut frames = Vec::new();
-    let mut frame = Vec::new();
-    let mut bytes = 0u64;
-    for t in tuples {
-        let b = t.heap_bytes();
-        if bytes + b > granularity.as_u64() && !frame.is_empty() {
-            frames.push(std::mem::take(&mut frame));
-            bytes = 0;
-        }
-        bytes += b;
-        frame.push(t);
-    }
-    if !frame.is_empty() {
-        frames.push(frame);
-    }
-    frames
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Engine-level unit tests: framing, block distribution and shuffle
 //! routing invariants.
 
-use hyracks::{chunk_into_frames, distribute_blocks};
+use hyracks::{chunk_by, chunk_into_frames, distribute_blocks};
 use itask_core::Tuple;
 use simcore::ByteSize;
 
@@ -28,6 +28,22 @@ fn frames_respect_granularity_and_preserve_order() {
         assert!(ser <= 500 || f.len() == 1, "frame ser {ser}");
     }
     // ...and concatenation reproduces the input exactly.
+    let flat: Vec<T> = frames.into_iter().flatten().collect();
+    assert_eq!(flat, records);
+}
+
+#[test]
+fn chunk_by_measures_with_the_size_it_is_given() {
+    let records: Vec<T> = (1..=100).map(T).collect();
+    let frames = chunk_by(records.clone(), ByteSize(1500), Tuple::heap_bytes);
+    for f in &frames {
+        let heap: u64 = f.iter().map(Tuple::heap_bytes).sum();
+        assert!(heap <= 1500 || f.len() == 1, "frame heap {heap}");
+    }
+    // Measured by ser_bytes, the same cap packs three times as much.
+    let by_ser = chunk_by(records.clone(), ByteSize(1500), Tuple::ser_bytes);
+    assert!(frames.len() > by_ser.len());
+    assert_eq!(by_ser, chunk_into_frames(records.clone(), ByteSize(1500)));
     let flat: Vec<T> = frames.into_iter().flatten().collect();
     assert_eq!(flat, records);
 }
