@@ -60,8 +60,7 @@ pub fn serialize_partition(
         }
         // Even the byte array does not fit: fall through to disk.
         node.heap.release_space(bytes_space);
-        let (file, _retries) =
-            node.disk_write_retried(&format!("{id}.ser"), ser_bytes, DEFAULT_IO_RETRIES)?;
+        let (file, _retries) = node.disk_write_retried(&format!("{id}.ser"), ser_bytes)?;
         let meta = part.meta_mut();
         meta.state = PartitionState::Serialized(file);
         meta.last_serialized = Some(node.now);
@@ -71,8 +70,7 @@ pub fn serialize_partition(
     // background threads; encoding overlaps compute, so we charge only
     // the cheap async-write bookkeeping). Transient disk faults are
     // absorbed by bounded retry with the device backing off in between.
-    let (file, _retries) =
-        node.disk_write_retried(&format!("{id}.ser"), ser_bytes, DEFAULT_IO_RETRIES)?;
+    let (file, _retries) = node.disk_write_retried(&format!("{id}.ser"), ser_bytes)?;
     let freed = node.heap.release_space(space);
     let meta = part.meta_mut();
     meta.state = PartitionState::Serialized(file);
@@ -125,7 +123,7 @@ pub fn deserialize_partition(
             let mut file = file;
             let mut cost = SimDuration::ZERO;
             loop {
-                match node.disk_read_retried(file, DEFAULT_IO_RETRIES) {
+                match node.disk_read_retried(file) {
                     Ok((_bytes, stall, retries)) => {
                         rec.transient_retries += retries;
                         cost += stall;
@@ -140,7 +138,7 @@ pub fn deserialize_partition(
                         node.disk.delete(file);
                         cost += CostModel::serialize_cpu(ser_bytes);
                         let (fresh, retries) = node
-                            .disk_write_retried(&format!("{id}.ser"), ser_bytes, DEFAULT_IO_RETRIES)
+                            .disk_write_retried(&format!("{id}.ser"), ser_bytes)
                             .inspect_err(|_| {
                                 node.heap.release_space(space);
                             })?;
