@@ -56,4 +56,4 @@ pub use partition::{
 pub use runtime::{FinalOutput, InterruptMode, Irs, IrsConfig, IrsHandle};
 pub use scheduler::VictimPolicy;
 pub use stats::{IrsStats, ReclaimBreakdown};
-pub use task::{ITask, InstanceSpaces, Scale, TaskCx, TaskKind, TupleTask};
+pub use task::{scale_loop, ITask, InstanceSpaces, Scale, TaskCx, TaskKind, TupleTask};

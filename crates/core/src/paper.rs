@@ -7,10 +7,10 @@
 //! |---|---|
 //! | `DataPartition` abstract class (tag, cursor, `hasNext`/`next`, `serialize`/`deserialize`) | [`crate::partition::Partition`] + [`crate::partition::PartitionMeta`]; `(de)serialize` are [`crate::manager::serialize_partition`] / [`crate::manager::deserialize_partition`] |
 //! | `ITask` abstract class (`initialize`/`process`/`interrupt`/`cleanup`) | [`crate::task::TupleTask`] |
-//! | `scaleLoop` (Figure 4, lines 20–35: per-tuple loop with memory safe points) | [`crate::task::Scale`]'s `process_batch` |
+//! | `scaleLoop` (Figure 4, lines 20–35: per-tuple loop with memory safe points) | [`crate::task::scale_loop`], which [`crate::task::Scale`]'s `process_batch` runs with the safe point armed and `hyracks::OperatorWorker` runs without it |
 //! | `MITask` (multi-partition aggregation over a tag group, lazy `PartitionIterator`) | [`crate::task::TaskKind::Multi`] vertices; the worker feeds the tag group partition-by-partition, deserializing lazily |
 //! | `setInputType`/`setOutputType` glue | [`crate::graph::TaskGraph::connect`] |
-//! | `Monitor.hasMemoryPressure()` safe-point check | [`crate::task::TaskCx::low_memory`] |
+//! | `Monitor.hasMemoryPressure()` safe-point check | [`crate::task::scale_loop`]'s `pressure` check: free heap below [`simmem::LUGC_FREE_PCT`], every 32 tuples |
 //! | `ITaskScheduler.pushToQueue` | [`crate::task::TaskCx::emit_to_task`] (intermediate results) and [`crate::input::offer_serialized`] / [`crate::input::offer_in_memory`] (inputs) |
 //! | pushing a Map interrupt's buffer to the shuffle (Figure 6 line 11) | [`crate::task::TaskCx::emit_final`] |
 //! | tagging a Reduce interrupt's output with the channel id (Figure 7 line 11) | [`crate::task::TaskCx::input_tag`] + `emit_to_task` |
@@ -31,7 +31,8 @@
 //!
 //! * The per-tuple `process(Tuple)` call sits behind a batch boundary
 //!   ([`crate::task::ITask::process_batch`]) so the typed layer stays
-//!   fast; safe points are still per-tuple inside the batch.
+//!   fast; safe points sit between tuples, but the pressure check runs
+//!   every 32 tuples, not before each one.
 //! * All IRS arithmetic uses *effective free* memory (capacity − live)
 //!   instead of instantaneous free bytes, and serialization hovers at a
 //!   higher watermark than the paper's literal `M%` — see DESIGN.md §7

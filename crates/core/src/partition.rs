@@ -195,28 +195,14 @@ impl<T: Tuple> VecPartition<T> {
         }
     }
 
-    /// The tuple at `index` (callers use `meta().cursor`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn get(&self, index: usize) -> &T {
-        &self.items[index]
-    }
-
     /// All items (tests and sinks).
     pub fn items(&self) -> &[T] {
         &self.items
     }
 
-    /// Advances the cursor by one processed tuple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition is already exhausted.
-    pub fn advance(&mut self) {
-        assert!(self.meta.cursor < self.meta.len, "advance past end");
-        self.meta.cursor += 1;
+    /// The items and the cursor into them, for [`crate::task::scale_loop`].
+    pub(crate) fn items_and_cursor(&mut self) -> (&[T], &mut usize) {
+        (&self.items, &mut self.meta.cursor)
     }
 }
 
@@ -289,7 +275,7 @@ mod tests {
     #[test]
     fn meta_tracks_sizes_and_cursor() {
         let mut h = heap();
-        let p = part(&mut h, &[100, 200, 300]);
+        let mut p = part(&mut h, &[100, 200, 300]);
         assert_eq!(p.meta().len, 3);
         assert_eq!(p.meta().mem_bytes, ByteSize(600));
         // Integer division per tuple: 33 + 66 + 100.
@@ -298,34 +284,17 @@ mod tests {
         assert!(p.meta().in_memory());
         assert_eq!(p.meta().remaining(), 3);
         assert!(!p.meta().exhausted());
-    }
-
-    #[test]
-    fn advance_and_exhaust() {
-        let mut h = heap();
-        let mut p = part(&mut h, &[10, 20]);
-        p.advance();
-        assert_eq!(p.meta().cursor, 1);
-        assert_eq!(p.meta().remaining(), 1);
-        p.advance();
+        // A tuple loop's cursor at the end of the items exhausts it.
+        let (items, cursor) = p.items_and_cursor();
+        *cursor = items.len();
         assert!(p.meta().exhausted());
-    }
-
-    #[test]
-    #[should_panic(expected = "advance past end")]
-    fn advance_past_end_panics() {
-        let mut h = heap();
-        let mut p = part(&mut h, &[10]);
-        p.advance();
-        p.advance();
     }
 
     #[test]
     fn release_processed_frees_prefix_only() {
         let mut h = heap();
         let mut p = part(&mut h, &[100, 200, 300]);
-        p.advance();
-        p.advance();
+        *p.items_and_cursor().1 = 2;
         let space = p.meta().space().unwrap();
         let live_before = h.space_live(space);
         let freed = p.release_processed(&mut h);
@@ -335,7 +304,7 @@ mod tests {
         assert_eq!(p.meta().len, 1);
         assert_eq!(p.meta().cursor, 0);
         assert_eq!(p.meta().mem_bytes, ByteSize(300));
-        assert_eq!(p.get(0).0, 300);
+        assert_eq!(p.items()[0].0, 300);
         // Releasing again with cursor 0 is a no-op.
         assert_eq!(p.release_processed(&mut h), ByteSize::ZERO);
     }

@@ -7,17 +7,16 @@
 //!   `initialize` / `process_batch` / `interrupt` / `cleanup`. The batch
 //!   granularity replaces the paper's per-tuple `process(Tuple)` call at
 //!   the runtime boundary (one batch ≈ one scheduling quantum); safe
-//!   points sit between tuples exactly as in the paper because the batch
-//!   loop checks [`TaskCx::low_memory`] per tuple.
+//!   points sit between tuples, checked every 32 tuples.
 //! * [`TupleTask`] + [`Scale`] — the typed, paper-shaped layer. A
-//!   `TupleTask` implements per-tuple `process(&In)` and the [`Scale`]
-//!   adapter supplies the scale loop (cursor advancement, cost charging,
-//!   early yield under pressure), mirroring `scaleLoop` in Figure 4.
+//!   `TupleTask` implements per-tuple `process(&In)` and [`Scale`] runs
+//!   it through [`scale_loop`] (Figure 4's `scaleLoop`), the tuple loop
+//!   regular operators run too, with the pressure check off.
 
 use std::any::Any;
 
 use simcluster::WorkCx;
-use simcore::{ByteSize, CostModel, SimDuration, SimResult, SimTime, SpaceId, TaskId};
+use simcore::{prof, ByteSize, CostModel, SimDuration, SimResult, SpaceId, TaskId};
 
 use crate::partition::{Partition, Tag, Tuple, VecPartition};
 use crate::runtime::{FinalOutput, IrsHandle};
@@ -84,32 +83,9 @@ impl<'a, 'b> TaskCx<'a, 'b> {
         self.input_tag
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.work.now()
-    }
-
     /// The logical task this instance executes.
     pub fn task(&self) -> TaskId {
         self.task
-    }
-
-    /// Consumes CPU time.
-    pub fn charge(&mut self, t: SimDuration) {
-        self.work.charge(t);
-    }
-
-    /// Whether the scheduling quantum is exhausted (yield point).
-    pub fn out_of_quantum(&self) -> bool {
-        self.work.out_of_quantum()
-    }
-
-    /// Whether free heap has sunk below the monitor's pressure line — the
-    /// per-tuple safe-point check of the scale loop. Task code yields
-    /// when this turns true so the IRS can act before an OME.
-    pub fn low_memory(&mut self) -> bool {
-        let heap = &self.work.node().heap;
-        heap.effective_free() < heap.capacity().mul_ratio(simmem::LUGC_FREE_PCT, 100)
     }
 
     /// Allocates into the instance's local-structures space.
@@ -255,13 +231,55 @@ pub trait TupleTask {
     fn cleanup(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()>;
 }
 
-/// Adapter implementing the scale loop of Figure 4 over a [`TupleTask`]:
-/// iterate tuples, charge their cost, advance the cursor, and yield at
-/// safe points (quantum exhausted or memory pressure).
-pub struct Scale<T>(pub T);
-
-/// How often the scale loop re-checks the memory safe-point predicate.
+/// How often [`scale_loop`] re-checks the memory safe-point predicate.
 const PRESSURE_CHECK_EVERY: u64 = 32;
+
+/// Figure 4's scale loop, run by ITasks ([`Scale`]) and regular operators
+/// alike: from `*cursor`, charge each tuple the [`CostModel::tuple_cost`]
+/// of its payload, hand it to `process` and advance the cursor once that
+/// succeeds. Stops when `items` or the quantum runs out or, with
+/// `pressure`, at a safe point (every `PRESSURE_CHECK_EVERY` = 32 tuples)
+/// that finds free heap below the LUGC line. Returns the tuples moved
+/// past, or `process`'s error with the cursor on the failing tuple;
+/// either way one `map` event records those tuples and all time charged.
+#[inline]
+pub fn scale_loop<'b, T: Tuple>(
+    work: &mut WorkCx<'b>,
+    items: &[T],
+    cursor: &mut usize,
+    pressure: bool,
+    mut process: impl FnMut(&mut WorkCx<'b>, &T) -> SimResult<()>,
+) -> SimResult<u64> {
+    let _wall = prof::wall_timer(prof::Stage::Map);
+    let (start, mut vtime, mut result) = (*cursor, SimDuration::ZERO, Ok(()));
+    while *cursor < items.len() && !work.out_of_quantum() {
+        let done = (*cursor - start) as u64;
+        if pressure && done > 0 && done.is_multiple_of(PRESSURE_CHECK_EVERY) {
+            let heap = &work.node().heap;
+            if heap.effective_free() < heap.capacity().mul_ratio(simmem::LUGC_FREE_PCT, 100) {
+                break;
+            }
+        }
+        let t = &items[*cursor];
+        // CPU scales with the tuple's payload, not its managed-heap bloat.
+        let cost = CostModel::tuple_cost(ByteSize(t.ser_bytes()));
+        work.charge(cost);
+        vtime += cost;
+        result = process(work, t);
+        if result.is_err() {
+            break;
+        }
+        *cursor += 1;
+    }
+    let moved = (*cursor - start) as u64;
+    prof::count(prof::Stage::Map, 1, moved);
+    prof::vtime(prof::Stage::Map, vtime);
+    result.map(|()| moved)
+}
+
+/// Adapter running a [`TupleTask`] through [`scale_loop`] with the memory
+/// safe point armed.
+pub struct Scale<T>(pub T);
 
 impl<TT: TupleTask> ITask for Scale<TT> {
     fn initialize(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()> {
@@ -282,30 +300,12 @@ impl<TT: TupleTask> ITask for Scale<TT> {
                     cx.task()
                 ))
             })?;
-        let mut processed = 0u64;
-        while !cx.out_of_quantum() {
-            if processed > 0 && processed.is_multiple_of(PRESSURE_CHECK_EVERY) && cx.low_memory() {
-                break;
-            }
-            let cursor = part.meta().cursor;
-            if cursor >= part.meta().len {
-                break;
-            }
-            let cost = {
-                // CPU scales with the tuple's payload, not its
-                // managed-heap bloat.
-                let t = part.get(cursor);
-                CostModel::tuple_cost(ByteSize(t.ser_bytes()))
-            };
-            cx.charge(cost);
-            {
-                let t = part.get(cursor);
-                self.0.process(cx, t)?;
-            }
-            part.advance();
-            processed += 1;
-        }
-        Ok(processed)
+        let (items, cursor) = part.items_and_cursor();
+        scale_loop(cx.work, items, cursor, true, |work, t| {
+            let (shared, task, tag) = (cx.shared, cx.task, cx.input_tag);
+            let mut tcx = TaskCx::new(work, shared, task, tag, cx.spaces, cx.interrupting);
+            self.0.process(&mut tcx, t)
+        })
     }
 
     fn interrupt(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()> {
@@ -314,5 +314,67 @@ impl<TT: TupleTask> ITask for Scale<TT> {
 
     fn cleanup(&mut self, cx: &mut TaskCx<'_, '_>) -> SimResult<()> {
         self.0.cleanup(cx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcluster::NodeState;
+    use simcore::{NodeId, SimError};
+
+    struct Item;
+
+    impl Tuple for Item {
+        fn heap_bytes(&self) -> u64 {
+            64
+        }
+    }
+
+    const AMPLE: SimDuration = SimDuration::from_secs(1);
+    type Ran = (SimResult<u64>, usize);
+
+    /// Runs the loop from cursor `at` over 100 tuples in a quantum `q`,
+    /// `process` refusing its `fail`-th call; returns the result and the
+    /// cursor.
+    fn run(n: &mut NodeState, at: usize, q: SimDuration, pressure: bool, fail: usize) -> Ran {
+        let mut work = WorkCx::detached(n, q);
+        let (items, mut cursor, mut calls) = ([(); 100].map(|()| Item), at, 0);
+        let r = scale_loop(&mut work, &items, &mut cursor, pressure, |_, _| {
+            calls += 1;
+            if calls == fail {
+                return Err(SimError::Internal("refused".into()));
+            }
+            Ok(())
+        });
+        (r, cursor)
+    }
+
+    fn node() -> NodeState {
+        NodeState::new(NodeId(0), 1, ByteSize::mib(1), ByteSize::mib(64))
+    }
+
+    #[test]
+    fn scale_loop_runs_to_the_quantum_end_or_the_input_end() {
+        let one_ns = SimDuration::from_nanos(1);
+        assert_eq!(run(&mut node(), 3, one_ns, false, 0), (Ok(1), 4));
+        assert_eq!(run(&mut node(), 4, AMPLE, false, 0), (Ok(96), 100));
+        assert_eq!(run(&mut node(), 100, AMPLE, false, 0), (Ok(0), 100));
+    }
+
+    #[test]
+    fn scale_loop_under_the_lugc_line_yields_after_one_check_interval() {
+        let mut n = node();
+        let space = n.heap.create_space("pinned");
+        n.alloc(space, ByteSize::kib(1000)).expect("fits");
+        let every = PRESSURE_CHECK_EVERY;
+        assert_eq!(run(&mut n, 0, AMPLE, true, 0), (Ok(every), every as usize));
+        assert_eq!(run(&mut n, 0, AMPLE, false, 0), (Ok(100), 100));
+    }
+
+    #[test]
+    fn scale_loop_leaves_the_cursor_on_a_failing_tuple() {
+        let refused = Err(SimError::Internal("refused".into()));
+        assert_eq!(run(&mut node(), 0, AMPLE, false, 5), (refused, 4));
     }
 }

@@ -6,16 +6,15 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use itask_core::Tuple;
+use itask_core::{scale_loop, Tuple};
 use simcluster::{StepOutcome, Work, WorkCx};
-use simcore::{prof, ByteSize, CostModel, SimDuration, SimResult, SimTime, SpaceId};
+use simcore::{prof, ByteSize, CostModel, SimResult, SpaceId};
 
-/// Context handed to operator callbacks: cost charging, the operator's
-/// state space on the simulated heap, and streaming emission into the
-/// worker's [`Sink`].
+/// Context handed to operator callbacks: the operator's state space on
+/// the simulated heap, and streaming emission into the worker's [`Sink`].
 pub struct OpCx<'a, 'b, Out> {
     work: &'a mut WorkCx<'b>,
-    state_space: SpaceId,
+    state: SpaceId,
     sink: &'a mut dyn Sink<Out>,
 }
 
@@ -27,27 +26,17 @@ impl<'a, 'b, Out> OpCx<'a, 'b, Out> {
         self.sink.put(self.work, bucket, tuple)
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.work.now()
-    }
-
-    /// Consumes CPU time.
-    pub fn charge(&mut self, t: SimDuration) {
-        self.work.charge(t);
-    }
-
     /// Allocates into the operator's state space (hash tables, sort
     /// buffers, postings lists — the structures that blow up under
     /// skew). Fails with the simulation's OME when the heap is full.
     pub fn alloc_state(&mut self, bytes: ByteSize) -> SimResult<()> {
-        let s = self.state_space;
+        let s = self.state;
         self.work.alloc(s, bytes)
     }
 
     /// Frees bytes from the state space (they become garbage).
     pub fn free_state(&mut self, bytes: ByteSize) -> ByteSize {
-        let s = self.state_space;
+        let s = self.state;
         self.work.free(s, bytes)
     }
 }
@@ -266,7 +255,7 @@ impl<O: Operator, K: Sink<O::Out>> OperatorWorker<O, K> {
     }
 
     fn run(&mut self, cx: &mut WorkCx<'_>) -> SimResult<bool> {
-        let state_space = match self.state_space {
+        let state = match self.state_space {
             Some(s) => s,
             None => {
                 let s = cx.create_space(format!("{}.state", self.label));
@@ -298,36 +287,14 @@ impl<O: Operator, K: Sink<O::Out>> OperatorWorker<O, K> {
                 self.frame_space = Some(space);
                 self.cursor = 0;
             }
-            // Process tuples. The frame is borrowed once for the whole
-            // inner loop (disjoint field borrows: `frames` immutably,
-            // `op` mutably) — a `front()` lookup per tuple dominated
-            // this loop in profiles.
-            let frame_len;
-            {
-                let OperatorWorker {
-                    op, frames, cursor, ..
-                } = &mut *self;
-                let frame = frames.front().expect("frame present");
-                frame_len = frame.len();
-                let _map_wall = prof::wall_timer(prof::Stage::Map);
-                let cursor_before = *cursor;
-                let mut map_vtime = SimDuration::ZERO;
-                let mut ocx = OpCx {
-                    work: cx,
-                    state_space,
-                    sink: &mut *sink,
-                };
-                while *cursor < frame_len && !ocx.work.out_of_quantum() {
-                    let t = &frame[*cursor];
-                    let tuple_cost = CostModel::tuple_cost(ByteSize(t.ser_bytes()));
-                    ocx.work.charge(tuple_cost);
-                    map_vtime += tuple_cost;
-                    op.next(&mut ocx, t)?;
-                    *cursor += 1;
-                }
-                prof::count(prof::Stage::Map, 1, (*cursor - cursor_before) as u64);
-                prof::vtime(prof::Stage::Map, map_vtime);
-            }
+            // Process tuples through the ITask scale loop, without its
+            // memory safe point: a regular operator cannot yield under
+            // pressure.
+            let frame_len = frame.len();
+            let sink = &mut *sink;
+            scale_loop(cx, frame, &mut self.cursor, false, |work, t| {
+                self.op.next(&mut OpCx { work, state, sink }, t)
+            })?;
             if self.cursor >= frame_len {
                 // Frame done: its heap bytes become garbage.
                 if let Some(space) = self.frame_space.take() {
@@ -339,7 +306,7 @@ impl<O: Operator, K: Sink<O::Out>> OperatorWorker<O, K> {
         if self.frames.is_empty() {
             let mut ocx = OpCx {
                 work: cx,
-                state_space,
+                state,
                 sink: &mut *sink,
             };
             self.op.close(&mut ocx)?;

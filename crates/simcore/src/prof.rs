@@ -26,7 +26,7 @@ use crate::time::SimDuration;
 pub enum Stage {
     /// Workload generation (webmap/tpch/words block synthesis).
     Generate = 0,
-    /// Operator/task tuple processing (map + reduce inner loops).
+    /// Tuple processing in `itask_core::scale_loop`: operators and ITasks.
     Map = 1,
     /// Handing emitted tuples to the connector, grouped by bucket.
     EmitFlush = 2,
