@@ -77,12 +77,17 @@ pub struct SmrOutcome {
     pub deflated: ByteSize,
     /// Peak heap occupancy as a percentage of capacity (worst node).
     pub peak_heap_pct: u64,
-    /// Running digest of the committed log, per index.
-    pub committed_digests: Vec<u64>,
-    /// Running digest of each node's *applied* sequence, per index.
-    pub node_digests: Vec<Vec<u64>>,
+    /// Each node's final running digest of its *applied* sequence, and
+    /// the number of entries it applied. A digest chains its
+    /// predecessor, so equal finals mean equal sequences.
+    pub node_digests: Vec<(u64, u64)>,
     /// `Ok` on a clean run; the first substrate error otherwise.
     pub result: SimResult<()>,
+    /// Final running digest of the committed log (`0` when nothing
+    /// committed).
+    committed_digest: u64,
+    /// Quorum-safety verdict, checked by the run on its digest chains.
+    safety: Result<(), String>,
 }
 
 impl SmrOutcome {
@@ -93,25 +98,32 @@ impl SmrOutcome {
 
     /// Digest of the whole committed log (`0` when nothing committed).
     pub fn committed_digest(&self) -> u64 {
-        self.committed_digests.last().copied().unwrap_or(0)
+        self.committed_digest
     }
 
     /// Quorum safety: every node's applied sequence must agree with the
     /// committed log on their common prefix (and hence with every other
-    /// node's). Violations would mean divergent state machines.
+    /// node's). Violations would mean divergent state machines. The run
+    /// checks this before it drops its per-index digest chains.
     pub fn check_safety(&self) -> Result<(), String> {
-        for (n, digests) in self.node_digests.iter().enumerate() {
-            for (i, (d, c)) in digests.iter().zip(&self.committed_digests).enumerate() {
-                if d != c {
-                    return Err(format!(
-                        "node {n} diverges from the committed log at index {}",
-                        i + 1
-                    ));
-                }
+        self.safety.clone()
+    }
+}
+
+/// The quorum-safety check over one run's per-index digest chains: the
+/// committed log's and each node's applied sequence's.
+fn check_safety(committed: &[u64], nodes: &[Vec<u64>]) -> Result<(), String> {
+    for (n, digests) in nodes.iter().enumerate() {
+        for (i, (d, c)) in digests.iter().zip(committed).enumerate() {
+            if d != c {
+                return Err(format!(
+                    "node {n} diverges from the committed log at index {}",
+                    i + 1
+                ));
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Consensus bookkeeping for one uncommitted entry.
@@ -706,8 +718,49 @@ pub fn run(cfg: &SmrConfig) -> SmrOutcome {
         deflations,
         deflated,
         peak_heap_pct,
-        committed_digests,
-        node_digests,
+        node_digests: node_digests
+            .iter()
+            .map(|d| (d.last().copied().unwrap_or(0), d.len() as u64))
+            .collect(),
         result,
+        committed_digest: committed_digests.last().copied().unwrap_or(0),
+        safety: check_safety(&committed_digests, &node_digests),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_safety;
+
+    #[test]
+    fn check_safety_compares_each_node_with_the_log_on_their_common_prefix() {
+        let log = [11, 12, 13, 14];
+
+        // A node that diverges at index k is named, with k (1-based).
+        let nodes = vec![log.to_vec(), vec![11, 12, 99, 14]];
+        assert_eq!(
+            check_safety(&log, &nodes),
+            Err("node 1 diverges from the committed log at index 3".into())
+        );
+
+        // A node behind the committed log (a follower still catching
+        // up, or a crashed one) is checked on what it applied.
+        let nodes = vec![log.to_vec(), vec![11, 12], vec![]];
+        assert_eq!(check_safety(&log, &nodes), Ok(()));
+        let nodes = vec![log.to_vec(), vec![11, 98]];
+        assert_eq!(
+            check_safety(&log, &nodes),
+            Err("node 1 diverges from the committed log at index 2".into())
+        );
+
+        // A node that applied past the last commit (acks drained at wind
+        // down) is compared on the committed prefix only.
+        let nodes = vec![log.to_vec(), vec![11, 12, 13, 14, 77, 78]];
+        assert_eq!(check_safety(&log, &nodes), Ok(()));
+        let nodes = vec![vec![10, 12, 13, 14, 77], log.to_vec()];
+        assert_eq!(
+            check_safety(&log, &nodes),
+            Err("node 0 diverges from the committed log at index 1".into())
+        );
     }
 }

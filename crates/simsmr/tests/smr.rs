@@ -28,7 +28,11 @@ fn fingerprint(o: &SmrOutcome) -> (u64, u64, u64, u64, u64, u64, u64) {
 fn assert_clean(o: &SmrOutcome, cfg: &SmrConfig) {
     assert!(o.result.is_ok(), "run failed: {:?}", o.result);
     assert_eq!(o.commits, cfg.entries, "every entry commits");
-    assert_eq!(o.committed_digests.len() as u64, cfg.entries);
+    let whole = o.node_digests.iter().filter(|&&(_, n)| n == cfg.entries);
+    assert!(
+        whole.count() >= cfg.majority(),
+        "a majority applied the whole log"
+    );
     o.check_safety().expect("quorum safety");
 }
 
@@ -56,7 +60,6 @@ fn same_config_is_bit_identical() {
     let b = run(&cfg);
     assert_clean(&a, &cfg);
     assert_eq!(fingerprint(&a), fingerprint(&b));
-    assert_eq!(a.committed_digests, b.committed_digests);
     assert_eq!(a.node_digests, b.node_digests);
 }
 
